@@ -27,6 +27,7 @@ from .lattice import (
     pair,
     DivisorClass,
     LatticeError,
+    ParseError,
     SurfaceModel,
     format_class,
     nontrivial_ruled,
@@ -47,9 +48,10 @@ def parse_surface(text: str) -> SurfaceModel:
     if params:
         for item in params.split(","):
             key, _, value = item.partition("=")
-            if not value:
-                raise UsageError(f"bad surface parameter {item!r}")
-            kv[key.strip()] = int(value)
+            try:
+                kv[key.strip()] = int(value)
+            except ValueError:
+                raise UsageError(f"bad surface parameter {item!r}") from None
     kind = head.strip().lower().replace("_", "-")
     try:
         if kind == "rational":
@@ -75,13 +77,21 @@ def _classes_from_arg(text: str, surface: SurfaceModel) -> list[DivisorClass]:
     return [parse_class(part, surface) for part in text.split(",") if part.strip()]
 
 
-def _load_cone_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def _load_json(path: str, parse):
+    """parse applied to the JSON document in path; an unreadable file or a
+    missing key is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (OSError, json.JSONDecodeError) as err:
+        raise UsageError(f"cannot read {path}: {err}") from None
+    except KeyError as err:
+        raise UsageError(f"{path} has no {err} entry") from None
+
+
+def _parse_cone(data: dict):
     surface = SurfaceModel.from_json(data["surface"])
-    rays = [parse_class(s, surface) for s in data.get("rays", [])]
-    facets = [parse_class(s, surface) for s in data.get("facets", [])]
-    return surface, rays, facets
+    return surface, [parse_class(s, surface) for s in data.get("rays", [])]
 
 
 def _print_classes(classes, args, key="classes"):
@@ -202,7 +212,7 @@ def cmd_cone(args) -> int:
         return 0 if ks.corners_ok else 1
     # dual
     if args.rays_file:
-        surface, rays, _ = _load_cone_file(args.rays_file)
+        surface, rays = _load_json(args.rays_file, _parse_cone)
     else:
         surface = _surface_from_args(args)
         if not args.rays:
@@ -241,8 +251,7 @@ def cmd_nef_threshold(args) -> int:
 
 
 def _load_config(path: str) -> NegativeConfiguration:
-    with open(path, "r", encoding="utf-8") as fh:
-        return NegativeConfiguration.from_json(json.load(fh))
+    return _load_json(path, NegativeConfiguration.from_json)
 
 
 def cmd_inflate(args) -> int:
@@ -459,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="configuration JSON file")
     p.add_argument("--start", required=True, help="start class literal")
     p.add_argument("--ray", help="achieve a single ray")
-    p.add_argument("--all", action="store_true", help="achieve every ray (default)")
     p.add_argument("--trace", type=int, help="also print N alternating coefficients")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_inflate)
@@ -505,7 +513,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as err:
+    except (UsageError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (LatticeError, cones.ConeError, inflation.InflationError, ValueError) as err:

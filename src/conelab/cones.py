@@ -139,16 +139,13 @@ class RationalCone:
         ambient: SurfaceModel,
         rays: Sequence[DivisorClass] | None = None,
         facets: Sequence[DivisorClass] | None = None,
-        lineality: Sequence[DivisorClass] | None = None,
         equations: Sequence[DivisorClass] | None = None,
     ):
         if rays is None and facets is None:
             raise ConeError("a cone needs rays or facets")
         self.ambient = ambient
         self._rays = None if rays is None else tuple(rays)
-        self._lineality = None if lineality is None else tuple(lineality)
-        if rays is not None and lineality is None:
-            self._lineality = ()
+        self._lineality = None if rays is None else ()
         self._facets = None if facets is None else tuple(facets)
         self._equations = None if equations is None else tuple(equations)
         if facets is not None and equations is None:
@@ -193,17 +190,6 @@ class RationalCone:
 
     def is_pointed(self) -> bool:
         return not self.lineality()
-
-    def dimension(self) -> int:
-        vecs = [r.coeffs for r in self.rays()] + [v.coeffs for v in self.lineality()]
-        return linalg.rank(vecs)
-
-    def same_cone(self, other: "RationalCone") -> bool:
-        return (
-            self.ambient == other.ambient
-            and self.rays() == other.rays()
-            and self.lineality() == other.lineality()
-        )
 
     def __repr__(self) -> str:
         parts = []
@@ -252,20 +238,12 @@ def cone_from_facets(facets: Iterable[DivisorClass]) -> RationalCone:
 
 
 def dual_cone(cone: RationalCone) -> RationalCone:
-    """The pairing-dual {y : pair(y, r) >= 0 on all generators}."""
-    surface = cone.ambient
-    ineqs = [gram_functional(r) for r in cone.rays()]
-    for v in cone.lineality():
-        q = gram_functional(v)
-        ineqs.append(q)
-        ineqs.append(tuple(-x for x in q))
-    rays, lin = extreme_rays_h(ineqs, surface.rank)
-    return RationalCone(
-        surface,
-        rays=tuple(sorted_classes(divisor(surface, r) for r in rays)),
-        lineality=tuple(sorted_classes(divisor(surface, v) for v in lin)),
-        facets=tuple(cone.rays()),
-    )
+    """The pairing-dual {y : pair(y, r) >= 0 on all generators}: the cone cut
+    out by the rays as facets and the lineality as equations, with its own
+    rays computed."""
+    dual = RationalCone(cone.ambient, facets=cone.rays(), equations=cone.lineality())
+    dual.rays()
+    return dual
 
 
 def extremal_rays(cone: RationalCone) -> list[DivisorClass]:
@@ -277,15 +255,10 @@ def extremal_rays(cone: RationalCone) -> list[DivisorClass]:
         return list(rays)
     # V-representation input: run the round trip to drop interior generators
     dual = dual_cone(cone)
-    ineqs = [gram_functional(f) for f in dual.rays()]
-    for e in dual.lineality():
-        q = gram_functional(e)
-        ineqs.append(q)
-        ineqs.append(tuple(-x for x in q))
-    vecs, lin = extreme_rays_h(ineqs, cone.ambient.rank)
-    if lin:
-        raise NonPointedError([divisor(cone.ambient, v) for v in lin])
-    return sorted_classes(divisor(cone.ambient, v) for v in vecs)
+    hull = RationalCone(cone.ambient, facets=dual.rays(), equations=dual.lineality())
+    if hull.lineality():
+        raise NonPointedError(list(hull.lineality()))
+    return list(hull.rays())
 
 
 @dataclass(frozen=True)

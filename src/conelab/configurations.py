@@ -213,7 +213,6 @@ def validate_configuration(cfg: NegativeConfiguration) -> ValidationReport:
     if not dual.linear_dual.rays():
         p2 = PropertyResult(False, "dual cone has no extremal rays")
     else:
-        w = cfg.generators()[0]
         acc = None
         for r in dual.linear_dual.rays():
             acc = r if acc is None else acc + r

@@ -18,6 +18,7 @@ from typing import Iterable
 from .lattice import (
     DivisorClass,
     LatticeError,
+    ParseError,
     canonical_class,
     divisor,
     pair,
@@ -28,7 +29,12 @@ DEFAULT_BUDGET = 10_000
 
 def _budget(default: int) -> int:
     value = os.environ.get("CONELAB_MAX_STEPS")
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"CONELAB_MAX_STEPS={value!r} is not an integer") from None
 
 
 def _require_cremona_surface(x: DivisorClass) -> None:
@@ -80,11 +86,6 @@ class ReductionOutcome:
     result: DivisorClass | None
     trace: tuple[DivisorClass, ...]
     steps: int
-
-    @property
-    def reduced(self) -> DivisorClass:
-        assert self.kind == "reduced" and self.result is not None
-        return self.result
 
 
 def cremona_reduce(x: DivisorClass, max_steps: int = 1_000) -> ReductionOutcome:

@@ -324,7 +324,12 @@ class SweepReport:
     zero_square_positive_genus      -- square = 0 and genus >= 1 (empty for
                                        k <= 8; multiples of -K for k = 9);
     nonneg_square_nonneg_k_pairing  -- square >= 0 and K.C >= 0 (empty for
-                                       k < 9; multiples of -K for k = 9).
+                                       k < 9; multiples of -K for k = 9);
+    low_degree_violations           -- degree <= 2, square >= 0, genus >= 1;
+    genus_one_violations            -- genus 1 and square < 9 - k;
+    genus_one_equality              -- genus 1 and square = 9 - k.
+
+    The last three feed the genus bounds for k < 9 (genus_bound_ok).
     """
 
     surface: SurfaceModel
@@ -332,24 +337,34 @@ class SweepReport:
     negative_square_positive_genus: tuple[DivisorClass, ...]
     zero_square_positive_genus: tuple[DivisorClass, ...]
     nonneg_square_nonneg_k_pairing: tuple[DivisorClass, ...]
+    low_degree_violations: tuple[DivisorClass, ...]
+    genus_one_violations: tuple[DivisorClass, ...]
+    genus_one_equality: tuple[DivisorClass, ...]
 
     @property
     def ok(self) -> bool:
-        k = self.surface.k
         if self.negative_square_positive_genus:
             return False
         anti = -1 * canonical_class(self.surface)
-        for group, allow_k9 in (
-            (self.zero_square_positive_genus, True),
-            (self.nonneg_square_nonneg_k_pairing, True),
-        ):
-            for c in group:
-                if k < 9 or not allow_k9:
-                    return False
-                m = Fraction(c.coeffs[0], 3)
-                if c != m * anti:
-                    return False
+        for c in self.zero_square_positive_genus + self.nonneg_square_nonneg_k_pairing:
+            if self.surface.k < 9 or c != Fraction(c.coeffs[0], 3) * anti:
+                return False
         return True
+
+    @property
+    def genus_bound_ok(self) -> bool:
+        """For k < 9: degree <= 2 forces genus <= 0; genus-1 classes have
+        square >= 9 - k, with equality exactly for 3H - E1 - ... - Ek; and no
+        class has square >= 0 and K.C >= 0."""
+        if self.surface.k >= 9:
+            raise LatticeError("the genus bounds need k < 9")
+        return (
+            not self.low_degree_violations
+            and not self.genus_one_violations
+            and not self.nonneg_square_nonneg_k_pairing
+            and self.genus_one_equality
+            == (divisor(self.surface, [3] + [-1] * self.surface.k),)
+        )
 
 
 def sphere_class_sweeps(surface: SurfaceModel, bound: int = 8) -> SweepReport:
@@ -362,15 +377,23 @@ def sphere_class_sweeps(surface: SurfaceModel, bound: int = 8) -> SweepReport:
     if not surface.is_rational or surface.k > 9:
         raise LatticeError("sweeps cover blowups of the plane with k <= 9")
     k = surface.k
-    neg, zero, dim0 = [], [], []
+    neg, zero, dim0, low, g1_bad, g1_eq = [], [], [], [], [], []
     for a in range(1, bound + 1):
         for b in _positive_genus_tuples(k, a, bound):
             c = _class_from_b(surface, a, b)
             sq = c.square()
+            g = adjunction_genus(c)
             if sq < 0:
                 neg.append(c)
             elif sq == 0:
                 zero.append(c)
+            if a <= 2 and sq >= 0 and g >= 1:
+                low.append(c)
+            if g == 1:
+                if sq < 9 - k:
+                    g1_bad.append(c)
+                elif sq == 9 - k:
+                    g1_eq.append(c)
         for b in _nonneg_square_high_k_tuples(k, a, bound):
             c = _class_from_b(surface, a, b)
             if c.square() >= 0 and pair(canonical_class(surface), c) >= 0:
@@ -381,60 +404,7 @@ def sphere_class_sweeps(surface: SurfaceModel, bound: int = 8) -> SweepReport:
         tuple(sorted_classes(neg)),
         tuple(sorted_classes(zero)),
         tuple(sorted_classes(dim0)),
-    )
-
-
-@dataclass(frozen=True)
-class GenusBoundReport:
-    """Checks on low-degree genus behaviour for k < 9.
-
-    For positive H-degree classes within the bounds: degree <= 2 forces
-    genus <= 0; genus-1 classes have square >= 9 - k, with equality exactly
-    for 3H - E1 - ... - Ek; and no class has square >= 0 and K.C >= 0.
-    """
-
-    surface: SurfaceModel
-    bound: int
-    low_degree_violations: tuple[DivisorClass, ...]
-    genus_one_violations: tuple[DivisorClass, ...]
-    equality_classes: tuple[DivisorClass, ...]
-    nonneg_k_pairing_classes: tuple[DivisorClass, ...]
-
-    @property
-    def ok(self) -> bool:
-        expected_equality = (
-            divisor(self.surface, [3] + [-1] * self.surface.k),
-        )
-        return (
-            not self.low_degree_violations
-            and not self.genus_one_violations
-            and not self.nonneg_k_pairing_classes
-            and self.equality_classes == expected_equality
-        )
-
-
-def genus_bound_audit(surface: SurfaceModel, bound: int = 8) -> GenusBoundReport:
-    if not surface.is_rational or surface.k >= 9:
-        raise LatticeError("the genus bound audit needs a rational surface, k < 9")
-    k = surface.k
-    low, g1_bad, g1_eq = [], [], []
-    for a in range(1, bound + 1):
-        for b in _positive_genus_tuples(k, a, bound):
-            c = _class_from_b(surface, a, b)
-            g = adjunction_genus(c)
-            if a <= 2 and c.square() >= 0 and g >= 1:
-                low.append(c)
-            if g == 1:
-                if c.square() < 9 - k:
-                    g1_bad.append(c)
-                elif c.square() == 9 - k:
-                    g1_eq.append(c)
-    sweep = sphere_class_sweeps(surface, bound)
-    return GenusBoundReport(
-        surface,
-        bound,
         tuple(sorted_classes(low)),
         tuple(sorted_classes(g1_bad)),
         tuple(sorted_classes(g1_eq)),
-        sweep.nonneg_square_nonneg_k_pairing,
     )

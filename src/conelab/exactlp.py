@@ -10,7 +10,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .linalg import Vec
 
 
 def nonnegative_combination(
@@ -32,16 +31,18 @@ def nonnegative_combination(
     # tableau over columns [x_0..x_{n-1}, s_0..s_{m-1} | rhs], artificial basis
     tab = [a[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
     basis = list(range(n, n + m))
-    # phase-1 objective: minimize the artificial sum; reduced costs below
+    # phase-1 objective: minimize the artificial sum; its reduced costs form
+    # the last tableau row, so each pivot updates them as well
     cost = [Fraction(0)] * (n + m) + [Fraction(0)]
     for i in range(m):
         for j in range(n + m + 1):
             cost[j] += tab[i][j]
     for j in range(n, n + m):
         cost[j] -= 1
+    tab.append(cost)
 
     while True:
-        enter = next((j for j in range(n + m) if cost[j] > 0), None)
+        enter = next((j for j in range(n + m) if tab[m][j] > 0), None)
         if enter is None:
             break
         ratios = [
@@ -52,17 +53,10 @@ def nonnegative_combination(
         if not ratios:
             raise ArithmeticError("phase-1 objective unbounded; malformed input")
         _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
-        pv = tab[leave][enter]
-        tab[leave] = [x / pv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        f = cost[enter]
-        cost = [x - f * y for x, y in zip(cost, tab[leave])]
+        linalg.pivot(tab, leave, enter)
         basis[leave] = enter
 
-    if cost[n + m] != 0:
+    if tab[m][n + m] != 0:
         return None
     solution = [Fraction(0)] * n
     for i, var in enumerate(basis):
@@ -71,27 +65,3 @@ def nonnegative_combination(
         elif tab[i][n + m] != 0:
             return None
     return solution
-
-
-def cone_membership_certificate(
-    generators: Sequence[Vec], target: Vec
-) -> tuple[list[Fraction] | None, Vec | None]:
-    """(coefficients, None) if target is a non-negative combination of the
-    generators, else (None, witness) with witness . g >= 0 for every
-    generator and witness . target < 0."""
-    coeffs = nonnegative_combination(generators, target)
-    if coeffs is not None:
-        return coeffs, None
-    from .cones import extreme_rays_h
-
-    dim = len(target)
-    facets, lineality = extreme_rays_h(list(generators), dim)
-    for f in facets:
-        if linalg.dot(f, target) < 0:
-            return None, f
-    for v in lineality:
-        s = linalg.dot(v, target)
-        if s != 0:
-            w = v if s < 0 else tuple(-x for x in v)
-            return None, w
-    raise ArithmeticError("separating functional not found; inconsistent LP result")

@@ -141,6 +141,19 @@ def alternate_inflate(
     return AlternateInflation(trace, limit, x, l1, False, tuple(odd), tuple(even))
 
 
+def _residuals(curves: Sequence[DivisorClass], accepted: list[DivisorClass]):
+    """The Gram-Schmidt loop: yield each curve minus its pairing-projections
+    onto the classes in accepted, which the caller extends between yields
+    with the residuals it keeps."""
+    for c in curves:
+        if pair(c, c) >= 0:
+            raise InflationError(f"{c} has non-negative square")
+        v = c
+        for u in accepted:
+            v = v - (pair(u, c) / pair(u, u)) * u
+        yield v
+
+
 def gram_schmidt_negative(curves: Sequence[DivisorClass]) -> list[DivisorClass]:
     """Pairing-orthogonalize classes spanning a negative-definite subspace.
 
@@ -151,12 +164,7 @@ def gram_schmidt_negative(curves: Sequence[DivisorClass]) -> list[DivisorClass]:
     dependent input is rejected.
     """
     out: list[DivisorClass] = []
-    for c in curves:
-        if pair(c, c) >= 0:
-            raise InflationError(f"{c} has non-negative square")
-        v = c
-        for u in out:
-            v = v - (pair(u, c) / pair(u, u)) * u
+    for v in _residuals(curves, out):
         if v.is_zero():
             raise InflationError("linearly dependent input classes")
         sq = pair(v, v)
@@ -190,12 +198,7 @@ def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> VertexAch
         raise InflationError("no curves supplied")
     ortho: list[DivisorClass] = []
     null_direction: DivisorClass | None = None
-    for c in curves:
-        if pair(c, c) >= 0:
-            raise InflationError(f"{c} has non-negative square")
-        v = c
-        for u in ortho:
-            v = v - (pair(u, c) / pair(u, u)) * u
+    for v in _residuals(curves, ortho):
         if v.is_zero():
             continue  # facet already implied by the previous ones
         sq = pair(v, v)

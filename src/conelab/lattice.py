@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from . import linalg
+
 RATIONAL = "rational"
 TRIVIAL_RULED = "trivial_ruled"
 NONTRIVIAL_RULED = "nontrivial_ruled"
@@ -31,6 +33,11 @@ _KINDS = (RATIONAL, TRIVIAL_RULED, NONTRIVIAL_RULED)
 
 class LatticeError(ValueError):
     """Raised for malformed surfaces, classes, or mismatched pairings."""
+
+
+class ParseError(LatticeError):
+    """Raised for malformed text from outside the program: a class literal
+    or a numeric setting."""
 
 
 @dataclass(frozen=True)
@@ -153,24 +160,12 @@ class DivisorClass:
 
     def primitive(self) -> "DivisorClass":
         """Scale by a positive rational so entries are integers with gcd 1."""
-        if self.is_zero():
-            return self
-        from math import gcd, lcm
-
-        denom = lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * denom) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        return DivisorClass(self.surface, tuple(Fraction(v, g) for v in ints))
+        return DivisorClass(self.surface, linalg.primitive(self.coeffs))
 
     # -- presentation ------------------------------------------------------
 
     def __str__(self) -> str:
         return format_class(self)
-
-    def sort_key(self):
-        return self.coeffs
 
     def to_json(self) -> dict:
         return {
@@ -350,14 +345,17 @@ def parse_class(text: str, surface: SurfaceModel) -> DivisorClass:
     while pos < len(compact):
         m = _TERM.match(compact, pos)
         if not m:
-            raise LatticeError(f"cannot parse class literal {text!r} at {compact[pos:]!r}")
+            raise ParseError(f"cannot parse class literal {text!r} at {compact[pos:]!r}")
         sign, num, symbol, _ = m.groups()
-        value = Fraction(num) if num else Fraction(1)
+        try:
+            value = Fraction(num) if num else Fraction(1)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in class literal {text!r}") from None
         if sign == "-":
             value = -value
         key = symbol.upper()
         if key not in labels:
-            raise LatticeError(f"generator {symbol!r} does not exist on {surface}")
+            raise ParseError(f"generator {symbol!r} does not exist on {surface}")
         coeffs[labels[key]] += value
         pos = m.end()
     return DivisorClass(surface, tuple(coeffs))

@@ -10,10 +10,6 @@ from typing import Sequence
 Vec = tuple[Fraction, ...]
 
 
-def vec(values) -> Vec:
-    return tuple(Fraction(v) for v in values)
-
-
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
@@ -31,6 +27,17 @@ def is_zero(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 
 
+def pivot(mat: list[list[Fraction]], r: int, c: int) -> None:
+    """Gauss-Jordan step in place: scale row r so its entry in column c is 1,
+    then clear column c from every other row."""
+    pv = mat[r][c]
+    mat[r] = [x / pv for x in mat[r]]
+    for i in range(len(mat)):
+        if i != r and mat[i][c] != 0:
+            f = mat[i][c]
+            mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+
+
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     mat = [list(Fraction(x) for x in row) for row in rows]
@@ -44,12 +51,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivot(mat, r, c)
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -84,20 +86,6 @@ def invert(rows: Sequence[Sequence[Fraction]]) -> list[Vec] | None:
     if pivots[:n] != list(range(n)):
         return None
     return [tuple(row[n:]) for row in reduced]
-
-
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | None:
-    """One exact solution of rows . x = rhs, or None if inconsistent."""
-    n = len(rows[0]) if rows else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    for row, p in zip(reduced, pivots):
-        if p == n:
-            return None
-    x = [Fraction(0)] * n
-    for row, p in zip(reduced, pivots):
-        x[p] = row[n]
-    return tuple(x)
 
 
 def primitive(v: Sequence[Fraction]) -> Vec:

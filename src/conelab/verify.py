@@ -49,6 +49,23 @@ class CheckResult:
     details: str
 
 
+ALL_CHECKS: list[Callable[[], CheckResult]] = []
+SUITES: dict[str, list[Callable[[], CheckResult]]] = {}
+
+
+def check(*suites: str):
+    """Register a check in ALL_CHECKS and in the named suites; the order of
+    definition is the criterion order."""
+
+    def register(fn: Callable[[], CheckResult]) -> Callable[[], CheckResult]:
+        ALL_CHECKS.append(fn)
+        for suite in suites:
+            SUITES.setdefault(suite, []).append(fn)
+        return fn
+
+    return register
+
+
 def _result(name: str, reference: str, passed: bool, details: str) -> CheckResult:
     return CheckResult(name, reference, passed, details)
 
@@ -68,6 +85,7 @@ def _expected_family_keys(surface, patterns: Iterable[tuple[int, list[int]]]) ->
 # --------------------------------------------------------------------- 1
 
 
+@check("enumeration")
 def check_exceptional_small_k() -> CheckResult:
     s2 = rational_surface(2)
     got2 = enumeration.exceptional_classes(s2)
@@ -107,6 +125,7 @@ def _expected_negative_patterns_k8() -> list[tuple[int, list[int]]]:
     return pats
 
 
+@check("enumeration")
 def check_negative_spheres_k8() -> CheckResult:
     s8 = rational_surface(8)
     got = [
@@ -153,6 +172,7 @@ def _expected_zero_square_patterns() -> list[tuple[int, list[int]]]:
     ]
 
 
+@check("enumeration")
 def check_zero_squares_k8() -> CheckResult:
     s8 = rational_surface(8)
     got = enumeration.zero_square_sphere_classes(s8)
@@ -206,6 +226,7 @@ def _expand_sign_line(line: list[int]) -> set[tuple[int, ...]]:
     return {plus, minus}
 
 
+@check("enumeration")
 def check_nine_squares() -> CheckResult:
     details = []
     ok = True
@@ -244,6 +265,7 @@ def check_nine_squares() -> CheckResult:
 # --------------------------------------------------------------------- 5
 
 
+@check("cp2+2", "cones")
 def check_two_blowup_duals() -> CheckResult:
     s2 = rational_surface(2)
     h, e1, e2 = H(s2), E(s2, 1), E(s2, 2)
@@ -270,6 +292,7 @@ def check_two_blowup_duals() -> CheckResult:
 # --------------------------------------------------------------------- 6
 
 
+@check("cones")
 def check_k_symplectic_corners() -> CheckResult:
     expected = {
         1: {"H", "H-E1"},
@@ -295,6 +318,7 @@ def check_k_symplectic_corners() -> CheckResult:
 # --------------------------------------------------------------------- 7
 
 
+@check("inflation")
 def check_vertex_example() -> CheckResult:
     s3 = rational_surface(3)
     h = H(s3)
@@ -327,6 +351,7 @@ def _negative_class_pool(surface) -> list[DivisorClass]:
     return sorted_classes(enumeration.family_instances(fams))
 
 
+@check("inflation")
 def check_alternating_inflation() -> CheckResult:
     rng = random.Random(73)
     s3 = rational_surface(3)
@@ -410,6 +435,7 @@ def _interior_start(dual: cones.PositiveDual) -> DivisorClass:
     return acc
 
 
+@check("inflation")
 def check_achieve_all_rays() -> CheckResult:
     entries = list(catalog_cp2_3((0, 1, 2))) + list(catalog_cp2_2((0, 1, 2)))
     achieved = 0
@@ -452,6 +478,7 @@ _CASE_TO_TWO_BLOWUP_VARIANT = {
 }
 
 
+@check("configurations")
 def check_blowdown_golden() -> CheckResult:
     s3 = rational_surface(3)
     targets = {(e.variant, e.n): e.configuration for e in catalog_cp2_2((0, 1, 2))}
@@ -481,6 +508,7 @@ def check_blowdown_golden() -> CheckResult:
 # --------------------------------------------------------------------- 11
 
 
+@check("cones")
 def check_cone_theorem_audit() -> CheckResult:
     reports = []
     for entry in list(catalog_cp2_3((0, 1, 2))) + list(catalog_cp2_2((0, 1, 2))):
@@ -501,6 +529,7 @@ def check_cone_theorem_audit() -> CheckResult:
 # --------------------------------------------------------------------- 12
 
 
+@check("cp2+2", "configurations")
 def check_minus_one_counts() -> CheckResult:
     ok = True
     rows = []
@@ -530,6 +559,7 @@ def check_minus_one_counts() -> CheckResult:
 # --------------------------------------------------------------------- 13
 
 
+@check("cones")
 def check_nef_threshold() -> CheckResult:
     s0, s1, s2 = rational_surface(0), rational_surface(1), rational_surface(2)
     ex1 = cones.nef_threshold(H(s0), [H(s0)])
@@ -575,6 +605,7 @@ def check_nef_threshold() -> CheckResult:
 # --------------------------------------------------------------------- 14
 
 
+@check("cremona")
 def check_cremona() -> CheckResult:
     s3 = rational_surface(3)
     red = cremona.cremona_reduce(parse_class("2H-E1-E2-E3", s3))
@@ -645,6 +676,7 @@ def _ruled_samples() -> list[tuple]:
     return samples
 
 
+@check("swcert")
 def check_sw_certificates() -> CheckResult:
     audit = swcert.anti_canonical_eight_point_audit()
     decomposed = 0
@@ -668,6 +700,7 @@ def check_sw_certificates() -> CheckResult:
 # --------------------------------------------------------------------- 16
 
 
+@check("ruled")
 def check_ruled_negative_classes() -> CheckResult:
     ok = True
     rows = []
@@ -699,6 +732,7 @@ def check_ruled_negative_classes() -> CheckResult:
 # --------------------------------------------------------------------- 17
 
 
+@check("enumeration")
 def check_sweeps() -> CheckResult:
     ok = True
     rows = []
@@ -707,7 +741,7 @@ def check_sweeps() -> CheckResult:
         sweep = enumeration.sphere_class_sweeps(sk, bound=8)
         good = sweep.ok
         if k <= 8:
-            good &= not sweep.zero_square_positive_genus
+            good &= not sweep.zero_square_positive_genus and sweep.genus_bound_ok
         else:
             got = {c for c in sweep.zero_square_positive_genus}
             want = {
@@ -715,8 +749,6 @@ def check_sweeps() -> CheckResult:
             }
             good &= want <= got
         ok &= good
-        if k < 9:
-            ok &= enumeration.genus_bound_audit(sk, bound=8).ok
     rows.append("k=0..9 at bound 8")
     return _result(
         "classification-sweeps",
@@ -725,53 +757,6 @@ def check_sweeps() -> CheckResult:
         ok,
         "; ".join(rows),
     )
-
-
-ALL_CHECKS: list[Callable[[], CheckResult]] = [
-    check_exceptional_small_k,
-    check_negative_spheres_k8,
-    check_zero_squares_k8,
-    check_nine_squares,
-    check_two_blowup_duals,
-    check_k_symplectic_corners,
-    check_vertex_example,
-    check_alternating_inflation,
-    check_achieve_all_rays,
-    check_blowdown_golden,
-    check_cone_theorem_audit,
-    check_minus_one_counts,
-    check_nef_threshold,
-    check_cremona,
-    check_sw_certificates,
-    check_ruled_negative_classes,
-    check_sweeps,
-]
-
-SUITES: dict[str, list[Callable[[], CheckResult]]] = {
-    "enumeration": [
-        check_exceptional_small_k,
-        check_negative_spheres_k8,
-        check_zero_squares_k8,
-        check_nine_squares,
-        check_sweeps,
-    ],
-    "cp2+2": [check_two_blowup_duals, check_minus_one_counts],
-    "cones": [
-        check_two_blowup_duals,
-        check_k_symplectic_corners,
-        check_cone_theorem_audit,
-        check_nef_threshold,
-    ],
-    "inflation": [
-        check_vertex_example,
-        check_alternating_inflation,
-        check_achieve_all_rays,
-    ],
-    "configurations": [check_blowdown_golden, check_minus_one_counts],
-    "cremona": [check_cremona],
-    "swcert": [check_sw_certificates],
-    "ruled": [check_ruled_negative_classes],
-}
 
 
 @dataclass(frozen=True)
@@ -803,11 +788,4 @@ class VerifyReport:
 
 def run_checks(suite: str | None = None) -> VerifyReport:
     checks = SUITES[suite] if suite else ALL_CHECKS
-    seen = []
-    results = []
-    for fn in checks:
-        if fn in seen:
-            continue
-        seen.append(fn)
-        results.append(fn())
-    return VerifyReport(tuple(results))
+    return VerifyReport(tuple(fn() for fn in checks))

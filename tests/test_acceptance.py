@@ -10,25 +10,7 @@ import pytest
 from conelab import verify
 
 
-CRITERIA = [
-    ("01", verify.check_exceptional_small_k),
-    ("02", verify.check_negative_spheres_k8),
-    ("03", verify.check_zero_squares_k8),
-    ("04", verify.check_nine_squares),
-    ("05", verify.check_two_blowup_duals),
-    ("06", verify.check_k_symplectic_corners),
-    ("07", verify.check_vertex_example),
-    ("08", verify.check_alternating_inflation),
-    ("09", verify.check_achieve_all_rays),
-    ("10", verify.check_blowdown_golden),
-    ("11", verify.check_cone_theorem_audit),
-    ("12", verify.check_minus_one_counts),
-    ("13", verify.check_nef_threshold),
-    ("14", verify.check_cremona),
-    ("15", verify.check_sw_certificates),
-    ("16", verify.check_ruled_negative_classes),
-    ("17", verify.check_sweeps),
-]
+CRITERIA = [(f"{i:02d}", fn) for i, fn in enumerate(verify.ALL_CHECKS, start=1)]
 
 
 @pytest.mark.parametrize("number,check", CRITERIA, ids=[c[0] for c in CRITERIA])
@@ -40,6 +22,8 @@ def test_acceptance_criterion(number, check):
 
 
 def test_every_criterion_is_covered():
-    names = {fn for _, fn in CRITERIA}
-    assert names == set(verify.ALL_CHECKS)
+    defined = {fn for name, fn in vars(verify).items() if name.startswith("check_")}
+    assert defined == set(verify.ALL_CHECKS)
     assert len(CRITERIA) == 17
+    for suite in verify.SUITES.values():
+        assert len(set(suite)) == len(suite) and set(suite) <= defined

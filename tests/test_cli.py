@@ -200,6 +200,28 @@ class TestVerify:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,max_steps,document",
+        [
+            (["cremona", "reduce", "--class", "1/0H", "--k", "3"], None, None),
+            (["config", "validate", "{missing}"], None, None),
+            (["config", "validate", "{file}"], None, {"curves": ["E1"]}),
+            (["cone", "ksymp", "--surface", "rational:k=x"], None, None),
+            (["cremona", "reduce", "--class", "2H-E1-E2-E3", "--k", "3"], "abc", None),
+        ],
+        ids=["zero-denominator", "missing-file", "no-surface", "bad-surface-int", "bad-max-steps"],
+    )
+    def test_malformed_input_exits_2(self, capsys, monkeypatch, tmp_path, argv, max_steps, document):
+        path = tmp_path / "cfg.json"
+        if document is not None:
+            path.write_text(json.dumps(document))
+        if max_steps is not None:
+            monkeypatch.setenv("CONELAB_MAX_STEPS", max_steps)
+        argv = [a.format(missing=tmp_path / "absent.json", file=path) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_command(self, capsys):
         assert main(["nonsense"]) == 2
 

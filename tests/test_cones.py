@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from conelab import exactlp
 from conelab.cones import (
     ConeError,
     NonPointedError,
@@ -88,6 +89,16 @@ class TestDualCone:
 
             assert linalg.rank(tight) == S3.rank - 1
 
+    def test_dual_keeps_the_lineality_as_equations(self):
+        # the half-space pair(x, H) >= 0 on one blowup has lineality E1, so its
+        # dual is the ray H inside the hyperplane pair(y, E1) = 0
+        s1 = rational_surface(1)
+        d = dual_cone(cone_from_facets([H(s1)]))
+        assert d.rays() == (H(s1),)
+        assert d.equations() == (E(s1, 1),)
+        assert membership(d, H(s1) + E(s1, 1)).kind == "outside"
+        assert membership(d, H(s1)).kind == "boundary"
+
     def test_double_dual_round_trip(self):
         rng = random.Random(17)
         pool = sorted_classes(exceptional_classes(rational_surface(4)))
@@ -140,6 +151,32 @@ class TestMembership:
     def test_zero_is_boundary(self):
         c = cone_from_rays(classes(S2, "H", "H-E1", "H-E2"))
         assert membership(c, divisor(S2, [0, 0, 0])).kind == "boundary"
+
+
+    def test_lp_membership_agrees_with_dd_membership(self):
+        # differential oracle: the exact simplex finds a non-negative
+        # combination exactly when double description puts the target in
+        # the cone; every solution is re-checked by direct arithmetic
+        rng = random.Random(4)
+        s4 = rational_surface(4)
+        pool = sorted_classes(exceptional_classes(s4))
+        feasible = infeasible = 0
+        for _ in range(40):
+            cone = cone_from_rays(rng.sample(pool, rng.randint(4, 6)))
+            gens = list(cone.rays())
+            for _ in range(5):
+                target = divisor(s4, [rng.randint(-1, 2) for _ in range(s4.rank)])
+                x = exactlp.nonnegative_combination([g.coeffs for g in gens], target.coeffs)
+                inside = membership(cone, target).kind != "outside"
+                assert (x is not None) == inside, (gens, target)
+                if x is None:
+                    infeasible += 1
+                    continue
+                feasible += 1
+                assert all(v >= 0 for v in x)
+                total = tuple(sum(v * g.coeffs[i] for v, g in zip(x, gens)) for i in range(s4.rank))
+                assert total == target.coeffs
+        assert feasible >= 20 and infeasible >= 20, (feasible, infeasible)
 
 
 class TestKSymplecticCone:

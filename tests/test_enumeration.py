@@ -8,7 +8,6 @@ import pytest
 from conelab.enumeration import (
     exceptional_classes,
     family_instances,
-    genus_bound_audit,
     negative_sphere_classes,
     nine_squares_representations,
     sphere_class_sweeps,
@@ -231,20 +230,20 @@ class TestSweeps:
 
     def test_genus_bound_audit_six(self):
         s = rational_surface(6)
-        audit = genus_bound_audit(s, bound=8)
-        assert audit.ok
-        assert audit.equality_classes == (parse_class("3H-E1-E2-E3-E4-E5-E6", s),)
-        assert audit.equality_classes[0].square() == 3  # 9 - k
+        sweep = sphere_class_sweeps(s, bound=8)
+        assert sweep.genus_bound_ok
+        assert sweep.genus_one_equality == (parse_class("3H-E1-E2-E3-E4-E5-E6", s),)
+        assert sweep.genus_one_equality[0].square() == 3  # 9 - k
 
     def test_genus_one_minimum_square_at_eight(self):
         s = rational_surface(8)
-        audit = genus_bound_audit(s, bound=8)
-        assert audit.ok
-        assert audit.equality_classes[0].square() == 1
+        sweep = sphere_class_sweeps(s, bound=8)
+        assert sweep.genus_bound_ok
+        assert sweep.genus_one_equality[0].square() == 1
 
     def test_no_nonnegative_k_pairing_class_small_k(self):
-        audit = genus_bound_audit(rational_surface(3), bound=6)
-        assert audit.nonneg_k_pairing_classes == ()
+        sweep = sphere_class_sweeps(rational_surface(3), bound=6)
+        assert sweep.nonneg_square_nonneg_k_pairing == ()
 
     def test_genus_one_brute_force_small_k(self):
         # independent loops: every genus-1 class with positive degree on
