@@ -78,13 +78,17 @@ def _classes_from_arg(text: str, surface: SurfaceModel) -> list[DivisorClass]:
 
 
 def _load_json(path: str, parse):
-    """parse applied to the JSON document in path; an unreadable file or a
-    missing key is a usage error."""
+    """parse applied to the JSON object in path; an unreadable file, a
+    document that is not an object or a missing key is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse(json.load(fh))
+            document = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise UsageError(f"cannot read {path}: {err}") from None
+    if not isinstance(document, dict):
+        raise UsageError(f"{path} does not hold a JSON object")
+    try:
+        return parse(document)
     except KeyError as err:
         raise UsageError(f"{path} has no {err} entry") from None
 
@@ -94,12 +98,12 @@ def _parse_cone(data: dict):
     return surface, [parse_class(s, surface) for s in data.get("rays", [])]
 
 
-def _print_classes(classes, args, key="classes"):
+def _print_classes(classes, args):
     if args.json:
-        print(json.dumps({key: [str(c) for c in classes]}))
+        print(json.dumps({"classes": [str(c) for c in classes]}))
     else:
         for c in classes:
-            print(format_class(c, paper_signs=getattr(args, "paper_signs", False)))
+            print(format_class(c, paper_signs=args.paper_signs))
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -412,16 +416,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, surface=True):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--paper-signs", action="store_true",
-                       help="render classes as coefficient tuples (a; b1, ..., bk)")
-        if surface:
-            p.add_argument("--surface", help="e.g. rational:k=3 or ruled:h=2")
-            p.add_argument("--k", type=int, help="shorthand for rational:k=K")
+    def common(p):
+        p.add_argument("--surface", help="e.g. rational:k=3 or ruled:h=2")
+        p.add_argument("--k", type=int, help="shorthand for rational:k=K")
 
     p = sub.add_parser("enumerate", help="sphere classes with a given square")
     common(p)
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--paper-signs", action="store_true",
+                   help="render classes as coefficient tuples (a; b1, ..., bk)")
     p.add_argument("--square", type=int, default=-1)
     p.add_argument("--genus", type=int, default=0)
     p.add_argument("--nbound", type=int, help="materialize the non-positive-degree families up to n")
@@ -438,10 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="action", required=True)
     pr = psub.add_parser("reduce")
     common(pr)
+    pr.add_argument("--json", action="store_true")
     pr.add_argument("--class", dest="cls", required=True)
     pr.set_defaults(func=cmd_cremona)
     pe = psub.add_parser("equiv")
     common(pe)
+    pe.add_argument("--json", action="store_true")
     pe.add_argument("cls", metavar="A")
     pe.add_argument("other", metavar="B")
     pe.set_defaults(func=cmd_cremona)
@@ -450,15 +455,20 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="action", required=True)
     pd = psub.add_parser("dual")
     common(pd)
+    pd.add_argument("--json", action="store_true")
+    pd.add_argument("--paper-signs", action="store_true",
+                    help="render classes as coefficient tuples (a; b1, ..., bk)")
     pd.add_argument("--rays", help="comma-separated class literals")
     pd.add_argument("--rays-file", help="JSON file with surface and rays")
     pd.set_defaults(func=cmd_cone)
     pk = psub.add_parser("ksymp")
     common(pk)
+    pk.add_argument("--json", action="store_true")
     pk.set_defaults(func=cmd_cone)
 
     p = sub.add_parser("nef-threshold", help="sup t with tK + omega nef")
     common(p)
+    p.add_argument("--json", action="store_true")
     p.add_argument("--omega", required=True)
     p.add_argument("--curves", help="comma-separated extremal curves")
     p.add_argument("--curves-file", help="configuration JSON supplying the curves")

@@ -14,16 +14,18 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
+from .enumeration import exceptional_classes
 from .lattice import (
     DivisorClass,
     SurfaceModel,
+    T,
     adjunction_genus,
     canonical_class,
     divisor,
     E,
-    forward_reference,
     gram_functional,
     H,
+    is_forward,
     pair,
     sorted_classes,
 )
@@ -246,6 +248,13 @@ def dual_cone(cone: RationalCone) -> RationalCone:
     return dual
 
 
+def ray_sum(cone: RationalCone) -> DivisorClass | None:
+    """The sum of the extremal rays, a point in the relative interior of a
+    pointed cone; None for a cone without rays."""
+    rays = cone.rays()
+    return sum(rays[1:], rays[0]) if rays else None
+
+
 def extremal_rays(cone: RationalCone) -> list[DivisorClass]:
     """Minimal generating rays; raises NonPointedError on a lineality space."""
     if not cone.is_pointed():
@@ -254,8 +263,7 @@ def extremal_rays(cone: RationalCone) -> list[DivisorClass]:
     if cone._facets is not None or cone._rays is None:
         return list(rays)
     # V-representation input: run the round trip to drop interior generators
-    dual = dual_cone(cone)
-    hull = RationalCone(cone.ambient, facets=dual.rays(), equations=dual.lineality())
+    hull = dual_cone(dual_cone(cone))
     if hull.lineality():
         raise NonPointedError(list(hull.lineality()))
     return list(hull.rays())
@@ -319,8 +327,6 @@ def k_symplectic_cone(surface: SurfaceModel) -> KSymplecticCone:
     -1 classes already lies in the closed forward cone (certified ray by
     ray); k in {0, 1} needs the forward-cone boundary rays H and H - E1.
     """
-    from .enumeration import exceptional_classes
-
     if not surface.is_rational:
         raise ConeError("the K-symplectic cone helper covers rational surfaces")
     if surface.k > 8:
@@ -331,10 +337,9 @@ def k_symplectic_cone(surface: SurfaceModel) -> KSymplecticCone:
         cone = cone_from_rays([H(surface), H(surface) - E(surface, 1)])
     else:
         cone = dual_cone(cone_from_rays(sorted_classes(exceptional_classes(surface))))
-    ref = forward_reference(surface)
     corners = []
     for r in cone.rays():
-        if r.square() < 0 or pair(r, ref) <= 0:
+        if not is_forward(r):
             raise ConeError(f"dual ray {r} escapes the closed forward cone")
         corners.append(CornerInfo(r, r.square(), adjunction_genus(r)))
     return KSymplecticCone(cone, tuple(corners))
@@ -396,11 +401,8 @@ def _extremal_taxonomy(surface: SurfaceModel, ray: DivisorClass) -> str:
     kc = canonical_class(surface)
     if pair(ray, ray) == -1 and pair(kc, ray) == -1:
         return "minus_one"
-    if surface.is_ruled and surface.k == 0:
-        from .lattice import T
-
-        if ray == T(surface):
-            return "fiber"
+    if surface.is_ruled and surface.k == 0 and ray == T(surface):
+        return "fiber"
     if surface.is_rational and surface.k == 1 and ray == H(surface) - E(surface, 1):
         return "fiber"
     if surface.is_rational and surface.k == 0 and ray == H(surface):

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import exactlp
-from .cones import cone_from_rays, positive_dual
+from .cones import cone_from_rays, positive_dual, ray_sum
 from .enumeration import (
     exceptional_classes,
     family_instances,
@@ -35,6 +35,7 @@ from .lattice import (
     E,
     H,
     pair,
+    parse_class,
     rational_surface,
     sorted_classes,
 )
@@ -113,8 +114,6 @@ class NegativeConfiguration:
 
     @staticmethod
     def from_json(d: dict) -> "NegativeConfiguration":
-        from .lattice import parse_class
-
         surface = SurfaceModel.from_json(d["surface"])
         curves = [parse_class(s, surface) for s in d["curves"]]
         extra = [parse_class(s, surface) for s in d.get("extra_square_zero", [])]
@@ -208,15 +207,10 @@ def validate_configuration(cfg: NegativeConfiguration) -> ValidationReport:
 
     # P2: an explicit rational class of positive square pairing positively
     # with the curves and with every certified class
-    dual = positive_dual(cone_from_rays(cfg.generators()))
-    witness: DivisorClass | None = None
-    if not dual.linear_dual.rays():
+    witness = ray_sum(positive_dual(cone_from_rays(cfg.generators())).linear_dual)
+    if witness is None:
         p2 = PropertyResult(False, "dual cone has no extremal rays")
     else:
-        acc = None
-        for r in dual.linear_dual.rays():
-            acc = r if acc is None else acc + r
-        witness = acc
         failures = [c for c in cfg.generators() + certified if pair(witness, c) <= 0]
         if witness.square() <= 0:
             p2 = PropertyResult(False, f"witness {witness} has square {witness.square()}")

@@ -149,24 +149,20 @@ def _family_anchor(surface: SurfaceModel, n: int, m: int) -> ClassFamily:
     return ClassFamily(rep, note)
 
 
-def _require_small_rational(surface: SurfaceModel, cap: int = 8) -> None:
+def _require_small_rational(surface: SurfaceModel) -> None:
     if not surface.is_rational:
         raise LatticeError("enumeration applies to blowups of the plane")
-    if surface.k > cap:
+    if surface.k > 8:
         raise LatticeError(f"k = {surface.k} rejected: the class set is infinite")
 
 
-def exceptional_classes(surface: SurfaceModel, margin: int = 0) -> frozenset[DivisorClass]:
-    """All integral classes with square -1 and genus 0 (k <= 8).
-
-    margin widens every certified search bound; the output must not change,
-    which the bound-robustness tests assert.
-    """
+def exceptional_classes(surface: SurfaceModel) -> frozenset[DivisorClass]:
+    """All integral classes with square -1 and genus 0 (k <= 8)."""
     _require_small_rational(surface)
     k = surface.k
     found: set[DivisorClass] = set()
-    for a in range(-margin, 7 + margin):
-        bound = abs(a) + 1 + margin
+    for a in range(7):
+        bound = a + 1
         for b in _sum_square_solutions(k, 3 * a - 1, a * a + 1, -bound, bound):
             for arr in distinct_arrangements(b):
                 found.add(_class_from_b(surface, a, arr))
@@ -180,7 +176,6 @@ def negative_sphere_classes(
     n_bound: int = 2,
     square: int | None = None,
     a_value: int | None = None,
-    a_max_filter: int | None = None,
     margin: int = 0,
 ) -> list[ClassFamily]:
     """Families of genus-0 classes with negative square.
@@ -200,8 +195,6 @@ def negative_sphere_classes(
         if square is not None and c.square() != square:
             return
         if a_value is not None and c.coeffs[0] != a_value:
-            return
-        if a_max_filter is not None and c.coeffs[0] > a_max_filter:
             return
         families.setdefault(fam.key(), fam)
 

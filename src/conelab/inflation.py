@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import linalg
 from .cones import cone_from_rays, positive_dual
-from .lattice import DivisorClass, pair
+from .lattice import DivisorClass, pair, proportional
 
 
 class InflationError(ValueError):
@@ -205,7 +205,7 @@ def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> VertexAch
         if sq > 0:
             raise LightConeViolation(v, f"orthogonalized class {v} has positive square")
         if sq == 0:
-            if null_direction is not None and not _same_ray(null_direction, v):
+            if null_direction is not None and not proportional(null_direction, v):
                 raise InflationError("facet intersection is not a single ray")
             null_direction = v
             continue
@@ -238,10 +238,6 @@ def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> VertexAch
     ray = current.primitive()
     trace = InflationTrace(a, tuple(steps), current)
     return VertexAchievement(ray, trace, False)
-
-
-def _same_ray(v: DivisorClass, w: DivisorClass) -> bool:
-    return v.primitive() == w.primitive() or v.primitive() == (-1 * w).primitive()
 
 
 def achieve_all_rays(

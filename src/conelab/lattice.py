@@ -89,7 +89,12 @@ class SurfaceModel:
 
     @staticmethod
     def from_json(d: dict) -> "SurfaceModel":
-        return SurfaceModel(d["kind"], int(d.get("k", 0)), int(d.get("h", 0)))
+        """The surface a JSON object describes; a malformed one raises
+        ParseError, and one without a kind KeyError."""
+        try:
+            return SurfaceModel(d["kind"], int(d.get("k", 0)), int(d.get("h", 0)))
+        except (TypeError, ValueError) as err:
+            raise ParseError(f"bad surface {d!r}: {err}") from None
 
 
 def rational_surface(k: int) -> SurfaceModel:
@@ -185,7 +190,7 @@ def _check_same_surface(x: DivisorClass, y: DivisorClass) -> None:
 
 
 def divisor(surface: SurfaceModel, coeffs: Iterable) -> DivisorClass:
-    return DivisorClass(surface, tuple(Fraction(c) for c in coeffs))
+    return DivisorClass(surface, tuple(coeffs))
 
 
 def basis_class(surface: SurfaceModel, index: int) -> DivisorClass:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .configurations import certified_sw_classes
 from .lattice import (
     DivisorClass,
     E,
@@ -23,6 +24,7 @@ from .lattice import (
     canonical_class,
     divisor,
     pair,
+    rational_surface,
     sw_dimension,
 )
 
@@ -81,15 +83,7 @@ def sw_certificate(
     (K - e).W < 0; the default pool is {H} on rational surfaces and {T} on
     ruled ones."""
     if witness_pool is None:
-        if surface.is_rational:
-            witness_pool = [H(surface)]
-            if surface.k <= 8:
-                from .enumeration import exceptional_classes
-                from .lattice import sorted_classes
-
-                witness_pool += sorted_classes(exceptional_classes(surface))
-        else:
-            witness_pool = [T(surface)]
+        witness_pool = [H(surface) if surface.is_rational else T(surface)]
     dim = sw_dimension(e)
     if dim < 0:
         return NoCertificate(e, f"dimension {dim} negative")
@@ -224,9 +218,6 @@ def anti_canonical_eight_point_audit() -> AntiCanonicalAudit:
     while no integral splitting into two certified classes can exist: every
     certified class pairs at least 1 with -K, so two positive integer
     multiples would force (-K)^2 >= 2."""
-    from .enumeration import exceptional_classes, family_instances, zero_square_sphere_classes
-    from .lattice import rational_surface
-
     surface = rational_surface(8)
     kc = canonical_class(surface)
     anti = -1 * kc
@@ -239,9 +230,7 @@ def anti_canonical_eight_point_audit() -> AntiCanonicalAudit:
         cert = sw_certificate(surface, part)
         assert isinstance(cert, SWCertificate)
         certs.append(cert)
-    pool = {H(surface)} | exceptional_classes(surface)
-    pool |= family_instances(zero_square_sphere_classes(surface))
-    floor = min(pair(anti, p) for p in pool)
+    floor = min(pair(anti, p) for p in certified_sw_classes(surface))
     if anti.square() == 1 and floor >= 1:
         obstruction = (
             "every certified class pairs >= 1 with -K and (-K)^2 = 1 < 2, "

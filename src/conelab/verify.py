@@ -8,6 +8,7 @@ and prints one line per check; the test suite asserts them individually.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,21 +54,23 @@ ALL_CHECKS: list[Callable[[], CheckResult]] = []
 SUITES: dict[str, list[Callable[[], CheckResult]]] = {}
 
 
-def check(*suites: str):
-    """Register a check in ALL_CHECKS and in the named suites; the order of
-    definition is the criterion order."""
+def check(name: str, reference: str, *suites: str):
+    """Register a check under its name and reference in ALL_CHECKS and in the
+    named suites; the order of definition is the criterion order.  The check
+    returns (passed, details), and the registered function, which keeps the
+    check's name, wraps that pair in a CheckResult."""
 
-    def register(fn: Callable[[], CheckResult]) -> Callable[[], CheckResult]:
-        ALL_CHECKS.append(fn)
+    def register(fn: Callable[[], tuple[bool, str]]) -> Callable[[], CheckResult]:
+        @functools.wraps(fn)
+        def run() -> CheckResult:
+            return CheckResult(name, reference, *fn())
+
+        ALL_CHECKS.append(run)
         for suite in suites:
-            SUITES.setdefault(suite, []).append(fn)
-        return fn
+            SUITES.setdefault(suite, []).append(run)
+        return run
 
     return register
-
-
-def _result(name: str, reference: str, passed: bool, details: str) -> CheckResult:
-    return CheckResult(name, reference, passed, details)
 
 
 def _family_set(families) -> set[tuple]:
@@ -85,8 +88,9 @@ def _expected_family_keys(surface, patterns: Iterable[tuple[int, list[int]]]) ->
 # --------------------------------------------------------------------- 1
 
 
-@check("enumeration")
-def check_exceptional_small_k() -> CheckResult:
+@check("exceptional-classes-small-k",
+       "the set of -1 sphere classes on two and three blowups", "enumeration")
+def check_exceptional_small_k() -> tuple[bool, str]:
     s2 = rational_surface(2)
     got2 = enumeration.exceptional_classes(s2)
     want2 = {E(s2, 1), E(s2, 2), H(s2) - E(s2, 1) - E(s2, 2)}
@@ -102,12 +106,9 @@ def check_exceptional_small_k() -> CheckResult:
                     if c.square() == -1 and pair(canonical_class(s3), c) == -1:
                         brute3.add(c)
     ok = got2 == want2 and len(got3) == 6 and got3 == brute3
-    return _result(
-        "exceptional-classes-small-k",
-        "the set of -1 sphere classes on two and three blowups",
-        ok,
+    return ok, (
         f"k=2 -> {sorted(str(c) for c in got2)}; k=3 -> {len(got3)} classes"
-        f" (brute force agrees: {got3 == brute3})",
+        f" (brute force agrees: {got3 == brute3})"
     )
 
 
@@ -125,8 +126,10 @@ def _expected_negative_patterns_k8() -> list[tuple[int, list[int]]]:
     return pats
 
 
-@check("enumeration")
-def check_negative_spheres_k8() -> CheckResult:
+@check("negative-spheres-k8",
+       "the six families of positive-degree negative sphere classes on eight blowups",
+       "enumeration")
+def check_negative_spheres_k8() -> tuple[bool, str]:
     s8 = rational_surface(8)
     got = [
         f
@@ -140,12 +143,9 @@ def check_negative_spheres_k8() -> CheckResult:
         if f.representative.coeffs[0] >= 1
     ]
     ok = _family_set(got) == want and _family_set(robust) == want
-    return _result(
-        "negative-spheres-k8",
-        "the six families of positive-degree negative sphere classes on eight blowups",
-        ok,
+    return ok, (
         f"{len(got)} families (expected {len(want)}); widened bounds add "
-        f"{len(_family_set(robust) - want)} families",
+        f"{len(_family_set(robust) - want)} families"
     )
 
 
@@ -172,8 +172,9 @@ def _expected_zero_square_patterns() -> list[tuple[int, list[int]]]:
     ]
 
 
-@check("enumeration")
-def check_zero_squares_k8() -> CheckResult:
+@check("zero-squares-k8",
+       "the fifteen families of square-zero sphere classes on eight blowups", "enumeration")
+def check_zero_squares_k8() -> tuple[bool, str]:
     s8 = rational_surface(8)
     got = enumeration.zero_square_sphere_classes(s8)
     want = _expected_family_keys(s8, _expected_zero_square_patterns())
@@ -183,12 +184,7 @@ def check_zero_squares_k8() -> CheckResult:
         and len(got) == 15
         and _family_set(robust) == want
     )
-    return _result(
-        "zero-squares-k8",
-        "the fifteen families of square-zero sphere classes on eight blowups",
-        ok,
-        f"{len(got)} families; bound-robust: {_family_set(robust) == want}",
-    )
+    return ok, f"{len(got)} families; bound-robust: {_family_set(robust) == want}"
 
 
 # --------------------------------------------------------------------- 4
@@ -226,8 +222,9 @@ def _expand_sign_line(line: list[int]) -> set[tuple[int, ...]]:
     return {plus, minus}
 
 
-@check("enumeration")
-def check_nine_squares() -> CheckResult:
+@check("nine-squares-representations",
+       "sum-of-nine-squares representations, single residue class mod 3, zero sum", "enumeration")
+def check_nine_squares() -> tuple[bool, str]:
     details = []
     ok = True
     got18 = enumeration.nine_squares_representations(18)
@@ -254,19 +251,15 @@ def check_nine_squares() -> CheckResult:
             f"{len(extra)} beyond the display)"
         )
     ok &= enumeration.nine_squares_representations(0) == [(0,) * 9]
-    return _result(
-        "nine-squares-representations",
-        "sum-of-nine-squares representations, single residue class mod 3, zero sum",
-        ok,
-        "; ".join(details),
-    )
+    return ok, "; ".join(details)
 
 
 # --------------------------------------------------------------------- 5
 
 
-@check("cp2+2", "cones")
-def check_two_blowup_duals() -> CheckResult:
+@check("two-blowup-curve-cone-duals",
+       "dual generators of the two curve-cone families on two blowups", "cp2+2", "cones")
+def check_two_blowup_duals() -> tuple[bool, str]:
     s2 = rational_surface(2)
     h, e1, e2 = H(s2), E(s2, 1), E(s2, 2)
     ok = True
@@ -281,19 +274,15 @@ def check_two_blowup_duals() -> CheckResult:
             good = set(dual.rays()) == want and not dual.lineality()
             ok &= good
             rows.append(f"s={s}: {'ok' if good else 'MISMATCH'}")
-    return _result(
-        "two-blowup-curve-cone-duals",
-        "dual generators of the two curve-cone families on two blowups",
-        ok,
-        "; ".join(rows),
-    )
+    return ok, "; ".join(rows)
 
 
 # --------------------------------------------------------------------- 6
 
 
-@check("cones")
-def check_k_symplectic_corners() -> CheckResult:
+@check("k-symplectic-corners",
+       "corners of the K-symplectic cone are square 0 or 1 sphere classes", "cones")
+def check_k_symplectic_corners() -> tuple[bool, str]:
     expected = {
         1: {"H", "H-E1"},
         2: {"H", "H-E1", "H-E2"},
@@ -307,19 +296,15 @@ def check_k_symplectic_corners() -> CheckResult:
         good = ks.corners_ok and got == expected[k]
         ok &= good
         rows.append(f"k={k}: {len(ks.corners)} corners, squares/genus ok={ks.corners_ok}")
-    return _result(
-        "k-symplectic-corners",
-        "corners of the K-symplectic cone are square 0 or 1 sphere classes",
-        ok,
-        "; ".join(rows),
-    )
+    return ok, "; ".join(rows)
 
 
 # --------------------------------------------------------------------- 7
 
 
-@check("inflation")
-def check_vertex_example() -> CheckResult:
+@check("vertex-achievement-example",
+       "three orthogonal negative curves achieve the ray of 2H-E1-E2", "inflation")
+def check_vertex_example() -> tuple[bool, str]:
     s3 = rational_surface(3)
     h = H(s3)
     curves = [E(s3, 3), E(s3, 1) - E(s3, 2), h - E(s3, 1) - E(s3, 2)]
@@ -335,12 +320,7 @@ def check_vertex_example() -> CheckResult:
         and r1.trace.verify()
         and r2.trace.verify()
     )
-    return _result(
-        "vertex-achievement-example",
-        "three orthogonal negative curves achieve the ray of 2H-E1-E2",
-        ok,
-        f"from H: {r1.trace.result}; from H-E1: {r2.trace.result}",
-    )
+    return ok, f"from H: {r1.trace.result}; from H-E1: {r2.trace.result}"
 
 
 # --------------------------------------------------------------------- 8
@@ -351,8 +331,9 @@ def _negative_class_pool(surface) -> list[DivisorClass]:
     return sorted_classes(enumeration.family_instances(fams))
 
 
-@check("inflation")
-def check_alternating_inflation() -> CheckResult:
+@check("alternating-inflation-law",
+       "alternating maximal inflations: geometric coefficients and exact limit", "inflation")
+def check_alternating_inflation() -> tuple[bool, str]:
     rng = random.Random(73)
     s3 = rational_surface(3)
     pool = _negative_class_pool(s3)
@@ -380,27 +361,25 @@ def check_alternating_inflation() -> CheckResult:
         alt = inflation.alternate_inflate(a, c1, c2, iterations=20)
         # orthogonality of the limit, exact
         if pair(alt.limit, c1) != 0 or pair(alt.limit, c2) != 0:
-            return _result("alternating-inflation-law", "", False, f"limit not orthogonal for {c1}, {c2}")
+            return False, f"limit not orthogonal for {c1}, {c2}"
         l1 = pair(a, c2) / -c2.square()
         want_odd = tuple(l1 * alt.ratio**k for k in range(10))
         even_rate = pair(c1, c2) / -c1.square()
         want_even = tuple(l1 * even_rate * alt.ratio ** (k - 1) for k in range(1, 11))
         if alt.odd_coefficients != want_odd or alt.even_coefficients != want_even:
-            return _result("alternating-inflation-law", "", False, f"coefficient law fails for {c1}, {c2}")
+            return False, f"coefficient law fails for {c1}, {c2}"
         if alt.divergent:
             divergent_seen += 1
         else:
             direction = c2 - (pair(c1, c2) / c1.square()) * c1
             tail = (alt.ratio**10 * l1 / (1 - alt.ratio)) * direction
             if alt.trace.result + tail != alt.limit:
-                return _result("alternating-inflation-law", "", False, f"tail identity fails for {c1}, {c2}")
+                return False, f"tail identity fails for {c1}, {c2}"
             # the summed limit coefficient is the single maximal step along
             # the orthogonalized class
             if direction.square() < 0:
                 if l1 / (1 - alt.ratio) != pair(a, direction) / -direction.square():
-                    return _result(
-                        "alternating-inflation-law", "", False, f"orthogonalized coefficient fails for {c1}, {c2}"
-                    )
+                    return False, f"orthogonalized coefficient fails for {c1}, {c2}"
         tested += 1
     # an explicit light-cone pair: the facets of E1 and H-E1-E2 meet in the
     # null ray H-E2, and the alternating coefficients do not decay
@@ -415,39 +394,28 @@ def check_alternating_inflation() -> CheckResult:
         and set(alt.odd_coefficients) == {alt.first_coefficient}
     )
     ok = tested == 40 and divergent_ok
-    return _result(
-        "alternating-inflation-law",
-        "alternating maximal inflations: geometric coefficients and exact limit",
-        ok,
+    return ok, (
         f"{tested} random pairs verified exactly ({divergent_seen} on the light cone); "
-        f"explicit light-cone pair reaches the null ray: {divergent_ok}",
+        f"explicit light-cone pair reaches the null ray: {divergent_ok}"
     )
 
 
 # --------------------------------------------------------------------- 9
 
 
-def _interior_start(dual: cones.PositiveDual) -> DivisorClass:
-    acc = None
-    for r in dual.linear_dual.rays():
-        acc = r if acc is None else acc + r
-    assert acc is not None
-    return acc
-
-
-@check("inflation")
-def check_achieve_all_rays() -> CheckResult:
+@check("achieve-all-rays-catalog",
+       "every dual extremal ray of a catalog configuration is reachable by inflation", "inflation")
+def check_achieve_all_rays() -> tuple[bool, str]:
     entries = list(catalog_cp2_3((0, 1, 2))) + list(catalog_cp2_2((0, 1, 2)))
     achieved = 0
     for entry in entries:
         cfg = entry.configuration
         dual = cones.positive_dual(cones.cone_from_rays(cfg.generators()))
         if not dual.polytopic:
-            return _result("achieve-all-rays", "", False, f"{entry.label()}: dual not polytopic")
-        start = _interior_start(dual)
-        results = inflation.achieve_all_rays(cfg.curves, start)
+            return False, f"{entry.label()}: dual not polytopic"
+        results = inflation.achieve_all_rays(cfg.curves, cones.ray_sum(dual.linear_dual))
         if set(results) != set(dual.linear_dual.rays()):
-            return _result("achieve-all-rays", "", False, f"{entry.label()}: rays missed")
+            return False, f"{entry.label()}: rays missed"
         achieved += len(results)
     s2 = rational_surface(2)
     try:
@@ -455,12 +423,9 @@ def check_achieve_all_rays() -> CheckResult:
         fired = False
     except inflation.RoundBoundaryError:
         fired = True
-    return _result(
-        "achieve-all-rays-catalog",
-        "every dual extremal ray of a catalog configuration is reachable by inflation",
-        fired,
+    return fired, (
         f"{achieved} rays achieved over {len(entries)} configurations; "
-        f"round-boundary control fired: {fired}",
+        f"round-boundary control fired: {fired}"
     )
 
 
@@ -478,8 +443,10 @@ _CASE_TO_TWO_BLOWUP_VARIANT = {
 }
 
 
-@check("configurations")
-def check_blowdown_golden() -> CheckResult:
+@check("blowdown-golden-mapping",
+       "blowing down E3 maps each three-blowup configuration onto its two-blowup source",
+       "configurations")
+def check_blowdown_golden() -> tuple[bool, str]:
     s3 = rational_surface(3)
     targets = {(e.variant, e.n): e.configuration for e in catalog_cp2_2((0, 1, 2))}
     mismatches = []
@@ -495,21 +462,20 @@ def check_blowdown_golden() -> CheckResult:
             if (step.genus_after == step.genus_before) != (step.pairing in (0, 1)):
                 monotone = False
     ok = not mismatches and monotone
-    return _result(
-        "blowdown-golden-mapping",
-        "blowing down E3 maps each three-blowup configuration onto its two-blowup source",
-        ok,
+    return ok, (
         "all cases land on their targets; genus never drops"
         if ok
-        else f"mismatches: {mismatches}, monotone: {monotone}",
+        else f"mismatches: {mismatches}, monotone: {monotone}"
     )
 
 
 # --------------------------------------------------------------------- 11
 
 
-@check("cones")
-def check_cone_theorem_audit() -> CheckResult:
+@check("cone-theorem-audit",
+       "K-negative extremal rays are -1 classes, fibers, or the line; seeded violation caught",
+       "cones")
+def check_cone_theorem_audit() -> tuple[bool, str]:
     reports = []
     for entry in list(catalog_cp2_3((0, 1, 2))) + list(catalog_cp2_2((0, 1, 2))):
         cfg = entry.configuration
@@ -518,19 +484,16 @@ def check_cone_theorem_audit() -> CheckResult:
     s1 = rational_surface(1)
     seeded = cones.cone_theorem_audit([parse_class("3H-E1", s1)], s1)
     ok = all(reports) and not seeded.passed
-    return _result(
-        "cone-theorem-audit",
-        "K-negative extremal rays are -1 classes, fibers, or the line; seeded violation caught",
-        ok,
-        f"{len(reports)} catalog cones pass; seeded 3H-E1 caught: {not seeded.passed}",
-    )
+    return ok, f"{len(reports)} catalog cones pass; seeded 3H-E1 caught: {not seeded.passed}"
 
 
 # --------------------------------------------------------------------- 12
 
 
-@check("cp2+2", "configurations")
-def check_minus_one_counts() -> CheckResult:
+@check("minus-one-counts",
+       "two -1 curves on every two-blowup configuration; l disjoint ones by construction",
+       "cp2+2", "configurations")
+def check_minus_one_counts() -> tuple[bool, str]:
     ok = True
     rows = []
     for entry in catalog_cp2_2((0, 1, 2)):
@@ -548,19 +511,14 @@ def check_minus_one_counts() -> CheckResult:
             )
             valid = validate_configuration(cfg).passed
             ok &= n == l and disjoint and valid
-    return _result(
-        "minus-one-counts",
-        "two -1 curves on every two-blowup configuration; l disjoint ones by construction",
-        ok,
-        "two-blowup counts " + ", ".join(rows) + "; disjoint families validated for k <= 6",
-    )
+    return ok, "two-blowup counts " + ", ".join(rows) + "; disjoint families validated for k <= 6"
 
 
 # --------------------------------------------------------------------- 13
 
 
-@check("cones")
-def check_nef_threshold() -> CheckResult:
+@check("nef-threshold", "nef thresholds are rational with denominator at most three", "cones")
+def check_nef_threshold() -> tuple[bool, str]:
     s0, s1, s2 = rational_surface(0), rational_surface(1), rational_surface(2)
     ex1 = cones.nef_threshold(H(s0), [H(s0)])
     ex2 = cones.nef_threshold(parse_class("2H-E1", s1), [E(s1, 1), parse_class("H-E1", s1)])
@@ -592,21 +550,17 @@ def check_nef_threshold() -> CheckResult:
             for curves in curve_sets[k]:
                 t0 = cones.nef_threshold(omega, curves)
                 if t0.denominator > 3:
-                    return _result("nef-threshold", "", False, f"denominator {t0.denominator}")
+                    return False, f"denominator {t0.denominator}"
                 checked += 1
-    return _result(
-        "nef-threshold",
-        "nef thresholds are rational with denominator at most three",
-        ok,
-        f"examples 1/3, 1, 1 exact; {checked} random integral classes bounded",
-    )
+    return ok, f"examples 1/3, 1, 1 exact; {checked} random integral classes bounded"
 
 
 # --------------------------------------------------------------------- 14
 
 
-@check("cremona")
-def check_cremona() -> CheckResult:
+@check("cremona-reduction",
+       "reduction reaches H; -1 classes cycle; reflections preserve the form and K", "cremona")
+def check_cremona() -> tuple[bool, str]:
     s3 = rational_surface(3)
     red = cremona.cremona_reduce(parse_class("2H-E1-E2-E3", s3))
     ok = red.kind == "reduced" and red.result == H(s3)
@@ -633,12 +587,9 @@ def check_cremona() -> CheckResult:
             preserved = False
             break
     ok = ok and cycles_ok and preserved
-    return _result(
-        "cremona-reduction",
-        "reduction reaches H; -1 classes cycle; reflections preserve the form and K",
-        ok,
+    return ok, (
         f"2H-E1-E2-E3 -> {red.result}; cycles for all -1 classes k<=5: {cycles_ok}; "
-        f"10^4 random reflections preserve invariants: {preserved}",
+        f"10^4 random reflections preserve invariants: {preserved}"
     )
 
 
@@ -676,8 +627,10 @@ def _ruled_samples() -> list[tuple]:
     return samples
 
 
-@check("swcert")
-def check_sw_certificates() -> CheckResult:
+@check("sw-certificates",
+       "anti-canonical class on eight blowups splits rationally but never integrally; "
+       "ruled K-negative classes decompose with certificates", "swcert")
+def check_sw_certificates() -> tuple[bool, str]:
     audit = swcert.anti_canonical_eight_point_audit()
     decomposed = 0
     for surface, cls in _ruled_samples():
@@ -685,23 +638,18 @@ def check_sw_certificates() -> CheckResult:
             continue
         out = swcert.non_extremal_witness(surface, cls)
         if not isinstance(out, swcert.Decomposition) or not out.revalidate():
-            return _result("sw-certificates", "", False, f"decomposition failed for {cls} on {surface}")
+            return False, f"decomposition failed for {cls} on {surface}"
         decomposed += 1
     ok = audit.passed and decomposed >= 95
-    return _result(
-        "sw-certificates",
-        "anti-canonical class on eight blowups splits rationally but never integrally; "
-        "ruled K-negative classes decompose with certificates",
-        ok,
-        f"eight-blowup audit: {audit.passed}; {decomposed} ruled decompositions revalidated",
-    )
+    return ok, f"eight-blowup audit: {audit.passed}; {decomposed} ruled decompositions revalidated"
 
 
 # --------------------------------------------------------------------- 16
 
 
-@check("ruled")
-def check_ruled_negative_classes() -> CheckResult:
+@check("ruled-negative-classes",
+       "negative classes on minimal ruled surfaces are the sections U - nT", "ruled")
+def check_ruled_negative_classes() -> tuple[bool, str]:
     ok = True
     rows = []
     for make in (trivial_ruled, nontrivial_ruled):
@@ -721,19 +669,16 @@ def check_ruled_negative_classes() -> CheckResult:
         for m in range(1, 5)
         if k != m
     )
-    return _result(
-        "ruled-negative-classes",
-        "negative classes on minimal ruled surfaces are the sections U - nT",
-        ok,
-        "; ".join(rows),
-    )
+    return ok, "; ".join(rows)
 
 
 # --------------------------------------------------------------------- 17
 
 
-@check("enumeration")
-def check_sweeps() -> CheckResult:
+@check("classification-sweeps",
+       "no positive-genus classes of negative square up to nine blowups; "
+       "square zero only along the anti-canonical ray at nine", "enumeration")
+def check_sweeps() -> tuple[bool, str]:
     ok = True
     rows = []
     for k in range(0, 10):
@@ -750,13 +695,7 @@ def check_sweeps() -> CheckResult:
             good &= want <= got
         ok &= good
     rows.append("k=0..9 at bound 8")
-    return _result(
-        "classification-sweeps",
-        "no positive-genus classes of negative square up to nine blowups; "
-        "square zero only along the anti-canonical ray at nine",
-        ok,
-        "; ".join(rows),
-    )
+    return ok, "; ".join(rows)
 
 
 @dataclass(frozen=True)

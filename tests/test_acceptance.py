@@ -5,9 +5,11 @@ Run with -s to see one PASS/FAIL line per criterion; the same checks back
 the ``conelab verify-paper`` command.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from conelab import verify
+from conelab import cones, inflation, verify
 
 
 CRITERIA = [(f"{i:02d}", fn) for i, fn in enumerate(verify.ALL_CHECKS, start=1)]
@@ -27,3 +29,22 @@ def test_every_criterion_is_covered():
     assert len(CRITERIA) == 17
     for suite in verify.SUITES.values():
         assert len(set(suite)) == len(suite) and set(suite) <= defined
+
+
+@pytest.mark.parametrize(
+    "check,module,attr,fake,name",
+    [
+        ("check_achieve_all_rays", inflation, "achieve_all_rays", lambda curves, start: {},
+         "achieve-all-rays-catalog"),
+        ("check_nef_threshold", cones, "nef_threshold", lambda omega, curves: Fraction(1, 5),
+         "nef-threshold"),
+    ],
+    ids=["achieve-all-rays", "nef-threshold"],
+)
+def test_a_failing_check_keeps_its_name_and_reference(monkeypatch, check, module, attr, fake, name):
+    """An early failure reports the name verify-paper shows when the check
+    passes, and its reference."""
+    monkeypatch.setattr(module, attr, fake)
+    result = getattr(verify, check)()
+    assert not result.passed
+    assert result.name == name and result.reference

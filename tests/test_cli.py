@@ -208,8 +208,16 @@ class TestUsageErrors:
             (["config", "validate", "{file}"], None, {"curves": ["E1"]}),
             (["cone", "ksymp", "--surface", "rational:k=x"], None, None),
             (["cremona", "reduce", "--class", "2H-E1-E2-E3", "--k", "3"], "abc", None),
+            (["config", "validate", "{file}"], None, []),
+            (["config", "validate", "{file}"], None,
+             {"surface": {"kind": "rational", "k": "x"}, "curves": ["E1"]}),
+            (["config", "validate", "{file}"], None, {"surface": {"kind": "foo"}, "curves": ["E1"]}),
+            (["cone", "ksymp", "--k", "3", "--paper-signs"], None, None),
+            (["sw", "cert", "--surface", "ruled:h=2", "--class", "2U+3T", "--json"], None, None),
         ],
-        ids=["zero-denominator", "missing-file", "no-surface", "bad-surface-int", "bad-max-steps"],
+        ids=["zero-denominator", "missing-file", "no-surface", "bad-surface-int", "bad-max-steps",
+             "json-not-object", "json-bad-surface-int", "json-unknown-kind",
+             "ksymp-paper-signs", "sw-json"],
     )
     def test_malformed_input_exits_2(self, capsys, monkeypatch, tmp_path, argv, max_steps, document):
         path = tmp_path / "cfg.json"
@@ -220,7 +228,10 @@ class TestUsageErrors:
         argv = [a.format(missing=tmp_path / "absent.json", file=path) for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
+        if err.startswith("usage: "):  # a flag the subcommand does not take
+            assert err.splitlines()[-1].endswith("unrecognized arguments: " + argv[-1])
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_command(self, capsys):
         assert main(["nonsense"]) == 2

@@ -2,7 +2,14 @@
 package, and every public method of those classes, is used somewhere in
 ``src/`` or ``tests/`` (as a name, an attribute or an import alias).  A
 function passed to a registering decorator defined in its own module, such
-as ``@check(...)`` in ``verify``, counts as used."""
+as ``@check(...)`` in ``verify``, counts as used.
+
+Every defaulted parameter of a package function, method or constructor
+(``__init__`` or dataclass field) is passed, by position or by keyword, by
+some call in ``src/`` or ``tests/``.  Calls are matched by the called name,
+so a function referenced as a value (``makers[name](ns)``; a type
+annotation is not a value) or called with ``*args``/``**kwargs`` counts as
+passing every parameter."""
 
 import ast
 from pathlib import Path
@@ -53,3 +60,77 @@ def test_every_public_name_is_used():
     used = _used_names()
     unused = sorted(qual for qual, name in _public_definitions() if name not in used)
     assert not unused, "never used in src/ or tests/: " + ", ".join(unused)
+
+
+def _parameters(args):
+    """Positional and defaulted parameter names, without self or cls."""
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    if positional[:1] in (["self"], ["cls"]):
+        positional = positional[1:]
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return positional, defaulted
+
+
+def _signatures():
+    """(qualified name, call name, positional parameters, defaulted
+    parameters) of each function, method and constructor in the package."""
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            qual = f"{path.stem}.{getattr(node, 'name', '')}"
+            if isinstance(node, ast.FunctionDef) and node.name != "__init__":
+                yield (qual, node.name, *_parameters(node.args))
+            elif isinstance(node, ast.ClassDef):
+                init = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+                if init:
+                    yield (qual, node.name, *_parameters(init[0].args))
+                elif any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                    fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                    yield (qual, node.name, [f.target.id for f in fields],
+                           [f.target.id for f in fields if f.value is not None])
+
+
+def _calls():
+    """Call name -> [(positional count, keyword names)], and the names that
+    pass everything: referenced as a value or called with *args/**kwargs."""
+    calls, everything = {}, set()
+    for _, tree in _trees(ROOT / "src", ROOT / "tests"):
+        not_values = set()  # called names and annotations
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                not_values.add(id(node.func))
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords
+                ):
+                    everything.add(name)
+                calls.setdefault(name, []).append((len(node.args), {k.arg for k in node.keywords}))
+            annotation = getattr(node, "returns", None) or getattr(node, "annotation", None)
+            if annotation is not None:
+                not_values.update(id(n) for n in ast.walk(annotation))
+        # local variables and arguments shadow package names in this file
+        local = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        local |= {n.arg for n in ast.walk(tree) if isinstance(n, ast.arg)}
+        for node in ast.walk(tree):
+            if id(node) in not_values or not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Name) and node.id not in local:
+                everything.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                everything.add(node.attr)
+    return calls, everything
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls, everything = _calls()
+    unpassed = sorted(
+        f"{qual}({param})"
+        for qual, name, positional, defaulted in _signatures()
+        if name not in everything
+        for param in defaulted
+        if not any(
+            param in keywords or (param in positional and positional.index(param) < count)
+            for count, keywords in calls.get(name, [])
+        )
+    )
+    assert not unpassed, "defaulted parameters no call passes: " + ", ".join(unpassed)
