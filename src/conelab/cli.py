@@ -32,6 +32,7 @@ from .lattice import (
     format_class,
     nontrivial_ruled,
     parse_class,
+    parse_class_list,
     rational_surface,
     sorted_classes,
     trivial_ruled,
@@ -95,7 +96,7 @@ def _load_json(path: str, parse):
 
 def _parse_cone(data: dict):
     surface = SurfaceModel.from_json(data["surface"])
-    return surface, [parse_class(s, surface) for s in data.get("rays", [])]
+    return surface, parse_class_list(data.get("rays", []), surface)
 
 
 def _print_classes(classes, args):

@@ -2,15 +2,17 @@
 
 Cones are generated by divisor classes (V-representation) or cut out by
 pairing inequalities pair(facet, .) >= 0 (H-representation).  Conversion in
-both directions runs the double description method over Fraction; ranks in
-this package never exceed 10, so no effort is spent on sparse or floating
-point shortcuts.
+both directions runs the double description method on primitive integer
+vectors, with bitmask tight sets and the combinatorial adjacency test;
+ranks in this package never exceed 10, so no effort is spent on sparse or
+floating point shortcuts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -29,7 +31,7 @@ from .lattice import (
     pair,
     sorted_classes,
 )
-from .linalg import Vec
+from .linalg import IntVec, Vec
 
 
 class ConeError(ValueError):
@@ -52,75 +54,77 @@ class NonPointedError(ConeError):
 # ---------------------------------------------------------------------------
 
 
-def _dd_pointed(ineqs: list[Vec], dim: int) -> list[Vec]:
-    """Extreme rays of {t : a.t >= 0} assuming the a span R^dim (pointed)."""
+def _dd_pointed(ineqs: list[IntVec], dim: int) -> list[IntVec]:
+    """Extreme rays of {t : a.t >= 0} for integer rows a spanning R^dim.
+
+    Double description after Fukuda and Prodon (1996): each ray carries the
+    bitmask of the inserted rows it is tight on, and a positive and a
+    negative ray are adjacent when their common tight set has at least
+    dim - 2 rows and no third ray is tight on all of it.
+    """
     chosen: list[int] = []
-    rows: list[Vec] = []
     for i, a in enumerate(ineqs):
-        if linalg.rank(rows + [a]) > len(rows):
-            rows.append(a)
+        if linalg.rank([ineqs[j] for j in chosen] + [a]) > len(chosen):
             chosen.append(i)
-        if len(rows) == dim:
-            break
-    inv = linalg.invert(rows)
-    assert inv is not None
-    # columns of the inverse generate the simplicial cone of the chosen rows
-    rays = [linalg.primitive(tuple(inv[r][c] for r in range(dim))) for c in range(dim)]
-    processed = list(chosen)
-
-    def tight_set(r: Vec) -> frozenset[int]:
-        return frozenset(i for i in processed if linalg.dot(ineqs[i], r) == 0)
-
-    tights = {r: tight_set(r) for r in rays}
-    for idx in range(len(ineqs)):
-        if idx in chosen:
+            if len(chosen) == dim:
+                break
+    if len(chosen) < dim or (inv := linalg.invert([ineqs[i] for i in chosen])) is None:
+        raise ConeError(f"the inequalities do not span a space of dimension {dim}")
+    # column c of the inverse is tight on every starting row but the c-th
+    start = sum(1 << i for i in chosen)
+    rays = [linalg.primitive([row[c] for row in inv]) for c in range(dim)]
+    tights = [start ^ (1 << i) for i in chosen]
+    for idx, a in enumerate(ineqs):
+        bit = 1 << idx
+        if start & bit:
             continue
-        a = ineqs[idx]
-        vals = {r: linalg.dot(a, r) for r in rays}
-        pos = [r for r in rays if vals[r] > 0]
-        zero = [r for r in rays if vals[r] == 0]
-        neg = [r for r in rays if vals[r] < 0]
-        if not neg:
-            processed.append(idx)
-            tights = {r: tights[r] | ({idx} if vals[r] == 0 else frozenset()) for r in rays}
-            rays = pos + zero
-            tights = {r: tights[r] for r in rays}
-            continue
-        new: list[Vec] = []
-        for p in pos:
-            for n in neg:
-                common = tights[p] & tights[n]
-                if linalg.rank([ineqs[i] for i in common]) != dim - 2:
+        vals = [sum(map(mul, a, r)) for r in rays]
+        pos = [(p, vp) for p, vp in enumerate(vals) if vp > 0]
+        neg = [(n, vn) for n, vn in enumerate(vals) if vn < 0]
+        new_rays, new_tights = [], []
+        for p, vp in pos:
+            tp, rp = tights[p], rays[p]
+            for n, vn in neg:
+                common = tp & tights[n]
+                if common.bit_count() < dim - 2 or not _adjacent(common, tights):
                     continue
-                w = linalg.primitive(
-                    linalg.add(linalg.scale(vals[p], n), linalg.scale(-vals[n], p))
-                )
-                if w not in new:
-                    new.append(w)
-        processed.append(idx)
-        rays = pos + zero + new
-        tights = {r: tight_set(r) for r in rays}
+                new_rays.append(linalg.primitive([vp * y - vn * x for x, y in zip(rp, rays[n])]))
+                new_tights.append(common | bit)
+        keep = [j for j, v in enumerate(vals) if v >= 0]
+        rays = [rays[j] for j in keep] + new_rays
+        tights = [tights[j] | bit if vals[j] == 0 else tights[j] for j in keep] + new_tights
     return rays
 
 
-def extreme_rays_h(ineqs: Sequence[Vec], dim: int) -> tuple[list[Vec], list[Vec]]:
-    """Extreme rays and lineality basis of {x : a.x >= 0 for all a}."""
+def _adjacent(common: int, tights: list[int]) -> bool:
+    """True when exactly two tight sets (those of the pair) contain common."""
+    found = 0
+    for t in tights:
+        if t & common == common:
+            found += 1
+            if found > 2:
+                return False
+    return True
+
+
+def extreme_rays_h(ineqs: Sequence[Vec], dim: int) -> tuple[list[IntVec], list[IntVec]]:
+    """Extreme rays and lineality basis of {x : a.x >= 0 for all a}, as
+    primitive integer vectors.
+
+    The pointed part is computed inside the row space of the inequalities,
+    in coordinates of a primitive integer basis of it; any basis gives the
+    same cone, so projection and lift stay in int.
+    """
     ineqs = [linalg.primitive(a) for a in ineqs if not linalg.is_zero(a)]
     if not ineqs:
-        basis = [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
-        return [], basis
+        return [], [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     lineality = linalg.nullspace(ineqs, dim)
-    w_basis, _ = linalg.rref(ineqs)
-    d = len(w_basis)
-    projected = [tuple(linalg.dot(a, w) for w in w_basis) for a in ineqs]
-    rays_t = _dd_pointed(projected, d)
-    rays = []
-    for t in rays_t:
-        x = tuple(
-            sum((ti * w[c] for ti, w in zip(t, w_basis)), Fraction(0))
-            for c in range(dim)
-        )
-        rays.append(linalg.primitive(x))
+    w_basis = [linalg.primitive(w) for w in linalg.rref(ineqs)[0]]
+    projected = [linalg.primitive([sum(map(mul, a, w)) for w in w_basis]) for a in ineqs]
+    rays = [
+        linalg.primitive([sum(map(mul, t, col)) for col in zip(*w_basis)])
+        for t in _dd_pointed(projected, len(w_basis))
+    ]
     return rays, [linalg.sign_normalized(linalg.primitive(v)) for v in lineality]
 
 
@@ -441,6 +445,6 @@ def nef_threshold(omega: DivisorClass, extremal_curves: Sequence[DivisorClass]) 
     if not ratios:
         raise ConeError("the canonical class is nef on the given curves")
     t0 = max(ratios)
-    if omega.is_integral():
-        assert t0.denominator <= 3, f"threshold denominator {t0.denominator} exceeds 3"
+    if omega.is_integral() and t0.denominator > 3:
+        raise ConeError(f"threshold denominator {t0.denominator} exceeds 3")
     return t0

@@ -35,7 +35,7 @@ from .lattice import (
     E,
     H,
     pair,
-    parse_class,
+    parse_class_list,
     rational_surface,
     sorted_classes,
 )
@@ -115,8 +115,8 @@ class NegativeConfiguration:
     @staticmethod
     def from_json(d: dict) -> "NegativeConfiguration":
         surface = SurfaceModel.from_json(d["surface"])
-        curves = [parse_class(s, surface) for s in d["curves"]]
-        extra = [parse_class(s, surface) for s in d.get("extra_square_zero", [])]
+        curves = parse_class_list(d["curves"], surface)
+        extra = parse_class_list(d.get("extra_square_zero", []), surface)
         return NegativeConfiguration(surface, curves, extra)
 
 

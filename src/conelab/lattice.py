@@ -341,6 +341,8 @@ def parse_class(text: str, surface: SurfaceModel) -> DivisorClass:
     Coefficients may be integers or fractions (``1/2H``); whitespace is
     ignored.  Every named generator must exist on the surface.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"a class literal is a string, not {text!r}")
     compact = text.replace(" ", "")
     if compact in ("0", ""):
         return divisor(surface, [0] * surface.rank)
@@ -364,6 +366,13 @@ def parse_class(text: str, surface: SurfaceModel) -> DivisorClass:
         coeffs[labels[key]] += value
         pos = m.end()
     return DivisorClass(surface, tuple(coeffs))
+
+
+def parse_class_list(texts, surface: SurfaceModel) -> list[DivisorClass]:
+    """Parse a JSON list of class literals."""
+    if not isinstance(texts, list):
+        raise ParseError(f"expected a list of class literals, not {texts!r}")
+    return [parse_class(t, surface) for t in texts]
 
 
 def format_class(x: DivisorClass, paper_signs: bool = False) -> str:

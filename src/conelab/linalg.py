@@ -1,5 +1,5 @@
 """Small exact linear algebra over Fraction: row reduction, kernels,
-inverses, and primitive normalization of rational vectors."""
+inverses, and primitive normalization of rational and integer vectors."""
 
 from __future__ import annotations
 
@@ -8,19 +8,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
-
-
-def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def scale(s, a: Vec) -> Vec:
-    s = Fraction(s)
-    return tuple(s * x for x in a)
+IntVec = tuple[int, ...]
 
 
 def is_zero(a: Sequence[Fraction]) -> bool:
@@ -88,19 +76,17 @@ def invert(rows: Sequence[Sequence[Fraction]]) -> list[Vec] | None:
     return [tuple(row[n:]) for row in reduced]
 
 
-def primitive(v: Sequence[Fraction]) -> Vec:
-    """Positive rescale making the entries integral with gcd 1."""
-    if is_zero(v):
-        return tuple(Fraction(0) for _ in v)
-    denom = lcm(*(Fraction(x).denominator for x in v))
-    ints = [int(Fraction(x) * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(Fraction(x, g) for x in ints)
+def primitive(v: Sequence) -> IntVec:
+    """Positive rescale making the entries integers with gcd 1; int entries
+    skip the common denominator."""
+    if not all(type(x) is int for x in v):
+        denom = lcm(*(Fraction(x).denominator for x in v))
+        v = [int(Fraction(x) * denom) for x in v]
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
-def sign_normalized(v: Vec) -> Vec:
+def sign_normalized(v: IntVec) -> IntVec:
     """Flip sign so the first nonzero entry is positive (for line directions)."""
     for x in v:
         if x != 0:

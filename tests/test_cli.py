@@ -214,10 +214,16 @@ class TestUsageErrors:
             (["config", "validate", "{file}"], None, {"surface": {"kind": "foo"}, "curves": ["E1"]}),
             (["cone", "ksymp", "--k", "3", "--paper-signs"], None, None),
             (["sw", "cert", "--surface", "ruled:h=2", "--class", "2U+3T", "--json"], None, None),
+            (["config", "validate", "{file}"], None,
+             {"surface": {"kind": "rational", "k": 2}, "curves": [1]}),
+            (["config", "validate", "{file}"], None,
+             {"surface": {"kind": "rational", "k": 2}, "curves": "H"}),
+            (["cone", "dual", "--rays-file", "{file}"], None,
+             {"surface": {"kind": "rational", "k": 2}, "rays": [1]}),
         ],
         ids=["zero-denominator", "missing-file", "no-surface", "bad-surface-int", "bad-max-steps",
              "json-not-object", "json-bad-surface-int", "json-unknown-kind",
-             "ksymp-paper-signs", "sw-json"],
+             "ksymp-paper-signs", "sw-json", "curve-not-string", "curves-not-list", "ray-not-string"],
     )
     def test_malformed_input_exits_2(self, capsys, monkeypatch, tmp_path, argv, max_steps, document):
         path = tmp_path / "cfg.json"

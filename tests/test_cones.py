@@ -1,11 +1,17 @@
 """Cone construction, duality, membership, corners, audits, thresholds."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
+import conelab
 from conelab import exactlp
 from conelab.cones import (
     ConeError,
@@ -15,6 +21,7 @@ from conelab.cones import (
     cone_theorem_audit,
     dual_cone,
     extremal_rays,
+    extreme_rays_h,
     k_symplectic_cone,
     membership,
     nef_threshold,
@@ -113,6 +120,99 @@ class TestDualCone:
                     pass
 
 
+def _kernel(rows, dim):
+    """Basis of {x : r.x = 0 for every integer row r}, by Gauss-Jordan
+    elimination with integer row operations."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(dim):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        for j in range(len(m)):
+            if j != r and m[j][c]:
+                m[j] = [m[r][c] * x - m[j][c] * y for x, y in zip(m[j], m[r])]
+        pivots.append(c)
+    scale = lcm(*(m[r][p] for r, p in enumerate(pivots)))
+    basis = []
+    for f in (c for c in range(dim) if c not in pivots):
+        v = [scale * int(c == f) for c in range(dim)]
+        for r, p in enumerate(pivots):
+            v[p] = -m[r][f] * scale // m[r][p]
+        g = gcd(*v)
+        basis.append(tuple(x // g for x in v))
+    return basis
+
+
+def _dot(a, x):
+    return sum(p * q for p, q in zip(a, x))
+
+
+def _brute_force_rays(ineqs, dim):
+    """Extreme rays of {x : a.x >= 0} inside the orthogonal complement of
+    its lineality: every set of tight rows that, with the lineality, has a
+    one-dimensional kernel gives two candidate directions; the feasible
+    ones, made primitive, are the rays."""
+    lineality = _kernel(ineqs, dim)
+    rays = set()
+    for subset in combinations(ineqs, dim - len(lineality) - 1):
+        kernel = _kernel(list(subset) + lineality, dim)
+        if len(kernel) != 1:
+            continue
+        for v in (kernel[0], tuple(-x for x in kernel[0])):
+            if all(_dot(a, v) >= 0 for a in ineqs):
+                rays.add(v)
+    return rays, lineality
+
+
+def _random_systems(rng):
+    """Random integer systems in dimensions 3-5 with duplicated, scaled,
+    redundant, zero and degenerate rows, some with a lineality space."""
+    for _ in range(30):
+        dim, span = rng.randint(3, 5), rng.choice((1, 2))
+        rows = [[rng.randint(-span, span) for _ in range(dim)]
+                for _ in range(rng.randint(dim, dim + 3))]
+        a, b = rng.sample(rows, 2)
+        rows += [a, [2 * x for x in a], [x + y for x, y in zip(a, b)], [0] * dim]
+        yield rows, dim
+    # cones over a square, a cube and a 4-cube: many rows per ray; the
+    # 4-cube's rows are duplicated, scaled and summed along square faces, so
+    # non-adjacent rays share dim - 2 tight rows, and the insertion order
+    # decides which pairs the adjacency test sees
+    yield [[1, 0, 0], [0, 1, 0], [-1, 0, 1], [0, -1, 1], [1, 1, 0], [0, 0, 1]], 3
+    yield [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 1], [0, -1, 0, 1], [0, 0, -1, 1]], 4
+    cube = [[int(i == j) for j in range(5)] for i in range(1, 5)]
+    cube += [[1] + [-int(i == j) for j in range(1, 5)] for i in range(1, 5)]
+    cube += [[0, 1, 0, 0, 0], [0, 2, 0, 0, 0], [0, 1, 1, 0, 0], [2, -1, -1, 0, 0], [1, 0, 0, -1, 0]]
+    yield cube[::-1], 5
+    for _ in range(3):
+        yield rng.sample(cube, len(cube)), 5
+    # orthogonal to a fixed vector: lineality of dimension at least one
+    for _ in range(4):
+        dim, ell = 4, [rng.randint(-2, 2) or 1 for _ in range(4)]
+        rows = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(6)]
+        yield [[_dot(ell, ell) * x - _dot(r, ell) * y for x, y in zip(r, ell)] for r in rows], dim
+    # a half-space, the whole space's dual and a line
+    yield [[1, 2, 0]], 3
+    yield [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], 3
+    yield [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], 3
+
+
+class TestDoubleDescription:
+    def test_extreme_rays_match_brute_force(self):
+        # independent oracle: every extreme ray is found by enumerating
+        # the subsets of rows that pin a direction down
+        for ineqs, dim in _random_systems(random.Random(23)):
+            rays, lineality = extreme_rays_h([tuple(map(Fraction, a)) for a in ineqs], dim)
+            expected_rays, expected_lineality = _brute_force_rays(ineqs, dim)
+            assert set(rays) == expected_rays and len(rays) == len(expected_rays), (ineqs, rays)
+            assert len(lineality) == len(expected_lineality), (ineqs, lineality)
+            assert all(_dot(a, v) == 0 for a in ineqs for v in lineality)
+            assert len(_kernel(lineality, dim)) == dim - len(lineality)
+
+
 class TestExtremalRays:
     def test_already_extremal(self):
         c = cone_from_rays(classes(S2, "H", "H-E1", "H-E2"))
@@ -193,12 +293,19 @@ class TestKSymplecticCone:
         ks = k_symplectic_cone(rational_surface(k))
         assert {str(c.ray) for c in ks.corners} == corners
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
     def test_corners_are_spheres_of_square_zero_or_one(self, k):
         ks = k_symplectic_cone(rational_surface(k))
         assert ks.corners_ok
         for c in ks.corners:
             assert c.square in (0, 1) and c.genus == 0
+
+    @pytest.mark.parametrize("k,square_one,square_zero", [(6, 72, 27), (7, 576, 126)])
+    def test_corner_counts(self, k, square_one, square_zero):
+        # 702 at k = 7 is the facet count of the Gosset polytope 3_21
+        squares = [c.square for c in k_symplectic_cone(rational_surface(k)).corners]
+        assert (squares.count(1), squares.count(0)) == (square_one, square_zero)
+        assert len(squares) == square_one + square_zero
 
     def test_k3_corner_types(self):
         ks = k_symplectic_cone(rational_surface(3))
@@ -314,6 +421,26 @@ class TestNefThreshold:
             nef_threshold(parse_class("H-E1", S2), [parse_class("-H+2E1", S2)])
         with pytest.raises(ConeError):
             nef_threshold(H(S2), [parse_class("-H+2E1", S2)])  # omega pairing <= 0
+
+    def test_denominator_bound_survives_python_O(self):
+        # the paper's bound of at most 3 is a raised error, not an assert,
+        # so an optimized interpreter still rejects 2/5 on one blowup
+        code = (
+            "from conelab.cones import ConeError, nef_threshold\n"
+            "from conelab.lattice import parse_class, rational_surface\n"
+            "s = rational_surface(1)\n"
+            "assert False, 'asserts run'\n"
+            "try:\n"
+            "    print(nef_threshold(parse_class('H', s), [parse_class('2H-E1', s)]))\n"
+            "except ConeError as err:\n"
+            "    print('raised:', err)\n"
+        )
+        src = str(Path(conelab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "raised: threshold denominator 5 exceeds 3\n"
 
     def test_denominator_bound_on_random_integral_classes(self):
         rng = random.Random(12)

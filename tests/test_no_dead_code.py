@@ -1,6 +1,10 @@
 """Dead-code guard: every public top-level function and class of the
 package, and every public method of those classes, is used somewhere in
-``src/`` or ``tests/`` (as a name, an attribute or an import alias).  A
+``src/`` or ``tests/``.  A top-level name counts as used through its own
+module only: as a bare name inside that module, as ``module.name``, or
+imported ``from`` that module (or re-exported by the package and imported
+from it), so ``linalg.add`` is not kept alive by ``set.add``.  A method
+counts as used by any name, attribute or import alias it matches.  A
 function passed to a registering decorator defined in its own module, such
 as ``@check(...)`` in ``verify``, counts as used.
 
@@ -25,7 +29,8 @@ def _trees(*dirs):
 
 
 def _public_definitions():
-    """(qualified name, bare name) of each public definition in the package."""
+    """(module, name, bare name) of each public definition in the package;
+    module is None for a method."""
     for path, tree in _trees(PACKAGE):
         local = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
         for node in tree.body:
@@ -36,29 +41,50 @@ def _public_definitions():
                 for d in node.decorator_list
             ):
                 continue
-            yield f"{path.stem}.{node.name}", node.name
+            yield path.stem, f"{path.stem}.{node.name}", node.name
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+                        yield None, f"{path.stem}.{node.name}.{item.name}", item.name
 
 
 def _used_names():
-    used = set()
-    for _, tree in _trees(ROOT / "src", ROOT / "tests"):
+    """Bare names used anywhere, and (module, name) pairs used through a
+    module; the package's re-exports resolve to their defining module."""
+    reexported = {
+        alias.name: node.module
+        for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    bare, qualified = set(), set()
+    for path, tree in _trees(ROOT / "src", ROOT / "tests"):
+        own = path.stem if path.parent == PACKAGE else None
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                bare.add(node.id)
+                if own:
+                    qualified.add((own, node.id))
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                bare.add(node.attr)
+                owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+                qualified.add((owner, node.attr))
             elif isinstance(node, ast.alias):
-                used.add(node.name.rsplit(".", 1)[-1])
-    return used
+                bare.add(node.name.rsplit(".", 1)[-1])
+            if isinstance(node, ast.ImportFrom) and node.module:
+                qualified.update((node.module.rsplit(".", 1)[-1], a.name) for a in node.names)
+    qualified |= {(reexported[name], name) for owner, name in qualified
+                  if owner == PACKAGE.name and name in reexported}
+    return bare, qualified
 
 
 def test_every_public_name_is_used():
-    used = _used_names()
-    unused = sorted(qual for qual, name in _public_definitions() if name not in used)
+    bare, qualified = _used_names()
+    unused = sorted(
+        qual
+        for module, qual, name in _public_definitions()
+        if (name not in bare if module is None else (module, name) not in qualified)
+    )
     assert not unused, "never used in src/ or tests/: " + ", ".join(unused)
 
 
