@@ -68,7 +68,7 @@ def _dd_pointed(ineqs: list[IntVec], dim: int) -> list[IntVec]:
             chosen.append(i)
             if len(chosen) == dim:
                 break
-    if len(chosen) < dim or (inv := linalg.invert([ineqs[i] for i in chosen])) is None:
+    if (inv := linalg.invert([ineqs[i] for i in chosen])) is None:
         raise ConeError(f"the inequalities do not span a space of dimension {dim}")
     # column c of the inverse is tight on every starting row but the c-th
     start = sum(1 << i for i in chosen)

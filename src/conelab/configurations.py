@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from . import exactlp
@@ -152,22 +152,24 @@ def is_classified_negative_class(c: DivisorClass) -> bool:
     return len(anchors) == 1 and rest_ok
 
 
-def certified_sw_classes(surface: SurfaceModel) -> list[DivisorClass]:
+@cache
+def certified_sw_classes(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
     """Classes carrying a wall-crossing nonvanishing certificate, used as
-    known curve-cone members by the validity checks."""
+    known curve-cone members by the validity checks; computed once per
+    surface."""
     if surface.is_rational:
         if surface.k > 8:
             raise ConfigurationError("certified sets are finite only for k <= 8")
         out = {H(surface)}
         out |= exceptional_classes(surface)
         out |= family_instances(zero_square_sphere_classes(surface))
-        return sorted_classes(out)
+        return tuple(sorted_classes(out))
     if surface.k != 0:
         raise ConfigurationError("certified ruled sets cover minimal surfaces")
     h = surface.h
     a = (h - 1 + 1) // 2 if surface.kind == "trivial_ruled" else (h - 2 + 1) // 2
     section = U(surface) + a * T(surface)
-    return sorted_classes({T(surface), section})
+    return tuple(sorted_classes({T(surface), section}))
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +206,16 @@ def validate_configuration(cfg: NegativeConfiguration) -> ValidationReport:
     )
 
     certified = certified_sw_classes(surface)
+    gens = cfg.generators()
+    known = gens + list(certified)
 
     # P2: an explicit rational class of positive square pairing positively
     # with the curves and with every certified class
-    witness = ray_sum(positive_dual(cone_from_rays(cfg.generators())).linear_dual)
+    witness = ray_sum(positive_dual(cone_from_rays(gens)).linear_dual)
     if witness is None:
         p2 = PropertyResult(False, "dual cone has no extremal rays")
     else:
-        failures = [c for c in cfg.generators() + certified if pair(witness, c) <= 0]
+        failures = [c for c in known if pair(witness, c) <= 0]
         if witness.square() <= 0:
             p2 = PropertyResult(False, f"witness {witness} has square {witness.square()}")
         elif failures:
@@ -229,15 +233,16 @@ def validate_configuration(cfg: NegativeConfiguration) -> ValidationReport:
         targets = sorted_classes(exceptional_classes(surface))
     else:
         targets = []
+    columns = [g.coeffs for g in known]
+    # every -1 class is certified; its own column is left out
+    column_of = {c: len(gens) + i for i, c in enumerate(certified)}
     for target in targets:
-        gens = cfg.generators() + [c for c in certified if c != target]
-        coeffs = exactlp.nonnegative_combination(
-            [g.coeffs for g in gens], target.coeffs
-        )
+        i = column_of[target]
+        coeffs = exactlp.nonnegative_combination(columns[:i] + columns[i + 1 :], target.coeffs)
         if coeffs is None:
             failed.append(target)
         else:
-            used = tuple(Fraction(x) for x in coeffs[: len(cfg.generators())])
+            used = tuple(Fraction(x) for x in coeffs[: len(gens)])
             decomps.append((target, used))
     p3 = PropertyResult(
         not failed,
@@ -307,16 +312,20 @@ def blow_down(cfg: NegativeConfiguration, at: DivisorClass) -> BlowDownResult:
             continue
         m = pair(c, at)
         transformed = c + m * at
-        assert pair(transformed, at) == 0
         g_before = adjunction_genus(c)
         reduced = divisor(
             small, [x for i, x in enumerate(transformed.coeffs) if i != drop]
         )
         g_after = adjunction_genus(reduced)
-        assert reduced.square() == c.square() + m * m
-        assert pair(kc_small, reduced) == pair(kc, c) - m
-        assert g_after >= g_before
-        assert (g_after == g_before) == (m in (0, 1))
+        broken = [law for law, holds in (
+            ("orthogonality to E", pair(transformed, at) == 0),
+            ("square", reduced.square() == c.square() + m * m),
+            ("K-pairing", pair(kc_small, reduced) == pair(kc, c) - m),
+            ("genus monotonicity", g_after >= g_before),
+            ("genus equality iff C.E in {0, 1}", (g_after == g_before) == (m in (0, 1))),
+        ) if not holds]
+        if broken:
+            raise ConfigurationError(f"blowing down {at} breaks the {broken[0]} law for {c}")
         kept = reduced.square() < 0
         steps.append(BlowDownStep(c, transformed, g_before, g_after, m, kept))
         if kept:

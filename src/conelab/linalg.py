@@ -17,13 +17,13 @@ def is_zero(a: Sequence[Fraction]) -> bool:
 
 def pivot(mat: list[list[Fraction]], r: int, c: int) -> None:
     """Gauss-Jordan step in place: scale row r so its entry in column c is 1,
-    then clear column c from every other row."""
+    then clear column c from every other row.  Zero entries are skipped."""
     pv = mat[r][c]
-    mat[r] = [x / pv for x in mat[r]]
+    mat[r] = [x / pv if x else x for x in mat[r]]
     for i in range(len(mat)):
         if i != r and mat[i][c] != 0:
             f = mat[i][c]
-            mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+            mat[i] = [x - f * y if y else x for x, y in zip(mat[i], mat[r])]
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
@@ -66,8 +66,10 @@ def nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[Vec]:
 
 
 def invert(rows: Sequence[Sequence[Fraction]]) -> list[Vec] | None:
-    """Inverse of a square matrix, or None if singular."""
+    """Inverse of a square matrix, or None if it is singular or not square."""
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        return None
     aug = [list(Fraction(x) for x in row) + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(rows)]
     reduced, pivots = rref(aug)
@@ -80,8 +82,8 @@ def primitive(v: Sequence) -> IntVec:
     """Positive rescale making the entries integers with gcd 1; int entries
     skip the common denominator."""
     if not all(type(x) is int for x in v):
-        denom = lcm(*(Fraction(x).denominator for x in v))
-        v = [int(Fraction(x) * denom) for x in v]
+        denom = lcm(*(x.denominator for x in v))
+        v = [x.numerator * (denom // x.denominator) for x in v]
     g = gcd(*v)
     return tuple(x // g for x in v) if g > 1 else tuple(v)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import conelab
-from conelab import exactlp
+from conelab import exactlp, linalg
 from conelab.cones import (
     ConeError,
     NonPointedError,
@@ -211,6 +211,12 @@ class TestDoubleDescription:
             assert len(lineality) == len(expected_lineality), (ineqs, lineality)
             assert all(_dot(a, v) == 0 for a in ineqs for v in lineality)
             assert len(_kernel(lineality, dim)) == dim - len(lineality)
+
+    @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [1, 1]]])
+    def test_invert_rejects_non_square_input(self, rows):
+        # the DD start inverts its chosen rows and relies on None here
+        assert linalg.invert(rows) is None
+        assert linalg.invert([row[:2] for row in rows[:2]]) == [(1, 0), (0, 1)]
 
 
 class TestExtremalRays:

@@ -4,12 +4,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conelab import configurations
 from conelab.configurations import (
     ConfigurationError,
     NegativeConfiguration,
     blow_down,
     catalog_cp2_2,
     catalog_cp2_3,
+    certified_sw_classes,
     count_minus_one,
     disjoint_minus_one_configuration,
     is_classified_negative_class,
@@ -112,6 +114,18 @@ class TestValidation:
         rep = validate_configuration(config(S2, "E2", "H-E1-E2", "-H+2E1"))
         assert rep.witness is not None and rep.witness.square() > 0
 
+    def test_certified_classes_are_computed_once_per_surface(self, monkeypatch):
+        built = []
+        exceptional = configurations.exceptional_classes
+        monkeypatch.setattr(
+            configurations, "exceptional_classes", lambda s: built.append(s) or exceptional(s)
+        )
+        certified_sw_classes.cache_clear()
+        s4 = rational_surface(4)
+        first = certified_sw_classes(s4)
+        assert certified_sw_classes(rational_surface(4)) == first
+        assert built == [s4] and isinstance(first, tuple)
+
 
 class TestBlowDown:
     def test_case_seven_lands_on_the_two_blowup_family(self):
@@ -144,6 +158,16 @@ class TestBlowDown:
         assert step.pairing == 2
         assert step.genus_before == 0 and step.genus_after == 1
         assert not step.kept  # square -1 + 4 = 3
+
+    def test_a_broken_genus_law_raises(self, monkeypatch):
+        # the bookkeeping checks raise, so they also hold under python -O
+        cfg = config(S2, "E2", "H-E1-E2", "-H+2E1")
+        genus = configurations.adjunction_genus
+        monkeypatch.setattr(
+            configurations, "adjunction_genus", lambda c: genus(c) + (c.surface.k == 1)
+        )
+        with pytest.raises(ConfigurationError, match="genus equality"):
+            blow_down(cfg, E(S2, 2))
 
     def test_non_basis_class_rejected(self):
         cfg = config(S2, "E2", "H-E1-E2", "-H+2E1")

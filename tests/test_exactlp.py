@@ -1,0 +1,124 @@
+"""The exact phase-1 simplex against two references: brute force over every
+basis, and Bland's rule on the dense tableau, whose solutions it must return
+unchanged."""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from conelab import exactlp, linalg
+
+
+def basic_solutions(columns, target):
+    """(support, values) for every set of at most m linearly independent
+    columns whose span holds the target, solved by Gauss-Jordan."""
+    m = len(target)
+    for size in range(m + 1):
+        for support in combinations(range(len(columns)), size):
+            aug = [[columns[j][i] for j in support] + [target[i]] for i in range(m)]
+            reduced, pivots = linalg.rref(aug)
+            if pivots == list(range(size)):  # independent, target in the span
+                yield support, [row[-1] for row in reduced[:size]]
+
+
+def brute_force_feasible(columns, target):
+    # Caratheodory: a feasible system has a non-negative basic solution
+    return any(all(v >= 0 for v in values) for _, values in basic_solutions(columns, target))
+
+
+def dense_tableau(columns, target):
+    """Bland's rule on the full (m+1) x (n+m+1) phase-1 tableau, run until no
+    column has positive reduced cost."""
+    m, n = len(target), len(columns)
+    a = [[Fraction(columns[j][i]) for j in range(n)] for i in range(m)]
+    b = [Fraction(t) for t in target]
+    for i in range(m):
+        if b[i] < 0:
+            a[i], b[i] = [-x for x in a[i]], -b[i]
+    tab = [a[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
+    cost = [sum(col) for col in zip(*tab)]
+    tab.append([c - (n <= j < n + m) for j, c in enumerate(cost)])
+    basis = list(range(n, n + m))
+    while (enter := next((j for j in range(n + m) if tab[m][j] > 0), None)) is not None:
+        ratios = [(tab[i][-1] / tab[i][enter], basis[i], i) for i in range(m) if tab[i][enter] > 0]
+        leave = min(ratios)[2]
+        linalg.pivot(tab, leave, enter)
+        basis[leave] = enter
+    if tab[m][-1] != 0:
+        return None
+    solution = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            solution[var] = tab[i][-1]
+    return solution
+
+
+def random_system(rng):
+    m = rng.randint(2, 5)
+    fractional = rng.random() < 0.4
+
+    def entry(lo, hi):
+        x = rng.randint(lo, hi)
+        return Fraction(x, rng.randint(1, 3)) if fractional else x
+
+    columns = [[entry(-2, 2) for _ in range(m)] for _ in range(rng.randint(1, 7))]
+    if rng.random() < 0.3:
+        columns.insert(rng.randrange(len(columns) + 1), [0] * m)
+    if rng.random() < 0.3:
+        columns.append(list(rng.choice(columns)))
+    kind = rng.choice(["random", "combination", "face", "zero"])
+    if kind == "random":
+        target = [entry(-3, 3) for _ in range(m)]
+    elif kind == "zero":
+        target = [0] * m
+    else:
+        # a non-negative combination, of few columns for a target on a face
+        size = min(2, len(columns)) if kind == "face" else len(columns)
+        used = rng.sample(columns, rng.randint(1, size))
+        weights = [rng.randint(0, 2) for _ in used]
+        target = [sum(w * Fraction(c[i]) for w, c in zip(weights, used)) for i in range(m)]
+    return columns, target
+
+
+def test_matches_brute_force_and_the_dense_tableau():
+    rng = random.Random(11)
+    seen = {"feasible": 0, "infeasible": 0, "negative target": 0, "zero target": 0}
+    for _ in range(300):
+        columns, target = random_system(rng)
+        m = len(target)
+        x = exactlp.nonnegative_combination(columns, target)
+        assert (x is not None) == brute_force_feasible(columns, target), (columns, target)
+        assert x == dense_tableau(columns, target), (columns, target)
+        seen["feasible" if x is not None else "infeasible"] += 1
+        seen["negative target"] += any(t < 0 for t in target)
+        seen["zero target"] += all(t == 0 for t in target)
+        if x is None:
+            continue
+        assert len(x) == len(columns) and all(type(v) is Fraction and v >= 0 for v in x)
+        assert [sum(v * c[i] for v, c in zip(x, columns)) for i in range(m)] == target
+        assert sum(1 for v in x if v) <= m
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize(
+    "columns,target,expected",
+    [
+        # no columns: only the zero target
+        ([], [0, 0], []),
+        ([], [1, 0], None),
+        # a zero column never enters; a duplicate column gives the lower index
+        ([[0, 0], [1, 1], [1, 1]], [2, 2], [0, 2, 0]),
+        # a target on a face of the cone: the degenerate basis keeps zeros
+        ([[1, 0], [0, 1], [1, 1]], [0, 3], [0, 3, 0]),
+        # a tie in the ratio test goes to the lower basic index
+        ([[-1, -2, 2], [1, 1, 1], [1, 2, 0], [-1, 1, -2]], [-1, -1, 1],
+         [Fraction(5, 6), 0, Fraction(1, 6), Fraction(1, 3)]),
+        # negative target entries are flipped into the right-hand side
+        ([[-1, 0], [0, -1]], [-2, Fraction(-1, 2)], [2, Fraction(1, 2)]),
+        ([[1, 0], [0, 1]], [-1, 1], None),
+    ],
+)
+def test_small_systems(columns, target, expected):
+    assert exactlp.nonnegative_combination(columns, target) == expected
