@@ -305,7 +305,7 @@ def membership(cone: RationalCone, x: DivisorClass) -> Membership:
 @dataclass(frozen=True)
 class CornerInfo:
     ray: DivisorClass
-    square: Fraction
+    square: int
     genus: Fraction
 
     @property
@@ -381,7 +381,7 @@ def positive_dual(curve_cone: RationalCone | Iterable[DivisorClass]) -> Positive
 @dataclass(frozen=True)
 class AuditEntry:
     ray: DivisorClass
-    k_pairing: Fraction
+    k_pairing: int
     genus: Fraction
     taxonomy: str  # "minus_one" | "fiber" | "line" | "violation"
 
@@ -441,7 +441,7 @@ def nef_threshold(omega: DivisorClass, extremal_curves: Sequence[DivisorClass]) 
     for c in curves:
         if pair(omega, c) <= 0:
             raise ConeError(f"omega does not pair positively with {c}")
-    ratios = [pair(c, omega) / -pair(kc, c) for c in curves if pair(kc, c) < 0]
+    ratios = [Fraction(pair(c, omega), -pair(kc, c)) for c in curves if pair(kc, c) < 0]
     if not ratios:
         raise ConeError("the canonical class is nef on the given curves")
     t0 = max(ratios)

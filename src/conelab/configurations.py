@@ -82,7 +82,7 @@ class NegativeConfiguration:
                     )
 
     @cached_property
-    def intersection_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+    def intersection_matrix(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(pair(a, b) for b in self.curves) for a in self.curves)
 
     def generators(self) -> list[DivisorClass]:
@@ -242,8 +242,7 @@ def validate_configuration(cfg: NegativeConfiguration) -> ValidationReport:
         if coeffs is None:
             failed.append(target)
         else:
-            used = tuple(Fraction(x) for x in coeffs[: len(gens)])
-            decomps.append((target, used))
+            decomps.append((target, tuple(coeffs[: len(gens)])))
     p3 = PropertyResult(
         not failed,
         "all -1 classes decompose"
@@ -264,7 +263,7 @@ class BlowDownStep:
     after_same_lattice: DivisorClass
     genus_before: Fraction
     genus_after: Fraction
-    pairing: Fraction
+    pairing: int
     kept: bool
 
 

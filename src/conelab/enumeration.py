@@ -116,12 +116,8 @@ class ClassFamily:
         return (c[0], tuple(sorted(c[1:], reverse=True)))
 
     def instances(self) -> frozenset[DivisorClass]:
-        surface = self.surface
-        a = self.representative.coeffs[0]
-        stored = [int(x) for x in self.representative.coeffs[1:]]
-        return frozenset(
-            divisor(surface, (a,) + arr) for arr in distinct_arrangements(stored)
-        )
+        a, *b = self.representative.coeffs
+        return frozenset(divisor(self.surface, (a,) + arr) for arr in distinct_arrangements(b))
 
     def __str__(self) -> str:
         return f"{self.representative} ({self.orbit_note})"

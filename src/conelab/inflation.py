@@ -61,15 +61,14 @@ class InflationTrace:
 
 def formal_inflate(a: DivisorClass, c: DivisorClass, eps) -> DivisorClass:
     """One inflation step a + eps*c with the admissibility window enforced."""
-    eps = Fraction(eps)
     ac = pair(a, c)
     if ac < 0:
         raise InflationError(f"pairing {ac} negative; cannot inflate along {c}")
     if eps <= 0:
         raise InflationError("step must be positive")
     c2 = pair(c, c)
-    if c2 < 0 and eps > ac / -c2:
-        raise InflationError(f"step {eps} exceeds the admissible bound {ac / -c2}")
+    if c2 < 0 and eps > Fraction(ac, -c2):
+        raise InflationError(f"step {eps} exceeds the admissible bound {Fraction(ac, -c2)}")
     return a + eps * c
 
 def max_inflate(a: DivisorClass, c: DivisorClass) -> tuple[DivisorClass, Fraction]:
@@ -80,9 +79,10 @@ def max_inflate(a: DivisorClass, c: DivisorClass) -> tuple[DivisorClass, Fractio
     ac = pair(a, c)
     if ac < 0:
         raise InflationError(f"pairing {ac} negative; cannot inflate along {c}")
-    eps = ac / -c2
+    eps = Fraction(ac, -c2)
     result = a + eps * c
-    assert pair(result, c) == 0
+    if pair(result, c) != 0:
+        raise InflationError(f"maximal step from {a} along {c} misses its hyperplane")
     return result, eps
 
 
@@ -114,13 +114,13 @@ def alternate_inflate(
     if s1 >= 0 or s2 >= 0:
         raise InflationError("alternating inflation needs two negative classes")
     c12 = pair(c1, c2)
-    x = (c12 * c12) / (s1 * s2)
+    x = Fraction(c12 * c12, s1 * s2)
     if x > 1:
         raise InflationError(
             f"(c1.c2)^2 = {c12 * c12} exceeds c1^2 c2^2 = {s1 * s2}; "
             "no common positive-square dual class exists for this pair"
         )
-    l1 = pair(a, c2) / -s2
+    l1 = Fraction(pair(a, c2), -s2)
     steps = []
     odd, even = [], []
     current = a
@@ -131,13 +131,14 @@ def alternate_inflate(
         if eps != 0:
             steps.append((curve, eps))
     trace = InflationTrace(a, tuple(steps), current)
-    direction = c2 - (c12 / s1) * c1
+    direction = c2 - Fraction(c12, s1) * c1
     if x == 1:
         return AlternateInflation(
             trace, direction.primitive(), x, l1, True, tuple(odd), tuple(even)
         )
     limit = a + (l1 / (1 - x)) * direction
-    assert pair(limit, c1) == 0 and pair(limit, c2) == 0
+    if pair(limit, c1) != 0 or pair(limit, c2) != 0:
+        raise InflationError(f"limit {limit} is not orthogonal to {c1} and {c2}")
     return AlternateInflation(trace, limit, x, l1, False, tuple(odd), tuple(even))
 
 
@@ -150,7 +151,7 @@ def _residuals(curves: Sequence[DivisorClass], accepted: list[DivisorClass]):
             raise InflationError(f"{c} has non-negative square")
         v = c
         for u in accepted:
-            v = v - (pair(u, c) / pair(u, u)) * u
+            v = v - Fraction(pair(u, c), pair(u, u)) * u
         yield v
 
 
@@ -225,14 +226,14 @@ def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> VertexAch
     steps = []
     current = a
     for u in ortho:
-        eps = pair(current, u) / -pair(u, u)
+        eps = Fraction(pair(current, u), -pair(u, u))
         if eps < 0:
             raise InflationError(f"start class pairs negatively with {u}")
         if eps > 0:
             current = current + eps * u
             steps.append((u, eps))
-    for u in ortho:
-        assert pair(current, u) == 0
+    if any(pair(current, u) != 0 for u in ortho):
+        raise InflationError(f"projection {current} is not orthogonal to the curves")
     if current.is_zero():
         raise InflationError("projection collapsed to zero; start class is degenerate")
     ray = current.primitive()

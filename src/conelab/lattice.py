@@ -9,10 +9,11 @@ A divisor class lives in H^2 of one of three surface models:
 * ``nontrivial_ruled``  -- blowup of the twisted S^2-bundle over Sigma_h,
                            same basis but U^2 = 1.
 
-Classes are stored as exact rational coefficient vectors in basis order, so
-the class written aH - b1 E1 - ... - bk Ek is stored as (a, -b1, ..., -bk).
-All arithmetic is exact (fractions.Fraction); nothing in this package touches
-floating point.
+Classes are stored as exact coefficient vectors in basis order, so the class
+written aH - b1 E1 - ... - bk Ek is stored as (a, -b1, ..., -bk).  A coefficient
+is an int unless a division gave it a denominator, and then a Fraction; floats
+are rejected.  So ``pair`` returns an int on integral classes, and a caller
+that divides a pairing writes ``Fraction(p, q)``, since ``p / q`` is a float.
 """
 
 from __future__ import annotations
@@ -109,12 +110,21 @@ def nontrivial_ruled(h: int, k: int = 0) -> SurfaceModel:
     return SurfaceModel(NONTRIVIAL_RULED, k, h)
 
 
+def _exact(c) -> int | Fraction:
+    """A coefficient as stored: int, or Fraction when its denominator is not 1."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise LatticeError(f"coefficient {c!r} is neither an int nor a Fraction")
+
+
 @dataclass(frozen=True)
 class DivisorClass:
-    """An exact rational class over a fixed surface lattice."""
+    """An exact class over a fixed surface lattice, with int or Fraction coefficients."""
 
     surface: SurfaceModel
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if len(self.coeffs) != self.surface.rank:
@@ -122,7 +132,7 @@ class DivisorClass:
                 f"coefficient vector of length {len(self.coeffs)} on rank "
                 f"{self.surface.rank} surface"
             )
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
 
     # -- vector space structure ------------------------------------------
 
@@ -138,8 +148,7 @@ class DivisorClass:
         return DivisorClass(self.surface, tuple(-a for a in self.coeffs))
 
     def __rmul__(self, scalar) -> "DivisorClass":
-        s = Fraction(scalar)
-        return DivisorClass(self.surface, tuple(s * a for a in self.coeffs))
+        return DivisorClass(self.surface, tuple(scalar * a for a in self.coeffs))
 
     __mul__ = __rmul__
 
@@ -151,15 +160,15 @@ class DivisorClass:
 
     # -- lattice structure -----------------------------------------------
 
-    def square(self) -> Fraction:
+    def square(self) -> int | Fraction:
         return pair(self, self)
 
-    def e_coeffs(self) -> tuple[Fraction, ...]:
+    def e_coeffs(self) -> tuple[int | Fraction, ...]:
         """Coefficients on the exceptional part E1..Ek, in stored signs."""
         head = 1 if self.surface.is_rational else 2
         return self.coeffs[head:]
 
-    def b_vector(self) -> tuple[Fraction, ...]:
+    def b_vector(self) -> tuple[int | Fraction, ...]:
         """Subtracted coefficients (b1, ..., bk) of aH - sum bi Ei."""
         return tuple(-c for c in self.e_coeffs())
 
@@ -194,8 +203,8 @@ def divisor(surface: SurfaceModel, coeffs: Iterable) -> DivisorClass:
 
 
 def basis_class(surface: SurfaceModel, index: int) -> DivisorClass:
-    coeffs = [Fraction(0)] * surface.rank
-    coeffs[index] = Fraction(1)
+    coeffs = [0] * surface.rank
+    coeffs[index] = 1
     return DivisorClass(surface, tuple(coeffs))
 
 
@@ -224,21 +233,21 @@ def E(surface: SurfaceModel, i: int) -> DivisorClass:
     return basis_class(surface, head + i - 1)
 
 
-def pair(x: DivisorClass, y: DivisorClass) -> Fraction:
-    """Intersection pairing, signature (1, rank-1)."""
+def pair(x: DivisorClass, y: DivisorClass) -> int | Fraction:
+    """Intersection pairing, signature (1, rank-1); an int on integral classes."""
     _check_same_surface(x, y)
     a, b = x.coeffs, y.coeffs
     if x.surface.is_rational:
         head = a[0] * b[0]
         start = 1
     else:
-        uu = a[0] * b[0] if x.surface.kind == NONTRIVIAL_RULED else Fraction(0)
+        uu = a[0] * b[0] if x.surface.kind == NONTRIVIAL_RULED else 0
         head = uu + a[0] * b[1] + a[1] * b[0]
         start = 2
     return head - sum(ai * bi for ai, bi in zip(a[start:], b[start:]))
 
 
-def gram_functional(x: DivisorClass) -> tuple[Fraction, ...]:
+def gram_functional(x: DivisorClass) -> tuple[int | Fraction, ...]:
     """Euclidean vector q with q . v = pair(v, x) for all v (Gram matrix applied)."""
     c = x.coeffs
     if x.surface.is_rational:
@@ -256,24 +265,24 @@ def gram_functional(x: DivisorClass) -> tuple[Fraction, ...]:
 def canonical_class(surface: SurfaceModel) -> DivisorClass:
     """The canonical class: -3H + sum Ei, or -2U + (2h-2)T + sum Ei, or
     -2U + (2h-1)T + sum Ei depending on the bundle."""
-    ones = [Fraction(1)] * surface.k
+    ones = [1] * surface.k
     if surface.is_rational:
-        return DivisorClass(surface, tuple([Fraction(-3)] + ones))
+        return DivisorClass(surface, tuple([-3] + ones))
     t = 2 * surface.h - 2 if surface.kind == TRIVIAL_RULED else 2 * surface.h - 1
-    return DivisorClass(surface, tuple([Fraction(-2), Fraction(t)] + ones))
+    return DivisorClass(surface, tuple([-2, t] + ones))
 
 
-def adjunction_genus(x: DivisorClass) -> Fraction:
+def adjunction_genus(x: DivisorClass) -> int | Fraction:
     """Genus of a class by adjunction: (x.x + K.x)/2 + 1.
 
     Integer whenever x is integral; lower bound for the genus of any
     irreducible representative, with equality exactly for embedded ones.
     """
     k = canonical_class(x.surface)
-    return (pair(x, x) + pair(k, x)) / 2 + 1
+    return Fraction(pair(x, x) + pair(k, x), 2) + 1
 
 
-def sw_dimension(x: DivisorClass) -> Fraction:
+def sw_dimension(x: DivisorClass) -> int | Fraction:
     """Expected dimension x.x - K.x entering the wall-crossing argument."""
     k = canonical_class(x.surface)
     return pair(x, x) - pair(k, x)
@@ -346,7 +355,7 @@ def parse_class(text: str, surface: SurfaceModel) -> DivisorClass:
     compact = text.replace(" ", "")
     if compact in ("0", ""):
         return divisor(surface, [0] * surface.rank)
-    coeffs = [Fraction(0)] * surface.rank
+    coeffs = [0] * surface.rank
     labels = {lab: idx for idx, lab in enumerate(surface.basis_labels())}
     pos = 0
     while pos < len(compact):
@@ -355,7 +364,7 @@ def parse_class(text: str, surface: SurfaceModel) -> DivisorClass:
             raise ParseError(f"cannot parse class literal {text!r} at {compact[pos:]!r}")
         sign, num, symbol, _ = m.groups()
         try:
-            value = Fraction(num) if num else Fraction(1)
+            value = Fraction(num) if num else 1
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in class literal {text!r}") from None
         if sign == "-":

@@ -1,5 +1,6 @@
-"""Small exact linear algebra over Fraction: row reduction, kernels,
-inverses, and primitive normalization of rational and integer vectors."""
+"""Small exact linear algebra on vectors that mix int and Fraction entries, as
+class coefficients do: row reduction, kernels and inverses over Fraction (the
+pivots divide), and primitive normalization of rational and integer vectors."""
 
 from __future__ import annotations
 

@@ -160,7 +160,7 @@ def non_extremal_witness(
     if a <= 0:
         raise CertificateError("fiber degree must be positive for the case split")
     multiplicities = [(-x, i) for i, x in enumerate(c.e_coeffs(), start=1)]
-    big = max(multiplicities, default=(Fraction(0), 0))
+    big = max(multiplicities, default=(0, 0))
     if surface.h > 1:
         parts = [c - fiber, fiber]
         scale = 1
@@ -172,7 +172,7 @@ def non_extremal_witness(
         scale = 1
     else:
         scale = None
-        for l in range(2 * int(a) + 1, 2 * int(a) + 11):
+        for l in range(2 * a + 1, 2 * a + 11):
             if sw_dimension(l * c - fiber) > 0:
                 scale = l
                 break

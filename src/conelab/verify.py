@@ -78,11 +78,8 @@ def _family_set(families) -> set[tuple]:
 
 
 def _expected_family_keys(surface, patterns: Iterable[tuple[int, list[int]]]) -> set[tuple]:
-    out = set()
-    for a, b in patterns:
-        coeffs = sorted([Fraction(-x) for x in b] + [Fraction(0)] * (surface.k - len(b)), reverse=True)
-        out.add((Fraction(a), tuple(coeffs)))
-    return out
+    return {(a, tuple(sorted([-x for x in b] + [0] * (surface.k - len(b)), reverse=True)))
+            for a, b in patterns}
 
 
 # --------------------------------------------------------------------- 1
@@ -345,13 +342,11 @@ def check_alternating_inflation() -> tuple[bool, str]:
         c1, c2 = rng.sample(pool, 2)
         if pair(c1, c2) < 0:
             continue
-        x = (pair(c1, c2) ** 2) / (c1.square() * c2.square())
+        x = Fraction(pair(c1, c2) ** 2, c1.square() * c2.square())
         if x > 1:
             continue
         dual = cones.dual_cone(cones.cone_from_rays([c1, c2]))
-        omega = None
-        for r in dual.rays():
-            omega = r if omega is None else omega + r
+        omega = cones.ray_sum(dual)
         for v in dual.lineality():
             if pair(v, v) > 0:
                 omega = omega + v if omega is not None else v
@@ -362,23 +357,23 @@ def check_alternating_inflation() -> tuple[bool, str]:
         # orthogonality of the limit, exact
         if pair(alt.limit, c1) != 0 or pair(alt.limit, c2) != 0:
             return False, f"limit not orthogonal for {c1}, {c2}"
-        l1 = pair(a, c2) / -c2.square()
+        l1 = Fraction(pair(a, c2), -c2.square())
         want_odd = tuple(l1 * alt.ratio**k for k in range(10))
-        even_rate = pair(c1, c2) / -c1.square()
+        even_rate = Fraction(pair(c1, c2), -c1.square())
         want_even = tuple(l1 * even_rate * alt.ratio ** (k - 1) for k in range(1, 11))
         if alt.odd_coefficients != want_odd or alt.even_coefficients != want_even:
             return False, f"coefficient law fails for {c1}, {c2}"
         if alt.divergent:
             divergent_seen += 1
         else:
-            direction = c2 - (pair(c1, c2) / c1.square()) * c1
+            direction = c2 - Fraction(pair(c1, c2), c1.square()) * c1
             tail = (alt.ratio**10 * l1 / (1 - alt.ratio)) * direction
             if alt.trace.result + tail != alt.limit:
                 return False, f"tail identity fails for {c1}, {c2}"
             # the summed limit coefficient is the single maximal step along
             # the orthogonalized class
             if direction.square() < 0:
-                if l1 / (1 - alt.ratio) != pair(a, direction) / -direction.square():
+                if l1 / (1 - alt.ratio) != Fraction(pair(a, direction), -direction.square()):
                     return False, f"orthogonalized coefficient fails for {c1}, {c2}"
         tested += 1
     # an explicit light-cone pair: the facets of E1 and H-E1-E2 meet in the
@@ -525,7 +520,7 @@ def check_nef_threshold() -> tuple[bool, str]:
     ex3 = cones.nef_threshold(
         parse_class("3H-E1-E2", s2), [E(s2, 1), E(s2, 2), parse_class("H-E1-E2", s2)]
     )
-    ok = (ex1, ex2, ex3) == (Fraction(1, 3), Fraction(1), Fraction(1))
+    ok = (ex1, ex2, ex3) == (Fraction(1, 3), 1, 1)
     rng = random.Random(191)
     curve_sets = {
         0: [[H(s0)]],

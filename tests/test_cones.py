@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -28,6 +29,7 @@ from conelab.cones import (
     positive_dual,
 )
 from conelab.configurations import catalog_cp2_3
+from conelab.cremona import cremona_reduce
 from conelab.enumeration import (
     exceptional_classes,
     family_instances,
@@ -313,6 +315,17 @@ class TestKSymplecticCone:
         assert (squares.count(1), squares.count(0)) == (square_one, square_zero)
         assert len(squares) == square_one + square_zero
 
+    @pytest.mark.parametrize("k,square_one,square_zero", [(6, 72, 27), (7, 576, 126)])
+    def test_corners_reduce_to_h_or_h_minus_e1(self, k, square_one, square_zero):
+        # independent oracle: Cremona reduction sends every corner of square 1
+        # to H and every corner of square 0 to H - E1
+        reduced = Counter()
+        for c in k_symplectic_cone(rational_surface(k)).corners:
+            out = cremona_reduce(c.ray)
+            assert out.kind == "reduced"
+            reduced[c.square, str(out.result)] += 1
+        assert reduced == {(1, "H"): square_one, (0, "H-E1"): square_zero}
+
     def test_k3_corner_types(self):
         ks = k_symplectic_cone(rational_surface(3))
         squares = sorted(c.square for c in ks.corners)
@@ -363,14 +376,14 @@ class TestPositiveDual:
                     rhs = c1.square() * c2.square()
                     assert lhs <= rhs
                     if lhs == rhs:
-                        meet = c1 - (pair(c1, c2) / c2.square()) * c2
+                        meet = c1 - Fraction(pair(c1, c2), c2.square()) * c2
                         assert meet.primitive() in (ray, -1 * ray)
 
     def test_equality_case_meeting_ray(self):
         # the facets of E1 and H-E1-E2 meet exactly in the null ray H-E2
         c1, c2 = E(S2, 1), parse_class("H-E1-E2", S2)
         assert pair(c1, c2) ** 2 == c1.square() * c2.square()
-        meet = c1 - (pair(c1, c2) / c2.square()) * c2
+        meet = c1 - Fraction(pair(c1, c2), c2.square()) * c2
         assert meet.primitive() == parse_class("H-E2", S2)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -225,7 +226,7 @@ class TestSweeps:
         anti = -1 * canonical_class(s)
         assert divisor(s, [3] + [-1] * 9) in sweep.zero_square_positive_genus
         for c in sweep.zero_square_positive_genus:
-            m = c.coeffs[0] / 3
+            m = Fraction(c.coeffs[0], 3)
             assert c == m * anti
 
     def test_genus_bound_audit_six(self):

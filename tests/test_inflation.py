@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conelab import inflation
 from conelab.cones import cone_from_rays, dual_cone, membership
 from conelab.inflation import (
     InflationError,
@@ -20,6 +21,7 @@ from conelab.inflation import (
 from conelab.lattice import (
     E,
     H,
+    LatticeError,
     T,
     U,
     divisor,
@@ -57,6 +59,10 @@ class TestFormalInflate:
         with pytest.raises(InflationError):
             formal_inflate(E(S2, 2), parse_class("H-E1-E2", S2) + E(S2, 2) * 3, 1)
 
+    def test_float_step_rejected(self):
+        with pytest.raises(LatticeError):
+            formal_inflate(H(S2), parse_class("H-E1-E2", S2), 0.5)
+
     def test_membership_is_preserved(self):
         # each admissible step keeps the class inside the positive dual
         cfg = parse_class("-H+2E1", S2), E(S2, 2), parse_class("H-E1-E2", S2)
@@ -66,7 +72,7 @@ class TestFormalInflate:
         current = start
         for _ in range(30):
             c = cfg[rng.randrange(3)]
-            top = pair(current, c) / -c.square()
+            top = Fraction(pair(current, c), -c.square())
             if top == 0:
                 continue
             eps = top * Fraction(rng.randint(1, 4), 4)
@@ -135,7 +141,7 @@ class TestAlternateInflate:
             for c2 in curves:
                 if c1 == c2 or pair(c1, c2) < 0:
                     continue
-                x = pair(c1, c2) ** 2 / (c1.square() * c2.square())
+                x = Fraction(pair(c1, c2) ** 2, c1.square() * c2.square())
                 if x > 1:
                     continue
                 dual = dual_cone(cone_from_rays([c1, c2]))
@@ -146,7 +152,7 @@ class TestAlternateInflate:
                     continue
                 a, _ = max_inflate(omega, c1)
                 got = alternate_inflate(a, c1, c2, 12)
-                l1 = pair(a, c2) / -c2.square()
+                l1 = Fraction(pair(a, c2), -c2.square())
                 assert got.odd_coefficients == tuple(l1 * x**j for j in range(6))
                 checked += 1
         assert checked >= 8
@@ -219,6 +225,19 @@ class TestAchieveVertex:
     def test_non_ray_intersection_rejected(self):
         with pytest.raises(InflationError):
             achieve_vertex(H(S3), [E(S3, 3)])
+
+
+class TestBrokenDivisions:
+    def test_a_broken_division_raises(self, monkeypatch):
+        # the orthogonality checks after each division raise, so they also
+        # hold under python -O
+        monkeypatch.setattr(inflation, "Fraction", lambda p, q=1: Fraction(p, q) * Fraction(101, 100))
+        with pytest.raises(InflationError, match="misses its hyperplane"):
+            max_inflate(H(S2) - E(S2, 1), E(S2, 1) - E(S2, 2))
+        with pytest.raises(InflationError, match="not orthogonal"):
+            alternate_inflate(H(S2) - E(S2, 2), E(S2, 1), E(S2, 2))
+        with pytest.raises(InflationError, match="not orthogonal"):
+            achieve_vertex(parse_class("2H-E1-E2", S2), [E(S2, 1), E(S2, 2)])
 
 
 class TestAchieveAllRays:

@@ -174,6 +174,25 @@ class TestLightCone:
                 assert b.is_zero()
 
 
+class TestCoefficients:
+    def test_floats_rejected(self):
+        s = rational_surface(1)
+        with pytest.raises(LatticeError):
+            divisor(s, [0.1, 0])
+        with pytest.raises(LatticeError):
+            0.1 * H(s)
+        with pytest.raises(LatticeError):
+            H(s) * 0.5
+
+    def test_int_unless_a_denominator_remains(self):
+        s = rational_surface(2)
+        x = divisor(s, [Fraction(4, 2), -1, Fraction(1, 2)])
+        assert [type(c) for c in x.coeffs] == [int, int, Fraction]
+        assert [type(c) for c in (2 * x).coeffs] == [int, int, int]
+        assert type(pair(H(s) - E(s, 1), 2 * x)) is int
+        assert type(parse_class("3H-E1-E2", s).square()) is int
+
+
 class TestLiteralsAndJson:
     def test_parse_examples(self):
         s = rational_surface(3)

@@ -1,0 +1,110 @@
+"""No-float guard: the functions that divide pairings return int or Fraction.
+
+``pair`` returns an int on integral classes, so a division of two pairings
+written ``p / q`` would give a float; each is written ``Fraction(p, q)``.
+Random integral and fractional inputs go through every function with such a
+division, and every number in the result is checked."""
+
+import dataclasses
+from fractions import Fraction
+from itertools import permutations
+
+from hypothesis import given, settings, strategies as st
+
+from conelab.cones import cone_from_rays, dual_cone, k_symplectic_cone, nef_threshold, ray_sum
+from conelab.enumeration import exceptional_classes, family_instances, negative_sphere_classes
+from conelab.inflation import achieve_vertex, alternate_inflate, max_inflate
+from conelab.lattice import (
+    DivisorClass,
+    adjunction_genus,
+    divisor,
+    pair,
+    parse_class,
+    rational_surface,
+    sorted_classes,
+)
+
+S3 = rational_surface(3)
+NEGATIVE = sorted_classes(family_instances(negative_sphere_classes(S3, n_bound=2)))
+# pairs with a common dual class of non-negative square, as alternate_inflate
+# needs; opposite classes leave only a hyperplane as their dual
+PAIRS = [
+    (c1, c2)
+    for c1, c2 in permutations(NEGATIVE, 2)
+    if c1 != -c2 and pair(c1, c2) >= 0 and pair(c1, c2) ** 2 <= c1.square() * c2.square()
+]
+CURVES = [parse_class(t, S3) for t in ("E3", "E2-E3", "H-E1-E2-E3", "-H+2E1-E2")]
+CURVE_DUAL_RAYS = dual_cone(cone_from_rays(CURVES)).rays()
+K_SYMPLECTIC = k_symplectic_cone(S3).cone
+EXTREMAL = sorted_classes(exceptional_classes(S3)) + [parse_class("H-E1", S3)]
+
+
+def numbers_in(lo, hi, n):
+    """Lists of n numbers in [lo, hi]: all int, or int and Fraction mixed, so
+    that integral inputs are as common as fractional ones."""
+    ints = st.integers(lo, hi)
+    mixed = ints | st.fractions(lo, hi, max_denominator=5)
+    return st.lists(ints, min_size=n, max_size=n) | st.lists(mixed, min_size=n, max_size=n)
+
+
+classes = numbers_in(-6, 6, S3.rank).map(lambda c: divisor(S3, c))
+
+
+def combination(weights, rays):
+    return sum((w * r for w, r in zip(weights, rays)), 0 * rays[0])
+
+
+def numbers(value):
+    """Every number in a result: class coefficients, and the fields of
+    dataclasses and tuples, recursively; flags are not numbers."""
+    if isinstance(value, DivisorClass):
+        yield from value.coeffs
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from numbers(getattr(value, field.name))
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from numbers(v)
+    elif not isinstance(value, bool):
+        yield value
+
+
+def assert_exact(*results):
+    for x in numbers(results):
+        assert type(x) in (int, Fraction), f"{x!r} is a {type(x).__name__}"
+
+
+@settings(deadline=None, max_examples=100)
+@given(classes, classes)
+def test_pair_and_adjunction_genus(x, y):
+    assert type(pair(x, x)) is int or not x.is_integral()
+    assert_exact(pair(x, x), pair(x, y), pair(y, y), adjunction_genus(x), adjunction_genus(y))
+
+
+@settings(deadline=None, max_examples=100)
+@given(classes, st.sampled_from(NEGATIVE), numbers_in(1, 4, 1))
+def test_max_inflate(a, c, scale):
+    c = scale[0] * c
+    assert_exact(max_inflate(a if pair(a, c) >= 0 else -a, c))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(PAIRS), numbers_in(1, 4, 3))
+def test_alternate_inflate(curves, scales):
+    c1, c2 = scales[0] * curves[0], scales[1] * curves[1]
+    start, _ = max_inflate(scales[2] * ray_sum(dual_cone(cone_from_rays([c1, c2]))), c1)
+    assert_exact(alternate_inflate(start, c1, c2, iterations=4))
+
+
+@settings(deadline=None, max_examples=60)
+@given(numbers_in(1, 4, len(CURVE_DUAL_RAYS) + 1), st.sampled_from(CURVE_DUAL_RAYS))
+def test_achieve_vertex(weights, ray):
+    tight = [weights[-1] * c for c in CURVES if pair(c, ray) == 0]
+    assert_exact(achieve_vertex(combination(weights, CURVE_DUAL_RAYS), tight))
+
+
+@settings(deadline=None, max_examples=60)
+@given(numbers_in(0, 4, len(K_SYMPLECTIC.rays()) + 1))
+def test_nef_threshold(weights):
+    omega = ray_sum(K_SYMPLECTIC) + combination(weights, K_SYMPLECTIC.rays())
+    assert_exact(nef_threshold(omega, [(1 + weights[-1]) * c for c in EXTREMAL]))
