@@ -306,7 +306,7 @@ def membership(cone: RationalCone, x: DivisorClass) -> Membership:
 class CornerInfo:
     ray: DivisorClass
     square: int
-    genus: Fraction
+    genus: int | Fraction
 
     @property
     def ok(self) -> bool:
@@ -382,7 +382,7 @@ def positive_dual(curve_cone: RationalCone | Iterable[DivisorClass]) -> Positive
 class AuditEntry:
     ray: DivisorClass
     k_pairing: int
-    genus: Fraction
+    genus: int | Fraction
     taxonomy: str  # "minus_one" | "fiber" | "line" | "violation"
 
     @property

@@ -261,8 +261,8 @@ def validate_configuration(cfg: NegativeConfiguration) -> ValidationReport:
 class BlowDownStep:
     before: DivisorClass
     after_same_lattice: DivisorClass
-    genus_before: Fraction
-    genus_after: Fraction
+    genus_before: int | Fraction
+    genus_after: int | Fraction
     pairing: int
     kept: bool
 

@@ -50,20 +50,19 @@ def reflect(x: DivisorClass, triple: tuple[int, int, int]) -> DivisorClass:
     i, j, l = triple
     if len({i, j, l}) != 3 or not all(1 <= t <= x.surface.k for t in (i, j, l)):
         raise LatticeError(f"bad reflection triple {triple}")
-    coeffs = [0] * x.surface.rank
-    coeffs[0] = 1
+    coeffs = list(x.coeffs)
+    d = coeffs[0] + coeffs[i] + coeffs[j] + coeffs[l]  # x.alpha
+    coeffs[0] += d
     for t in triple:
-        coeffs[t] = -1
-    alpha = divisor(x.surface, coeffs)
-    return x + pair(x, alpha) * alpha
+        coeffs[t] -= d
+    return divisor(x.surface, coeffs)
 
 
 def order(x: DivisorClass) -> DivisorClass:
     """Permute the Ei so the subtracted coefficients are non-increasing."""
     if not x.surface.is_rational:
         raise LatticeError("ordering applies to rational surfaces")
-    b = sorted(x.b_vector(), reverse=True)
-    return divisor(x.surface, [x.coeffs[0]] + [-v for v in b])
+    return divisor(x.surface, (x.coeffs[0], *sorted(x.coeffs[1:])))
 
 
 def is_ordered(x: DivisorClass) -> bool:
@@ -169,8 +168,6 @@ def cremona_equivalent(
 
     while frontiers[0] and frontiers[1]:
         side = 0 if len(parents[0]) <= len(parents[1]) else 1
-        if not frontiers[side]:
-            side = 1 - side
         for _ in range(len(frontiers[side])):
             node = frontiers[side].popleft()
             for nxt in _neighbors(node):
@@ -183,6 +180,4 @@ def cremona_equivalent(
                     return EquivalenceOutcome("equivalent", path=path_through(nxt))
                 if visited > budget:
                     return EquivalenceOutcome("unknown", "budget")
-        if not frontiers[0] and not frontiers[1]:
-            break
     return EquivalenceOutcome("distinct_by_invariant", "orbit_exhausted")

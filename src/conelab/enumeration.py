@@ -7,6 +7,9 @@ class aH - sum bi Ei.  A class of genus g and square -s satisfies
 
 so enumeration reduces to constrained sum/sum-of-squares searches with
 Cauchy-Schwarz pruning.  Families collect permutation orbits of the Ei.
+The -1 classes are the square -1 slice of the sphere-class search, and the
+sweeps make one pass over the positive-genus tuples, computing square, K.C
+and genus in int; a DivisorClass is built only for a reported class.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .lattice import (
     adjunction_genus,
     canonical_class,
     divisor,
-    pair,
     sorted_classes,
 )
 
@@ -153,25 +155,15 @@ def _require_small_rational(surface: SurfaceModel) -> None:
 
 
 def exceptional_classes(surface: SurfaceModel) -> frozenset[DivisorClass]:
-    """All integral classes with square -1 and genus 0 (k <= 8)."""
-    _require_small_rational(surface)
-    k = surface.k
-    found: set[DivisorClass] = set()
-    for a in range(7):
-        bound = a + 1
-        for b in _sum_square_solutions(k, 3 * a - 1, a * a + 1, -bound, bound):
-            for arr in distinct_arrangements(b):
-                found.add(_class_from_b(surface, a, arr))
-    for e in found:
-        assert pair(e, divisor(surface, [1] + [0] * k)) >= 0
-    return frozenset(found)
+    """All integral classes with square -1 and genus 0 (k <= 8): the square -1
+    slice of the sphere-class search."""
+    return family_instances(negative_sphere_classes(surface, n_bound=0, square=-1))
 
 
 def negative_sphere_classes(
     surface: SurfaceModel,
     n_bound: int = 2,
     square: int | None = None,
-    a_value: int | None = None,
     margin: int = 0,
 ) -> list[ClassFamily]:
     """Families of genus-0 classes with negative square.
@@ -179,32 +171,32 @@ def negative_sphere_classes(
     The part with positive H-degree is a finite list (degrees 1 through 6);
     the part with non-positive H-degree is the one-parameter anchored family
     -nH + (n+1)E_i - sum of further E's, materialized for n <= n_bound.
-    Optional filters restrict to an exact square or H-degree.
+    Given a square, the search visits only that square.
     """
     _require_small_rational(surface)
     k = surface.k
     families: dict[tuple, ClassFamily] = {}
 
+    def wanted(s: int) -> bool:
+        return square is None or s == -square
+
     def admit(fam: ClassFamily):
         c = fam.representative
-        assert adjunction_genus(c) == 0 and c.square() < 0
-        if square is not None and c.square() != square:
-            return
-        if a_value is not None and c.coeffs[0] != a_value:
-            return
+        if adjunction_genus(c) != 0 or c.square() >= 0:
+            raise LatticeError(f"search found {c}, not a negative sphere class")
         families.setdefault(fam.key(), fam)
 
     for a in range(1, 7 + margin):
         lo = -margin
         hi = a + 1 + margin
-        s = 1
-        while a * a + s <= k * hi * hi:
+        for s in filter(wanted, range(1, k * hi * hi - a * a + 1)):
             for b in _sum_square_solutions(k, 3 * a - 2 + s, a * a + s, lo, hi):
                 admit(_family_positive(surface, a, b))
-            s += 1
     for n in range(0, n_bound + 1):
         for m in range(0, k):
-            admit(_family_anchor(surface, n, m))
+            # (-nH + (n+1)E_i - m E's)^2 = n^2 - (n+1)^2 - m
+            if wanted(2 * n + 1 + m):
+                admit(_family_anchor(surface, n, m))
     return sorted(families.values(), key=lambda f: f.key())
 
 
@@ -218,8 +210,9 @@ def zero_square_sphere_classes(surface: SurfaceModel, margin: int = 0) -> list[C
         hi = a + 1 + margin
         for b in _sum_square_solutions(k, 3 * a - 2, a * a, lo, hi):
             fam = _family_positive(surface, a, b)
-            assert adjunction_genus(fam.representative) == 0
-            assert fam.representative.square() == 0
+            c = fam.representative
+            if adjunction_genus(c) != 0 or c.square() != 0:
+                raise LatticeError(f"search found {c}, not a square-zero sphere class")
             families.setdefault(fam.key(), fam)
     return sorted(families.values(), key=lambda f: f.key())
 
@@ -276,32 +269,6 @@ def _positive_genus_tuples(k: int, a: int, bound: int) -> Iterable[tuple[int, ..
             acc.pop()
 
     yield from rec(k, bound, budget, [])
-
-
-def _nonneg_square_high_k_tuples(k: int, a: int, bound: int) -> Iterable[tuple[int, ...]]:
-    """Non-increasing b with sum bi^2 <= a^2 and sum bi >= 3a."""
-
-    def rec(m: int, prev: int, sq_left: int, sum_needed: int, acc: list[int]):
-        if m == 0:
-            if sum_needed <= 0:
-                yield tuple(acc)
-            return
-        top = min(prev, bound, isqrt(sq_left))
-        for v in range(top, -bound - 1, -1):
-            nsq = sq_left - v * v
-            if nsq < 0:
-                continue
-            need = sum_needed - v
-            # remaining sum is at most min((m-1) v, sqrt((m-1) nsq))
-            if need > 0:
-                cap = min((m - 1) * v, isqrt((m - 1) * nsq)) if m > 1 else 0
-                if m == 1 or need > cap:
-                    continue
-            acc.append(v)
-            yield from rec(m - 1, v, nsq, need, acc)
-            acc.pop()
-
-    yield from rec(k, bound, a * a, 3 * a, [])
 
 
 @dataclass(frozen=True)
@@ -366,16 +333,21 @@ def sphere_class_sweeps(surface: SurfaceModel, bound: int = 8) -> SweepReport:
     if not surface.is_rational or surface.k > 9:
         raise LatticeError("sweeps cover blowups of the plane with k <= 9")
     k = surface.k
-    neg, zero, dim0, low, g1_bad, g1_eq = [], [], [], [], [], []
+    fields = neg, zero, dim0, low, g1_bad, g1_eq = [], [], [], [], [], []
     for a in range(1, bound + 1):
+        # every class with square >= 0 and K.C >= 0 has 2g - 2 = C.C + K.C >= 0,
+        # so this one search also covers nonneg_square_nonneg_k_pairing
         for b in _positive_genus_tuples(k, a, bound):
-            c = _class_from_b(surface, a, b)
-            sq = c.square()
-            g = adjunction_genus(c)
+            sq = a * a - sum(x * x for x in b)
+            kc = sum(b) - 3 * a
+            g = (sq + kc) // 2 + 1
+            c = (a, b)
             if sq < 0:
                 neg.append(c)
             elif sq == 0:
                 zero.append(c)
+            if sq >= 0 and kc >= 0:
+                dim0.append(c)
             if a <= 2 and sq >= 0 and g >= 1:
                 low.append(c)
             if g == 1:
@@ -383,17 +355,5 @@ def sphere_class_sweeps(surface: SurfaceModel, bound: int = 8) -> SweepReport:
                     g1_bad.append(c)
                 elif sq == 9 - k:
                     g1_eq.append(c)
-        for b in _nonneg_square_high_k_tuples(k, a, bound):
-            c = _class_from_b(surface, a, b)
-            if c.square() >= 0 and pair(canonical_class(surface), c) >= 0:
-                dim0.append(c)
-    return SweepReport(
-        surface,
-        bound,
-        tuple(sorted_classes(neg)),
-        tuple(sorted_classes(zero)),
-        tuple(sorted_classes(dim0)),
-        tuple(sorted_classes(low)),
-        tuple(sorted_classes(g1_bad)),
-        tuple(sorted_classes(g1_eq)),
-    )
+    classes = (sorted_classes(_class_from_b(surface, a, b) for a, b in f) for f in fields)
+    return SweepReport(surface, bound, *map(tuple, classes))

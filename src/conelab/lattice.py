@@ -18,6 +18,7 @@ that divides a pairing writes ``Fraction(p, q)``, since ``p / q`` is a float.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -262,9 +263,11 @@ def gram_functional(x: DivisorClass) -> tuple[int | Fraction, ...]:
     return head + tuple(-v for v in tail)
 
 
+@functools.cache
 def canonical_class(surface: SurfaceModel) -> DivisorClass:
     """The canonical class: -3H + sum Ei, or -2U + (2h-2)T + sum Ei, or
-    -2U + (2h-1)T + sum Ei depending on the bundle."""
+    -2U + (2h-1)T + sum Ei depending on the bundle.  Built once per surface;
+    classes are frozen, so every caller may share it."""
     ones = [1] * surface.k
     if surface.is_rational:
         return DivisorClass(surface, tuple([-3] + ones))
@@ -275,11 +278,11 @@ def canonical_class(surface: SurfaceModel) -> DivisorClass:
 def adjunction_genus(x: DivisorClass) -> int | Fraction:
     """Genus of a class by adjunction: (x.x + K.x)/2 + 1.
 
-    Integer whenever x is integral; lower bound for the genus of any
+    An int whenever x is integral; lower bound for the genus of any
     irreducible representative, with equality exactly for embedded ones.
     """
     k = canonical_class(x.surface)
-    return Fraction(pair(x, x) + pair(k, x), 2) + 1
+    return _exact(Fraction(pair(x, x) + pair(k, x), 2) + 1)
 
 
 def sw_dimension(x: DivisorClass) -> int | Fraction:

@@ -186,7 +186,8 @@ def non_extremal_witness(
             raise CertificateError(f"summand {p} not certified: {cert.reason}")
         certs.append((p, cert))
     dec = Decomposition(c, scale if scale else 1, tuple(certs))
-    assert dec.revalidate()
+    if not dec.revalidate():
+        raise CertificateError(f"the decomposition of {c} does not revalidate")
     return dec
 
 
@@ -223,12 +224,15 @@ def anti_canonical_eight_point_audit() -> AntiCanonicalAudit:
     anti = -1 * kc
     six = divisor(surface, [6, -3, -2, -2, -2, -2, -2, -2, -2])
     e1 = E(surface, 1)
-    assert Fraction(1, 2) * six + Fraction(1, 2) * e1 == anti
-    assert adjunction_genus(six) == 0 and adjunction_genus(e1) == 0
+    if Fraction(1, 2) * six + Fraction(1, 2) * e1 != anti:
+        raise CertificateError(f"({six} + {e1})/2 is not -K")
+    if adjunction_genus(six) != 0 or adjunction_genus(e1) != 0:
+        raise CertificateError(f"{six} or {e1} is not a sphere class")
     certs = []
     for part in (six, e1):
         cert = sw_certificate(surface, part)
-        assert isinstance(cert, SWCertificate)
+        if isinstance(cert, NoCertificate):
+            raise CertificateError(f"summand {part} not certified: {cert.reason}")
         certs.append(cert)
     floor = min(pair(anti, p) for p in certified_sw_classes(surface))
     if anti.square() == 1 and floor >= 1:

@@ -58,6 +58,17 @@ class TestReflect:
         with pytest.raises(LatticeError):
             reflect(H(rational_surface(2)), (1, 2, 3))
 
+    def test_matches_the_reflection_through_the_pairing(self):
+        # independent oracle: x + (x.alpha) alpha with alpha = H - Ei - Ej - El
+        rng = random.Random(17)
+        for _ in range(1000):
+            k = rng.randint(3, 8)
+            s = rational_surface(k)
+            x = divisor(s, [rng.randint(-9, 9) for _ in range(k + 1)])
+            triple = tuple(rng.sample(range(1, k + 1), 3))
+            alpha = H(s) - E(s, triple[0]) - E(s, triple[1]) - E(s, triple[2])
+            assert reflect(x, triple) == x + pair(x, alpha) * alpha
+
     @settings(deadline=None, max_examples=250)
     @given(integral_classes(), st.data())
     def test_preserves_form_and_canonical_and_is_involutive(self, x, data):

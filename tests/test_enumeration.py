@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conelab import enumeration
 from conelab.enumeration import (
     exceptional_classes,
     family_instances,
@@ -28,15 +29,15 @@ from conelab.lattice import (
 
 
 def brute_exceptional(k, a_hi=7, b_hi=8):
-    """Naive full product search for square -1, genus 0 classes."""
+    """Naive full product search for square -1, genus 0 classes: square and
+    K-pairing in plain int, a class built only for a hit."""
     s = rational_surface(k)
-    kc = canonical_class(s)
     out = set()
     for a in range(-2, a_hi):
         for bs in itertools.product(range(-b_hi, b_hi + 1), repeat=k):
-            c = divisor(s, [a] + [-b for b in bs])
-            if c.square() == -1 and pair(kc, c) == -1:
-                out.add(c)
+            # K.C = -3a + sum b = -1 and C.C = a^2 - sum b^2 = -1
+            if sum(bs) == 3 * a - 1 and sum(b * b for b in bs) == a * a + 1:
+                out.add(divisor(s, [a] + [-b for b in bs]))
     return out
 
 
@@ -84,10 +85,44 @@ class TestExceptionalClasses:
             assert divisor(s, coeffs) in got
 
 
+SWEEP_FIELDS = (
+    "negative_square_positive_genus",
+    "zero_square_positive_genus",
+    "nonneg_square_nonneg_k_pairing",
+    "low_degree_violations",
+    "genus_one_violations",
+    "genus_one_equality",
+)
+
+
+def brute_sweep(k, bound):
+    """The six SweepReport fields from their definitions, as (a, b) tuples,
+    over every non-increasing b in [-bound, bound]^k and degree 1..bound."""
+    fields = {name: [] for name in SWEEP_FIELDS}
+    for a in range(1, bound + 1):
+        for b in itertools.combinations_with_replacement(range(bound, -bound - 1, -1), k):
+            sq = a * a - sum(x * x for x in b)
+            kc = sum(b) - 3 * a
+            g = (sq + kc) // 2 + 1
+            for name, hit in zip(SWEEP_FIELDS, (
+                sq < 0 and g >= 1,
+                sq == 0 and g >= 1,
+                sq >= 0 and kc >= 0,
+                a <= 2 and sq >= 0 and g >= 1,
+                g == 1 and sq < 9 - k,
+                g == 1 and sq == 9 - k,
+            )):
+                if hit:
+                    fields[name].append((a, b))
+    return fields
+
+
 class TestNegativeSphereClasses:
     def test_k7_square_minus_one_degree_three(self):
         s = rational_surface(7)
-        fams = negative_sphere_classes(s, square=-1, a_value=3)
+        fams = [
+            f for f in negative_sphere_classes(s, square=-1) if f.representative.coeffs[0] == 3
+        ]
         got = family_instances(fams)
         want = set()
         for m in range(1, 8):
@@ -122,7 +157,9 @@ class TestNegativeSphereClasses:
 
     def test_k8_degree_six(self):
         s = rational_surface(8)
-        fams = negative_sphere_classes(s, square=-1, a_value=6)
+        fams = [
+            f for f in negative_sphere_classes(s, square=-1) if f.representative.coeffs[0] == 6
+        ]
         got = family_instances(fams)
         want = set()
         for m in range(1, 9):
@@ -140,6 +177,29 @@ class TestNegativeSphereClasses:
             for inst in fam.instances():
                 assert inst.square() == rep.square()
                 assert adjunction_genus(inst) == 0
+
+    @pytest.mark.parametrize("k", [2, 5, 8])
+    def test_square_slice_is_the_filtered_search(self, k):
+        s = rational_surface(k)
+        everything = negative_sphere_classes(s, n_bound=2)
+        for q in (-1, -2, -3, -5):
+            want = [f for f in everything if f.representative.square() == q]
+            assert negative_sphere_classes(s, n_bound=2, square=q) == want
+        assert negative_sphere_classes(s, square=0) == []
+        assert negative_sphere_classes(s, square=1) == []
+
+
+class TestBrokenSearch:
+    def test_a_class_off_its_equations_raises(self, monkeypatch):
+        # the searches check what they found by raising, so the checks also
+        # hold under python -O
+        monkeypatch.setattr(enumeration, "adjunction_genus", lambda c: 1)
+        with pytest.raises(LatticeError, match="not a negative sphere class"):
+            negative_sphere_classes(rational_surface(2))
+        with pytest.raises(LatticeError, match="not a negative sphere class"):
+            exceptional_classes(rational_surface(2))
+        with pytest.raises(LatticeError, match="not a square-zero sphere class"):
+            zero_square_sphere_classes(rational_surface(2))
 
 
 class TestZeroSquareClasses:
@@ -245,6 +305,16 @@ class TestSweeps:
     def test_no_nonnegative_k_pairing_class_small_k(self):
         sweep = sphere_class_sweeps(rational_surface(3), bound=6)
         assert sweep.nonneg_square_nonneg_k_pairing == ()
+
+    @pytest.mark.parametrize("k,bound", [(4, 8), (9, 4)])
+    def test_every_field_matches_brute_force(self, k, bound):
+        sweep = sphere_class_sweeps(rational_surface(k), bound=bound)
+        want = brute_sweep(k, bound)
+        for name in SWEEP_FIELDS:
+            got = [(c.coeffs[0], c.b_vector()) for c in getattr(sweep, name)]
+            assert sorted(got) == sorted(want[name]), name
+        if k == 9:
+            assert want["nonneg_square_nonneg_k_pairing"] == [(3, (1,) * 9)]
 
     def test_genus_one_brute_force_small_k(self):
         # independent loops: every genus-1 class with positive degree on

@@ -105,6 +105,11 @@ class TestGenusAndDimension:
         assert adjunction_genus(H(s)) == 0  # (1 - 3)/2 + 1
         assert adjunction_genus(E(s, 1)) == 0  # (-1 - 1)/2 + 1
 
+    def test_genus_is_an_int_on_integral_classes(self):
+        s = rational_surface(1)
+        assert type(adjunction_genus(E(s, 1))) is int
+        assert adjunction_genus(Fraction(1, 3) * H(s)) == Fraction(5, 9)
+
     def test_sextic_with_one_triple_point(self):
         # C^2 = -1 and K.C = -1 by the pairing oracle, so genus 0
         s = rational_surface(8)

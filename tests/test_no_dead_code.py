@@ -13,7 +13,10 @@ Every defaulted parameter of a package function, method or constructor
 some call in ``src/`` or ``tests/``.  Calls are matched by the called name,
 so a function referenced as a value (``makers[name](ns)``; a type
 annotation is not a value) or called with ``*args``/``**kwargs`` counts as
-passing every parameter."""
+passing every parameter.
+
+The package holds no ``assert`` statement: ``python -O`` strips them, so an
+invariant is checked by raising."""
 
 import ast
 from pathlib import Path
@@ -160,3 +163,13 @@ def test_every_defaulted_parameter_is_passed():
         )
     )
     assert not unpassed, "defaulted parameters no call passes: " + ", ".join(unpassed)
+
+
+def test_no_assert_in_the_package():
+    found = sorted(
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in _trees(PACKAGE)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    )
+    assert not found, "assert statements in the package: " + ", ".join(found)

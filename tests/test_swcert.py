@@ -2,6 +2,7 @@
 
 import pytest
 
+from conelab import swcert
 from conelab.enumeration import exceptional_classes
 from conelab.lattice import (
     E,
@@ -142,3 +143,27 @@ class TestAntiCanonicalAudit:
         from fractions import Fraction
 
         assert Fraction(1, 2) * half_sum == -1 * canonical_class(s8)
+
+
+class TestBrokenInvariants:
+    # the certificate checks raise, so they also hold under python -O
+    def test_a_decomposition_that_does_not_revalidate_raises(self, monkeypatch):
+        s = trivial_ruled(2)
+        monkeypatch.setattr(Decomposition, "revalidate", lambda self: False)
+        with pytest.raises(CertificateError, match="does not revalidate"):
+            non_extremal_witness(s, parse_class("2U+3T", s))
+
+    def test_a_wrong_splitting_of_minus_k_raises(self, monkeypatch):
+        monkeypatch.setattr(swcert, "E", lambda surface, i: E(surface, 2))
+        with pytest.raises(CertificateError, match="is not -K"):
+            anti_canonical_eight_point_audit()
+
+    def test_a_summand_of_positive_genus_raises(self, monkeypatch):
+        monkeypatch.setattr(swcert, "adjunction_genus", lambda c: 1)
+        with pytest.raises(CertificateError, match="not a sphere class"):
+            anti_canonical_eight_point_audit()
+
+    def test_an_uncertified_summand_raises(self, monkeypatch):
+        monkeypatch.setattr(swcert, "sw_certificate", lambda surface, e: NoCertificate(e, "none"))
+        with pytest.raises(CertificateError, match="not certified"):
+            anti_canonical_eight_point_audit()
