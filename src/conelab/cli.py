@@ -114,14 +114,10 @@ def cmd_enumerate(args) -> int:
     surface = _surface_from_args(args)
     if args.genus != 0:
         raise UsageError("only genus-0 enumeration is finite; use --genus 0")
-    if args.square is not None and args.square >= 0 and args.square != 0:
+    if args.square > 0:
         raise UsageError("positive-square classes are not enumerable")
     if args.square == 0:
         families = enumeration.zero_square_sphere_classes(surface)
-    elif args.square == -1 and args.nbound is None:
-        classes = sorted_classes(enumeration.exceptional_classes(surface))
-        _print_classes(classes, args)
-        return 0
     else:
         families = enumeration.negative_sphere_classes(
             surface, n_bound=args.nbound if args.nbound is not None else 2,

@@ -62,17 +62,17 @@ def _dd_pointed(ineqs: list[IntVec], dim: int) -> list[IntVec]:
     negative ray are adjacent when their common tight set has at least
     dim - 2 rows and no third ray is tight on all of it.
     """
-    chosen: list[int] = []
-    for i, a in enumerate(ineqs):
-        if linalg.rank([ineqs[j] for j in chosen] + [a]) > len(chosen):
-            chosen.append(i)
-            if len(chosen) == dim:
-                break
-    if (inv := linalg.invert([ineqs[i] for i in chosen])) is None:
+    # one row reduction of [A^T | I]: its pivot columns are the first rows
+    # that span, and row c of its identity block is column c of the inverse
+    # of those rows, the start ray tight on every chosen row but the c-th
+    m = len(ineqs)
+    reduced, chosen = linalg.rref(
+        [[a[r] for a in ineqs] + [int(r == c) for c in range(dim)] for r in range(dim)]
+    )
+    if chosen[-1] >= m:
         raise ConeError(f"the inequalities do not span a space of dimension {dim}")
-    # column c of the inverse is tight on every starting row but the c-th
     start = sum(1 << i for i in chosen)
-    rays = [linalg.primitive([row[c] for row in inv]) for c in range(dim)]
+    rays = [linalg.primitive(row[m:]) for row in reduced]
     tights = [start ^ (1 << i) for i in chosen]
     for idx, a in enumerate(ineqs):
         bit = 1 << idx
@@ -111,21 +111,14 @@ def extreme_rays_h(ineqs: Sequence[Vec], dim: int) -> tuple[list[IntVec], list[I
     """Extreme rays and lineality basis of {x : a.x >= 0 for all a}, as
     primitive integer vectors.
 
-    The pointed part is computed inside the row space of the inequalities,
-    in coordinates of a primitive integer basis of it; any basis gives the
-    same cone, so projection and lift stay in int.
+    The rays are those of the cone meet the orthogonal complement of its
+    lineality: the lineality enters the double description as equation rows
+    v >= 0 and -v >= 0, and with them the rows span R^dim.
     """
     ineqs = [linalg.primitive(a) for a in ineqs if not linalg.is_zero(a)]
-    if not ineqs:
-        return [], [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    lineality = linalg.nullspace(ineqs, dim)
-    w_basis = [linalg.primitive(w) for w in linalg.rref(ineqs)[0]]
-    projected = [linalg.primitive([sum(map(mul, a, w)) for w in w_basis]) for a in ineqs]
-    rays = [
-        linalg.primitive([sum(map(mul, t, col)) for col in zip(*w_basis)])
-        for t in _dd_pointed(projected, len(w_basis))
-    ]
-    return rays, [linalg.sign_normalized(linalg.primitive(v)) for v in lineality]
+    lineality = [linalg.sign_normalized(linalg.primitive(v)) for v in linalg.nullspace(ineqs, dim)]
+    rows = ineqs + lineality + [tuple(-x for x in v) for v in lineality]
+    return _dd_pointed(rows, dim), lineality
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +127,15 @@ def extreme_rays_h(ineqs: Sequence[Vec], dim: int) -> tuple[list[IntVec], list[I
 
 
 class RationalCone:
-    """A polyhedral cone of divisor classes with lazily computed V/H data.
+    """A polyhedral cone of divisor classes: cone(rays) + span(lineality),
+    equal to {x : pair(x, f) >= 0 for all facets, pair(x, e) = 0 for all
+    equations}.
 
-    The cone is cone(rays) + span(lineality) and equals
-    {x : pair(x, f) >= 0 for all facets, pair(x, e) = 0 for all equations}.
+    The rays are generators.  A cone built from facets computes them, as
+    extreme rays with a lineality basis, when it is built; a cone built
+    from rays keeps them as given, interior or opposite ones included, with
+    no lineality (extremal_rays gives the minimal ones).  The facets of a
+    cone built from rays are computed on first use.
     """
 
     def __init__(
@@ -145,28 +143,31 @@ class RationalCone:
         ambient: SurfaceModel,
         rays: Sequence[DivisorClass] | None = None,
         facets: Sequence[DivisorClass] | None = None,
-        equations: Sequence[DivisorClass] | None = None,
+        equations: Sequence[DivisorClass] = (),
     ):
         if rays is None and facets is None:
             raise ConeError("a cone needs rays or facets")
         self.ambient = ambient
-        self._rays = None if rays is None else tuple(rays)
-        self._lineality = None if rays is None else ()
         self._facets = None if facets is None else tuple(facets)
-        self._equations = None if equations is None else tuple(equations)
-        if facets is not None and equations is None:
-            self._equations = ()
+        self._equations = None if facets is None else tuple(equations)
+        lineality: Sequence[DivisorClass] = ()
+        if rays is None:
+            ineqs = [gram_functional(f) for f in facets]
+            for e in equations:
+                q = gram_functional(e)
+                ineqs += [q, tuple(-x for x in q)]
+            rays, lineality = extreme_rays_h(ineqs, ambient.rank)
+            rays = sorted_classes(divisor(ambient, r) for r in rays)
+            lineality = sorted_classes(divisor(ambient, v) for v in lineality)
+        self._rays = tuple(rays)
+        self._lineality = tuple(lineality)
 
     # -- representations ---------------------------------------------------
 
     def rays(self) -> tuple[DivisorClass, ...]:
-        if self._rays is None:
-            self._compute_v_rep()
         return self._rays
 
     def lineality(self) -> tuple[DivisorClass, ...]:
-        if self._lineality is None:
-            self._compute_v_rep()
         return self._lineality
 
     def facets(self) -> tuple[DivisorClass, ...]:
@@ -179,36 +180,19 @@ class RationalCone:
             self._compute_h_rep()
         return self._equations
 
-    def _compute_v_rep(self):
-        ineqs = [gram_functional(f) for f in self._facets]
-        for e in self._equations:
-            q = gram_functional(e)
-            ineqs.append(q)
-            ineqs.append(tuple(-x for x in q))
-        rays, lin = extreme_rays_h(ineqs, self.ambient.rank)
-        self._rays = tuple(sorted_classes(divisor(self.ambient, r) for r in rays))
-        self._lineality = tuple(sorted_classes(divisor(self.ambient, v) for v in lin))
-
     def _compute_h_rep(self):
         dual = dual_cone(self)
         self._facets = dual.rays()
         self._equations = dual.lineality()
 
-    def is_pointed(self) -> bool:
-        return not self.lineality()
-
     def __repr__(self) -> str:
-        parts = []
-        if self._rays is not None:
-            parts.append("rays " + ", ".join(str(r) for r in self._rays))
+        parts = ["rays " + ", ".join(str(r) for r in self._rays)]
         if self._facets is not None:
             parts.append("facets " + ", ".join(str(f) for f in self._facets))
         return f"RationalCone({'; '.join(parts)})"
 
     def to_json(self) -> dict:
-        d: dict = {"surface": self.ambient.to_json()}
-        if self._rays is not None:
-            d["rays"] = [str(r) for r in self._rays]
+        d: dict = {"surface": self.ambient.to_json(), "rays": [str(r) for r in self._rays]}
         if self._facets is not None:
             d["facets"] = [str(f) for f in self._facets]
         return d
@@ -245,11 +229,8 @@ def cone_from_facets(facets: Iterable[DivisorClass]) -> RationalCone:
 
 def dual_cone(cone: RationalCone) -> RationalCone:
     """The pairing-dual {y : pair(y, r) >= 0 on all generators}: the cone cut
-    out by the rays as facets and the lineality as equations, with its own
-    rays computed."""
-    dual = RationalCone(cone.ambient, facets=cone.rays(), equations=cone.lineality())
-    dual.rays()
-    return dual
+    out by the rays as facets and the lineality as equations."""
+    return RationalCone(cone.ambient, facets=cone.rays(), equations=cone.lineality())
 
 
 def ray_sum(cone: RationalCone) -> DivisorClass | None:
@@ -260,13 +241,8 @@ def ray_sum(cone: RationalCone) -> DivisorClass | None:
 
 
 def extremal_rays(cone: RationalCone) -> list[DivisorClass]:
-    """Minimal generating rays; raises NonPointedError on a lineality space."""
-    if not cone.is_pointed():
-        raise NonPointedError(list(cone.lineality()))
-    rays = cone.rays()
-    if cone._facets is not None or cone._rays is None:
-        return list(rays)
-    # V-representation input: run the round trip to drop interior generators
+    """Minimal generating rays: the rays of the double dual, which drops
+    interior generators; raises NonPointedError on its lineality."""
     hull = dual_cone(dual_cone(cone))
     if hull.lineality():
         raise NonPointedError(list(hull.lineality()))

@@ -281,11 +281,12 @@ class SweepReport:
                                        k <= 8; multiples of -K for k = 9);
     nonneg_square_nonneg_k_pairing  -- square >= 0 and K.C >= 0 (empty for
                                        k < 9; multiples of -K for k = 9);
-    low_degree_violations           -- degree <= 2, square >= 0, genus >= 1;
     genus_one_violations            -- genus 1 and square < 9 - k;
     genus_one_equality              -- genus 1 and square = 9 - k.
 
-    The last three feed the genus bounds for k < 9 (genus_bound_ok).
+    The last three feed the genus bounds for k < 9 (genus_bound_ok).  No
+    field lists classes of degree a <= 2 and positive genus: there are none,
+    as g = (a-1)(a-2)/2 - sum bi(bi-1)/2 <= 0 for a <= 2.
     """
 
     surface: SurfaceModel
@@ -293,7 +294,6 @@ class SweepReport:
     negative_square_positive_genus: tuple[DivisorClass, ...]
     zero_square_positive_genus: tuple[DivisorClass, ...]
     nonneg_square_nonneg_k_pairing: tuple[DivisorClass, ...]
-    low_degree_violations: tuple[DivisorClass, ...]
     genus_one_violations: tuple[DivisorClass, ...]
     genus_one_equality: tuple[DivisorClass, ...]
 
@@ -309,14 +309,13 @@ class SweepReport:
 
     @property
     def genus_bound_ok(self) -> bool:
-        """For k < 9: degree <= 2 forces genus <= 0; genus-1 classes have
-        square >= 9 - k, with equality exactly for 3H - E1 - ... - Ek; and no
-        class has square >= 0 and K.C >= 0."""
+        """For k < 9: genus-1 classes have square >= 9 - k, with equality
+        exactly for 3H - E1 - ... - Ek; and no class has square >= 0 and
+        K.C >= 0."""
         if self.surface.k >= 9:
             raise LatticeError("the genus bounds need k < 9")
         return (
-            not self.low_degree_violations
-            and not self.genus_one_violations
+            not self.genus_one_violations
             and not self.nonneg_square_nonneg_k_pairing
             and self.genus_one_equality
             == (divisor(self.surface, [3] + [-1] * self.surface.k),)
@@ -333,7 +332,7 @@ def sphere_class_sweeps(surface: SurfaceModel, bound: int = 8) -> SweepReport:
     if not surface.is_rational or surface.k > 9:
         raise LatticeError("sweeps cover blowups of the plane with k <= 9")
     k = surface.k
-    fields = neg, zero, dim0, low, g1_bad, g1_eq = [], [], [], [], [], []
+    fields = neg, zero, dim0, g1_bad, g1_eq = [], [], [], [], []
     for a in range(1, bound + 1):
         # every class with square >= 0 and K.C >= 0 has 2g - 2 = C.C + K.C >= 0,
         # so this one search also covers nonneg_square_nonneg_k_pairing
@@ -348,8 +347,6 @@ def sphere_class_sweeps(surface: SurfaceModel, bound: int = 8) -> SweepReport:
                 zero.append(c)
             if sq >= 0 and kc >= 0:
                 dim0.append(c)
-            if a <= 2 and sq >= 0 and g >= 1:
-                low.append(c)
             if g == 1:
                 if sq < 9 - k:
                     g1_bad.append(c)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg
 from .cones import cone_from_rays, positive_dual
 from .lattice import DivisorClass, pair, proportional
 
@@ -220,8 +219,8 @@ def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> VertexAch
             ray = -1 * ray
         trace = InflationTrace(a, (), ray, limit_formula_used=True)
         return VertexAchievement(ray, trace, True)
-    n = a.surface.rank
-    if linalg.rank([c.coeffs for c in ortho]) != n - 1:
+    # pairwise orthogonal classes of negative square are linearly independent
+    if len(ortho) != a.surface.rank - 1:
         raise InflationError("facet intersection is not a single ray")
     steps = []
     current = a

@@ -1,6 +1,6 @@
 """Small exact linear algebra on vectors that mix int and Fraction entries, as
-class coefficients do: row reduction, kernels and inverses over Fraction (the
-pivots divide), and primitive normalization of rational and integer vectors."""
+class coefficients do: row reduction and kernels over Fraction (the pivots
+divide), and primitive normalization of rational and integer vectors."""
 
 from __future__ import annotations
 
@@ -48,10 +48,6 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
     return [tuple(row) for row in mat[:r]], pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[0])
-
-
 def nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[Vec]:
     """Basis of {x : row . x = 0 for every row}."""
     reduced, pivots = rref(rows)
@@ -64,19 +60,6 @@ def nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[Vec]:
             v[p] = -row[f]
         basis.append(tuple(v))
     return basis
-
-
-def invert(rows: Sequence[Sequence[Fraction]]) -> list[Vec] | None:
-    """Inverse of a square matrix, or None if it is singular or not square."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        return None
-    aug = [list(Fraction(x) for x in row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    reduced, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [tuple(row[n:]) for row in reduced]
 
 
 def primitive(v: Sequence) -> IntVec:

@@ -45,6 +45,13 @@ class TestEnumerate:
         assert code == 0
         assert len(out.strip().splitlines()) == 15
 
+    def test_exceptional_families(self, capsys):
+        # the default square -1 honours --families: E1 and H-E1-E2 up to
+        # permuting the E's on three blowups
+        code, out, _ = run(capsys, "enumerate", "--k", "3", "--families")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 2
+
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "enumerate", "--k", "3", "--square=-1")
         _, second, _ = run(capsys, "enumerate", "--k", "3", "--square=-1")

@@ -6,7 +6,9 @@ imported ``from`` that module (or re-exported by the package and imported
 from it), so ``linalg.add`` is not kept alive by ``set.add``.  A method
 counts as used by any name, attribute or import alias it matches.  A
 function passed to a registering decorator defined in its own module, such
-as ``@check(...)`` in ``verify``, counts as used.
+as ``@check(...)`` in ``verify``, counts as used.  A private (``_``-prefixed)
+top-level function is used when its own module names it outside its own
+body, or a test names it.
 
 Every defaulted parameter of a package function, method or constructor
 (``__init__`` or dataclass field) is passed, by position or by keyword, by
@@ -89,6 +91,30 @@ def test_every_public_name_is_used():
         if (name not in bare if module is None else (module, name) not in qualified)
     )
     assert not unused, "never used in src/ or tests/: " + ", ".join(unused)
+
+
+def test_every_private_function_is_used():
+    in_tests = set()
+    for _, tree in _trees(ROOT / "tests"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                in_tests.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                in_tests.add(node.attr)
+            elif isinstance(node, ast.alias):
+                in_tests.add(node.name.rsplit(".", 1)[-1])
+    unused = []
+    for path, tree in _trees(PACKAGE):
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_"):
+                continue
+            if fn.name in in_tests:
+                continue
+            own_body = {id(n) for n in ast.walk(fn)}
+            if not any(isinstance(n, ast.Name) and n.id == fn.name and id(n) not in own_body
+                       for n in ast.walk(tree)):
+                unused.append(f"{path.stem}.{fn.name}")
+    assert not unused, "private functions never used: " + ", ".join(sorted(unused))
 
 
 def _parameters(args):
