@@ -219,11 +219,15 @@ def cmd_cone(args) -> int:
         if not args.rays:
             raise UsageError("supply --rays or --rays-file")
         rays = _classes_from_arg(args.rays, surface)
-    dual = cones.dual_cone(cones.cone_from_rays(rays))
+    cone = cones.cone_from_rays(rays)
+    dual = cones.dual_cone(cone)
     if args.json:
-        out = dual.to_json()
-        out["lineality"] = [str(v) for v in dual.lineality()]
-        print(json.dumps(out))
+        print(json.dumps({
+            "surface": dual.ambient.to_json(),
+            "rays": [str(r) for r in dual.rays()],
+            "facets": [str(f) for f in cone.rays()],
+            "lineality": [str(v) for v in dual.lineality()],
+        }))
     else:
         for r in dual.rays():
             print(format_class(r, paper_signs=args.paper_signs))

@@ -1,11 +1,11 @@
 """Exact rational polyhedral cones under the intersection pairing.
 
-Cones are generated by divisor classes (V-representation) or cut out by
-pairing inequalities pair(facet, .) >= 0 (H-representation).  Conversion in
-both directions runs the double description method on primitive integer
-vectors, with bitmask tight sets and the combinatorial adjacency test;
-ranks in this package never exceed 10, so no effort is spent on sparse or
-floating point shortcuts.
+A cone is held by its rays and a lineality basis.  The inequalities
+pair(facet, .) >= 0 that cut it out are the rays of its dual, and
+dual_cone, the one entry to the double description, finds them on
+primitive integer vectors, with bitmask tight sets and the combinatorial
+adjacency test; ranks in this package never exceed 10, so no effort is
+spent on sparse or floating point shortcuts.
 """
 
 from __future__ import annotations
@@ -127,42 +127,24 @@ def extreme_rays_h(ineqs: Sequence[Vec], dim: int) -> tuple[list[IntVec], list[I
 
 
 class RationalCone:
-    """A polyhedral cone of divisor classes: cone(rays) + span(lineality),
-    equal to {x : pair(x, f) >= 0 for all facets, pair(x, e) = 0 for all
-    equations}.
+    """A polyhedral cone of divisor classes: cone(rays) + span(lineality).
 
-    The rays are generators.  A cone built from facets computes them, as
-    extreme rays with a lineality basis, when it is built; a cone built
-    from rays keeps them as given, interior or opposite ones included, with
-    no lineality (extremal_rays gives the minimal ones).  The facets of a
-    cone built from rays are computed on first use.
+    A cone built from rays keeps its generators as given, interior or
+    opposite ones included, with no lineality (extremal_rays gives the
+    minimal ones); a dual holds its extreme rays and a lineality basis.  The
+    inequalities of a cone are its dual: pair(x, f) >= 0 on the dual's rays
+    and pair(x, e) = 0 on its lineality.
     """
 
     def __init__(
         self,
         ambient: SurfaceModel,
-        rays: Sequence[DivisorClass] | None = None,
-        facets: Sequence[DivisorClass] | None = None,
-        equations: Sequence[DivisorClass] = (),
+        rays: Sequence[DivisorClass],
+        lineality: Sequence[DivisorClass] = (),
     ):
-        if rays is None and facets is None:
-            raise ConeError("a cone needs rays or facets")
         self.ambient = ambient
-        self._facets = None if facets is None else tuple(facets)
-        self._equations = None if facets is None else tuple(equations)
-        lineality: Sequence[DivisorClass] = ()
-        if rays is None:
-            ineqs = [gram_functional(f) for f in facets]
-            for e in equations:
-                q = gram_functional(e)
-                ineqs += [q, tuple(-x for x in q)]
-            rays, lineality = extreme_rays_h(ineqs, ambient.rank)
-            rays = sorted_classes(divisor(ambient, r) for r in rays)
-            lineality = sorted_classes(divisor(ambient, v) for v in lineality)
         self._rays = tuple(rays)
         self._lineality = tuple(lineality)
-
-    # -- representations ---------------------------------------------------
 
     def rays(self) -> tuple[DivisorClass, ...]:
         return self._rays
@@ -170,32 +152,8 @@ class RationalCone:
     def lineality(self) -> tuple[DivisorClass, ...]:
         return self._lineality
 
-    def facets(self) -> tuple[DivisorClass, ...]:
-        if self._facets is None:
-            self._compute_h_rep()
-        return self._facets
-
-    def equations(self) -> tuple[DivisorClass, ...]:
-        if self._equations is None:
-            self._compute_h_rep()
-        return self._equations
-
-    def _compute_h_rep(self):
-        dual = dual_cone(self)
-        self._facets = dual.rays()
-        self._equations = dual.lineality()
-
     def __repr__(self) -> str:
-        parts = ["rays " + ", ".join(str(r) for r in self._rays)]
-        if self._facets is not None:
-            parts.append("facets " + ", ".join(str(f) for f in self._facets))
-        return f"RationalCone({'; '.join(parts)})"
-
-    def to_json(self) -> dict:
-        d: dict = {"surface": self.ambient.to_json(), "rays": [str(r) for r in self._rays]}
-        if self._facets is not None:
-            d["facets"] = [str(f) for f in self._facets]
-        return d
+        return "RationalCone(rays " + ", ".join(str(r) for r in self._rays) + ")"
 
 
 def _normalized_generators(gens: Iterable[DivisorClass]) -> tuple[SurfaceModel, list[DivisorClass]]:
@@ -219,18 +177,27 @@ def _normalized_generators(gens: Iterable[DivisorClass]) -> tuple[SurfaceModel, 
 
 def cone_from_rays(rays: Iterable[DivisorClass]) -> RationalCone:
     surface, gens = _normalized_generators(rays)
-    return RationalCone(surface, rays=gens)
+    return RationalCone(surface, gens)
 
 
 def cone_from_facets(facets: Iterable[DivisorClass]) -> RationalCone:
-    surface, gens = _normalized_generators(facets)
-    return RationalCone(surface, facets=gens)
+    """The cone {x : pair(x, f) >= 0 for all facets f}."""
+    return dual_cone(cone_from_rays(facets))
 
 
 def dual_cone(cone: RationalCone) -> RationalCone:
-    """The pairing-dual {y : pair(y, r) >= 0 on all generators}: the cone cut
-    out by the rays as facets and the lineality as equations."""
-    return RationalCone(cone.ambient, facets=cone.rays(), equations=cone.lineality())
+    """The pairing-dual {y : pair(y, r) >= 0 on the rays, = 0 on the
+    lineality}, with its extreme rays and lineality basis sorted."""
+    ineqs = [gram_functional(r) for r in cone.rays()]
+    for v in cone.lineality():
+        q = gram_functional(v)
+        ineqs += [q, tuple(-x for x in q)]
+    rays, lineality = extreme_rays_h(ineqs, cone.ambient.rank)
+    return RationalCone(
+        cone.ambient,
+        sorted_classes(divisor(cone.ambient, r) for r in rays),
+        sorted_classes(divisor(cone.ambient, v) for v in lineality),
+    )
 
 
 def ray_sum(cone: RationalCone) -> DivisorClass | None:
@@ -257,18 +224,20 @@ class Membership:
 
 
 def membership(cone: RationalCone, x: DivisorClass) -> Membership:
-    """Exact position of x relative to the cone, with a certificate."""
-    for e in cone.equations():
+    """Exact position of x relative to the cone, with a certificate read
+    from the rays (facets) and lineality (equations) of its dual."""
+    inequalities = dual_cone(cone)
+    for e in inequalities.lineality():
         if pair(x, e) != 0:
             return Membership("outside", violated=e)
     tight = []
-    for f in cone.facets():
+    for f in inequalities.rays():
         v = pair(x, f)
         if v < 0:
             return Membership("outside", violated=f)
         if v == 0:
             tight.append(f)
-    if not tight and not cone.equations():
+    if not tight and not inequalities.lineality():
         return Membership("interior")
     return Membership("boundary", tight=tuple(tight))
 
@@ -312,7 +281,7 @@ def k_symplectic_cone(surface: SurfaceModel) -> KSymplecticCone:
     if surface.k > 8:
         raise ConeError("infinitely many -1 classes for k >= 9")
     if surface.k == 0:
-        cone = RationalCone(surface, rays=(H(surface),), facets=(H(surface),))
+        cone = cone_from_rays([H(surface)])
     elif surface.k == 1:
         cone = cone_from_rays([H(surface), H(surface) - E(surface, 1)])
     else:
@@ -339,9 +308,7 @@ class PositiveDual:
     polytopic: bool
 
 
-def positive_dual(curve_cone: RationalCone | Iterable[DivisorClass]) -> PositiveDual:
-    if not isinstance(curve_cone, RationalCone):
-        curve_cone = cone_from_rays(curve_cone)
+def positive_dual(curve_cone: RationalCone) -> PositiveDual:
     dual = dual_cone(curve_cone)
     evidence = [r for r in dual.rays() if r.square() < 0]
     evidence += [v for v in dual.lineality() if v.square() < 0]

@@ -18,7 +18,7 @@ from functools import cache, cached_property
 from typing import Sequence
 
 from . import exactlp
-from .cones import cone_from_rays, positive_dual, ray_sum
+from .cones import cone_from_rays, dual_cone, ray_sum
 from .enumeration import (
     exceptional_classes,
     family_instances,
@@ -210,8 +210,12 @@ def validate_configuration(cfg: NegativeConfiguration) -> ValidationReport:
     known = gens + list(certified)
 
     # P2: an explicit rational class of positive square pairing positively
-    # with the curves and with every certified class
-    witness = ray_sum(positive_dual(cone_from_rays(gens)).linear_dual)
+    # with the curves and with every certified class; the certified classes
+    # join the curves when there are none or they leave a lineality
+    dual = dual_cone(cone_from_rays(gens)) if gens else None
+    if dual is None or dual.lineality():
+        dual = dual_cone(cone_from_rays(known))
+    witness = ray_sum(dual)
     if witness is None:
         p2 = PropertyResult(False, "dual cone has no extremal rays")
     else:
@@ -229,15 +233,12 @@ def validate_configuration(cfg: NegativeConfiguration) -> ValidationReport:
     # and the other certified classes
     decomps = []
     failed = []
-    if surface.is_rational:
-        targets = sorted_classes(exceptional_classes(surface))
-    else:
-        targets = []
     columns = [g.coeffs for g in known]
-    # every -1 class is certified; its own column is left out
-    column_of = {c: len(gens) + i for i, c in enumerate(certified)}
-    for target in targets:
-        i = column_of[target]
+    # the -1 classes are the square -1 slice of the certified ones; each
+    # target's own column is left out
+    for i, target in enumerate(certified, start=len(gens)):
+        if target.square() != -1:
+            continue
         coeffs = exactlp.nonnegative_combination(columns[:i] + columns[i + 1 :], target.coeffs)
         if coeffs is None:
             failed.append(target)

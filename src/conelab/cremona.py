@@ -9,7 +9,6 @@ x0 >= x1 + x2 + x3 and every xi >= 0.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -18,23 +17,12 @@ from typing import Iterable
 from .lattice import (
     DivisorClass,
     LatticeError,
-    ParseError,
     canonical_class,
     divisor,
     pair,
 )
 
 DEFAULT_BUDGET = 10_000
-
-
-def _budget(default: int) -> int:
-    value = os.environ.get("CONELAB_MAX_STEPS")
-    if not value:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"CONELAB_MAX_STEPS={value!r} is not an integer") from None
 
 
 def _require_cremona_surface(x: DivisorClass) -> None:
@@ -95,7 +83,6 @@ def cremona_reduce(x: DivisorClass, max_steps: int = 1_000) -> ReductionOutcome:
     reduce; -1 sphere classes always cycle.
     """
     _require_cremona_surface(x)
-    max_steps = _budget(max_steps)
     current = order(x)
     seen: list[DivisorClass] = []
     for step in range(max_steps):
@@ -139,7 +126,6 @@ def cremona_equivalent(
     kc = canonical_class(x.surface)
     if pair(kc, x) != pair(kc, y):
         return EquivalenceOutcome("distinct_by_invariant", "k_pairing")
-    budget = _budget(budget)
     sx, sy = order(x), order(y)
     if sx == sy:
         return EquivalenceOutcome("equivalent", path=(x, sx, y))

@@ -110,6 +110,15 @@ class TestCone:
                            "--k", "2", "--paper-signs")
         assert "(1; 1, 0)" in out
 
+    def test_dual_json_with_lineality(self, capsys):
+        # facets are the normalised input rays, lineality the dual's
+        code, out, _ = run(capsys, "cone", "dual", "--rays", "E1,-E1,E2", "--k", "2", "--json")
+        assert code == 0
+        assert out == (
+            '{"surface": {"kind": "rational", "k": 2}, "rays": ["-E2"], '
+            '"facets": ["-E1", "E2", "E1"], "lineality": ["H"]}\n'
+        )
+
 
 class TestNefThreshold:
     def test_plane(self, capsys):
@@ -145,6 +154,13 @@ class TestConfigCommands:
         }))
         code, out, _ = run(capsys, "config", "validate", str(path))
         assert code == 1 and "FAIL" in out
+
+    def test_validate_empty_plane(self, capsys, tmp_path):
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps({"surface": {"kind": "rational", "k": 0}, "curves": []}))
+        code, out, _ = run(capsys, "config", "validate", str(path))
+        assert code == 0
+        assert "p2: pass -- witness H\n" in out
 
     def test_blowdown(self, capsys, cfg_file):
         code, out, _ = run(capsys, "config", "blowdown", cfg_file, "--at", "E3", "--json")
@@ -208,36 +224,33 @@ class TestVerify:
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
-        "argv,max_steps,document",
+        "argv,document",
         [
-            (["cremona", "reduce", "--class", "1/0H", "--k", "3"], None, None),
-            (["config", "validate", "{missing}"], None, None),
-            (["config", "validate", "{file}"], None, {"curves": ["E1"]}),
-            (["cone", "ksymp", "--surface", "rational:k=x"], None, None),
-            (["cremona", "reduce", "--class", "2H-E1-E2-E3", "--k", "3"], "abc", None),
-            (["config", "validate", "{file}"], None, []),
-            (["config", "validate", "{file}"], None,
+            (["cremona", "reduce", "--class", "1/0H", "--k", "3"], None),
+            (["config", "validate", "{missing}"], None),
+            (["config", "validate", "{file}"], {"curves": ["E1"]}),
+            (["cone", "ksymp", "--surface", "rational:k=x"], None),
+            (["config", "validate", "{file}"], []),
+            (["config", "validate", "{file}"],
              {"surface": {"kind": "rational", "k": "x"}, "curves": ["E1"]}),
-            (["config", "validate", "{file}"], None, {"surface": {"kind": "foo"}, "curves": ["E1"]}),
-            (["cone", "ksymp", "--k", "3", "--paper-signs"], None, None),
-            (["sw", "cert", "--surface", "ruled:h=2", "--class", "2U+3T", "--json"], None, None),
-            (["config", "validate", "{file}"], None,
+            (["config", "validate", "{file}"], {"surface": {"kind": "foo"}, "curves": ["E1"]}),
+            (["cone", "ksymp", "--k", "3", "--paper-signs"], None),
+            (["sw", "cert", "--surface", "ruled:h=2", "--class", "2U+3T", "--json"], None),
+            (["config", "validate", "{file}"],
              {"surface": {"kind": "rational", "k": 2}, "curves": [1]}),
-            (["config", "validate", "{file}"], None,
+            (["config", "validate", "{file}"],
              {"surface": {"kind": "rational", "k": 2}, "curves": "H"}),
-            (["cone", "dual", "--rays-file", "{file}"], None,
+            (["cone", "dual", "--rays-file", "{file}"],
              {"surface": {"kind": "rational", "k": 2}, "rays": [1]}),
         ],
-        ids=["zero-denominator", "missing-file", "no-surface", "bad-surface-int", "bad-max-steps",
+        ids=["zero-denominator", "missing-file", "no-surface", "bad-surface-int",
              "json-not-object", "json-bad-surface-int", "json-unknown-kind",
              "ksymp-paper-signs", "sw-json", "curve-not-string", "curves-not-list", "ray-not-string"],
     )
-    def test_malformed_input_exits_2(self, capsys, monkeypatch, tmp_path, argv, max_steps, document):
+    def test_malformed_input_exits_2(self, capsys, tmp_path, argv, document):
         path = tmp_path / "cfg.json"
         if document is not None:
             path.write_text(json.dumps(document))
-        if max_steps is not None:
-            monkeypatch.setenv("CONELAB_MAX_STEPS", max_steps)
         argv = [a.format(missing=tmp_path / "absent.json", file=path) for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 2

@@ -102,7 +102,7 @@ class TestDualCone:
         s1 = rational_surface(1)
         d = dual_cone(cone_from_facets([H(s1)]))
         assert d.rays() == (H(s1),)
-        assert d.equations() == (E(s1, 1),)
+        assert dual_cone(d).lineality() == (E(s1, 1),)
         assert membership(d, H(s1) + E(s1, 1)).kind == "outside"
         assert membership(d, H(s1)).kind == "boundary"
 
@@ -244,12 +244,12 @@ class TestExtremalRays:
         # computing the facets first must not turn the generators into the
         # answer: the redundant E1 + E2 is still dropped
         c = cone_from_rays([E(S2, 1), E(S2, 2), E(S2, 1) + E(S2, 2)])
-        c.facets()
+        dual_cone(c)
         assert sorted_classes(extremal_rays(c)) == sorted_classes([E(S2, 1), E(S2, 2)])
 
     def test_non_pointed_after_facets_reports_lineality(self):
         c = cone_from_rays([E(S2, 1), -1 * E(S2, 1), E(S2, 2)])
-        c.facets()
+        dual_cone(c)
         with pytest.raises(NonPointedError) as err:
             extremal_rays(c)
         assert [v.primitive() for v in err.value.lineality] in ([E(S2, 1)], [-1 * E(S2, 1)])
@@ -277,6 +277,14 @@ class TestMembership:
     def test_zero_is_boundary(self):
         c = cone_from_rays(classes(S2, "H", "H-E1", "H-E2"))
         assert membership(c, divisor(S2, [0, 0, 0])).kind == "boundary"
+
+    def test_tight_facets_of_a_cone_from_facets_are_irredundant(self):
+        # E1 + E2 is a redundant input facet; the certificate names only
+        # the facets of the cone
+        c = cone_from_facets([E(S2, 1), E(S2, 2), E(S2, 1) + E(S2, 2)])
+        got = membership(c, H(S2))
+        assert got.kind == "boundary"
+        assert set(got.tight) == {E(S2, 1), E(S2, 2)}
 
 
     def test_lp_membership_agrees_with_dd_membership(self):

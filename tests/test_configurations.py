@@ -9,6 +9,7 @@ from conelab.configurations import (
     ConfigurationError,
     NegativeConfiguration,
     blow_down,
+    catalog_cp2_1,
     catalog_cp2_2,
     catalog_cp2_3,
     certified_sw_classes,
@@ -216,6 +217,16 @@ class TestCatalogs:
     def test_every_entry_validates(self):
         for entry in catalog_cp2_3((0, 1, 2)):
             assert validate_configuration(entry.configuration).passed, entry.label()
+
+    def test_one_blowup_catalog_validates(self):
+        # the single curve does not span, so its dual has a lineality and
+        # the witness comes from the curve together with the certified classes
+        s1 = rational_surface(1)
+        reports = [validate_configuration(e.configuration) for e in catalog_cp2_1((0, 1, 2))]
+        assert all(rep.passed for rep in reports)
+        assert [rep.witness for rep in reports] == [
+            parse_class(t, s1) for t in ("2H-E1", "3H-2E1", "4H-3E1")
+        ]
 
     def test_two_blowup_catalog_validates(self):
         for entry in catalog_cp2_2((0, 1, 2)):
