@@ -116,13 +116,7 @@ def cmd_enumerate(args) -> int:
         raise UsageError("only genus-0 enumeration is finite; use --genus 0")
     if args.square > 0:
         raise UsageError("positive-square classes are not enumerable")
-    if args.square == 0:
-        families = enumeration.zero_square_sphere_classes(surface)
-    else:
-        families = enumeration.negative_sphere_classes(
-            surface, n_bound=args.nbound if args.nbound is not None else 2,
-            square=args.square,
-        )
+    families = enumeration.sphere_classes(surface, n_bound=args.nbound, square=args.square)
     if args.families:
         if args.json:
             print(json.dumps({"families": [str(f) for f in families]}))
@@ -428,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="render classes as coefficient tuples (a; b1, ..., bk)")
     p.add_argument("--square", type=int, default=-1)
     p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--nbound", type=int, help="materialize the non-positive-degree families up to n")
+    p.add_argument("--nbound", type=int, default=2, help="materialize the non-positive-degree families up to n")
     p.add_argument("--families", action="store_true", help="print orbit families, not instances")
     p.set_defaults(func=cmd_enumerate)
 

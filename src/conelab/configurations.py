@@ -19,11 +19,7 @@ from typing import Sequence
 
 from . import exactlp
 from .cones import cone_from_rays, dual_cone, ray_sum
-from .enumeration import (
-    exceptional_classes,
-    family_instances,
-    zero_square_sphere_classes,
-)
+from .enumeration import exceptional_classes, family_instances, sphere_classes
 from .lattice import (
     DivisorClass,
     SurfaceModel,
@@ -72,7 +68,7 @@ class NegativeConfiguration:
                 raise ConfigurationError(f"duplicate curve {c}")
             seen.add(c)
         for c in self.extra_square_zero:
-            if c.surface != surface or c.square() != 0:
+            if c.surface != surface or c.square() != 0 or c.is_zero():
                 raise ConfigurationError(f"{c} is not a square-zero class here")
         for i, a in enumerate(self.curves):
             for b in self.curves[i + 1 :]:
@@ -162,7 +158,7 @@ def certified_sw_classes(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
             raise ConfigurationError("certified sets are finite only for k <= 8")
         out = {H(surface)}
         out |= exceptional_classes(surface)
-        out |= family_instances(zero_square_sphere_classes(surface))
+        out |= family_instances(sphere_classes(surface, square=0))
         return tuple(sorted_classes(out))
     if surface.k != 0:
         raise ConfigurationError("certified ruled sets cover minimal surfaces")
@@ -261,7 +257,6 @@ def validate_configuration(cfg: NegativeConfiguration) -> ValidationReport:
 @dataclass(frozen=True)
 class BlowDownStep:
     before: DivisorClass
-    after_same_lattice: DivisorClass
     genus_before: int | Fraction
     genus_after: int | Fraction
     pairing: int
@@ -327,7 +322,7 @@ def blow_down(cfg: NegativeConfiguration, at: DivisorClass) -> BlowDownResult:
         if broken:
             raise ConfigurationError(f"blowing down {at} breaks the {broken[0]} law for {c}")
         kept = reduced.square() < 0
-        steps.append(BlowDownStep(c, transformed, g_before, g_after, m, kept))
+        steps.append(BlowDownStep(c, g_before, g_after, m, kept))
         if kept:
             kept_classes.append(reduced)
     return BlowDownResult(NegativeConfiguration(small, kept_classes), tuple(steps))

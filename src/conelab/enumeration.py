@@ -7,7 +7,8 @@ class aH - sum bi Ei.  A class of genus g and square -s satisfies
 
 so enumeration reduces to constrained sum/sum-of-squares searches with
 Cauchy-Schwarz pruning.  Families collect permutation orbits of the Ei.
-The -1 classes are the square -1 slice of the sphere-class search, and the
+One search, sphere_classes, serves every square: the -1 classes and the
+square-zero classes are its square -1 and square 0 slices.  The
 sweeps make one pass over the positive-genus tuples, computing square, K.C
 and genus in int; a DivisorClass is built only for a reported class.
 """
@@ -147,73 +148,62 @@ def _family_anchor(surface: SurfaceModel, n: int, m: int) -> ClassFamily:
     return ClassFamily(rep, note)
 
 
-def _require_small_rational(surface: SurfaceModel) -> None:
-    if not surface.is_rational:
-        raise LatticeError("enumeration applies to blowups of the plane")
-    if surface.k > 8:
-        raise LatticeError(f"k = {surface.k} rejected: the class set is infinite")
-
-
 def exceptional_classes(surface: SurfaceModel) -> frozenset[DivisorClass]:
     """All integral classes with square -1 and genus 0 (k <= 8): the square -1
     slice of the sphere-class search."""
-    return family_instances(negative_sphere_classes(surface, n_bound=0, square=-1))
+    return family_instances(sphere_classes(surface, n_bound=0, square=-1))
 
 
-def negative_sphere_classes(
+# Cauchy-Schwarz, (sum bi)^2 <= k sum bi^2, reads (3a - 2 + s)^2 <= k(a^2 + s)
+# for a class of degree a, genus 0 and square -s.  At k = 8 and s = 0 it is
+# a^2 - 12a + 4 <= 0, so a <= 11; a smaller k or a larger s allows less.
+_MAX_DEGREE = 11
+
+
+def sphere_classes(
     surface: SurfaceModel,
     n_bound: int = 2,
     square: int | None = None,
     margin: int = 0,
 ) -> list[ClassFamily]:
-    """Families of genus-0 classes with negative square.
+    """Families of genus-0 classes of the given square, or of every negative
+    square when square is None (k <= 8).
 
-    The part with positive H-degree is a finite list (degrees 1 through 6);
-    the part with non-positive H-degree is the one-parameter anchored family
-    -nH + (n+1)E_i - sum of further E's, materialized for n <= n_bound.
-    Given a square, the search visits only that square.
+    The part with positive H-degree is a finite list, searched for degrees
+    1 through _MAX_DEGREE and coefficients in [-margin, a + 1 + margin]; the
+    part with non-positive H-degree is the one-parameter anchored family
+    -nH + (n+1)E_i - sum of further E's, of square -(2n + 1 + m),
+    materialized for n <= n_bound.  A positive square is not searched and
+    gives [].
     """
-    _require_small_rational(surface)
+    if not surface.is_rational:
+        raise LatticeError("enumeration applies to blowups of the plane")
+    if surface.k > 8:
+        raise LatticeError(f"k = {surface.k} rejected: the class set is infinite")
+    if square is not None and square > 0:
+        return []
     k = surface.k
     families: dict[tuple, ClassFamily] = {}
 
-    def wanted(s: int) -> bool:
-        return square is None or s == -square
-
-    def admit(fam: ClassFamily):
+    def admit(fam: ClassFamily, s: int):
         c = fam.representative
-        if adjunction_genus(c) != 0 or c.square() >= 0:
-            raise LatticeError(f"search found {c}, not a negative sphere class")
+        if adjunction_genus(c) != 0 or c.square() != -s:
+            raise LatticeError(f"search found {c}, not a sphere class of square {-s}")
         families.setdefault(fam.key(), fam)
 
-    for a in range(1, 7 + margin):
-        lo = -margin
-        hi = a + 1 + margin
-        for s in filter(wanted, range(1, k * hi * hi - a * a + 1)):
+    for a in range(1, _MAX_DEGREE + 1):
+        lo, hi = -margin, a + 1 + margin
+        squares = range(1, k * hi * hi - a * a + 1) if square is None else (-square,)
+        for s in squares:
+            if (3 * a - 2 + s) ** 2 > k * (a * a + s):
+                continue
             for b in _sum_square_solutions(k, 3 * a - 2 + s, a * a + s, lo, hi):
-                admit(_family_positive(surface, a, b))
+                admit(_family_positive(surface, a, b), s)
     for n in range(0, n_bound + 1):
         for m in range(0, k):
-            # (-nH + (n+1)E_i - m E's)^2 = n^2 - (n+1)^2 - m
-            if wanted(2 * n + 1 + m):
-                admit(_family_anchor(surface, n, m))
-    return sorted(families.values(), key=lambda f: f.key())
-
-
-def zero_square_sphere_classes(surface: SurfaceModel, margin: int = 0) -> list[ClassFamily]:
-    """Families of genus-0 classes with square zero (k <= 8)."""
-    _require_small_rational(surface)
-    k = surface.k
-    families: dict[tuple, ClassFamily] = {}
-    for a in range(1, 12 + margin):
-        lo = -margin
-        hi = a + 1 + margin
-        for b in _sum_square_solutions(k, 3 * a - 2, a * a, lo, hi):
-            fam = _family_positive(surface, a, b)
-            c = fam.representative
-            if adjunction_genus(c) != 0 or c.square() != 0:
-                raise LatticeError(f"search found {c}, not a square-zero sphere class")
-            families.setdefault(fam.key(), fam)
+            s = 2 * n + 1 + m
+            if square is None or s == -square:
+                admit(_family_anchor(surface, n, m), s)
     return sorted(families.values(), key=lambda f: f.key())
 
 
@@ -290,7 +280,6 @@ class SweepReport:
     """
 
     surface: SurfaceModel
-    bound: int
     negative_square_positive_genus: tuple[DivisorClass, ...]
     zero_square_positive_genus: tuple[DivisorClass, ...]
     nonneg_square_nonneg_k_pairing: tuple[DivisorClass, ...]
@@ -353,4 +342,4 @@ def sphere_class_sweeps(surface: SurfaceModel, bound: int = 8) -> SweepReport:
                 elif sq == 9 - k:
                     g1_eq.append(c)
     classes = (sorted_classes(_class_from_b(surface, a, b) for a, b in f) for f in fields)
-    return SweepReport(surface, bound, *map(tuple, classes))
+    return SweepReport(surface, *map(tuple, classes))

@@ -249,7 +249,11 @@ def achieve_all_rays(
 
     Requires the dual to be polytopic (no round boundary); the start class
     must pair non-negatively with every generator.  Each dual ray is reached
-    through maximal inflations along the negative curves tight on it."""
+    through maximal inflations along the negative curves tight on it.  A ray
+    that no negative curve is tight on but a square-zero generator is, is
+    that generator's ray (two forward classes of square >= 0 pair to zero
+    only when both are null and proportional), and is recorded as a
+    light-cone limit."""
     gens = list(curves) + list(extra_square_zero)
     dual = positive_dual(cone_from_rays(gens))
     if not dual.polytopic:
@@ -262,7 +266,14 @@ def achieve_all_rays(
     achieved: dict[DivisorClass, VertexAchievement] = {}
     for ray in dual.linear_dual.rays():
         tight = [c for c in curves if pair(c, c) < 0 and pair(c, ray) == 0]
-        result = achieve_vertex(start, tight)
+        null = [g for g in gens if pair(g, g) == 0 and pair(g, ray) == 0]
+        if null and not tight:
+            if not proportional(null[0], ray):
+                raise InflationError(f"dual ray {ray} is tight on {null[0]} but not its ray")
+            trace = InflationTrace(start, (), ray, limit_formula_used=True)
+            result = VertexAchievement(ray, trace, True)
+        else:
+            result = achieve_vertex(start, tight)
         if result.ray != ray:
             raise InflationError(f"achieved {result.ray} instead of dual ray {ray}")
         achieved[ray] = result

@@ -198,7 +198,6 @@ def non_extremal_witness(
 
 @dataclass(frozen=True)
 class AntiCanonicalAudit:
-    anti_k: DivisorClass
     square: Fraction
     rational_summands: tuple[DivisorClass, ...]
     summand_certificates: tuple[SWCertificate, ...]
@@ -242,4 +241,4 @@ def anti_canonical_eight_point_audit() -> AntiCanonicalAudit:
         )
     else:
         obstruction = ""
-    return AntiCanonicalAudit(anti, anti.square(), (six, e1), tuple(certs), obstruction)
+    return AntiCanonicalAudit(anti.square(), (six, e1), tuple(certs), obstruction)

@@ -130,13 +130,13 @@ def check_negative_spheres_k8() -> tuple[bool, str]:
     s8 = rational_surface(8)
     got = [
         f
-        for f in enumeration.negative_sphere_classes(s8, n_bound=0)
+        for f in enumeration.sphere_classes(s8, n_bound=0)
         if f.representative.coeffs[0] >= 1
     ]
     want = _expected_family_keys(s8, _expected_negative_patterns_k8())
     robust = [
         f
-        for f in enumeration.negative_sphere_classes(s8, n_bound=0, margin=2)
+        for f in enumeration.sphere_classes(s8, n_bound=0, margin=2)
         if f.representative.coeffs[0] >= 1
     ]
     ok = _family_set(got) == want and _family_set(robust) == want
@@ -173,9 +173,9 @@ def _expected_zero_square_patterns() -> list[tuple[int, list[int]]]:
        "the fifteen families of square-zero sphere classes on eight blowups", "enumeration")
 def check_zero_squares_k8() -> tuple[bool, str]:
     s8 = rational_surface(8)
-    got = enumeration.zero_square_sphere_classes(s8)
+    got = enumeration.sphere_classes(s8, square=0)
     want = _expected_family_keys(s8, _expected_zero_square_patterns())
-    robust = enumeration.zero_square_sphere_classes(s8, margin=2)
+    robust = enumeration.sphere_classes(s8, square=0, margin=2)
     ok = (
         _family_set(got) == want
         and len(got) == 15
@@ -324,7 +324,7 @@ def check_vertex_example() -> tuple[bool, str]:
 
 
 def _negative_class_pool(surface) -> list[DivisorClass]:
-    fams = enumeration.negative_sphere_classes(surface, n_bound=2)
+    fams = enumeration.sphere_classes(surface, n_bound=2)
     return sorted_classes(enumeration.family_instances(fams))
 
 

@@ -155,6 +155,18 @@ class TestConfigCommands:
         code, out, _ = run(capsys, "config", "validate", str(path))
         assert code == 1 and "FAIL" in out
 
+    @pytest.mark.parametrize("curves", [[], ["E1"]])
+    def test_validate_rejects_the_zero_class(self, capsys, tmp_path, curves):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({
+            "surface": {"kind": "rational", "k": 1},
+            "curves": curves,
+            "extra_square_zero": ["0"],
+        }))
+        code, out, err = run(capsys, "config", "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: 0 is not a square-zero class here\n"
+
     def test_validate_empty_plane(self, capsys, tmp_path):
         path = tmp_path / "plane.json"
         path.write_text(json.dumps({"surface": {"kind": "rational", "k": 0}, "curves": []}))
@@ -188,6 +200,17 @@ class TestConfigCommands:
         assert code == 0
         rays = {rec["ray"] for rec in data["achieved"]}
         assert rays == {"H-E1", "2H-E1", "3H-2E1-E2", "5H-3E1-E2-E3"}
+
+    def test_inflate_reaches_the_fiber_ray(self, capsys, tmp_path):
+        path = tmp_path / "ruled.json"
+        path.write_text(json.dumps({
+            "surface": {"kind": "trivial_ruled", "h": 1},
+            "curves": ["U-T"],
+            "extra_square_zero": ["T"],
+        }))
+        code, out, _ = run(capsys, "inflate", "--config", str(path), "--start", "U+3T")
+        assert code == 0
+        assert "T: reached T via none (light-cone limit)\n" in out
 
     def test_inflate_single_ray(self, capsys, cfg_file):
         code, out, _ = run(capsys, "inflate", "--config", cfg_file,

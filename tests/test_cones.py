@@ -30,11 +30,7 @@ from conelab.cones import (
 )
 from conelab.configurations import catalog_cp2_3
 from conelab.cremona import cremona_reduce
-from conelab.enumeration import (
-    exceptional_classes,
-    family_instances,
-    negative_sphere_classes,
-)
+from conelab.enumeration import exceptional_classes, family_instances, sphere_classes
 from conelab.lattice import (
     E,
     H,
@@ -352,6 +348,19 @@ class TestKSymplecticCone:
             reduced[c.square, str(out.result)] += 1
         assert reduced == {(1, "H"): square_one, (0, "H-E1"): square_zero}
 
+    @pytest.mark.parametrize("k,facets", [(5, 26), (6, 99), (7, 702)])
+    def test_corner_count_matches_a_floating_point_hull(self, k, facets):
+        # differential oracle: every -1 class has K.C = -1, so its
+        # E-coordinates map the slice of the -1 cone affinely; the facets of
+        # their convex hull are the corners.  scipy triangulates each facet,
+        # so rounded normalised facet equations are merged.
+        spatial = pytest.importorskip("scipy.spatial")
+        points = [c.coeffs[1:] for c in exceptional_classes(rational_surface(k))]
+        hull = spatial.ConvexHull(points)
+        merged = {tuple(round(x, 6) for x in row) for row in hull.equations}
+        assert len(merged) == facets
+        assert len(k_symplectic_cone(rational_surface(k)).corners) == facets
+
     def test_k3_corner_types(self):
         ks = k_symplectic_cone(rational_surface(3))
         squares = sorted(c.square for c in ks.corners)
@@ -368,7 +377,7 @@ class TestKSymplecticCone:
                 assert any(pair(curve, r) > 0 for r in corners)
 
     def test_catalog_extremal_rays_lie_in_the_classification(self):
-        allowed = family_instances(negative_sphere_classes(S3, n_bound=3))
+        allowed = family_instances(sphere_classes(S3, n_bound=3))
         for entry in catalog_cp2_3((0, 1, 2)):
             cone = cone_from_rays(entry.configuration.curves)
             assert set(extremal_rays(cone)) <= allowed
@@ -436,6 +445,12 @@ class TestConeTheoremAudit:
         rep = cone_theorem_audit([parse_class("3H-E1", s1)], s1)
         assert not rep.passed
         assert rep.entries[0].k_pairing == -8
+
+    def test_non_pointed_cone_names_its_lineality(self):
+        s1 = rational_surface(1)
+        rep = cone_theorem_audit(classes(s1, "E1", "-E1", "H"), s1)
+        assert not rep.passed and rep.entries == ()
+        assert rep.failure == "cone is not pointed; lineality spanned by E1"
 
     def test_k_positive_rays_are_ignored(self):
         rep = cone_theorem_audit(classes(S3, "E3", "-2H+3E1-E2"), S3)

@@ -10,10 +10,9 @@ from conelab import enumeration
 from conelab.enumeration import (
     exceptional_classes,
     family_instances,
-    negative_sphere_classes,
     nine_squares_representations,
     sphere_class_sweeps,
-    zero_square_sphere_classes,
+    sphere_classes,
 )
 from conelab.lattice import (
     E,
@@ -122,7 +121,7 @@ class TestNegativeSphereClasses:
     def test_k7_square_minus_one_degree_three(self):
         s = rational_surface(7)
         fams = [
-            f for f in negative_sphere_classes(s, square=-1) if f.representative.coeffs[0] == 3
+            f for f in sphere_classes(s, square=-1) if f.representative.coeffs[0] == 3
         ]
         got = family_instances(fams)
         want = set()
@@ -141,7 +140,7 @@ class TestNegativeSphereClasses:
         s = rational_surface(2)
         fams = [
             f
-            for f in negative_sphere_classes(s, n_bound=2)
+            for f in sphere_classes(s, n_bound=2)
             if f.representative.coeffs[0] <= 0
         ]
         got = family_instances(fams)
@@ -159,7 +158,7 @@ class TestNegativeSphereClasses:
     def test_k8_degree_six(self):
         s = rational_surface(8)
         fams = [
-            f for f in negative_sphere_classes(s, square=-1) if f.representative.coeffs[0] == 6
+            f for f in sphere_classes(s, square=-1) if f.representative.coeffs[0] == 6
         ]
         got = family_instances(fams)
         want = set()
@@ -171,7 +170,7 @@ class TestNegativeSphereClasses:
 
     def test_all_outputs_satisfy_the_filters(self):
         s = rational_surface(6)
-        for fam in negative_sphere_classes(s, n_bound=3):
+        for fam in sphere_classes(s, n_bound=3):
             rep = fam.representative
             assert rep.square() < 0
             assert adjunction_genus(rep) == 0
@@ -182,12 +181,35 @@ class TestNegativeSphereClasses:
     @pytest.mark.parametrize("k", [2, 5, 8])
     def test_square_slice_is_the_filtered_search(self, k):
         s = rational_surface(k)
-        everything = negative_sphere_classes(s, n_bound=2)
+        everything = sphere_classes(s, n_bound=2)
         for q in (-1, -2, -3, -5):
             want = [f for f in everything if f.representative.square() == q]
-            assert negative_sphere_classes(s, n_bound=2, square=q) == want
-        assert negative_sphere_classes(s, square=0) == []
-        assert negative_sphere_classes(s, square=1) == []
+            assert sphere_classes(s, n_bound=2, square=q) == want
+        zero = sphere_classes(s, square=0)
+        assert zero and all(f.representative.square() == 0 for f in zero)
+        assert sphere_classes(s, square=1) == []
+
+
+def brute_sphere_keys(k, square, a_hi=15):
+    """Family keys of the genus-0 classes of the given square with degree
+    1..a_hi and non-increasing subtracted coefficients in [0, a + 1]."""
+    keys = set()
+    for a in range(1, a_hi + 1):
+        for b in itertools.combinations_with_replacement(range(a + 1, -1, -1), k):
+            sq = a * a - sum(x * x for x in b)
+            # genus 0: C.C + K.C = -2 with K.C = -3a + sum b
+            if sq == square and sq - 3 * a + sum(b) == -2:
+                keys.add((a, tuple(-x for x in reversed(b))))
+    return keys
+
+
+class TestSphereClassSlices:
+    @pytest.mark.parametrize("square", [0, -1, -2, -3, -4])
+    def test_positive_degree_slice_matches_brute_force(self, square):
+        # degrees up to 15 also test the Cauchy-Schwarz degree range
+        got = {f.key() for f in sphere_classes(rational_surface(4), square=square)
+               if f.representative.coeffs[0] >= 1}
+        assert got == brute_sphere_keys(4, square)
 
 
 class TestBrokenSearch:
@@ -195,27 +217,27 @@ class TestBrokenSearch:
         # the searches check what they found by raising, so the checks also
         # hold under python -O
         monkeypatch.setattr(enumeration, "adjunction_genus", lambda c: 1)
-        with pytest.raises(LatticeError, match="not a negative sphere class"):
-            negative_sphere_classes(rational_surface(2))
-        with pytest.raises(LatticeError, match="not a negative sphere class"):
+        with pytest.raises(LatticeError, match="not a sphere class of square -1"):
+            sphere_classes(rational_surface(2))
+        with pytest.raises(LatticeError, match="not a sphere class of square -1"):
             exceptional_classes(rational_surface(2))
-        with pytest.raises(LatticeError, match="not a square-zero sphere class"):
-            zero_square_sphere_classes(rational_surface(2))
+        with pytest.raises(LatticeError, match="not a sphere class of square 0"):
+            sphere_classes(rational_surface(2), square=0)
 
 
 class TestZeroSquareClasses:
     def test_fifteen_families_at_eight(self):
-        assert len(zero_square_sphere_classes(rational_surface(8))) == 15
+        assert len(sphere_classes(rational_surface(8), square=0)) == 15
 
     def test_contains_the_full_packing_class(self):
         s = rational_surface(8)
-        got = family_instances(zero_square_sphere_classes(s))
+        got = family_instances(sphere_classes(s, square=0))
         assert parse_class("10H-4E1-4E2-4E3-4E4-3E5-3E6-3E7-3E8", s) in got
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_fiber_class_always_present(self, k):
         s = rational_surface(k)
-        got = family_instances(zero_square_sphere_classes(s))
+        got = family_instances(sphere_classes(s, square=0))
         assert parse_class("H-E1", s) in got
 
     def test_brute_force_small_k(self):
@@ -229,7 +251,7 @@ class TestZeroSquareClasses:
                 c = divisor(s, [a] + [-b for b in bs])
                 if c.square() == 0 and pair(kc, c) == -2:
                     want.add(c)
-        assert family_instances(zero_square_sphere_classes(s)) == want
+        assert family_instances(sphere_classes(s, square=0)) == want
 
 
 class TestNineSquares:

@@ -25,6 +25,7 @@ from conelab.lattice import (
     T,
     U,
     divisor,
+    nontrivial_ruled,
     pair,
     parse_class,
     rational_surface,
@@ -257,8 +258,35 @@ class TestAchieveAllRays:
         )
 
     def test_round_boundary_detected(self):
-        with pytest.raises(RoundBoundaryError):
+        with pytest.raises(RoundBoundaryError) as err:
             achieve_all_rays([E(S2, 1)], H(S2))
+        # the error names the negative-square directions of the dual
+        assert err.value.evidence
+        assert all(v.square() < 0 for v in err.value.evidence)
+
+    @pytest.mark.parametrize("surface,section,rays", [
+        (trivial_ruled(1), "U-T", {"T", "U+T"}),
+        (trivial_ruled(2), "U-2T", {"T", "U+2T"}),
+        (nontrivial_ruled(1), "U-T", {"T", "U"}),
+    ])
+    def test_fiber_ray_is_a_light_cone_limit(self, surface, section, rays):
+        # no negative curve is tight on the fiber ray T, only the fiber is
+        fiber = T(surface)
+        start = parse_class("U+3T", surface)
+        got = achieve_all_rays([parse_class(section, surface)], start, [fiber])
+        assert {str(r) for r in got} == rays
+        limit = got[fiber]
+        assert limit.lightcone_limit and limit.trace.limit_formula_used
+        assert limit.ray == fiber and limit.trace.result == fiber and limit.trace.steps == ()
+        for ray, res in got.items():
+            if ray != fiber:
+                assert not res.lightcone_limit and res.trace.verify()
+
+    def test_fiber_ray_off_its_generator_raises(self, monkeypatch):
+        monkeypatch.setattr(inflation, "proportional", lambda a, b: False)
+        s = trivial_ruled(1)
+        with pytest.raises(InflationError, match="is tight on T but not its ray"):
+            achieve_all_rays([parse_class("U-T", s)], parse_class("U+3T", s), [T(s)])
 
     def test_trace_identities(self):
         curves = [parse_class("-H+2E1", S2), E(S2, 2), parse_class("H-E1-E2", S2)]

@@ -17,6 +17,9 @@ so a function referenced as a value (``makers[name](ns)``; a type
 annotation is not a value) or called with ``*args``/``**kwargs`` counts as
 passing every parameter.
 
+Every dataclass field of a package class, and every ``self.x`` a package
+class assigns, is read as an attribute somewhere in ``src/`` or ``tests/``.
+
 The package holds no ``assert`` statement: ``python -O`` strips them, so an
 invariant is checked by raising."""
 
@@ -189,6 +192,25 @@ def test_every_defaulted_parameter_is_passed():
         )
     )
     assert not unpassed, "defaulted parameters no call passes: " + ", ".join(unpassed)
+
+
+def test_every_stored_field_is_read():
+    stored = set()
+    for path, tree in _trees(PACKAGE):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                stored |= {(f"{path.stem}.{cls.name}", f.target.id)
+                           for f in cls.body if isinstance(f, ast.AnnAssign)}
+            stored |= {(f"{path.stem}.{cls.name}", node.attr) for node in ast.walk(cls)
+                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                       and getattr(node.value, "id", None) == "self"}
+    read = {node.attr for _, tree in _trees(ROOT / "src", ROOT / "tests")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f"{owner}.{name}" for owner, name in stored if name not in read)
+    assert not unread, "stored but never read: " + ", ".join(unread)
 
 
 def test_no_assert_in_the_package():

@@ -12,7 +12,7 @@ from itertools import permutations
 from hypothesis import given, settings, strategies as st
 
 from conelab.cones import cone_from_rays, dual_cone, k_symplectic_cone, nef_threshold, ray_sum
-from conelab.enumeration import exceptional_classes, family_instances, negative_sphere_classes
+from conelab.enumeration import exceptional_classes, family_instances, sphere_classes
 from conelab.inflation import achieve_vertex, alternate_inflate, max_inflate
 from conelab.lattice import (
     DivisorClass,
@@ -25,7 +25,7 @@ from conelab.lattice import (
 )
 
 S3 = rational_surface(3)
-NEGATIVE = sorted_classes(family_instances(negative_sphere_classes(S3, n_bound=2)))
+NEGATIVE = sorted_classes(family_instances(sphere_classes(S3, n_bound=2)))
 # pairs with a common dual class of non-negative square, as alternate_inflate
 # needs; opposite classes leave only a hyperplane as their dual
 PAIRS = [
