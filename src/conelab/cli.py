@@ -1,7 +1,8 @@
 """Command line front end.
 
 Surfaces are written ``rational:k=2``, ``ruled:h=2`` (a trivial bundle,
-optionally ``,k=1``) or ``nontrivial-ruled:h=1``; classes use the literal
+optionally ``,k=1``) or ``nontrivial-ruled:h=1``, and ``--k K`` is the literal
+``rational:k=K``; classes use the literal
 syntax ``2H-E1-E2`` / ``U-3T`` with integer or fractional coefficients.
 Exit status: 0 on success, 1 when a requested check fails, 2 on usage
 errors.
@@ -24,18 +25,17 @@ from .configurations import (
     validate_configuration,
 )
 from .lattice import (
+    RATIONAL,
+    TRIVIAL_RULED,
     pair,
     DivisorClass,
     LatticeError,
     ParseError,
     SurfaceModel,
     format_class,
-    nontrivial_ruled,
     parse_class,
     parse_class_list,
-    rational_surface,
     sorted_classes,
-    trivial_ruled,
 )
 
 
@@ -44,38 +44,39 @@ class UsageError(ValueError):
 
 
 def parse_surface(text: str) -> SurfaceModel:
+    """The surface a literal such as ``ruled:h=2,k=1`` names; SurfaceModel
+    checks the values."""
     head, _, params = text.partition(":")
-    kv = {}
-    if params:
-        for item in params.split(","):
-            key, _, value = item.partition("=")
-            try:
-                kv[key.strip()] = int(value)
-            except ValueError:
-                raise UsageError(f"bad surface parameter {item!r}") from None
-    kind = head.strip().lower().replace("_", "-")
+    kind = head.strip().lower().replace("-", "_")
+    kind = TRIVIAL_RULED if kind == "ruled" else kind
+    values = {"k": 0, "h": 0 if kind == RATIONAL else 1}
+    given = set()
+    for item in params.split(",") if params else ():
+        key, _, value = (part.strip() for part in item.partition("="))
+        if key not in values or key in given:
+            raise UsageError(f"unknown or repeated surface parameter {item!r}")
+        given.add(key)
+        try:
+            values[key] = int(value)
+        except ValueError:
+            raise UsageError(f"bad surface parameter {item!r}") from None
     try:
-        if kind == "rational":
-            return rational_surface(kv.get("k", 0))
-        if kind in ("ruled", "trivial-ruled"):
-            return trivial_ruled(kv.get("h", 1), kv.get("k", 0))
-        if kind == "nontrivial-ruled":
-            return nontrivial_ruled(kv.get("h", 1), kv.get("k", 0))
+        return SurfaceModel(kind, **values)
     except LatticeError as err:
-        raise UsageError(str(err))
-    raise UsageError(f"unknown surface kind {head!r}")
+        raise UsageError(str(err)) from None
 
 
-def _surface_from_args(args) -> SurfaceModel:
-    if getattr(args, "surface", None):
-        return parse_surface(args.surface)
-    if getattr(args, "k", None) is not None:
-        return rational_surface(args.k)
-    raise UsageError("specify --surface or --k")
+def _surface(args) -> SurfaceModel:
+    if args.surface is None:
+        raise UsageError("specify --surface or --k")
+    return parse_surface(args.surface)
 
 
 def _classes_from_arg(text: str, surface: SurfaceModel) -> list[DivisorClass]:
-    return [parse_class(part, surface) for part in text.split(",") if part.strip()]
+    classes = [parse_class(part, surface) for part in text.split(",") if part.strip()]
+    if not classes:
+        raise UsageError(f"no class literal in {text!r}")
+    return classes
 
 
 def _load_json(path: str, parse):
@@ -111,11 +112,9 @@ def _print_classes(classes, args):
 
 
 def cmd_enumerate(args) -> int:
-    surface = _surface_from_args(args)
+    surface = _surface(args)
     if args.genus != 0:
         raise UsageError("only genus-0 enumeration is finite; use --genus 0")
-    if args.square > 0:
-        raise UsageError("positive-square classes are not enumerable")
     families = enumeration.sphere_classes(surface, n_bound=args.nbound, square=args.square)
     if args.families:
         if args.json:
@@ -141,29 +140,30 @@ def cmd_squares(args) -> int:
     return 0
 
 
-def cmd_cremona(args) -> int:
-    surface = _surface_from_args(args)
-    if args.action == "reduce":
-        x = parse_class(args.cls, surface)
-        out = cremona.cremona_reduce(x)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "outcome": out.kind,
-                        "result": str(out.result) if out.result else None,
-                        "trace": [str(t) for t in out.trace],
-                        "steps": out.steps,
-                    }
-                )
+def cmd_reduce(args) -> int:
+    out = cremona.cremona_reduce(parse_class(args.cls, _surface(args)))
+    if args.json:
+        print(
+            json.dumps(
+                {
+                    "outcome": out.kind,
+                    "result": str(out.result) if out.result else None,
+                    "trace": [str(t) for t in out.trace],
+                    "steps": out.steps,
+                }
             )
+        )
+    else:
+        print(f"{out.kind} after {out.steps} steps")
+        if out.kind == "reduced":
+            print(f"reduced form: {out.result}")
         else:
-            print(f"{out.kind} after {out.steps} steps")
-            if out.kind == "reduced":
-                print(f"reduced form: {out.result}")
-            else:
-                print("trace: " + " -> ".join(str(t) for t in out.trace))
-        return 0
+            print("trace: " + " -> ".join(str(t) for t in out.trace))
+    return 0
+
+
+def cmd_equiv(args) -> int:
+    surface = _surface(args)
     x = parse_class(args.cls, surface)
     y = parse_class(args.other, surface)
     out = cremona.cremona_equivalent(x, y)
@@ -180,39 +180,36 @@ def cmd_cremona(args) -> int:
     return 0
 
 
-def cmd_cone(args) -> int:
-    if args.action == "ksymp":
-        surface = _surface_from_args(args)
-        ks = cones.k_symplectic_cone(surface)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "corners": [
-                            {
-                                "ray": str(c.ray),
-                                "square": str(c.square),
-                                "genus": str(c.genus),
-                            }
-                            for c in ks.corners
-                        ],
-                        "corners_ok": ks.corners_ok,
-                    }
-                )
+def cmd_ksymp(args) -> int:
+    ks = cones.k_symplectic_cone(_surface(args))
+    if args.json:
+        print(
+            json.dumps(
+                {
+                    "corners": [
+                        {
+                            "ray": str(c.ray),
+                            "square": str(c.square),
+                            "genus": str(c.genus),
+                        }
+                        for c in ks.corners
+                    ],
+                    "corners_ok": ks.corners_ok,
+                }
             )
-        else:
-            for c in ks.corners:
-                print(f"{c.ray}  square {c.square}  genus {c.genus}")
-            print(f"all corners square 0/1 and genus 0: {ks.corners_ok}")
-        return 0 if ks.corners_ok else 1
-    # dual
+        )
+    else:
+        for c in ks.corners:
+            print(f"{c.ray}  square {c.square}  genus {c.genus}")
+        print(f"all corners square 0/1 and genus 0: {ks.corners_ok}")
+    return 0 if ks.corners_ok else 1
+
+
+def cmd_dual(args) -> int:
     if args.rays_file:
         surface, rays = _load_json(args.rays_file, _parse_cone)
     else:
-        surface = _surface_from_args(args)
-        if not args.rays:
-            raise UsageError("supply --rays or --rays-file")
-        rays = _classes_from_arg(args.rays, surface)
+        rays = _classes_from_arg(args.rays, _surface(args))
     cone = cones.cone_from_rays(rays)
     dual = cones.dual_cone(cone)
     if args.json:
@@ -236,9 +233,7 @@ def cmd_nef_threshold(args) -> int:
         surface = cfg.surface
         curves = list(cfg.curves)
     else:
-        surface = _surface_from_args(args)
-        if not args.curves:
-            raise UsageError("supply --curves or --curves-file")
+        surface = _surface(args)
         curves = _classes_from_arg(args.curves, surface)
     omega = parse_class(args.omega, surface)
     t0 = cones.nef_threshold(omega, curves)
@@ -254,14 +249,19 @@ def _load_config(path: str) -> NegativeConfiguration:
 
 
 def cmd_inflate(args) -> int:
+    if args.trace and not args.ray:
+        raise UsageError("--trace needs --ray")
     cfg = _load_config(args.config)
     start = parse_class(args.start, cfg.surface)
+    wanted = parse_class(args.ray, cfg.surface).primitive() if args.ray else None
+    tight = [c for c in cfg.curves if pair(c, wanted) == 0] if wanted is not None else []
+    if args.trace and len(tight) != 2:
+        raise UsageError(
+            f"--trace needs a ray tight on exactly two curves; {wanted} is tight on {len(tight)}"
+        )
     achieved = inflation.achieve_all_rays(cfg.curves, start, cfg.extra_square_zero)
-    wanted = None
-    if args.ray:
-        wanted = parse_class(args.ray, cfg.surface).primitive()
-        if wanted not in achieved:
-            raise UsageError(f"{wanted} is not an extremal ray of the positive dual")
+    if wanted is not None and wanted not in achieved:
+        raise UsageError(f"{wanted} is not an extremal ray of the positive dual")
     records = []
     for ray, res in sorted(achieved.items(), key=lambda kv: kv[0].coeffs):
         if wanted is not None and ray != wanted:
@@ -281,54 +281,55 @@ def cmd_inflate(args) -> int:
             steps = ", ".join(f"{e} along {c}" for c, e in rec["steps"]) or "none"
             tag = " (light-cone limit)" if rec["light_cone_limit"] else ""
             print(f"{rec['ray']}: reached {rec['result']} via {steps}{tag}")
-    if args.trace and wanted is not None:
-        tight = [c for c in cfg.curves if pair(c, wanted) == 0]
-        if len(tight) == 2:
-            alt = inflation.alternate_inflate(
-                inflation.max_inflate(start, tight[0])[0], tight[0], tight[1], args.trace
-            )
-            print("alternating coefficients:")
-            print("  odd:  " + ", ".join(str(x) for x in alt.odd_coefficients))
-            print("  even: " + ", ".join(str(x) for x in alt.even_coefficients))
+    if args.trace:
+        alt = inflation.alternate_inflate(
+            inflation.max_inflate(start, tight[0])[0], tight[0], tight[1], args.trace
+        )
+        print("alternating coefficients:")
+        print("  odd:  " + ", ".join(str(x) for x in alt.odd_coefficients))
+        print("  even: " + ", ".join(str(x) for x in alt.even_coefficients))
     return 0
 
 
-def cmd_config(args) -> int:
-    if args.action == "validate":
-        cfg = _load_config(args.file)
-        rep = validate_configuration(cfg)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "p1": {"passed": rep.p1.passed, "details": rep.p1.details},
-                        "p2": {"passed": rep.p2.passed, "details": rep.p2.details},
-                        "p3": {"passed": rep.p3.passed, "details": rep.p3.details},
-                        "passed": rep.passed,
-                    }
-                )
+def cmd_validate(args) -> int:
+    rep = validate_configuration(_load_config(args.file))
+    if args.json:
+        print(
+            json.dumps(
+                {
+                    "p1": {"passed": rep.p1.passed, "details": rep.p1.details},
+                    "p2": {"passed": rep.p2.passed, "details": rep.p2.details},
+                    "p3": {"passed": rep.p3.passed, "details": rep.p3.details},
+                    "passed": rep.passed,
+                }
             )
-        else:
-            for name, res in (("p1", rep.p1), ("p2", rep.p2), ("p3", rep.p3)):
-                print(f"{name}: {'pass' if res.passed else 'FAIL'} -- {res.details}")
-        return 0 if rep.passed else 1
-    if args.action == "blowdown":
-        cfg = _load_config(args.file)
-        at = parse_class(args.at, cfg.surface)
-        result = blow_down(cfg, at)
-        if args.json:
-            out = result.configuration.to_json()
-            out["dropped"] = [str(d) for d in result.dropped]
-            print(json.dumps(out))
-        else:
-            print("curves: " + ", ".join(str(c) for c in result.configuration.curves))
-            if result.dropped:
-                print("dropped (non-negative square): " + ", ".join(str(d) for d in result.dropped))
-        return 0
-    # catalog
+        )
+    else:
+        for name, res in (("p1", rep.p1), ("p2", rep.p2), ("p3", rep.p3)):
+            print(f"{name}: {'pass' if res.passed else 'FAIL'} -- {res.details}")
+    return 0 if rep.passed else 1
+
+
+def cmd_blowdown(args) -> int:
+    cfg = _load_config(args.file)
+    result = blow_down(cfg, parse_class(args.at, cfg.surface))
+    if args.json:
+        out = result.configuration.to_json()
+        out["dropped"] = [str(d) for d in result.dropped]
+        print(json.dumps(out))
+    else:
+        print("curves: " + ", ".join(str(c) for c in result.configuration.curves))
+        if result.dropped:
+            print("dropped (non-negative square): " + ", ".join(str(d) for d in result.dropped))
+    return 0
+
+
+def cmd_catalog(args) -> int:
     makers = {"cp2+1": catalog_cp2_1, "cp2+2": catalog_cp2_2, "cp2+3": catalog_cp2_3}
     if args.name not in makers:
         raise UsageError(f"unknown catalog {args.name!r}; choose from {sorted(makers)}")
+    if args.n is not None and args.n < 0:
+        raise UsageError("--n must be >= 0")
     ns = (args.n,) if args.n is not None else (0, 1, 2)
     entries = makers[args.name](ns)
     if args.json:
@@ -351,27 +352,29 @@ def cmd_config(args) -> int:
     return 0
 
 
-def cmd_sw(args) -> int:
-    surface = _surface_from_args(args)
-    cls = parse_class(args.cls, surface)
-    if args.action == "cert":
-        out = swcert.sw_certificate(surface, cls)
-        if isinstance(out, swcert.NoCertificate):
-            print(json.dumps({"certified": False, "reason": out.reason}))
-            return 1
-        print(
-            json.dumps(
-                {
-                    "certified": True,
-                    "class": str(out.cls),
-                    "dimension": str(out.dimension),
-                    "witness": str(out.witness),
-                    "magnitude": out.magnitude,
-                }
-            )
+def cmd_cert(args) -> int:
+    cls = parse_class(args.cls, _surface(args))
+    out = swcert.sw_certificate(cls.surface, cls)
+    if isinstance(out, swcert.NoCertificate):
+        print(json.dumps({"certified": False, "reason": out.reason}))
+        return 1
+    print(
+        json.dumps(
+            {
+                "certified": True,
+                "class": str(out.cls),
+                "dimension": str(out.dimension),
+                "witness": str(out.witness),
+                "magnitude": out.magnitude,
+            }
         )
-        return 0
-    out = swcert.non_extremal_witness(surface, cls)
+    )
+    return 0
+
+
+def cmd_decompose(args) -> int:
+    cls = parse_class(args.cls, _surface(args))
+    out = swcert.non_extremal_witness(cls.surface, cls)
     if isinstance(out, swcert.ExtremalReport):
         print(json.dumps({"extremal": True, "reason": out.reason}))
         return 0
@@ -411,101 +414,79 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--surface", help="e.g. rational:k=3 or ruled:h=2")
-        p.add_argument("--k", type=int, help="shorthand for rational:k=K")
+    # parent parsers: each flag that several subcommands take is declared once
+    as_json, paper_signs, one_class, on_surface = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4))
+    as_json.add_argument("--json", action="store_true")
+    paper_signs.add_argument("--paper-signs", action="store_true",
+                             help="render classes as coefficient tuples (a; b1, ..., bk)")
+    one_class.add_argument("--class", dest="cls", required=True)
+    where = on_surface.add_mutually_exclusive_group()
+    where.add_argument("--surface", help="e.g. rational:k=3 or ruled:h=2")
+    where.add_argument("--k", dest="surface", type="rational:k={}".format, metavar="K",
+                       help="shorthand for rational:k=K")
 
-    p = sub.add_parser("enumerate", help="sphere classes with a given square")
-    common(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--paper-signs", action="store_true",
-                   help="render classes as coefficient tuples (a; b1, ..., bk)")
+    def leaf(parent, name, func, parents, **kwargs):
+        p = parent.add_parser(name, parents=list(parents), **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    p = leaf(sub, "enumerate", cmd_enumerate, (on_surface, as_json, paper_signs),
+             help="sphere classes with a given square")
     p.add_argument("--square", type=int, default=-1)
     p.add_argument("--genus", type=int, default=0)
     p.add_argument("--nbound", type=int, default=2, help="materialize the non-positive-degree families up to n")
     p.add_argument("--families", action="store_true", help="print orbit families, not instances")
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("squares", help="nine-squares representations")
+    p = leaf(sub, "squares", cmd_squares, (as_json,), help="nine-squares representations")
     p.add_argument("--total", type=int, required=True)
     p.add_argument("--any-sum", action="store_true", help="drop the zero-sum condition")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_squares)
 
-    p = sub.add_parser("cremona", help="reduction and equivalence")
-    psub = p.add_subparsers(dest="action", required=True)
-    pr = psub.add_parser("reduce")
-    common(pr)
-    pr.add_argument("--json", action="store_true")
-    pr.add_argument("--class", dest="cls", required=True)
-    pr.set_defaults(func=cmd_cremona)
-    pe = psub.add_parser("equiv")
-    common(pe)
-    pe.add_argument("--json", action="store_true")
-    pe.add_argument("cls", metavar="A")
-    pe.add_argument("other", metavar="B")
-    pe.set_defaults(func=cmd_cremona)
+    psub = sub.add_parser("cremona", help="reduction and equivalence").add_subparsers(
+        dest="action", required=True)
+    leaf(psub, "reduce", cmd_reduce, (on_surface, as_json, one_class))
+    p = leaf(psub, "equiv", cmd_equiv, (on_surface, as_json))
+    p.add_argument("cls", metavar="A")
+    p.add_argument("other", metavar="B")
 
-    p = sub.add_parser("cone", help="duals and the K-symplectic cone")
-    psub = p.add_subparsers(dest="action", required=True)
-    pd = psub.add_parser("dual")
-    common(pd)
-    pd.add_argument("--json", action="store_true")
-    pd.add_argument("--paper-signs", action="store_true",
-                    help="render classes as coefficient tuples (a; b1, ..., bk)")
-    pd.add_argument("--rays", help="comma-separated class literals")
-    pd.add_argument("--rays-file", help="JSON file with surface and rays")
-    pd.set_defaults(func=cmd_cone)
-    pk = psub.add_parser("ksymp")
-    common(pk)
-    pk.add_argument("--json", action="store_true")
-    pk.set_defaults(func=cmd_cone)
+    psub = sub.add_parser("cone", help="duals and the K-symplectic cone").add_subparsers(
+        dest="action", required=True)
+    p = leaf(psub, "dual", cmd_dual, (on_surface, as_json, paper_signs))
+    rays = p.add_mutually_exclusive_group(required=True)
+    rays.add_argument("--rays", help="comma-separated class literals")
+    rays.add_argument("--rays-file", help="JSON file with surface and rays")
+    leaf(psub, "ksymp", cmd_ksymp, (on_surface, as_json))
 
-    p = sub.add_parser("nef-threshold", help="sup t with tK + omega nef")
-    common(p)
-    p.add_argument("--json", action="store_true")
+    p = leaf(sub, "nef-threshold", cmd_nef_threshold, (on_surface, as_json),
+             help="sup t with tK + omega nef")
     p.add_argument("--omega", required=True)
-    p.add_argument("--curves", help="comma-separated extremal curves")
-    p.add_argument("--curves-file", help="configuration JSON supplying the curves")
-    p.set_defaults(func=cmd_nef_threshold)
+    curves = p.add_mutually_exclusive_group(required=True)
+    curves.add_argument("--curves", help="comma-separated extremal curves")
+    curves.add_argument("--curves-file", help="configuration JSON supplying the curves")
 
-    p = sub.add_parser("inflate", help="achieve dual rays by formal inflation")
+    p = leaf(sub, "inflate", cmd_inflate, (as_json,), help="achieve dual rays by formal inflation")
     p.add_argument("--config", required=True, help="configuration JSON file")
     p.add_argument("--start", required=True, help="start class literal")
     p.add_argument("--ray", help="achieve a single ray")
-    p.add_argument("--trace", type=int, help="also print N alternating coefficients")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_inflate)
+    p.add_argument("--trace", type=int, help="also print N alternating coefficients of --ray")
 
-    p = sub.add_parser("config", help="configuration tools")
-    psub = p.add_subparsers(dest="action", required=True)
-    pv = psub.add_parser("validate")
-    pv.add_argument("file")
-    pv.add_argument("--json", action="store_true")
-    pv.set_defaults(func=cmd_config)
-    pb = psub.add_parser("blowdown")
-    pb.add_argument("file")
-    pb.add_argument("--at", required=True, help="the -1 basis class, e.g. E3")
-    pb.add_argument("--json", action="store_true")
-    pb.set_defaults(func=cmd_config)
-    pc = psub.add_parser("catalog")
-    pc.add_argument("name", help="cp2+1, cp2+2 or cp2+3")
-    pc.add_argument("--n", type=int, help="single parameter value (default 0,1,2)")
-    pc.add_argument("--json", action="store_true")
-    pc.set_defaults(func=cmd_config)
+    psub = sub.add_parser("config", help="configuration tools").add_subparsers(
+        dest="action", required=True)
+    leaf(psub, "validate", cmd_validate, (as_json,)).add_argument("file")
+    p = leaf(psub, "blowdown", cmd_blowdown, (as_json,))
+    p.add_argument("file")
+    p.add_argument("--at", required=True, help="the -1 basis class, e.g. E3")
+    p = leaf(psub, "catalog", cmd_catalog, (as_json,))
+    p.add_argument("name", help="cp2+1, cp2+2 or cp2+3")
+    p.add_argument("--n", type=int, help="single parameter value (default 0,1,2)")
 
-    p = sub.add_parser("sw", help="wall-crossing certificates")
-    psub = p.add_subparsers(dest="action", required=True)
-    for name in ("cert", "decompose"):
-        pc = psub.add_parser(name)
-        common(pc)
-        pc.add_argument("--class", dest="cls", required=True)
-        pc.set_defaults(func=cmd_sw)
+    psub = sub.add_parser("sw", help="wall-crossing certificates").add_subparsers(
+        dest="action", required=True)
+    leaf(psub, "cert", cmd_cert, (on_surface, one_class))
+    leaf(psub, "decompose", cmd_decompose, (on_surface, one_class))
 
-    p = sub.add_parser("verify-paper", help="run the reproduction checks")
+    p = leaf(sub, "verify-paper", cmd_verify, (as_json,), help="run the reproduction checks")
     p.add_argument("--suite", choices=sorted(verify.SUITES), help="run one suite only")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 

@@ -100,6 +100,7 @@ def cremona_reduce(x: DivisorClass, max_steps: int = 1_000) -> ReductionOutcome:
 class EquivalenceOutcome:
     kind: str  # "equivalent" | "distinct_by_invariant" | "unknown"
     which: str = ""
+    # x, order(x), ..., order(y), y: each step orders, or reflects once and orders
     path: tuple[DivisorClass, ...] = ()
 
 
@@ -163,7 +164,7 @@ def cremona_equivalent(
                 frontiers[side].append(nxt)
                 visited += 1
                 if nxt in parents[1 - side]:
-                    return EquivalenceOutcome("equivalent", path=path_through(nxt))
+                    return EquivalenceOutcome("equivalent", path=(x, *path_through(nxt), y))
                 if visited > budget:
                     return EquivalenceOutcome("unknown", "budget")
     return EquivalenceOutcome("distinct_by_invariant", "orbit_exhausted")

@@ -154,10 +154,15 @@ def exceptional_classes(surface: SurfaceModel) -> frozenset[DivisorClass]:
     return family_instances(sphere_classes(surface, n_bound=0, square=-1))
 
 
-# Cauchy-Schwarz, (sum bi)^2 <= k sum bi^2, reads (3a - 2 + s)^2 <= k(a^2 + s)
-# for a class of degree a, genus 0 and square -s.  At k = 8 and s = 0 it is
-# a^2 - 12a + 4 <= 0, so a <= 11; a smaller k or a larger s allows less.
-_MAX_DEGREE = 11
+def _max_degree(k: int, s: int) -> int:
+    """The largest degree of a genus-0 class of square -s on k <= 8 blowups.
+
+    Cauchy-Schwarz, (sum bi)^2 <= k sum bi^2, reads (3a - 2 + s)^2 <= k(a^2 + s),
+    that is (9 - k)a^2 + 6(s - 2)a + (s - 2)^2 - ks <= 0; the larger root
+    bounds a.  At k = 8 it gives 11 for s = 0 and 17 for s = -1.  Over s >= 1
+    the bound is largest at s = 1."""
+    disc = k * ((s - 2) ** 2 + (9 - k) * s)
+    return (3 * (2 - s) + isqrt(disc)) // (9 - k) if disc >= 0 else 0
 
 
 def sphere_classes(
@@ -170,18 +175,15 @@ def sphere_classes(
     square when square is None (k <= 8).
 
     The part with positive H-degree is a finite list, searched for degrees
-    1 through _MAX_DEGREE and coefficients in [-margin, a + 1 + margin]; the
+    1 through _max_degree and coefficients in [-margin, a + 1 + margin]; the
     part with non-positive H-degree is the one-parameter anchored family
     -nH + (n+1)E_i - sum of further E's, of square -(2n + 1 + m),
-    materialized for n <= n_bound.  A positive square is not searched and
-    gives [].
+    materialized for n <= n_bound.
     """
     if not surface.is_rational:
         raise LatticeError("enumeration applies to blowups of the plane")
     if surface.k > 8:
         raise LatticeError(f"k = {surface.k} rejected: the class set is infinite")
-    if square is not None and square > 0:
-        return []
     k = surface.k
     families: dict[tuple, ClassFamily] = {}
 
@@ -191,7 +193,7 @@ def sphere_classes(
             raise LatticeError(f"search found {c}, not a sphere class of square {-s}")
         families.setdefault(fam.key(), fam)
 
-    for a in range(1, _MAX_DEGREE + 1):
+    for a in range(1, _max_degree(k, 1 if square is None else -square) + 1):
         lo, hi = -margin, a + 1 + margin
         squares = range(1, k * hi * hi - a * a + 1) if square is None else (-square,)
         for s in squares:

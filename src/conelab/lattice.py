@@ -53,6 +53,8 @@ class SurfaceModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise LatticeError(f"unknown surface kind {self.kind!r}")
+        if type(self.k) is not int or type(self.h) is not int:
+            raise LatticeError(f"k and h must be integers: k={self.k!r}, h={self.h!r}")
         if self.k < 0:
             raise LatticeError("blowup count k must be >= 0")
         if self.kind == RATIONAL:
@@ -94,7 +96,7 @@ class SurfaceModel:
         """The surface a JSON object describes; a malformed one raises
         ParseError, and one without a kind KeyError."""
         try:
-            return SurfaceModel(d["kind"], int(d.get("k", 0)), int(d.get("h", 0)))
+            return SurfaceModel(d["kind"], d.get("k", 0), d.get("h", 0))
         except (TypeError, ValueError) as err:
             raise ParseError(f"bad surface {d!r}: {err}") from None
 

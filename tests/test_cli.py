@@ -1,8 +1,12 @@
 """End-to-end CLI coverage: flags, files, JSON round trips, exit codes."""
 
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conelab.cli import main, parse_surface
 from conelab.lattice import parse_class, rational_surface, trivial_ruled
@@ -265,10 +269,36 @@ class TestUsageErrors:
              {"surface": {"kind": "rational", "k": 2}, "curves": "H"}),
             (["cone", "dual", "--rays-file", "{file}"],
              {"surface": {"kind": "rational", "k": 2}, "rays": [1]}),
+            (["cone", "ksymp", "--k", "-1"], None),
+            (["enumerate", "--surface", "rational:h=2"], None),
+            (["enumerate", "--surface", "rational:q=5"], None),
+            (["enumerate", "--surface", "rational:k=2,k=3"], None),
+            (["config", "validate", "{file}"],
+             {"surface": {"kind": "rational", "k": 2.7}, "curves": ["E1"]}),
+            (["config", "validate", "{file}"],
+             {"surface": {"kind": "rational", "k": "2"}, "curves": ["E1"]}),
+            (["config", "validate", "{file}"],
+             {"surface": {"kind": "rational", "k": True}, "curves": ["E1"]}),
+            (["cone", "dual", "--k", "2", "--rays", "E1", "--rays-file", "{file}"],
+             {"surface": {"kind": "rational", "k": 2}, "rays": ["E1"]}),
+            (["cremona", "reduce", "--k", "3", "--surface", "rational:k=4", "--class", "H"], None),
+            (["cone", "dual", "--k", "2", "--rays", ","], None),
+            (["inflate", "--config", "{file}", "--start", "11H-7E1-2E2-E3", "--trace", "4"],
+             {"surface": {"kind": "rational", "k": 3},
+              "curves": ["E3", "E2-E3", "H-E1-E2-E3", "-H+2E1-E2"]}),
+            (["inflate", "--config", "{file}", "--start", "11H-7E1-2E2-E3",
+              "--ray", "H-E1", "--trace", "4"],
+             {"surface": {"kind": "rational", "k": 3},
+              "curves": ["E3", "E2-E3", "H-E1-E2-E3", "-H+2E1-E2"]}),
+            (["config", "catalog", "cp2+2", "--n", "-3"], None),
         ],
         ids=["zero-denominator", "missing-file", "no-surface", "bad-surface-int",
              "json-not-object", "json-bad-surface-int", "json-unknown-kind",
-             "ksymp-paper-signs", "sw-json", "curve-not-string", "curves-not-list", "ray-not-string"],
+             "ksymp-paper-signs", "sw-json", "curve-not-string", "curves-not-list", "ray-not-string",
+             "negative-k", "rational-h", "unknown-surface-key", "repeated-surface-key",
+             "json-float-k", "json-string-k", "json-bool-k", "rays-and-rays-file",
+             "k-and-surface", "no-ray-literal", "trace-without-ray", "trace-ray-not-on-two",
+             "negative-catalog-n"],
     )
     def test_malformed_input_exits_2(self, capsys, tmp_path, argv, document):
         path = tmp_path / "cfg.json"
@@ -277,8 +307,10 @@ class TestUsageErrors:
         argv = [a.format(missing=tmp_path / "absent.json", file=path) for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 2
-        if err.startswith("usage: "):  # a flag the subcommand does not take
-            assert err.splitlines()[-1].endswith("unrecognized arguments: " + argv[-1])
+        if err.startswith("usage: "):  # a flag the subcommand does not take, or two exclusive ones
+            reason = err.splitlines()[-1].partition(": error: ")[2]
+            assert reason == "unrecognized arguments: " + argv[-1] or re.fullmatch(
+                r"argument --[\w-]+: not allowed with argument --[\w-]+", reason)
         else:
             assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -291,3 +323,124 @@ class TestUsageErrors:
     def test_unknown_catalog(self, capsys):
         code, _, err = run(capsys, "config", "catalog", "cp2+9")
         assert code == 2
+
+
+# -- fuzz: any argv ends in exit 0, 1 or 2, never in a traceback -----------
+
+def _mostly(valid, junk):
+    """valid about three times in four, junk otherwise."""
+    return st.sampled_from([valid, valid, valid, junk]).flatmap(lambda s: s)
+
+
+def _literal(terms):
+    text = "".join(c + b if i == 0 or c.startswith("-") else "+" + c + b
+                   for i, (c, b) in enumerate(terms))
+    return text or "0"
+
+
+PLANE_CLASSES = st.lists(st.tuples(st.sampled_from(["", "-", "2", "-2", "3"]),
+                                   st.sampled_from(["H", "E1", "E2"])),
+                         max_size=4).map(_literal)
+CLASSES = _mostly(
+    st.lists(st.tuples(st.sampled_from(["", "-", "2", "-2", "3", "0", "1/2", "-1/3"]),
+                       st.sampled_from(["H", "H", "E1", "E2", "E3", "E4", "E6", "U", "T"])),
+             max_size=4).map(_literal),
+    st.text(alphabet="HETU0123456789+-/ ,", max_size=6),
+)
+CLASS_LISTS = st.lists(CLASSES, max_size=4).map(",".join)
+INTS = st.integers(-3, 6).map(str)
+SURFACES = _mostly(
+    st.one_of(st.builds("rational:k={}".format, st.integers(0, 6)),
+              st.builds("ruled:h={},k={}".format, st.integers(1, 3), st.integers(0, 2)),
+              st.builds("nontrivial-ruled:h={}".format, st.integers(1, 3))),
+    st.builds(lambda kind, params: kind + (":" + ",".join(params) if params else ""),
+              st.sampled_from(["rational", "ruled", "trivial_ruled", "weird", ""]),
+              st.lists(st.builds("{}={}".format, st.sampled_from(["k", "h", "q", ""]),
+                                 st.sampled_from(["-1", "0", "2", "x", "", "2.5"])),
+                       max_size=3)),
+)
+JSON_SURFACES = _mostly(
+    st.builds(lambda k: {"kind": "rational", "k": k}, st.integers(2, 4)),
+    st.one_of(
+        st.fixed_dictionaries(
+            {"kind": st.sampled_from(["rational", "trivial_ruled", "nontrivial_ruled", "ruled"])},
+            optional={key: st.one_of(st.integers(-1, 3), st.sampled_from([2.5, "2", True, None]))
+                      for key in ("k", "h")}),
+        st.sampled_from([[], "rational", 3]),
+    ),
+)
+JSON_LISTS = _mostly(st.lists(PLANE_CLASSES, max_size=5),
+                     st.one_of(CLASSES, st.lists(st.one_of(CLASSES, st.integers(0, 2)))))
+DOCUMENTS = _mostly(
+    st.fixed_dictionaries({"surface": JSON_SURFACES, "curves": JSON_LISTS},
+                          optional={"rays": JSON_LISTS, "extra_square_zero": JSON_LISTS}),
+    st.one_of(st.fixed_dictionaries({}, optional={"curves": JSON_LISTS}),
+              st.sampled_from([[], "x", 1, None])),
+)
+FILE = "FILE"  # replaced by the path of a drawn JSON document
+ON_SURFACE = {"--k": st.integers(-2, 6).map(str), "--surface": SURFACES}
+# leaf command -> (positionals, groups of which one flag is drawn, optional flags);
+# a flag maps to its value strategy, or to None for a switch
+LEAVES = {
+    ("enumerate",): ([], [ON_SURFACE], {"--json": None, "--paper-signs": None,
+                                        "--families": None, "--square": INTS,
+                                        "--genus": INTS, "--nbound": INTS}),
+    ("squares",): ([], [{"--total": st.integers(-3, 100).map(str)}],
+                   {"--any-sum": None, "--json": None}),
+    ("cremona", "reduce"): ([], [ON_SURFACE, {"--class": CLASSES}], {"--json": None}),
+    ("cremona", "equiv"): ([CLASSES, CLASSES], [ON_SURFACE], {"--json": None}),
+    ("cone", "dual"): ([], [ON_SURFACE, {"--rays": CLASS_LISTS, "--rays-file": st.just(FILE)}],
+                       {"--json": None, "--paper-signs": None}),
+    ("cone", "ksymp"): ([], [ON_SURFACE], {"--json": None}),
+    ("nef-threshold",): ([], [ON_SURFACE, {"--omega": CLASSES},
+                              {"--curves": CLASS_LISTS, "--curves-file": st.just(FILE)}],
+                         {"--json": None}),
+    ("inflate",): ([], [{"--config": st.just(FILE)}, {"--start": CLASSES}],
+                   {"--ray": CLASSES, "--trace": INTS, "--json": None}),
+    ("config", "validate"): ([st.just(FILE)], [], {"--json": None}),
+    ("config", "blowdown"): ([st.just(FILE)], [{"--at": CLASSES}], {"--json": None}),
+    ("config", "catalog"): ([st.sampled_from(["cp2+1", "cp2+2", "cp2+3", "cp2+9"])], [],
+                            {"--n": INTS, "--json": None}),
+    ("sw", "cert"): ([], [ON_SURFACE, {"--class": CLASSES}], {}),
+    ("sw", "decompose"): ([], [ON_SURFACE, {"--class": CLASSES}], {}),
+}
+FOREIGN = ["--json", "--paper-signs", "--k=2", "--surface=rational:k=1", "--rays=E1",
+           "--class=H"]
+
+
+@st.composite
+def command_lines(draw):
+    leaf = draw(st.sampled_from(sorted(LEAVES)))
+    positionals, groups, optional = LEAVES[leaf]
+    flags = [draw(st.sampled_from(sorted(group))) for group in groups]
+    if optional:
+        flags += draw(st.lists(st.sampled_from(sorted(optional)), unique=True, max_size=3))
+    values = {flag: value for group in groups for flag, value in group.items()} | optional
+    argv = list(leaf) + [draw(s) for s in positionals]
+    argv += [f if values[f] is None else f"{f}={draw(values[f])}" for f in flags]
+    if argv[len(leaf):] and draw(st.integers(0, 7)) == 0:  # one input missing
+        argv.remove(draw(st.sampled_from(argv[len(leaf):])))
+    if draw(st.integers(0, 7)) == 0:  # a flag the leaf does not take, or a second source
+        argv.append(draw(st.sampled_from(FOREIGN)))
+    return argv, draw(DOCUMENTS)
+
+
+class TestFuzz:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(command_lines())
+    def test_main_exits_0_1_or_2(self, tmp_path_factory, drawn):
+        argv, document = drawn
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(document))
+        argv = [a.replace(FILE, str(path)) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert code != 2 or err.getvalue(), argv
+
+    @pytest.mark.parametrize("k", range(-3, 10))
+    def test_k_is_rational_k(self, capsys, k):
+        by_k = run(capsys, "enumerate", "--families", "--k", str(k))
+        by_surface = run(capsys, "enumerate", "--families", "--surface", f"rational:k={k}")
+        assert by_k == by_surface

@@ -323,12 +323,19 @@ class TestKSymplecticCone:
         ks = k_symplectic_cone(rational_surface(k))
         assert {str(c.ray) for c in ks.corners} == corners
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 6, 7])
     def test_corners_are_spheres_of_square_zero_or_one(self, k):
-        ks = k_symplectic_cone(rational_surface(k))
+        s = rational_surface(k)
+        ks = k_symplectic_cone(s)
         assert ks.corners_ok
         for c in ks.corners:
             assert c.square in (0, 1) and c.genus == 0
+        # oracle: the corners are the square-0 and square-1 sphere classes
+        # that pair non-negatively with every -1 class
+        minus_one = exceptional_classes(s)
+        spheres = family_instances(sphere_classes(s, square=0) + sphere_classes(s, square=1))
+        nef = {x for x in spheres if all(pair(x, e) >= 0 for e in minus_one)}
+        assert {c.ray for c in ks.corners} == nef
 
     @pytest.mark.parametrize("k,square_one,square_zero", [(6, 72, 27), (7, 576, 126)])
     def test_corner_counts(self, k, square_one, square_zero):

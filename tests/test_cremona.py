@@ -1,5 +1,6 @@
 """Reflections, ordering, reduction, and orbit equivalence."""
 
+import itertools
 import random
 
 import pytest
@@ -178,6 +179,23 @@ class TestEquivalence:
     def test_reduction_path(self):
         out = cremona_equivalent(parse_class("2H-E1-E2-E3", S3), H(S3))
         assert out.kind == "equivalent"
+
+    def test_path_replays_from_a_to_b(self):
+        # a certificate replayable from the list alone: it starts at x, ends
+        # at y, and each step permutes the E's or reflects once and orders
+        s4 = rational_surface(4)
+        triples = list(itertools.combinations(range(1, 5), 3))
+
+        def step_ok(a, b):
+            return order(a) == order(b) or any(b == order(reflect(a, t)) for t in triples)
+
+        minus_one = sorted(exceptional_classes(s4), key=lambda c: c.coeffs)
+        for x in minus_one:
+            for y in minus_one:
+                out = cremona_equivalent(x, y)
+                assert out.kind == "equivalent"
+                assert out.path[0] == x and out.path[-1] == y
+                assert all(step_ok(a, b) for a, b in zip(out.path, out.path[1:]))
 
     def test_square_mismatch(self):
         out = cremona_equivalent(H(S3), 2 * H(S3))

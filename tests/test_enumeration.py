@@ -187,7 +187,11 @@ class TestNegativeSphereClasses:
             assert sphere_classes(s, n_bound=2, square=q) == want
         zero = sphere_classes(s, square=0)
         assert zero and all(f.representative.square() == 0 for f in zero)
-        assert sphere_classes(s, square=1) == []
+        one = sphere_classes(s, square=1)
+        assert one and all(
+            f.representative.square() == 1 and adjunction_genus(f.representative) == 0
+            for f in one
+        )
 
 
 def brute_sphere_keys(k, square, a_hi=15):
@@ -204,7 +208,7 @@ def brute_sphere_keys(k, square, a_hi=15):
 
 
 class TestSphereClassSlices:
-    @pytest.mark.parametrize("square", [0, -1, -2, -3, -4])
+    @pytest.mark.parametrize("square", [1, 0, -1, -2, -3, -4])
     def test_positive_degree_slice_matches_brute_force(self, square):
         # degrees up to 15 also test the Cauchy-Schwarz degree range
         got = {f.key() for f in sphere_classes(rational_surface(4), square=square)
