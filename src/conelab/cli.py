@@ -72,6 +72,13 @@ def _surface(args) -> SurfaceModel:
     return parse_surface(args.surface)
 
 
+def _no_surface_beside(args, flag: str) -> None:
+    """A file flag brings its own surface, so --surface or --k next to it
+    would be ignored; refuse it instead."""
+    if args.surface is not None:
+        raise UsageError(f"{flag} names its own surface; drop --surface/--k")
+
+
 def _classes_from_arg(text: str, surface: SurfaceModel) -> list[DivisorClass]:
     classes = [parse_class(part, surface) for part in text.split(",") if part.strip()]
     if not classes:
@@ -207,6 +214,7 @@ def cmd_ksymp(args) -> int:
 
 def cmd_dual(args) -> int:
     if args.rays_file:
+        _no_surface_beside(args, "--rays-file")
         surface, rays = _load_json(args.rays_file, _parse_cone)
     else:
         rays = _classes_from_arg(args.rays, _surface(args))
@@ -229,6 +237,7 @@ def cmd_dual(args) -> int:
 
 def cmd_nef_threshold(args) -> int:
     if args.curves_file:
+        _no_surface_beside(args, "--curves-file")
         cfg = _load_config(args.curves_file)
         surface = cfg.surface
         curves = list(cfg.curves)
@@ -274,20 +283,26 @@ def cmd_inflate(args) -> int:
                 "light_cone_limit": res.lightcone_limit,
             }
         )
-    if args.json:
-        print(json.dumps({"start": str(start), "achieved": records}))
-    else:
-        for rec in records:
-            steps = ", ".join(f"{e} along {c}" for c, e in rec["steps"]) or "none"
-            tag = " (light-cone limit)" if rec["light_cone_limit"] else ""
-            print(f"{rec['ray']}: reached {rec['result']} via {steps}{tag}")
+    doc = {"start": str(start), "achieved": records}
     if args.trace:
         alt = inflation.alternate_inflate(
             inflation.max_inflate(start, tight[0])[0], tight[0], tight[1], args.trace
         )
+        doc["alternating"] = {
+            "odd": [str(x) for x in alt.odd_coefficients],
+            "even": [str(x) for x in alt.even_coefficients],
+        }
+    if args.json:
+        print(json.dumps(doc))
+        return 0
+    for rec in records:
+        steps = ", ".join(f"{e} along {c}" for c, e in rec["steps"]) or "none"
+        tag = " (light-cone limit)" if rec["light_cone_limit"] else ""
+        print(f"{rec['ray']}: reached {rec['result']} via {steps}{tag}")
+    if args.trace:
         print("alternating coefficients:")
-        print("  odd:  " + ", ".join(str(x) for x in alt.odd_coefficients))
-        print("  even: " + ", ".join(str(x) for x in alt.even_coefficients))
+        print("  odd:  " + ", ".join(doc["alternating"]["odd"]))
+        print("  even: " + ", ".join(doc["alternating"]["even"]))
     return 0
 
 

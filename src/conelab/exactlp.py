@@ -1,20 +1,29 @@
 """Exact rational LP feasibility: non-negative combinations hitting a target.
 
 A revised phase-1 simplex (Dantzig & Orchard-Hays, 1954): it keeps the basis
-inverse over Fraction and prices the columns in int, on demand.  Its pivots
-are those of Bland's rule on the dense phase-1 tableau (columns, then one
-artificial per row); it stops once the artificials are zero, after which that
-tableau's pivots are all degenerate, so the solutions are the same.
+inverse in int over one common denominator, updated by the integer-preserving
+pivot, and prices the columns in int, on demand.  Its pivots are those of
+Bland's rule on the dense phase-1 tableau (columns, then one artificial per
+row); it stops once the artificials are zero, after which that tableau's
+pivots are all degenerate, so the solutions are the same.  The target and each
+column are scaled to primitive integer vectors; a positive scale changes
+neither the sign of a reduced cost nor the order of the ratios, so only the
+returned values are scaled back, to Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cmp_to_key
 from operator import mul
 from typing import Sequence
 
 from . import linalg
+
+
+def _scale(v: Sequence[Fraction], w: Sequence[int]) -> Fraction:
+    """The positive factor taking v to its primitive rescale w (1 for zero)."""
+    return next((Fraction(y, x) for x, y in zip(v, w) if x), Fraction(1))
 
 
 def nonnegative_combination(
@@ -23,7 +32,8 @@ def nonnegative_combination(
     """Coefficients x >= 0 with sum x_j columns[j] = target, or None.
 
     Bland's rule guarantees termination; the returned basic solution is an
-    exact certificate that can be re-verified by direct arithmetic.
+    exact certificate, checked in int before it is returned (ArithmeticError
+    if it fails) and re-verifiable by direct arithmetic.
     """
     m = len(target)
     n = len(columns)
@@ -32,14 +42,14 @@ def nonnegative_combination(
     flip = [t < 0 for t in target]
     # priced on first use; a positive rescale keeps the sign of a reduced cost
     column = cache(lambda j: linalg.primitive(columns[j]))
+    goal = linalg.primitive(target)
     # the dense tableau on the entering column, the artificial columns and
-    # the right-hand side: row i is [d_i | row i of the basis inverse | x_i];
-    # the last row is [reduced cost | y = c_B B^-1 | phase-1 objective]
-    rows = [
-        [Fraction(0)] + [Fraction(int(i == k)) for k in range(m)] + [abs(Fraction(t))]
-        for i, t in enumerate(target)
-    ]
-    rows.append([Fraction(0)] + [Fraction(1)] * m + [sum(row[-1] for row in rows)])
+    # the right-hand side, all times the common denominator `denom`: row i is
+    # [d_i | row i of the basis inverse | x_i]; the last row is
+    # [reduced cost | y = c_B B^-1 | phase-1 objective]
+    rows = [[0] + [int(i == k) for k in range(m)] + [abs(t)] for i, t in enumerate(goal)]
+    rows.append([0] + [1] * m + [sum(map(abs, goal))])
+    denom = 1
     basis = list(range(n, n + m))
 
     while rows[m][-1] != 0:
@@ -50,18 +60,24 @@ def nonnegative_combination(
         enter = next((j for j in range(n) if sum(map(mul, price, column(j))) > 0), None)
         if enter is None:
             return None
-        entering = [(k, -x if f else x) for k, (f, x) in enumerate(zip(flip, columns[enter])) if x]
+        entering = [(k, -x if f else x) for k, (f, x) in enumerate(zip(flip, column(enter))) if x]
         for row in rows:
             row[0] = sum(row[1 + k] * a for k, a in entering if row[1 + k])
-        ratios = [(row[-1] / row[0], basis[i], i) for i, row in enumerate(rows[:m]) if row[0] > 0]
-        if not ratios:
+        # Bland's ratio test: the least x_i / d_i over d_i > 0, ties to the
+        # lower basic index; the ratios are compared by cross-multiplying
+        eligible = [i for i in range(m) if rows[i][0] > 0]
+        if not eligible:
             raise ArithmeticError("phase-1 objective unbounded; malformed input")
-        leave = min(ratios)[2]
-        linalg.pivot(rows, leave, 0)
+        leave = min(eligible, key=cmp_to_key(
+            lambda i, j: rows[i][-1] * rows[j][0] - rows[j][-1] * rows[i][0] or basis[i] - basis[j]))
+        denom = linalg.pivot(rows, leave, 0, denom)
         basis[leave] = enter
 
+    used = [(row[-1], var) for row, var in zip(rows, basis) if var < n and row[-1]]
+    if any(sum(x * column(var)[k] for x, var in used) != denom * g for k, g in enumerate(goal)):
+        raise ArithmeticError("the basic solution does not reproduce the target")
     solution = [Fraction(0)] * n
-    for row, var in zip(rows, basis):
-        if var < n:
-            solution[var] = row[-1]
+    scale = denom * _scale(target, goal)
+    for x, var in used:
+        solution[var] = x * _scale(columns[var], column(var)) / scale
     return solution

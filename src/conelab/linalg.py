@@ -1,6 +1,7 @@
 """Small exact linear algebra on vectors that mix int and Fraction entries, as
-class coefficients do: row reduction and kernels over Fraction (the pivots
-divide), and primitive normalization of rational and integer vectors."""
+class coefficients do: the integer-preserving pivot, row reduction and kernels
+(eliminated in int, normalized to Fraction once at the end), and primitive
+normalization of rational and integer vectors."""
 
 from __future__ import annotations
 
@@ -16,36 +17,51 @@ def is_zero(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 
 
-def pivot(mat: list[list[Fraction]], r: int, c: int) -> None:
-    """Gauss-Jordan step in place: scale row r so its entry in column c is 1,
-    then clear column c from every other row.  Zero entries are skipped."""
-    pv = mat[r][c]
-    mat[r] = [x / pv if x else x for x in mat[r]]
-    for i in range(len(mat)):
-        if i != r and mat[i][c] != 0:
-            f = mat[i][c]
-            mat[i] = [x - f * y if y else x for x, y in zip(mat[i], mat[r])]
+def pivot(mat: list[list[int]], r: int, c: int, d: int) -> int:
+    """Integer-preserving Gauss-Jordan step in place (Edmonds 1967, Bareiss
+    1968) on the tableau mat / d, with d > 0 and a positive pivot mat[r][c]:
+    clear column c from every row but r, and return the new common
+    denominator, the pivot.  Every entry stays a minor of the integer input,
+    so each division by d is exact."""
+    p = mat[r][c]
+    pivot_row = mat[r]
+    for i, row in enumerate(mat):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            mat[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+        elif p != d:
+            mat[i] = [p * x // d for x in row]
+    return p
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [list(Fraction(x) for x in row) for row in rows]
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Each row is first scaled to a primitive integer row, which leaves the
+    row space alone; the elimination then stays in int and divides by the
+    common denominator once, at the end."""
+    mat = [list(primitive(row)) for row in rows]
     if not mat:
         return [], []
     ncols = len(mat[0])
     pivots: list[int] = []
+    d = 1
     r = 0
     for c in range(ncols):
         pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        pivot(mat, r, c)
+        if mat[r][c] < 0:
+            mat[r] = [-x for x in mat[r]]
+        d = pivot(mat, r, c, d)
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return [tuple(row) for row in mat[:r]], pivots
+    return [tuple(Fraction(x, d) for x in row) for row in mat[:r]], pivots
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[Vec]:

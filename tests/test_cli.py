@@ -216,6 +216,19 @@ class TestConfigCommands:
         assert code == 0
         assert "T: reached T via none (light-cone limit)\n" in out
 
+    def test_inflate_trace_json_is_one_document(self, capsys, tmp_path):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({
+            "surface": {"kind": "rational", "k": 2},
+            "curves": ["-H+2E1-E2", "E2", "H-E1-E2"],
+        }))
+        code, out, _ = run(capsys, "inflate", "--config", str(path), "--start", "8H-5E1-E2",
+                           "--ray", "3H-2E1-E2", "--trace", "6", "--json")
+        data = json.loads(out)
+        assert code == 0
+        assert [rec["ray"] for rec in data["achieved"]] == ["3H-2E1-E2"]
+        assert data["alternating"] == {"odd": ["2", "0", "0"], "even": ["0", "0", "0"]}
+
     def test_inflate_single_ray(self, capsys, cfg_file):
         code, out, _ = run(capsys, "inflate", "--config", cfg_file,
                            "--start", "11H-7E1-2E2-E3", "--ray", "H-E1")
@@ -291,6 +304,15 @@ class TestUsageErrors:
              {"surface": {"kind": "rational", "k": 3},
               "curves": ["E3", "E2-E3", "H-E1-E2-E3", "-H+2E1-E2"]}),
             (["config", "catalog", "cp2+2", "--n", "-3"], None),
+            (["cone", "dual", "--rays-file", "{file}", "--k", "5"],
+             {"surface": {"kind": "rational", "k": 2}, "rays": ["E1"]}),
+            (["cone", "dual", "--surface", "rational:k=2", "--rays-file", "{file}"],
+             {"surface": {"kind": "rational", "k": 2}, "rays": ["E1"]}),
+            (["nef-threshold", "--omega", "H", "--curves-file", "{file}", "--k", "5"],
+             {"surface": {"kind": "rational", "k": 2}, "curves": ["E1"]}),
+            (["nef-threshold", "--omega", "H", "--surface", "rational:k=2",
+              "--curves-file", "{file}"],
+             {"surface": {"kind": "rational", "k": 2}, "curves": ["E1"]}),
         ],
         ids=["zero-denominator", "missing-file", "no-surface", "bad-surface-int",
              "json-not-object", "json-bad-surface-int", "json-unknown-kind",
@@ -298,7 +320,8 @@ class TestUsageErrors:
              "negative-k", "rational-h", "unknown-surface-key", "repeated-surface-key",
              "json-float-k", "json-string-k", "json-bool-k", "rays-and-rays-file",
              "k-and-surface", "no-ray-literal", "trace-without-ray", "trace-ray-not-on-two",
-             "negative-catalog-n"],
+             "negative-catalog-n", "rays-file-and-k", "rays-file-and-surface",
+             "curves-file-and-k", "curves-file-and-surface"],
     )
     def test_malformed_input_exits_2(self, capsys, tmp_path, argv, document):
         path = tmp_path / "cfg.json"

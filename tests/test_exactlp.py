@@ -1,6 +1,6 @@
 """The exact phase-1 simplex against two references: brute force over every
 basis, and Bland's rule on the dense tableau, whose solutions it must return
-unchanged."""
+unchanged; on random small systems and on the LPs of a real validation."""
 
 import random
 from fractions import Fraction
@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from conelab import exactlp, linalg
+from conelab.configurations import disjoint_minus_one_configuration, validate_configuration
 
 
 def basic_solutions(columns, target):
@@ -28,6 +29,17 @@ def brute_force_feasible(columns, target):
     return any(all(v >= 0 for v in values) for _, values in basic_solutions(columns, target))
 
 
+def gauss_jordan_step(tab, r, c):
+    """Fraction pivot of the reference, apart from the integer pivot of the
+    simplex under test: scale row r to a 1 in column c, clear column c."""
+    pv = tab[r][c]
+    tab[r] = [x / pv for x in tab[r]]
+    for i in range(len(tab)):
+        if i != r and tab[i][c] != 0:
+            f = tab[i][c]
+            tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
+
+
 def dense_tableau(columns, target):
     """Bland's rule on the full (m+1) x (n+m+1) phase-1 tableau, run until no
     column has positive reduced cost."""
@@ -44,7 +56,7 @@ def dense_tableau(columns, target):
     while (enter := next((j for j in range(n + m) if tab[m][j] > 0), None)) is not None:
         ratios = [(tab[i][-1] / tab[i][enter], basis[i], i) for i in range(m) if tab[i][enter] > 0]
         leave = min(ratios)[2]
-        linalg.pivot(tab, leave, enter)
+        gauss_jordan_step(tab, leave, enter)
         basis[leave] = enter
     if tab[m][-1] != 0:
         return None
@@ -122,3 +134,51 @@ def test_matches_brute_force_and_the_dense_tableau():
 )
 def test_small_systems(columns, target, expected):
     assert exactlp.nonnegative_combination(columns, target) == expected
+
+
+def validation_lps(monkeypatch, cfg):
+    """The report of validate_configuration(cfg) and its LP calls, as
+    (columns, target, solution)."""
+    solve, calls = exactlp.nonnegative_combination, []
+
+    def capture(columns, target):
+        calls.append((columns, target, solve(columns, target)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(exactlp, "nonnegative_combination", capture)
+    return validate_configuration(cfg), calls
+
+
+def test_matches_the_dense_tableau_at_validation_size(monkeypatch):
+    # the LPs of a seven-blowup validation: 8 rows and about 190 columns
+    _, calls = validation_lps(monkeypatch, disjoint_minus_one_configuration(7, 3))
+    sample = calls[::6]
+    assert len(sample) >= 9 and min(len(columns) for columns, _, _ in sample) > 100
+    for columns, target, solution in sample:
+        assert solution is not None and solution == dense_tableau(columns, target), target
+
+
+def test_eight_blowup_decompositions_sum_to_their_targets(monkeypatch):
+    report, calls = validation_lps(monkeypatch, disjoint_minus_one_configuration(8, 8))
+    assert report.passed and len(report.decompositions) == len(calls) == 240
+    for (target, used), (columns, lp_target, x) in zip(report.decompositions, calls):
+        assert lp_target == target.coeffs and tuple(x[: len(used)]) == used
+        assert all(type(v) is Fraction and v >= 0 for v in x)
+        terms = [(v, c) for v, c in zip(x, columns) if v]
+        total = tuple(sum(v * c[i] for v, c in terms) for i in range(len(target.coeffs)))
+        assert total == target.coeffs, target
+
+
+def test_a_basic_solution_that_misses_the_target_raises(monkeypatch):
+    # the integer check of the certificate, not an assert: a pivot that
+    # leaves each entering value one unit off is caught before returning
+    pivot = linalg.pivot
+
+    def off_by_one(mat, r, c, d):
+        p = pivot(mat, r, c, d)
+        mat[r][-1] += 1
+        return p
+
+    monkeypatch.setattr(linalg, "pivot", off_by_one)
+    with pytest.raises(ArithmeticError, match="does not reproduce the target"):
+        exactlp.nonnegative_combination([[1, 0], [0, 1]], [2, 3])
