@@ -36,14 +36,16 @@ def reflect(x: DivisorClass, triple: tuple[int, int, int]) -> DivisorClass:
     """Reflection x -> x + (x.alpha) alpha for alpha = H - Ei - Ej - El."""
     _require_cremona_surface(x)
     i, j, l = triple
-    if len({i, j, l}) != 3 or not all(1 <= t <= x.surface.k for t in (i, j, l)):
+    k = x.surface.k
+    if not (0 < i <= k and 0 < j <= k and 0 < l <= k and i != j != l != i):
         raise LatticeError(f"bad reflection triple {triple}")
     coeffs = list(x.coeffs)
     d = coeffs[0] + coeffs[i] + coeffs[j] + coeffs[l]  # x.alpha
     coeffs[0] += d
-    for t in triple:
-        coeffs[t] -= d
-    return divisor(x.surface, coeffs)
+    coeffs[i] -= d
+    coeffs[j] -= d
+    coeffs[l] -= d
+    return DivisorClass(x.surface, tuple(coeffs))
 
 
 def order(x: DivisorClass) -> DivisorClass:
@@ -84,16 +86,18 @@ def cremona_reduce(x: DivisorClass, max_steps: int = 1_000) -> ReductionOutcome:
     """
     _require_cremona_surface(x)
     current = order(x)
-    seen: list[DivisorClass] = []
+    # the ordered classes in the order seen, each with its step, so that a
+    # repeat is found in constant time
+    seen: dict[DivisorClass, int] = {}
     for step in range(max_steps):
         if is_reduced(current):
-            return ReductionOutcome("reduced", current, tuple(seen + [current]), step)
+            return ReductionOutcome("reduced", current, (*seen, current), step)
         if current in seen:
-            idx = seen.index(current)
-            return ReductionOutcome("cycle", None, tuple(seen[idx:] + [current]), step)
-        seen.append(current)
+            cycle = list(seen)[seen[current]:]
+            return ReductionOutcome("cycle", None, (*cycle, current), step)
+        seen[current] = step
         current = order(reflect(current, (1, 2, 3)))
-    return ReductionOutcome("budget_exceeded", current, tuple(seen[-5:]), max_steps)
+    return ReductionOutcome("budget_exceeded", current, tuple(list(seen)[-5:]), max_steps)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ so enumeration reduces to constrained sum/sum-of-squares searches with
 Cauchy-Schwarz pruning.  Families collect permutation orbits of the Ei.
 One search, sphere_classes, serves every square: the -1 classes and the
 square-zero classes are its square -1 and square 0 slices.  The
-sweeps make one pass over the positive-genus tuples, computing square, K.C
-and genus in int; a DivisorClass is built only for a reported class.
+sweeps make one recursive pass over the positive-genus tuples that carries
+sum bi and sum bi^2 down, so square, K.C and genus come out in int at each
+leaf; a DivisorClass is built only for a reported class.
 """
 
 from __future__ import annotations
@@ -240,29 +241,6 @@ def nine_squares_representations(total: int, residue_sum_zero: bool = True) -> l
 # ---------------------------------------------------------------------------
 
 
-def _positive_genus_tuples(k: int, a: int, bound: int) -> Iterable[tuple[int, ...]]:
-    """Non-increasing b with sum bi(bi-1) <= a(a-3), i.e. genus >= 1."""
-    budget = a * (a - 3)
-    if budget < 0:
-        return
-
-    def rec(m: int, prev: int, left: int, acc: list[int]):
-        if m == 0:
-            yield tuple(acc)
-            return
-        for v in range(min(prev, bound), -bound - 1, -1):
-            cost = v * (v - 1)
-            if cost > left:
-                if v > 1:
-                    continue
-                break
-            acc.append(v)
-            yield from rec(m - 1, v, left - cost, acc)
-            acc.pop()
-
-    yield from rec(k, bound, budget, [])
-
-
 @dataclass(frozen=True)
 class SweepReport:
     """Exhaustive checks over integral classes with positive H-degree.
@@ -324,14 +302,19 @@ def sphere_class_sweeps(surface: SurfaceModel, bound: int = 8) -> SweepReport:
         raise LatticeError("sweeps cover blowups of the plane with k <= 9")
     k = surface.k
     fields = neg, zero, dim0, g1_bad, g1_eq = [], [], [], [], []
-    for a in range(1, bound + 1):
-        # every class with square >= 0 and K.C >= 0 has 2g - 2 = C.C + K.C >= 0,
-        # so this one search also covers nonneg_square_nonneg_k_pairing
-        for b in _positive_genus_tuples(k, a, bound):
-            sq = a * a - sum(x * x for x in b)
-            kc = sum(b) - 3 * a
+    b = [0] * k
+
+    def rec(m: int, prev: int, left: int, s1: int, s2: int) -> None:
+        """Fill b[m:] non-increasingly with sum bi(bi-1) <= a(a-3), i.e. genus
+        >= 1; s1 and s2 are sum bi and sum bi^2 over b[:m], and left is what
+        b[:m] leaves of the budget a(a-3)."""
+        if m == k:
+            sq = a * a - s2
+            kc = s1 - 3 * a
             g = (sq + kc) // 2 + 1
-            c = (a, b)
+            if sq > 0 and kc < 0 and (g != 1 or sq > 9 - k):
+                return  # in no field, as nearly every tuple is
+            c = (a, tuple(b))
             if sq < 0:
                 neg.append(c)
             elif sq == 0:
@@ -343,5 +326,17 @@ def sphere_class_sweeps(surface: SurfaceModel, bound: int = 8) -> SweepReport:
                     g1_bad.append(c)
                 elif sq == 9 - k:
                     g1_eq.append(c)
+            return
+        # v(v - 1) <= left exactly for 1 - top <= v <= top
+        top = (1 + isqrt(4 * left + 1)) // 2
+        for v in range(min(prev, bound, top), max(-bound, 1 - top) - 1, -1):
+            b[m] = v
+            rec(m + 1, v, left - v * (v - 1), s1 + v, s2 + v * v)
+
+    for a in range(3, bound + 1):
+        # every class with square >= 0 and K.C >= 0 has 2g - 2 = C.C + K.C >= 0,
+        # so this one search also covers nonneg_square_nonneg_k_pairing; degrees
+        # 1 and 2 have a negative budget a(a - 3) and no tuple
+        rec(0, bound, a * (a - 3), 0, 0)
     classes = (sorted_classes(_class_from_b(surface, a, b) for a, b in f) for f in fields)
     return SweepReport(surface, *map(tuple, classes))

@@ -22,6 +22,7 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 from . import linalg
@@ -101,14 +102,21 @@ class SurfaceModel:
             raise ParseError(f"bad surface {d!r}: {err}") from None
 
 
+# The three constructors intern their surfaces, so classes built on one surface
+# share it and a pairing's surface check is mostly an identity test.  The cache
+# is typed: an untyped one would hand trivial_ruled(True, 1) the surface cached
+# for trivial_ruled(1, 1) instead of rejecting the bool.
+@functools.lru_cache(maxsize=None, typed=True)
 def rational_surface(k: int) -> SurfaceModel:
     return SurfaceModel(RATIONAL, k)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def trivial_ruled(h: int, k: int = 0) -> SurfaceModel:
     return SurfaceModel(TRIVIAL_RULED, k, h)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def nontrivial_ruled(h: int, k: int = 0) -> SurfaceModel:
     return SurfaceModel(NONTRIVIAL_RULED, k, h)
 
@@ -130,12 +138,14 @@ class DivisorClass:
     coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != self.surface.rank:
+        c = self.coeffs
+        if len(c) != self.surface.rank:
             raise LatticeError(
-                f"coefficient vector of length {len(self.coeffs)} on rank "
-                f"{self.surface.rank} surface"
+                f"coefficient vector of length {len(c)} on rank {self.surface.rank} surface"
             )
-        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
+        # a tuple of plain ints is stored as it is (a bool is not a plain int)
+        if type(c) is not tuple or {*map(type, c)} != {int}:
+            object.__setattr__(self, "coeffs", tuple(map(_exact, c)))
 
     # -- vector space structure ------------------------------------------
 
@@ -197,7 +207,7 @@ class DivisorClass:
 
 
 def _check_same_surface(x: DivisorClass, y: DivisorClass) -> None:
-    if x.surface != y.surface:
+    if x.surface is not y.surface and x.surface != y.surface:
         raise LatticeError(f"classes on different surfaces: {x.surface} vs {y.surface}")
 
 
@@ -240,14 +250,11 @@ def pair(x: DivisorClass, y: DivisorClass) -> int | Fraction:
     """Intersection pairing, signature (1, rank-1); an int on integral classes."""
     _check_same_surface(x, y)
     a, b = x.coeffs, y.coeffs
-    if x.surface.is_rational:
-        head = a[0] * b[0]
-        start = 1
-    else:
-        uu = a[0] * b[0] if x.surface.kind == NONTRIVIAL_RULED else 0
-        head = uu + a[0] * b[1] + a[1] * b[0]
-        start = 2
-    return head - sum(ai * bi for ai, bi in zip(a[start:], b[start:]))
+    kind = x.surface.kind
+    if kind == RATIONAL:
+        return 2 * a[0] * b[0] - sum(map(mul, a, b))
+    uu = a[0] * b[0] if kind == NONTRIVIAL_RULED else 0
+    return uu + a[0] * b[1] + a[1] * b[0] - sum(map(mul, a[2:], b[2:]))
 
 
 def gram_functional(x: DivisorClass) -> tuple[int | Fraction, ...]:

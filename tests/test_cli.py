@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from conelab.cli import main, parse_surface
 from conelab.lattice import parse_class, rational_surface, trivial_ruled
 
+# the benchmark's reference output of `verify-paper --json`, read here and never written
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "verify-paper.json"
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -260,6 +263,11 @@ class TestVerify:
         data = json.loads(out)
         assert data["summary"]["failed"] == 0
         assert all({"name", "reference", "status", "details"} <= set(c) for c in data["checks"])
+
+    def test_json_is_the_golden_file(self, capsys):
+        code, out, _ = run(capsys, "verify-paper", "--json")
+        assert code == 0
+        assert out.encode() == GOLDEN.read_bytes()
 
 
 class TestUsageErrors:

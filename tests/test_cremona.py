@@ -174,6 +174,26 @@ class TestReduce:
         out = cremona_reduce(E(S3, 1), max_steps=1)
         assert out.kind in ("cycle", "budget_exceeded")
 
+    def test_budget_exceeded_trace(self):
+        # E1 - E2 on nine blowups has an infinite orbit, so the default budget
+        # of 1,000 steps runs out; the trace holds the last five ordered classes
+        s = rational_surface(9)
+        out = cremona_reduce(parse_class("E1-E2", s))
+        assert (out.kind, out.steps) == ("budget_exceeded", 1000)
+        assert [str(c) for c in out.trace] == [
+            "-1492H+497E1+497E2+497E3+497E4+497E5+497E6+498E7+498E8+498E9",
+            "-1493H+497E1+497E2+497E3+498E4+498E5+498E6+498E7+498E8+498E9",
+            "-1495H+498E1+498E2+498E3+498E4+498E5+498E6+499E7+499E8+499E9",
+            "-1496H+498E1+498E2+498E3+499E4+499E5+499E6+499E7+499E8+499E9",
+            "-1498H+499E1+499E2+499E3+499E4+499E5+499E6+500E7+500E8+500E9",
+        ]
+        assert str(out.result) == "-1499H+499E1+499E2+499E3+500E4+500E5+500E6+500E7+500E8+500E9"
+
+    def test_cycle_trace_starts_at_the_repeated_class(self):
+        out = cremona_reduce(parse_class("H-2E1", rational_surface(9)))
+        assert (out.kind, out.steps, out.result) == ("cycle", 5, None)
+        assert [str(c) for c in out.trace] == ["-3H+E1+E2+E3+E4+E5+E6+E7+E8+2E9"] * 2
+
 
 class TestEquivalence:
     def test_reduction_path(self):

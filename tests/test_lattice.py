@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conelab.lattice import (
+    NONTRIVIAL_RULED,
+    RATIONAL,
     DivisorClass,
     E,
     H,
     LatticeError,
+    SurfaceModel,
     T,
     U,
     adjunction_genus,
@@ -37,7 +40,52 @@ def classes(max_k=6, lo=-9, hi=9):
     return build()
 
 
+def gram_matrix(surface):
+    """The intersection form written out entry by entry: 1 on H, or U.T = 1
+    and U^2 = 1 on the twisted bundle, 0 on the trivial one; -1 on each Ei."""
+    n = surface.rank
+    g = [[0] * n for _ in range(n)]
+    if surface.kind == RATIONAL:
+        g[0][0], head = 1, 1
+    else:
+        g[0][1] = g[1][0] = 1
+        g[0][0], head = int(surface.kind == NONTRIVIAL_RULED), 2
+    for i in range(head, n):
+        g[i][i] = -1
+    return g
+
+
+any_surface = st.one_of(
+    st.builds(rational_surface, st.integers(0, 8)),
+    st.builds(trivial_ruled, st.integers(1, 3), st.integers(0, 8)),
+    st.builds(nontrivial_ruled, st.integers(1, 3), st.integers(0, 8)),
+)
+coefficient = st.one_of(
+    st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+)
+
+
 class TestPairing:
+    @settings(deadline=None, max_examples=200)
+    @given(any_surface, st.data())
+    def test_matches_the_gram_matrix(self, s, data):
+        coeffs = st.lists(coefficient, min_size=s.rank, max_size=s.rank)
+        x, y = divisor(s, data.draw(coeffs)), divisor(s, data.draw(coeffs))
+        g = gram_matrix(s)
+        want = sum(
+            xi * g[i][j] * yj for i, xi in enumerate(x.coeffs) for j, yj in enumerate(y.coeffs)
+        )
+        got = pair(x, y)
+        assert got == want
+        # an int exactly when both classes are integral, as the printed results rely on
+        assert (type(got) is int) == (x.is_integral() and y.is_integral())
+
+    def test_equal_surfaces_need_not_be_one_object(self):
+        s = rational_surface(2)
+        twin = SurfaceModel(RATIONAL, 2)
+        assert twin is not s
+        assert pair(H(twin) - E(twin, 1), H(s) + E(s, 1)) == 2
+
     def test_form_definition(self):
         s = rational_surface(2)
         assert pair(H(s), H(s)) == 1
@@ -196,6 +244,40 @@ class TestCoefficients:
         assert [type(c) for c in (2 * x).coeffs] == [int, int, int]
         assert type(pair(H(s) - E(s, 1), 2 * x)) is int
         assert type(parse_class("3H-E1-E2", s).square()) is int
+
+    def test_every_input_meets_the_same_rules(self):
+        # a tuple of plain ints is kept as it is; anything else is converted
+        s = rational_surface(1)
+        x = DivisorClass(s, [2, -1])
+        assert type(x.coeffs) is tuple and x.coeffs == (2, -1)
+        y = DivisorClass(s, [Fraction(4, 2), 1])
+        assert y.coeffs == (2, 1) and [type(c) for c in y.coeffs] == [int, int]
+        for bad in ([1, True], (1, True), [1, 0.5], (1, 0.5), (1, "2")):
+            with pytest.raises(LatticeError):
+                DivisorClass(s, bad)
+
+
+class TestInterning:
+    def test_constructors_share_surfaces(self):
+        assert rational_surface(3) is rational_surface(3)
+        assert trivial_ruled(2, 1) is trivial_ruled(2, 1)
+        assert nontrivial_ruled(1, 2) is nontrivial_ruled(1, 2)
+        assert H(rational_surface(3)).surface is E(rational_surface(3), 1).surface
+
+    def test_a_cached_surface_does_not_answer_for_a_bool_or_float(self):
+        # cache the integer arguments that True and 1.0 compare equal to
+        trivial_ruled(1, 1)
+        rational_surface(1)
+        nontrivial_ruled(1)
+        for make, args in [
+            (trivial_ruled, (True, 1)),
+            (trivial_ruled, (1.0, 1)),
+            (nontrivial_ruled, (True,)),
+            (rational_surface, (True,)),
+            (rational_surface, (1.0,)),
+        ]:
+            with pytest.raises(LatticeError):
+                make(*args)
 
 
 class TestLiteralsAndJson:
