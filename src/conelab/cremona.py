@@ -45,7 +45,7 @@ def reflect(x: DivisorClass, triple: tuple[int, int, int]) -> DivisorClass:
     coeffs[i] -= d
     coeffs[j] -= d
     coeffs[l] -= d
-    return DivisorClass(x.surface, tuple(coeffs))
+    return divisor(x.surface, coeffs)
 
 
 def order(x: DivisorClass) -> DivisorClass:

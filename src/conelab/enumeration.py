@@ -312,20 +312,17 @@ def sphere_class_sweeps(surface: SurfaceModel, bound: int = 8) -> SweepReport:
             sq = a * a - s2
             kc = s1 - 3 * a
             g = (sq + kc) // 2 + 1
-            if sq > 0 and kc < 0 and (g != 1 or sq > 9 - k):
-                return  # in no field, as nearly every tuple is
-            c = (a, tuple(b))
             if sq < 0:
-                neg.append(c)
+                neg.append((a, tuple(b)))
             elif sq == 0:
-                zero.append(c)
+                zero.append((a, tuple(b)))
             if sq >= 0 and kc >= 0:
-                dim0.append(c)
+                dim0.append((a, tuple(b)))
             if g == 1:
                 if sq < 9 - k:
-                    g1_bad.append(c)
+                    g1_bad.append((a, tuple(b)))
                 elif sq == 9 - k:
-                    g1_eq.append(c)
+                    g1_eq.append((a, tuple(b)))
             return
         # v(v - 1) <= left exactly for 1 - top <= v <= top
         top = (1 + isqrt(4 * left + 1)) // 2

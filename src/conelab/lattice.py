@@ -102,10 +102,10 @@ class SurfaceModel:
             raise ParseError(f"bad surface {d!r}: {err}") from None
 
 
-# The three constructors intern their surfaces, so classes built on one surface
-# share it and a pairing's surface check is mostly an identity test.  The cache
-# is typed: an untyped one would hand trivial_ruled(True, 1) the surface cached
-# for trivial_ruled(1, 1) instead of rejecting the bool.
+# The three constructors intern their surfaces, so classes built on one surface,
+# canonical_class's among them, share it and a pairing's surface check is an
+# identity test.  The cache is typed: an untyped one would hand
+# trivial_ruled(True, 1) the surface cached for trivial_ruled(1, 1).
 @functools.lru_cache(maxsize=None, typed=True)
 def rational_surface(k: int) -> SurfaceModel:
     return SurfaceModel(RATIONAL, k)
