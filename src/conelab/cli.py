@@ -272,15 +272,15 @@ def cmd_inflate(args) -> int:
     if wanted is not None and wanted not in achieved:
         raise UsageError(f"{wanted} is not an extremal ray of the positive dual")
     records = []
-    for ray, res in sorted(achieved.items(), key=lambda kv: kv[0].coeffs):
+    for ray, trace in sorted(achieved.items(), key=lambda kv: kv[0].coeffs):
         if wanted is not None and ray != wanted:
             continue
         records.append(
             {
                 "ray": str(ray),
-                "result": str(res.trace.result),
-                "steps": [[str(c), str(e)] for c, e in res.trace.steps],
-                "light_cone_limit": res.lightcone_limit,
+                "result": str(trace.result),
+                "steps": [[str(c), str(e)] for c, e in trace.steps],
+                "light_cone_limit": trace.limit_formula_used,
             }
         )
     doc = {"start": str(start), "achieved": records}

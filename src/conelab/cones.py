@@ -294,28 +294,6 @@ def k_symplectic_cone(surface: SurfaceModel) -> KSymplecticCone:
     return KSymplecticCone(cone, tuple(corners))
 
 
-@dataclass(frozen=True)
-class PositiveDual:
-    """Linear dual of a curve cone with round-boundary bookkeeping.
-
-    polytopic means the dual is pointed with every extremal ray of
-    non-negative square, so the positive dual is a cone over a polytope with
-    no round boundary piece.
-    """
-
-    linear_dual: RationalCone
-    round_boundary_rays: tuple[DivisorClass, ...]
-    polytopic: bool
-
-
-def positive_dual(curve_cone: RationalCone) -> PositiveDual:
-    dual = dual_cone(curve_cone)
-    evidence = [r for r in dual.rays() if r.square() < 0]
-    evidence += [v for v in dual.lineality() if v.square() < 0]
-    polytopic = not evidence and not dual.lineality()
-    return PositiveDual(dual, tuple(sorted_classes(evidence)), polytopic)
-
-
 # ---------------------------------------------------------------------------
 # cone theorem audit and the nef threshold
 # ---------------------------------------------------------------------------

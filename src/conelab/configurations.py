@@ -163,7 +163,7 @@ def certified_sw_classes(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
     if surface.k != 0:
         raise ConfigurationError("certified ruled sets cover minimal surfaces")
     h = surface.h
-    a = (h - 1 + 1) // 2 if surface.kind == "trivial_ruled" else (h - 2 + 1) // 2
+    a = h // 2 if surface.kind == "trivial_ruled" else (h - 1) // 2
     section = U(surface) + a * T(surface)
     return tuple(sorted_classes({T(surface), section}))
 

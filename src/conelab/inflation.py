@@ -5,6 +5,8 @@ admissible step is 0 < eps <= (A.C)/(-C.C), with the maximal step landing on
 the hyperplane of C.  Alternating maximal steps along two negative classes
 converge geometrically, and a Gram-Schmidt pass over a negative-definite
 span turns the whole limit process into one exact orthogonal projection.
+Vertex achievement returns that projection as an InflationTrace; a vertex
+on the light cone is reached as a flagged limit with no steps.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cones import cone_from_rays, positive_dual
-from .lattice import DivisorClass, pair, proportional
+from .cones import cone_from_rays, dual_cone
+from .lattice import DivisorClass, pair, proportional, sorted_classes
 
 
 class InflationError(ValueError):
@@ -89,9 +91,8 @@ def max_inflate(a: DivisorClass, c: DivisorClass) -> tuple[DivisorClass, Fractio
 class AlternateInflation:
     trace: InflationTrace
     limit: DivisorClass
-    ratio: Fraction  # (C1.C2)^2 / (C1^2 C2^2)
+    ratio: Fraction  # (C1.C2)^2 / (C1^2 C2^2); at 1 the limit ray sits on the light cone
     first_coefficient: Fraction
-    divergent: bool  # ratio = 1: the limit ray sits on the light cone
     odd_coefficients: tuple[Fraction, ...] = ()
     even_coefficients: tuple[Fraction, ...] = ()
 
@@ -132,22 +133,21 @@ def alternate_inflate(
     trace = InflationTrace(a, tuple(steps), current)
     direction = c2 - Fraction(c12, s1) * c1
     if x == 1:
-        return AlternateInflation(
-            trace, direction.primitive(), x, l1, True, tuple(odd), tuple(even)
-        )
+        return AlternateInflation(trace, direction.primitive(), x, l1, tuple(odd), tuple(even))
     limit = a + (l1 / (1 - x)) * direction
     if pair(limit, c1) != 0 or pair(limit, c2) != 0:
         raise InflationError(f"limit {limit} is not orthogonal to {c1} and {c2}")
-    return AlternateInflation(trace, limit, x, l1, False, tuple(odd), tuple(even))
+    return AlternateInflation(trace, limit, x, l1, tuple(odd), tuple(even))
 
 
 def _residuals(curves: Sequence[DivisorClass], accepted: list[DivisorClass]):
     """The Gram-Schmidt loop: yield each curve minus its pairing-projections
     onto the classes in accepted, which the caller extends between yields
-    with the residuals it keeps."""
+    with the residuals it keeps.  A square-zero curve passes; its residual
+    has square >= 0, which the caller judges."""
     for c in curves:
-        if pair(c, c) >= 0:
-            raise InflationError(f"{c} has non-negative square")
+        if pair(c, c) > 0:
+            raise InflationError(f"{c} has positive square")
         v = c
         for u in accepted:
             v = v - Fraction(pair(u, c), pair(u, u)) * u
@@ -178,21 +178,15 @@ def gram_schmidt_negative(curves: Sequence[DivisorClass]) -> list[DivisorClass]:
     return out
 
 
-@dataclass(frozen=True)
-class VertexAchievement:
-    ray: DivisorClass
-    trace: InflationTrace
-    lightcone_limit: bool
-
-
-def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> VertexAchievement:
+def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> InflationTrace:
     """Reach the ray where the curves' facets meet by maximal inflations.
 
     With all orthogonalized squares negative this is the exact orthogonal
     projection of the start class onto the common pairing kernel, reached in
     one maximal step per orthogonalized class.  When an orthogonalized class
-    goes null, the facets meet the light cone in exactly that ray; it is
-    returned with the divergent-limit flag instead of a finite trace.
+    goes null (a square-zero curve among them), the facets meet the light
+    cone in exactly that ray; its trace records no steps and is flagged as a
+    limit.  The ray is the trace's result.primitive().
     """
     if not curves:
         raise InflationError("no curves supplied")
@@ -217,8 +211,7 @@ def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> VertexAch
         ray = null_direction.primitive()
         if pair(a, ray) < 0:
             ray = -1 * ray
-        trace = InflationTrace(a, (), ray, limit_formula_used=True)
-        return VertexAchievement(ray, trace, True)
+        return InflationTrace(a, (), ray, limit_formula_used=True)
     # pairwise orthogonal classes of negative square are linearly independent
     if len(ortho) != a.surface.rank - 1:
         raise InflationError("facet intersection is not a single ray")
@@ -235,46 +228,38 @@ def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> VertexAch
         raise InflationError(f"projection {current} is not orthogonal to the curves")
     if current.is_zero():
         raise InflationError("projection collapsed to zero; start class is degenerate")
-    ray = current.primitive()
-    trace = InflationTrace(a, tuple(steps), current)
-    return VertexAchievement(ray, trace, False)
+    return InflationTrace(a, tuple(steps), current)
 
 
 def achieve_all_rays(
     curves: Sequence[DivisorClass],
     start: DivisorClass,
     extra_square_zero: Sequence[DivisorClass] = (),
-) -> dict[DivisorClass, VertexAchievement]:
+) -> dict[DivisorClass, InflationTrace]:
     """Achieve every extremal ray of the positive dual of the curve cone.
 
-    Requires the dual to be polytopic (no round boundary); the start class
-    must pair non-negatively with every generator.  Each dual ray is reached
-    through maximal inflations along the negative curves tight on it.  A ray
-    that no negative curve is tight on but a square-zero generator is, is
-    that generator's ray (two forward classes of square >= 0 pair to zero
-    only when both are null and proportional), and is recorded as a
-    light-cone limit."""
+    Requires the dual to be polytopic: pointed, with every extremal ray of
+    non-negative square; otherwise RoundBoundaryError names the dual's
+    negative-square directions, or its lineality.  The start class must pair
+    non-negatively with every generator.  Each dual ray is reached through
+    maximal inflations along the negative curves tight on it.  A ray that no
+    negative curve is tight on but a square-zero generator is, is that
+    generator's ray (two forward classes of square >= 0 pair to zero only
+    when both are null and proportional), reached as a light-cone limit."""
     gens = list(curves) + list(extra_square_zero)
-    dual = positive_dual(cone_from_rays(gens))
-    if not dual.polytopic:
-        raise RoundBoundaryError(
-            dual.round_boundary_rays or dual.linear_dual.lineality()
-        )
+    dual = dual_cone(cone_from_rays(gens))
+    evidence = [r for r in dual.rays() + dual.lineality() if r.square() < 0]
+    if evidence or dual.lineality():
+        raise RoundBoundaryError(sorted_classes(evidence) or dual.lineality())
     for g in gens:
         if pair(start, g) < 0:
             raise InflationError(f"start class pairs negatively with {g}")
-    achieved: dict[DivisorClass, VertexAchievement] = {}
-    for ray in dual.linear_dual.rays():
+    achieved: dict[DivisorClass, InflationTrace] = {}
+    for ray in dual.rays():
         tight = [c for c in curves if pair(c, c) < 0 and pair(c, ray) == 0]
         null = [g for g in gens if pair(g, g) == 0 and pair(g, ray) == 0]
-        if null and not tight:
-            if not proportional(null[0], ray):
-                raise InflationError(f"dual ray {ray} is tight on {null[0]} but not its ray")
-            trace = InflationTrace(start, (), ray, limit_formula_used=True)
-            result = VertexAchievement(ray, trace, True)
-        else:
-            result = achieve_vertex(start, tight)
-        if result.ray != ray:
-            raise InflationError(f"achieved {result.ray} instead of dual ray {ray}")
-        achieved[ray] = result
+        trace = achieve_vertex(start, tight or null)
+        if trace.result.primitive() != ray:
+            raise InflationError(f"achieved {trace.result.primitive()} instead of dual ray {ray}")
+        achieved[ray] = trace
     return achieved

@@ -83,8 +83,7 @@ class SurfaceModel:
     def __str__(self) -> str:
         if self.is_rational:
             return f"rational(k={self.k})"
-        flavour = "trivial_ruled" if self.kind == TRIVIAL_RULED else "nontrivial_ruled"
-        return f"{flavour}(h={self.h}, k={self.k})"
+        return f"{self.kind}(h={self.h}, k={self.k})"
 
     def to_json(self) -> dict:
         d = {"kind": self.kind, "k": self.k}
@@ -169,7 +168,7 @@ class DivisorClass:
         return all(c == 0 for c in self.coeffs)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return all(type(c) is int for c in self.coeffs)
 
     # -- lattice structure -----------------------------------------------
 

@@ -238,6 +238,71 @@ class TestConfigCommands:
         assert code == 0 and "light-cone limit" in out
 
 
+INFLATE_CONFIGS = {
+    "two": {"surface": {"kind": "rational", "k": 2}, "curves": ["-H+2E1-E2", "E2", "H-E1-E2"]},
+    "trivial": {"surface": {"kind": "trivial_ruled", "h": 1}, "curves": ["U-T"],
+                "extra_square_zero": ["T"]},
+    "nontrivial": {"surface": {"kind": "nontrivial_ruled", "h": 1}, "curves": ["U-T"],
+                   "extra_square_zero": ["T"]},
+    "round": {"surface": {"kind": "rational", "k": 2}, "curves": ["E1"]},
+}
+
+_TWO_TEXT = (
+    "H-E1: reached H-E1 via none (light-cone limit)\n"
+    "2H-E1: reached 22/3H-11/3E1 via 1/4 along -H+2E1-E2, 5/3 along -1/4H+1/2E1+3/4E2\n"
+    "3H-2E1-E2: reached 39/4H-13/2E1-13/4E2 via 1/4 along -H+2E1-E2, 2 along H-E1-E2\n"
+)
+_TWO_JSON = (
+    '{"start": "8H-5E1-E2", "achieved": ['
+    '{"ray": "H-E1", "result": "H-E1", "steps": [], "light_cone_limit": true}, '
+    '{"ray": "2H-E1", "result": "22/3H-11/3E1", "steps": [["-H+2E1-E2", "1/4"], '
+    '["-1/4H+1/2E1+3/4E2", "5/3"]], "light_cone_limit": false}, '
+    '{"ray": "3H-2E1-E2", "result": "39/4H-13/2E1-13/4E2", "steps": [["-H+2E1-E2", "1/4"], '
+    '["H-E1-E2", "2"]], "light_cone_limit": false}]}\n'
+)
+_TWO_TRACE_JSON = (
+    '{"start": "8H-5E1-E2", "achieved": ['
+    '{"ray": "3H-2E1-E2", "result": "39/4H-13/2E1-13/4E2", "steps": [["-H+2E1-E2", "1/4"], '
+    '["H-E1-E2", "2"]], "light_cone_limit": false}], '
+    '"alternating": {"odd": ["2", "0", "0"], "even": ["0", "0", "0"]}}\n'
+)
+_ROUND_ERR = "error: positive dual has round boundary; negative-square directions -E1, E2\n"
+
+
+@pytest.mark.parametrize(
+    "config,argv,code,out,err",
+    [
+        ("two", ["--start", "8H-5E1-E2"], 0, _TWO_TEXT, ""),
+        ("two", ["--start", "8H-5E1-E2", "--json"], 0, _TWO_JSON, ""),
+        ("two", ["--start", "8H-5E1-E2", "--ray", "3H-2E1-E2", "--trace", "6", "--json"],
+         0, _TWO_TRACE_JSON, ""),
+        ("trivial", ["--start", "U+3T"], 0,
+         "T: reached T via none (light-cone limit)\nU+T: reached 2U+2T via 1 along U-T\n", ""),
+        ("trivial", ["--start", "U+3T", "--json"], 0,
+         '{"start": "U+3T", "achieved": ['
+         '{"ray": "T", "result": "T", "steps": [], "light_cone_limit": true}, '
+         '{"ray": "U+T", "result": "2U+2T", "steps": [["U-T", "1"]], '
+         '"light_cone_limit": false}]}\n', ""),
+        ("nontrivial", ["--start", "U+3T"], 0,
+         "T: reached T via none (light-cone limit)\nU: reached 4U via 3 along U-T\n", ""),
+        ("nontrivial", ["--start", "U+3T", "--json"], 0,
+         '{"start": "U+3T", "achieved": ['
+         '{"ray": "T", "result": "T", "steps": [], "light_cone_limit": true}, '
+         '{"ray": "U", "result": "4U", "steps": [["U-T", "3"]], '
+         '"light_cone_limit": false}]}\n', ""),
+        ("round", ["--start", "H"], 1, "", _ROUND_ERR),
+        ("round", ["--start", "H", "--json"], 1, "", _ROUND_ERR),
+    ],
+    ids=["two-text", "two-json", "two-trace-json", "trivial-text", "trivial-json",
+         "nontrivial-text", "nontrivial-json", "round-text", "round-json"],
+)
+def test_inflate_output_is_pinned(capsys, tmp_path, config, argv, code, out, err):
+    """The full stdout, stderr and exit code of `inflate`, byte for byte."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(INFLATE_CONFIGS[config]))
+    assert run(capsys, "inflate", "--config", str(path), *argv) == (code, out, err)
+
+
 class TestSw:
     def test_cert(self, capsys):
         code, out, _ = run(capsys, "sw", "cert", "--surface", "ruled:h=2",

@@ -26,7 +26,6 @@ from conelab.cones import (
     k_symplectic_cone,
     membership,
     nef_threshold,
-    positive_dual,
 )
 from conelab.configurations import catalog_cp2_3
 from conelab.cremona import cremona_reduce
@@ -391,27 +390,27 @@ class TestKSymplecticCone:
 
 
 class TestPositiveDual:
+    # achieve_all_rays raises RoundBoundaryError on these duals unless they
+    # are polytopic; its tests cover that on the same curves
     def test_exceptional_configuration_polytopic(self):
-        pd = positive_dual(cone_from_rays(classes(S2, "E1", "E2", "H-E1-E2")))
-        assert pd.polytopic
-        assert sorted(r.square() for r in pd.linear_dual.rays()) == [0, 0, 1]
+        dual = dual_cone(cone_from_rays(classes(S2, "E1", "E2", "H-E1-E2")))
+        assert not dual.lineality()
+        assert sorted(r.square() for r in dual.rays()) == [0, 0, 1]
 
     def test_section_two_family(self):
-        pd = positive_dual(cone_from_rays(classes(S2, "-H+2E1", "E2", "H-E1-E2")))
-        assert pd.polytopic
-        got = {str(r): r.square() for r in pd.linear_dual.rays()}
+        dual = dual_cone(cone_from_rays(classes(S2, "-H+2E1", "E2", "H-E1-E2")))
+        assert not dual.lineality()
+        got = {str(r): r.square() for r in dual.rays()}
         assert got == {"2H-E1": 3, "H-E1": 0, "2H-E1-E2": 2}
 
     def test_sparse_cone_has_round_boundary(self):
-        pd = positive_dual(cone_from_rays([E(S2, 1)]))
-        assert not pd.polytopic
-        assert any(v.square() < 0 for v in pd.round_boundary_rays)
+        dual = dual_cone(cone_from_rays([E(S2, 1)]))
+        assert any(v.square() < 0 for v in dual.rays() + dual.lineality())
 
     def test_meeting_facets_obey_the_light_cone_inequality(self):
         for entry in catalog_cp2_3((0, 1, 2)):
             cfg = entry.configuration
-            pd = positive_dual(cone_from_rays(cfg.generators()))
-            for ray in pd.linear_dual.rays():
+            for ray in dual_cone(cone_from_rays(cfg.generators())).rays():
                 tight = [c for c in cfg.curves if pair(c, ray) == 0]
                 for c1, c2 in combinations(tight, 2):
                     lhs = pair(c1, c2) ** 2

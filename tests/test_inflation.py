@@ -9,6 +9,7 @@ from conelab import inflation
 from conelab.cones import cone_from_rays, dual_cone, membership
 from conelab.inflation import (
     InflationError,
+    InflationTrace,
     LightConeViolation,
     RoundBoundaryError,
     achieve_all_rays,
@@ -116,7 +117,7 @@ class TestAlternateInflate:
     def test_divergent_light_cone_pair(self):
         a = 2 * H(S2) - E(S2, 2)
         got = alternate_inflate(a, E(S2, 1), parse_class("H-E1-E2", S2), 6)
-        assert got.divergent and got.ratio == 1
+        assert got.ratio == 1
         assert got.limit == parse_class("H-E2", S2)
         assert len(set(got.odd_coefficients)) == 1  # no decay at ratio one
 
@@ -178,6 +179,13 @@ class TestGramSchmidt:
         with pytest.raises(InflationError):
             gram_schmidt_negative([E(S3, 1) - E(S3, 2), E(S3, 2) - E(S3, 1)])
 
+    def test_square_zero_input_rejected(self):
+        # a square-zero class passes the residual loop and is refused as a
+        # class on the light cone
+        with pytest.raises(LightConeViolation) as err:
+            gram_schmidt_negative([parse_class("H-E1", S2)])
+        assert err.value.vector == parse_class("H-E1", S2)
+
     def test_outputs_are_pairwise_orthogonal(self):
         curves = [parse_class(t, S3) for t in ("E3", "E2-E3", "-H+2E1-E2")]
         got = gram_schmidt_negative(curves)
@@ -196,32 +204,37 @@ class TestAchieveVertex:
 
     def test_from_the_line_class(self):
         got = achieve_vertex(H(S3), self.CURVES)
-        assert got.ray == parse_class("2H-E1-E2", S3)
-        assert got.trace.result == parse_class("2H-E1-E2", S3)
-        assert got.trace.verify()
+        assert got.result.primitive() == parse_class("2H-E1-E2", S3)
+        assert got.result == parse_class("2H-E1-E2", S3)
+        assert got.verify()
 
     def test_same_ray_from_another_start(self):
         got = achieve_vertex(H(S3) - E(S3, 1), self.CURVES)
-        assert got.ray == parse_class("2H-E1-E2", S3)
-        assert got.trace.result == Fraction(1, 2) * parse_class("2H-E1-E2", S3)
+        assert got.result.primitive() == parse_class("2H-E1-E2", S3)
+        assert got.result == Fraction(1, 2) * parse_class("2H-E1-E2", S3)
 
     def test_single_orthogonal_curve_is_identity(self):
         s1 = rational_surface(1)
         got = achieve_vertex(H(s1), [E(s1, 1)])
-        assert got.ray == H(s1) and got.trace.steps == ()
+        assert got.result.primitive() == H(s1) and got.steps == ()
 
     def test_result_is_orthogonal_to_every_curve(self):
         got = achieve_vertex(parse_class("4H-2E1-E2-E3", S3), self.CURVES)
         for c in self.CURVES:
-            assert pair(got.ray, c) == 0
+            assert pair(got.result.primitive(), c) == 0
 
     def test_light_cone_ray_is_returned_flagged(self):
         got = achieve_vertex(
             parse_class("3H-E1-E2", S2),
             [E(S2, 2), parse_class("H-E1-E2", S2)],
         )
-        assert got.lightcone_limit
-        assert got.ray == parse_class("H-E1", S2)
+        assert got.limit_formula_used
+        assert got.result.primitive() == parse_class("H-E1", S2)
+
+    def test_square_zero_curve_is_its_own_ray(self):
+        s = trivial_ruled(1)
+        start = parse_class("U+3T", s)
+        assert achieve_vertex(start, [T(s)]) == InflationTrace(start, (), T(s), True)
 
     def test_non_ray_intersection_rejected(self):
         with pytest.raises(InflationError):
@@ -276,22 +289,30 @@ class TestAchieveAllRays:
         got = achieve_all_rays([parse_class(section, surface)], start, [fiber])
         assert {str(r) for r in got} == rays
         limit = got[fiber]
-        assert limit.lightcone_limit and limit.trace.limit_formula_used
-        assert limit.ray == fiber and limit.trace.result == fiber and limit.trace.steps == ()
+        assert limit.limit_formula_used
+        assert limit.result == fiber and limit.steps == ()
         for ray, res in got.items():
             if ray != fiber:
-                assert not res.lightcone_limit and res.trace.verify()
+                assert not res.limit_formula_used and res.verify()
 
     def test_fiber_ray_off_its_generator_raises(self, monkeypatch):
-        monkeypatch.setattr(inflation, "proportional", lambda a, b: False)
+        # a vertex that lands off its dual ray is refused, the fiber ray too
         s = trivial_ruled(1)
-        with pytest.raises(InflationError, match="is tight on T but not its ray"):
+        real = inflation.achieve_vertex
+
+        def off_the_fiber(a, curves):
+            if curves == [T(s)]:
+                return InflationTrace(a, (), parse_class("U", s), True)
+            return real(a, curves)
+
+        monkeypatch.setattr(inflation, "achieve_vertex", off_the_fiber)
+        with pytest.raises(InflationError, match="achieved U instead of dual ray T$"):
             achieve_all_rays([parse_class("U-T", s)], parse_class("U+3T", s), [T(s)])
 
     def test_trace_identities(self):
         curves = [parse_class("-H+2E1", S2), E(S2, 2), parse_class("H-E1-E2", S2)]
         got = achieve_all_rays(curves, parse_class("5H-3E1-E2", S2))
         for ray, res in got.items():
-            if not res.lightcone_limit:
-                assert res.trace.verify()
-                assert res.trace.result.primitive() == ray
+            if not res.limit_formula_used:
+                assert res.verify()
+                assert res.result.primitive() == ray

@@ -256,6 +256,17 @@ class TestCoefficients:
             with pytest.raises(LatticeError):
                 DivisorClass(s, bad)
 
+    @pytest.mark.parametrize("coeffs", [
+        (2, -1, 0), (Fraction(4, 2), -1, 3), (1, Fraction(1, 2), 0),
+        (Fraction(-6, 3), Fraction(7, 1), Fraction(0)), (Fraction(5, 3), Fraction(-1, 4), 2),
+        [3, Fraction(9, 3), -4],
+    ])
+    def test_is_integral_agrees_with_the_denominators(self, coeffs):
+        # stored coefficients are int, or Fraction with denominator not 1,
+        # so is_integral tests their type
+        x = divisor(rational_surface(2), coeffs)
+        assert x.is_integral() == all(Fraction(c).denominator == 1 for c in coeffs)
+
 
 class TestInterning:
     def test_constructors_share_surfaces(self):
