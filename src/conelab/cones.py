@@ -6,6 +6,13 @@ dual_cone, the one entry to the double description, finds them on
 primitive integer vectors, with bitmask tight sets and the combinatorial
 adjacency test; ranks in this package never exceed 10, so no effort is
 spent on sparse or floating point shortcuts.
+
+The K-symplectic cone of k >= 2 blowups, the dual of the -1 classes, is not
+converted whole: its corners are the nef sphere classes of square 0 and 1,
+and adjacency decomposition up to symmetry (Christof and Reinelt, Int. J.
+Comput. Geom. Appl. 11, 2001; Bremner, Dutour Sikiric and Schuermann,
+"Polyhedral representation conversion up to symmetries", 2009) certifies
+them complete from two orbit representatives and their neighbours.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
-from .enumeration import exceptional_classes
+from .cremona import cremona_reduce, order
+from .enumeration import exceptional_classes, sphere_classes
 from .lattice import (
     DivisorClass,
     SurfaceModel,
@@ -27,7 +35,6 @@ from .lattice import (
     E,
     gram_functional,
     H,
-    is_forward,
     pair,
     sorted_classes,
 )
@@ -272,9 +279,29 @@ def k_symplectic_cone(surface: SurfaceModel) -> KSymplecticCone:
     """Closed cone of symplectic classes with the standard canonical class,
     cut out inside the forward cone by positivity on the -1 sphere classes.
 
-    Finite data exists for k <= 8 only.  For k >= 2 the linear dual of the
-    -1 classes already lies in the closed forward cone (certified ray by
-    ray); k in {0, 1} needs the forward-cone boundary rays H and H - E1.
+    Finite data exists for k <= 8 only.  k in {0, 1} needs the forward-cone
+    boundary rays H and H - E1.  For k >= 2 the cone is the dual of the -1
+    classes.  Its corners are taken from the sphere classes of square 0 and
+    1 that pair non-negatively with every -1 class; the -1 classes are closed
+    under permuting E1..Ek, so one representative decides a family.  No
+    double description of the whole cone is run: adjacency decomposition up
+    to symmetry (Christof and Reinelt, Int. J. Comput. Geom. Appl. 11, 2001;
+    Bremner, Dutour Sikiric and Schuermann, "Polyhedral representation
+    conversion up to symmetries", 2009) certifies the set complete.
+
+    (a) Every family reduces to H or H - E1 under the Weyl group, by the
+        permutation alone at k = 2 and by Cremona reduction for k >= 3.  The
+        group permutes the -1 classes, so it maps the cone to itself and a
+        nef sphere class of square 0 or 1 to another; the search finds all
+        of these, so the set is the two orbits of H and H - E1.
+    (b) The -1 classes tight at H, and at H - E1, have rank k, so both are
+        extreme rays, and so is every class of their orbits.
+    (c) H and H - E1 lie in the set, and so does each of their neighbours
+        on the cone (_neighbours).  The group carries this to every member.
+
+    The ray graph of a pointed cone is connected (Balinski), so a set of
+    extreme rays holding every neighbour of each member holds every ray.
+    A failed step raises ConeError.
     """
     if not surface.is_rational:
         raise ConeError("the K-symplectic cone helper covers rational surfaces")
@@ -285,13 +312,73 @@ def k_symplectic_cone(surface: SurfaceModel) -> KSymplecticCone:
     elif surface.k == 1:
         cone = cone_from_rays([H(surface), H(surface) - E(surface, 1)])
     else:
-        cone = dual_cone(cone_from_rays(sorted_classes(exceptional_classes(surface))))
-    corners = []
-    for r in cone.rays():
-        if not is_forward(r):
-            raise ConeError(f"dual ray {r} escapes the closed forward cone")
-        corners.append(CornerInfo(r, r.square(), adjunction_genus(r)))
-    return KSymplecticCone(cone, tuple(corners))
+        cone = RationalCone(surface, sorted_classes(_certified_corners(surface)))
+    corners = tuple(CornerInfo(r, r.square(), adjunction_genus(r)) for r in cone.rays())
+    return KSymplecticCone(cone, corners)
+
+
+def _certified_corners(surface: SurfaceModel) -> set[DivisorClass]:
+    """The corners for k in 2..8, with the certificate of k_symplectic_cone."""
+    minus_one = exceptional_classes(surface)
+    targets = (H(surface), H(surface) - E(surface, 1))
+    corners: set[DivisorClass] = set()
+    for fam in sphere_classes(surface, square=0) + sphere_classes(surface, square=1):
+        rep = fam.representative
+        if any(pair(rep, e) < 0 for e in minus_one):
+            continue
+        if surface.k == 2:
+            reduced = order(rep)
+        else:
+            outcome = cremona_reduce(rep)
+            reduced = outcome.result if outcome.kind == "reduced" else None
+        if reduced not in targets:
+            raise ConeError(f"the sphere class {rep} does not reduce to H or H-E1")
+        corners |= fam.instances()
+    missing = "the corner {} is missing from the nef sphere classes"
+    for t in targets:
+        # membership first: _neighbours needs a class of the cone
+        if t not in corners:
+            raise ConeError(missing.format(t))
+        for x in _neighbours(t, minus_one):
+            if x not in corners:
+                raise ConeError(missing.format(x))
+    return corners
+
+
+def _neighbours(r: DivisorClass, minus_one: Iterable[DivisorClass]) -> list[DivisorClass]:
+    """The extreme rays adjacent to r on the dual of the -1 classes, for r
+    in that cone; raises ConeError unless r is an extreme ray.
+
+    The -1 classes tight at r cut out the cone's tangent cone at r, and r is
+    extreme when they have rank k, that is when that cone's lineality is the
+    line of r alone.  Each extreme ray d of the tangent cone spans a 2-face
+    with r, whose other ray is d + s r for the least s that leaves every
+    pairing non-negative: the largest -(e.d)/(e.r) over the non-tight e.
+    """
+    surface = r.surface
+    tight, loose = [], []
+    for e in minus_one:
+        er = pair(e, r)
+        if er:
+            loose.append((gram_functional(e), er))
+        else:
+            tight.append(gram_functional(e))
+    directions, lineality = extreme_rays_h(tight, surface.rank)
+    if len(lineality) != 1:
+        raise ConeError(
+            f"the -1 classes tight at {r} have rank {surface.rank - len(lineality)}, not {surface.k}"
+        )
+    out = []
+    for d in directions:
+        # s = num / den with den > 0, compared by cross-multiplying; (-1, 0)
+        # stands below every ratio
+        num, den = -1, 0
+        for q, er in loose:
+            p = -sum(map(mul, q, d))
+            if p * den > num * er:
+                num, den = p, er
+        out.append(divisor(surface, [den * x + num * y for x, y in zip(d, r.coeffs)]).primitive())
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -81,23 +81,26 @@ def _sum_square_solutions(
 
 
 def distinct_arrangements(values: Sequence[int]) -> Iterable[tuple[int, ...]]:
-    """All distinct orderings of a multiset (no repeats)."""
-    counts = Counter(values)
-    n = len(values)
-
-    def rec(acc: list[int]):
-        if len(acc) == n:
-            yield tuple(acc)
+    """All distinct orderings of a multiset, each once, in lexicographic
+    order: Knuth's Algorithm L (TAOCP 7.2.1.2), stepping from the sorted
+    values to the next permutation until none is larger."""
+    a = sorted(values)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        # the last ascent a[j] < a[j + 1]; past it the values do not increase
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
             return
-        for v in sorted(counts):
-            if counts[v]:
-                counts[v] -= 1
-                acc.append(v)
-                yield from rec(acc)
-                acc.pop()
-                counts[v] += 1
-
-    yield from rec([])
+        # swap a[j] with the rightmost tail value above it; the tail stays
+        # non-increasing and is reversed to its smallest order
+        l = n - 1
+        while a[j] >= a[l]:
+            l -= 1
+        a[j], a[l] = a[l], a[j]
+        a[j + 1:] = a[:j:-1]
 
 
 def _class_from_b(surface: SurfaceModel, a: int, b: Sequence[int]) -> DivisorClass:

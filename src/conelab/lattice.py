@@ -288,9 +288,13 @@ def adjunction_genus(x: DivisorClass) -> int | Fraction:
 
     An int whenever x is integral; lower bound for the genus of any
     irreducible representative, with equality exactly for embedded ones.
+    On an integral class x.x + K.x is even, since K is characteristic (Wu's
+    formula), so the halving stays in int.
     """
-    k = canonical_class(x.surface)
-    return _exact(Fraction(pair(x, x) + pair(k, x), 2) + 1)
+    p = pair(x, x) + pair(canonical_class(x.surface), x)
+    if x.is_integral():
+        return p // 2 + 1
+    return _exact(Fraction(p, 2) + 1)
 
 
 def sw_dimension(x: DivisorClass) -> int | Fraction:

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: flags, files, JSON round trips, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -301,6 +302,22 @@ def test_inflate_output_is_pinned(capsys, tmp_path, config, argv, code, out, err
     path = tmp_path / "config.json"
     path.write_text(json.dumps(INFLATE_CONFIGS[config]))
     assert run(capsys, "inflate", "--config", str(path), *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "flags,digest",
+    [
+        ((), "9b2075d0a22db73389d787913081147c0235864d57c5aad0543ebe34f79ec737"),
+        (("--json",), "dedb565581cc907b20e9010f962f4bfd6c1a5d4ae8dcbaf2dc349a822a4f199d"),
+    ],
+    ids=["text", "json"],
+)
+def test_ksymp_output_is_pinned(capsys, flags, digest):
+    """The sha256 of the stdout of `cone ksymp --k 7`, 702 corners, as the
+    double description of the dual of the 56 -1 classes printed it."""
+    code, out, err = run(capsys, "cone", "ksymp", "--k", "7", *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSw:

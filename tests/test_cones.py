@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import conelab
-from conelab import exactlp, linalg
+from conelab import cones, exactlp, linalg
 from conelab.cones import (
     ConeError,
     NonPointedError,
@@ -28,7 +28,7 @@ from conelab.cones import (
     nef_threshold,
 )
 from conelab.configurations import catalog_cp2_3
-from conelab.cremona import cremona_reduce
+from conelab.cremona import ReductionOutcome, cremona_reduce
 from conelab.enumeration import exceptional_classes, family_instances, sphere_classes
 from conelab.lattice import (
     E,
@@ -329,21 +329,34 @@ class TestKSymplecticCone:
         assert ks.corners_ok
         for c in ks.corners:
             assert c.square in (0, 1) and c.genus == 0
-        # oracle: the corners are the square-0 and square-1 sphere classes
-        # that pair non-negatively with every -1 class
+        # the corners are the square-0 and square-1 sphere classes that pair
+        # non-negatively with every -1 class; this restates the construction
+        # for k >= 2, and the double description oracle below is independent
         minus_one = exceptional_classes(s)
         spheres = family_instances(sphere_classes(s, square=0) + sphere_classes(s, square=1))
         nef = {x for x in spheres if all(pair(x, e) >= 0 for e in minus_one)}
         assert {c.ray for c in ks.corners} == nef
 
-    @pytest.mark.parametrize("k,square_one,square_zero", [(6, 72, 27), (7, 576, 126)])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+    def test_corners_are_the_double_description_of_the_minus_one_cone(self, k):
+        # oracle: the full double description of the dual of the -1 classes
+        s = rational_surface(k)
+        ks = k_symplectic_cone(s)
+        assert ks.cone.rays() == dual_cone(cone_from_rays(exceptional_classes(s))).rays()
+        assert ks.cone.lineality() == ()
+
+    @pytest.mark.parametrize(
+        "k,square_one,square_zero", [(6, 72, 27), (7, 576, 126), (8, 17280, 2160)]
+    )
     def test_corner_counts(self, k, square_one, square_zero):
         # 702 at k = 7 is the facet count of the Gosset polytope 3_21
         squares = [c.square for c in k_symplectic_cone(rational_surface(k)).corners]
         assert (squares.count(1), squares.count(0)) == (square_one, square_zero)
         assert len(squares) == square_one + square_zero
 
-    @pytest.mark.parametrize("k,square_one,square_zero", [(6, 72, 27), (7, 576, 126)])
+    @pytest.mark.parametrize(
+        "k,square_one,square_zero", [(6, 72, 27), (7, 576, 126), (8, 17280, 2160)]
+    )
     def test_corners_reduce_to_h_or_h_minus_e1(self, k, square_one, square_zero):
         # independent oracle: Cremona reduction sends every corner of square 1
         # to H and every corner of square 0 to H - E1
@@ -367,6 +380,21 @@ class TestKSymplecticCone:
         assert len(merged) == facets
         assert len(k_symplectic_cone(rational_surface(k)).corners) == facets
 
+    def test_k8_corners_are_the_facets_of_the_gosset_polytope(self):
+        # the -1 classes of eight blowups are the 240 vertices of the Gosset
+        # polytope 4_21 on the slice K.x = -1, and its facets are 17,280
+        # 7-simplices and 2,160 7-orthoplexes: a corner of square 1 is tight on
+        # 8 of the -1 classes, one of square 0 on 14, and none pairs negatively
+        np = pytest.importorskip("numpy")
+        s = rational_surface(8)
+        corners = k_symplectic_cone(s).corners
+        rays = np.array([c.ray.coeffs for c in corners])
+        minus_one = np.array([e.coeffs for e in exceptional_classes(s)]) * ([1] + [-1] * 8)
+        pairings = rays @ minus_one.T
+        assert (pairings >= 0).all()
+        tight = Counter(zip((c.square for c in corners), (pairings == 0).sum(axis=1).tolist()))
+        assert tight == {(1, 8): 17280, (0, 14): 2160}
+
     def test_k3_corner_types(self):
         ks = k_symplectic_cone(rational_surface(3))
         squares = sorted(c.square for c in ks.corners)
@@ -387,6 +415,44 @@ class TestKSymplecticCone:
         for entry in catalog_cp2_3((0, 1, 2)):
             cone = cone_from_rays(entry.configuration.curves)
             assert set(extremal_rays(cone)) <= allowed
+
+
+class TestCornerCertificate:
+    """Each step of the completeness certificate raises when it fails."""
+
+    @pytest.mark.parametrize(
+        "k,name,fake",
+        [
+            (2, "order", lambda x: 2 * x),
+            (3, "cremona_reduce", lambda x: ReductionOutcome("cycle", None, (x,), 1)),
+        ],
+        ids=["permutation", "cremona"],
+    )
+    def test_a_family_reducing_elsewhere(self, monkeypatch, k, name, fake):
+        monkeypatch.setattr(cones, name, fake)
+        with pytest.raises(ConeError, match="does not reduce to H or H-E1"):
+            k_symplectic_cone(rational_surface(k))
+
+    def test_a_rank_deficient_tight_set(self, monkeypatch):
+        # without E3 only E1 and E2 are tight at H
+        monkeypatch.setattr(
+            cones, "exceptional_classes", lambda s: exceptional_classes(s) - {E(s, 3)}
+        )
+        with pytest.raises(ConeError, match="tight at H have rank 2, not 3"):
+            k_symplectic_cone(S3)
+
+    def test_a_missing_neighbour(self, monkeypatch):
+        # without the family of 2H-E1-E2-E3 the neighbour of H-E1 across the
+        # face tight on H-E1-E2 and H-E1-E3 is lost
+        monkeypatch.setattr(
+            cones,
+            "sphere_classes",
+            lambda s, square: [
+                f for f in sphere_classes(s, square=square) if f.representative.coeffs[0] == 1
+            ],
+        )
+        with pytest.raises(ConeError, match="corner 2H-E1-E2-E3 is missing"):
+            k_symplectic_cone(S3)
 
 
 class TestPositiveDual:

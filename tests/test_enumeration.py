@@ -8,6 +8,7 @@ import pytest
 
 from conelab import enumeration
 from conelab.enumeration import (
+    distinct_arrangements,
     exceptional_classes,
     family_instances,
     nine_squares_representations,
@@ -82,6 +83,19 @@ class TestExceptionalClasses:
         for e in got:
             coeffs = [e.coeffs[0]] + [e.coeffs[p] for p in perm]
             assert divisor(s, coeffs) in got
+
+
+class TestDistinctArrangements:
+    def test_matches_the_distinct_permutations_in_order(self):
+        # oracle: itertools.permutations with repeats removed, sorted; seeded
+        # multisets of length 0..7 with many repeated values
+        rng = random.Random(23)
+        cases = [(), (5,), (2, 2, 2)] + [
+            tuple(rng.randint(-2, 3) for _ in range(rng.randint(0, 7))) for _ in range(60)
+        ]
+        for values in cases:
+            got = list(distinct_arrangements(values))
+            assert got == sorted(set(itertools.permutations(values))), values
 
 
 SWEEP_FIELDS = (

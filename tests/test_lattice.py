@@ -178,6 +178,21 @@ class TestGenusAndDimension:
         assert sw_dimension(parse_class("2U+2T", t)) == 8  # 8 - 0
 
     @settings(deadline=None, max_examples=200)
+    @given(
+        st.sampled_from([rational_surface(3), trivial_ruled(2, 2), nontrivial_ruled(1, 2)]),
+        st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+        st.integers(1, 4),
+    )
+    def test_genus_matches_the_fraction_formula(self, surface, coeffs, denominator):
+        # oracle: (x.x + K.x)/2 + 1 over Fraction, on integral classes of all
+        # three surface kinds (each of rank 4) and on their fractional multiples
+        k = canonical_class(surface)
+        x = Fraction(1, denominator) * divisor(surface, coeffs)
+        g = adjunction_genus(x)
+        assert g == Fraction(pair(x, x) + pair(k, x), 2) + 1
+        assert type(g) is (int if x.is_integral() or g.denominator == 1 else Fraction)
+
+    @settings(deadline=None, max_examples=200)
     @given(classes())
     def test_adjunction_parity(self, x):
         k = canonical_class(x.surface)
