@@ -187,11 +187,6 @@ def cone_from_rays(rays: Iterable[DivisorClass]) -> RationalCone:
     return RationalCone(surface, gens)
 
 
-def cone_from_facets(facets: Iterable[DivisorClass]) -> RationalCone:
-    """The cone {x : pair(x, f) >= 0 for all facets f}."""
-    return dual_cone(cone_from_rays(facets))
-
-
 def dual_cone(cone: RationalCone) -> RationalCone:
     """The pairing-dual {y : pair(y, r) >= 0 on the rays, = 0 on the
     lineality}, with its extreme rays and lineality basis sorted."""

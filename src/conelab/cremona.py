@@ -17,8 +17,8 @@ from typing import Iterable
 from .lattice import (
     DivisorClass,
     LatticeError,
+    _from_numerators,
     canonical_class,
-    divisor,
     pair,
 )
 
@@ -45,14 +45,16 @@ def reflect(x: DivisorClass, triple: tuple[int, int, int]) -> DivisorClass:
     coeffs[i] -= d
     coeffs[j] -= d
     coeffs[l] -= d
-    return divisor(x.surface, coeffs)
+    return _from_numerators(x.surface, tuple(coeffs))
 
 
 def order(x: DivisorClass) -> DivisorClass:
     """Permute the Ei so the subtracted coefficients are non-increasing."""
     if not x.surface.is_rational:
         raise LatticeError("ordering applies to rational surfaces")
-    return divisor(x.surface, (x.coeffs[0], *sorted(x.coeffs[1:])))
+    # the numerators over the one common denominator sort as the coefficients do
+    n = x._num
+    return _from_numerators(x.surface, (n[0], *sorted(n[1:])), x._den)
 
 
 def is_ordered(x: DivisorClass) -> bool:

@@ -9,9 +9,10 @@ so enumeration reduces to constrained sum/sum-of-squares searches with
 Cauchy-Schwarz pruning.  Families collect permutation orbits of the Ei.
 One search, sphere_classes, serves every square: the -1 classes and the
 square-zero classes are its square -1 and square 0 slices.  The
-sweeps make one recursive pass over the positive-genus tuples that carries
-sum bi and sum bi^2 down, so square, K.C and genus come out in int at each
-leaf; a DivisorClass is built only for a reported class.
+sweeps for every k <= 9 make one recursive pass over the positive-genus
+tuples: each node's prefix of length m is a tuple of the m-blowup sweep, and
+sum bi and sum bi^2 are carried down, so square, K.C and genus come out in
+int at each node; a DivisorClass is built only for a reported class.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .lattice import (
     adjunction_genus,
     canonical_class,
     divisor,
+    rational_surface,
     sorted_classes,
 )
 
@@ -255,11 +257,14 @@ class SweepReport:
     nonneg_square_nonneg_k_pairing  -- square >= 0 and K.C >= 0 (empty for
                                        k < 9; multiples of -K for k = 9);
     genus_one_violations            -- genus 1 and square < 9 - k;
-    genus_one_equality              -- genus 1 and square = 9 - k.
+    genus_one_equality              -- genus 1 and square = 9 - k;
+    tuples                          -- the (a, b) tuples of genus >= 1 the
+                                       sweep examined, as a work count.
 
-    The last three feed the genus bounds for k < 9 (genus_bound_ok).  No
-    field lists classes of degree a <= 2 and positive genus: there are none,
-    as g = (a-1)(a-2)/2 - sum bi(bi-1)/2 <= 0 for a <= 2.
+    The genus-one fields and nonneg_square_nonneg_k_pairing feed the genus
+    bounds for k < 9 (genus_bound_ok).  No field lists classes of degree
+    a <= 2 and positive genus: there are none, as
+    g = (a-1)(a-2)/2 - sum bi(bi-1)/2 <= 0 for a <= 2.
     """
 
     surface: SurfaceModel
@@ -268,6 +273,7 @@ class SweepReport:
     nonneg_square_nonneg_k_pairing: tuple[DivisorClass, ...]
     genus_one_violations: tuple[DivisorClass, ...]
     genus_one_equality: tuple[DivisorClass, ...]
+    tuples: int
 
     @property
     def ok(self) -> bool:
@@ -294,38 +300,43 @@ class SweepReport:
         )
 
 
-def sphere_class_sweeps(surface: SurfaceModel, bound: int = 8) -> SweepReport:
-    """Certify the "all negative curves are spheres" arithmetic on k <= 9.
+def sweeps_up_to(k: int, bound: int = 8) -> tuple[SweepReport, ...]:
+    """Certify the "all negative curves are spheres" arithmetic on m blowups
+    of the plane, for every m = 0..k (k <= 9): one report per m.
 
     H-degrees from 1 to bound, subtracted coefficients up to bound in
     absolute value.  Classes with non-positive H-degree are settled by the
     closed-form classification and are out of scope here.
     """
-    if not surface.is_rational or surface.k > 9:
+    if not 0 <= k <= 9:
         raise LatticeError("sweeps cover blowups of the plane with k <= 9")
-    k = surface.k
-    fields = neg, zero, dim0, g1_bad, g1_eq = [], [], [], [], []
+    found = [([], [], [], [], []) for _ in range(k + 1)]
+    tuples = [0] * (k + 1)
     b = [0] * k
 
     def rec(m: int, prev: int, left: int, s1: int, s2: int) -> None:
-        """Fill b[m:] non-increasingly with sum bi(bi-1) <= a(a-3), i.e. genus
-        >= 1; s1 and s2 are sum bi and sum bi^2 over b[:m], and left is what
-        b[:m] leaves of the budget a(a-3)."""
-        if m == k:
-            sq = a * a - s2
-            kc = s1 - 3 * a
-            g = (sq + kc) // 2 + 1
+        """Classify the tuple b[:m] of the m-blowup sweep, then fill b[m:]
+        non-increasingly with sum bi(bi-1) <= a(a-3), i.e. genus >= 1; s1
+        and s2 are sum bi and sum bi^2 over b[:m], and left is what b[:m]
+        leaves of the budget a(a-3).  The range of b[m] does not depend on
+        k, so the tuples of depth m are exactly those of the m-blowup sweep."""
+        tuples[m] += 1
+        sq = a * a - s2
+        kc = s1 - 3 * a
+        # sq + kc = 2g - 2 >= 0; a tuple of positive square, negative K.C and
+        # genus above 1, the most common kind, belongs in no field
+        if sq <= 0 or kc >= 0 or sq + kc == 0:
+            neg, zero, dim0, g1_bad, g1_eq = found[m]
+            t = (a, b[:m])
             if sq < 0:
-                neg.append((a, tuple(b)))
+                neg.append(t)
             elif sq == 0:
-                zero.append((a, tuple(b)))
+                zero.append(t)
             if sq >= 0 and kc >= 0:
-                dim0.append((a, tuple(b)))
-            if g == 1:
-                if sq < 9 - k:
-                    g1_bad.append((a, tuple(b)))
-                elif sq == 9 - k:
-                    g1_eq.append((a, tuple(b)))
+                dim0.append(t)
+            if sq + kc == 0 and sq <= 9 - m:
+                (g1_bad if sq < 9 - m else g1_eq).append(t)
+        if m == k:
             return
         # v(v - 1) <= left exactly for 1 - top <= v <= top
         top = (1 + isqrt(4 * left + 1)) // 2
@@ -338,5 +349,9 @@ def sphere_class_sweeps(surface: SurfaceModel, bound: int = 8) -> SweepReport:
         # so this one search also covers nonneg_square_nonneg_k_pairing; degrees
         # 1 and 2 have a negative budget a(a - 3) and no tuple
         rec(0, bound, a * (a - 3), 0, 0)
-    classes = (sorted_classes(_class_from_b(surface, a, b) for a, b in f) for f in fields)
-    return SweepReport(surface, *map(tuple, classes))
+    reports = []
+    for m, (fields, count) in enumerate(zip(found, tuples)):
+        surface = rational_surface(m)
+        classes = (sorted_classes(_class_from_b(surface, a, bs) for a, bs in f) for f in fields)
+        reports.append(SweepReport(surface, *map(tuple, classes), count))
+    return tuple(reports)

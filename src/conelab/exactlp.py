@@ -14,16 +14,16 @@ returned values are scaled back, to Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cmp_to_key
 from operator import mul
 from typing import Sequence
 
 from . import linalg
 
 
-def _scale(v: Sequence[Fraction], w: Sequence[int]) -> Fraction:
-    """The positive factor taking v to its primitive rescale w (1 for zero)."""
-    return next((Fraction(y, x) for x, y in zip(v, w) if x), Fraction(1))
+def _scale(v: Sequence[Fraction], w: Sequence[int]) -> tuple[int, int]:
+    """The positive factor p/q taking v to its primitive rescale w, as the
+    ints (p, q), of one sign; (1, 1) for zero."""
+    return next(((y * x.denominator, x.numerator) for x, y in zip(v, w) if x), (1, 1))
 
 
 def nonnegative_combination(
@@ -40,8 +40,9 @@ def nonnegative_combination(
     # rows whose target entry is negative are negated, so the right-hand side
     # starts non-negative; pricing folds that sign into the pricing row
     flip = [t < 0 for t in target]
-    # priced on first use; a positive rescale keeps the sign of a reduced cost
-    column = cache(lambda j: linalg.primitive(columns[j]))
+    # primitive columns, made on first use; a positive rescale keeps the
+    # sign of a reduced cost
+    column: list[tuple[int, ...] | None] = [None] * n
     goal = linalg.primitive(target)
     # the dense tableau on the entering column, the artificial columns and
     # the right-hand side, all times the common denominator `denom`: row i is
@@ -57,27 +58,37 @@ def nonnegative_combination(
         # prices positive, the basis is optimal for the columns and the basic
         # artificials alone, so a positive objective proves infeasibility
         price = linalg.primitive([-x if f else x for f, x in zip(flip, rows[m][1:-1])])
-        enter = next((j for j in range(n) if sum(map(mul, price, column(j))) > 0), None)
-        if enter is None:
+        for enter in range(n):
+            col = column[enter]
+            if col is None:
+                col = column[enter] = linalg.primitive(columns[enter])
+            if sum(map(mul, price, col)) > 0:
+                break
+        else:
             return None
-        entering = [(k, -x if f else x) for k, (f, x) in enumerate(zip(flip, column(enter))) if x]
+        entering = [(k, -x if f else x) for k, (f, x) in enumerate(zip(flip, col)) if x]
         for row in rows:
             row[0] = sum(row[1 + k] * a for k, a in entering if row[1 + k])
         # Bland's ratio test: the least x_i / d_i over d_i > 0, ties to the
         # lower basic index; the ratios are compared by cross-multiplying
-        eligible = [i for i in range(m) if rows[i][0] > 0]
-        if not eligible:
+        leave = None
+        for i in range(m):
+            if rows[i][0] > 0 and (leave is None or (rows[i][-1] * rows[leave][0], basis[i])
+                                   < (rows[leave][-1] * rows[i][0], basis[leave])):
+                leave = i
+        if leave is None:
             raise ArithmeticError("phase-1 objective unbounded; malformed input")
-        leave = min(eligible, key=cmp_to_key(
-            lambda i, j: rows[i][-1] * rows[j][0] - rows[j][-1] * rows[i][0] or basis[i] - basis[j]))
         denom = linalg.pivot(rows, leave, 0, denom)
         basis[leave] = enter
 
     used = [(row[-1], var) for row, var in zip(rows, basis) if var < n and row[-1]]
-    if any(sum(x * column(var)[k] for x, var in used) != denom * g for k, g in enumerate(goal)):
+    if any(sum(x * column[var][k] for x, var in used) != denom * g for k, g in enumerate(goal)):
         raise ArithmeticError("the basic solution does not reproduce the target")
+    # x_var / denom solves the scaled system; the column's factor p/q and the
+    # target's factor pt/qt turn it into one Fraction of the original system
     solution = [Fraction(0)] * n
-    scale = denom * _scale(target, goal)
+    pt, qt = _scale(target, goal)
     for x, var in used:
-        solution[var] = x * _scale(columns[var], column(var)) / scale
+        p, q = _scale(columns[var], column[var])
+        solution[var] = Fraction(x * p * qt, q * denom * pt)
     return solution

@@ -60,18 +60,6 @@ class InflationTrace:
         return acc == self.result
 
 
-def formal_inflate(a: DivisorClass, c: DivisorClass, eps) -> DivisorClass:
-    """One inflation step a + eps*c with the admissibility window enforced."""
-    ac = pair(a, c)
-    if ac < 0:
-        raise InflationError(f"pairing {ac} negative; cannot inflate along {c}")
-    if eps <= 0:
-        raise InflationError("step must be positive")
-    c2 = pair(c, c)
-    if c2 < 0 and eps > Fraction(ac, -c2):
-        raise InflationError(f"step {eps} exceeds the admissible bound {Fraction(ac, -c2)}")
-    return a + eps * c
-
 def max_inflate(a: DivisorClass, c: DivisorClass) -> tuple[DivisorClass, Fraction]:
     """The maximal step along a negative class; the result pairs to 0 with c."""
     c2 = pair(c, c)
@@ -140,44 +128,6 @@ def alternate_inflate(
     return AlternateInflation(trace, limit, x, l1, tuple(odd), tuple(even))
 
 
-def _residuals(curves: Sequence[DivisorClass], accepted: list[DivisorClass]):
-    """The Gram-Schmidt loop: yield each curve minus its pairing-projections
-    onto the classes in accepted, which the caller extends between yields
-    with the residuals it keeps.  A square-zero curve passes; its residual
-    has square >= 0, which the caller judges."""
-    for c in curves:
-        if pair(c, c) > 0:
-            raise InflationError(f"{c} has positive square")
-        v = c
-        for u in accepted:
-            v = v - Fraction(pair(u, c), pair(u, u)) * u
-        yield v
-
-
-def gram_schmidt_negative(curves: Sequence[DivisorClass]) -> list[DivisorClass]:
-    """Pairing-orthogonalize classes spanning a negative-definite subspace.
-
-    Inputs must have negative squares and pairwise non-negative pairings;
-    each output is a non-negative rational combination of the inputs.  A
-    zero or positive square appearing along the way means the input facets
-    meet the light cone and is raised as LightConeViolation; linearly
-    dependent input is rejected.
-    """
-    out: list[DivisorClass] = []
-    for v in _residuals(curves, out):
-        if v.is_zero():
-            raise InflationError("linearly dependent input classes")
-        sq = pair(v, v)
-        if sq >= 0:
-            raise LightConeViolation(
-                v,
-                f"orthogonalized class {v} has square {sq}; "
-                "the configured facets meet the light cone",
-            )
-        out.append(v)
-    return out
-
-
 def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> InflationTrace:
     """Reach the ray where the curves' facets meet by maximal inflations.
 
@@ -192,7 +142,13 @@ def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> Inflation
         raise InflationError("no curves supplied")
     ortho: list[DivisorClass] = []
     null_direction: DivisorClass | None = None
-    for v in _residuals(curves, ortho):
+    for c in curves:
+        if pair(c, c) > 0:
+            raise InflationError(f"{c} has positive square")
+        # Gram-Schmidt: c minus its pairing-projections onto the kept classes
+        v = c
+        for u in ortho:
+            v = v - Fraction(pair(u, c), pair(u, u)) * u
         if v.is_zero():
             continue  # facet already implied by the previous ones
         sq = pair(v, v)

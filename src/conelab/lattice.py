@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable
 
 from . import linalg
@@ -129,12 +130,21 @@ def _exact(c) -> int | Fraction:
     raise LatticeError(f"coefficient {c!r} is neither an int nor a Fraction")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivisorClass:
-    """An exact class over a fixed surface lattice, with int or Fraction coefficients."""
+    """An exact class over a fixed surface lattice, with int or Fraction coefficients.
+
+    The constructor checks its input.  A class also keeps its coefficients
+    as integer numerators over one common denominator, 1 on an integral
+    class, so a sum, a scaling or a pairing of fractional classes runs in int
+    and builds one Fraction per result entry or pairing.  Equality and hash
+    read the surface and the coefficients only.
+    """
 
     surface: SurfaceModel
     coeffs: tuple[int | Fraction, ...]
+    _num: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = self.coeffs
@@ -143,32 +153,43 @@ class DivisorClass:
                 f"coefficient vector of length {len(c)} on rank {self.surface.rank} surface"
             )
         # a tuple of plain ints is stored as it is (a bool is not a plain int)
-        if type(c) is not tuple or {*map(type, c)} != {int}:
-            object.__setattr__(self, "coeffs", tuple(map(_exact, c)))
+        if type(c) is tuple and {*map(type, c)} == {int}:
+            num, den = c, 1
+        else:
+            c = tuple(map(_exact, c))
+            den = lcm(*(x.denominator for x in c))
+            num = c if den == 1 else tuple(x.numerator * (den // x.denominator) for x in c)
+            object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     # -- vector space structure ------------------------------------------
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        _check_same_surface(self, other)
-        return DivisorClass(self.surface, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _combine(self, other, add)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        _check_same_surface(self, other)
-        return DivisorClass(self.surface, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _combine(self, other, sub)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.surface, tuple(-a for a in self.coeffs))
+        return _from_numerators(self.surface, tuple(-n for n in self._num), self._den)
 
     def __rmul__(self, scalar) -> "DivisorClass":
+        if type(scalar) in (int, Fraction):
+            p = scalar.numerator
+            return _from_numerators(
+                self.surface, tuple(p * n for n in self._num), scalar.denominator * self._den
+            )
+        # any other scalar, a bool or a float, goes through the checks
         return DivisorClass(self.surface, tuple(scalar * a for a in self.coeffs))
 
     __mul__ = __rmul__
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def is_integral(self) -> bool:
-        return all(type(c) is int for c in self.coeffs)
+        return self._den == 1
 
     # -- lattice structure -----------------------------------------------
 
@@ -186,7 +207,7 @@ class DivisorClass:
 
     def primitive(self) -> "DivisorClass":
         """Scale by a positive rational so entries are integers with gcd 1."""
-        return DivisorClass(self.surface, linalg.primitive(self.coeffs))
+        return _from_numerators(self.surface, linalg.primitive(self._num))
 
     # -- presentation ------------------------------------------------------
 
@@ -203,6 +224,42 @@ class DivisorClass:
     def from_json(d: dict) -> "DivisorClass":
         surface = SurfaceModel.from_json(d["surface"])
         return DivisorClass(surface, tuple(Fraction(c) for c in d["coeffs"]))
+
+
+# the slot setters of the frozen fields, for the trusted constructor below
+_new = object.__new__
+_set_surface = DivisorClass.surface.__set__
+_set_coeffs = DivisorClass.coeffs.__set__
+_set_num = DivisorClass._num.__set__
+_set_den = DivisorClass._den.__set__
+
+
+def _from_numerators(surface: SurfaceModel, num: tuple[int, ...], den: int = 1) -> DivisorClass:
+    """The class num / den, for a tuple num of ints of the surface's rank and
+    den > 0, built without the constructor's checks: the one constructor of
+    the operations whose results are valid by construction."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(n // g for n in num)
+            den //= g
+    x = _new(DivisorClass)
+    _set_surface(x, surface)
+    _set_coeffs(x, num if den == 1 else tuple(Fraction(n, den) if n % den else n // den for n in num))
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def _combine(x: DivisorClass, y: DivisorClass, op) -> DivisorClass:
+    """x op y, for op add or sub, on the numerators over a common denominator."""
+    _check_same_surface(x, y)
+    dx, dy = x._den, y._den
+    if dx == dy:
+        return _from_numerators(x.surface, tuple(map(op, x._num, y._num)), dx)
+    d = lcm(dx, dy)
+    fx, fy = d // dx, d // dy
+    return _from_numerators(x.surface, tuple(op(fx * a, fy * b) for a, b in zip(x._num, y._num)), d)
 
 
 def _check_same_surface(x: DivisorClass, y: DivisorClass) -> None:
@@ -246,14 +303,18 @@ def E(surface: SurfaceModel, i: int) -> DivisorClass:
 
 
 def pair(x: DivisorClass, y: DivisorClass) -> int | Fraction:
-    """Intersection pairing, signature (1, rank-1); an int on integral classes."""
+    """Intersection pairing, signature (1, rank-1): an int on integral
+    classes, and a Fraction when either class has a fractional entry."""
     _check_same_surface(x, y)
-    a, b = x.coeffs, y.coeffs
+    a, b = x._num, y._num
     kind = x.surface.kind
     if kind == RATIONAL:
-        return 2 * a[0] * b[0] - sum(map(mul, a, b))
-    uu = a[0] * b[0] if kind == NONTRIVIAL_RULED else 0
-    return uu + a[0] * b[1] + a[1] * b[0] - sum(map(mul, a[2:], b[2:]))
+        p = 2 * a[0] * b[0] - sum(map(mul, a, b))
+    else:
+        uu = a[0] * b[0] if kind == NONTRIVIAL_RULED else 0
+        p = uu + a[0] * b[1] + a[1] * b[0] - sum(map(mul, a[2:], b[2:]))
+    d = x._den * y._den
+    return p if d == 1 else Fraction(p, d)
 
 
 def gram_functional(x: DivisorClass) -> tuple[int | Fraction, ...]:
@@ -303,20 +364,6 @@ def sw_dimension(x: DivisorClass) -> int | Fraction:
     return pair(x, x) - pair(k, x)
 
 
-def forward_reference(surface: SurfaceModel) -> DivisorClass:
-    """The class fixing the forward component: H, or U + T on ruled surfaces."""
-    if surface.is_rational:
-        return H(surface)
-    return U(surface) + T(surface)
-
-
-def is_forward(x: DivisorClass) -> bool:
-    """True for nonzero classes of square >= 0 in the forward component."""
-    if x.is_zero() or x.square() < 0:
-        return False
-    return pair(x, forward_reference(x.surface)) > 0
-
-
 def proportional(x: DivisorClass, y: DivisorClass) -> bool:
     """Exact cross-multiple test for proportionality of nonzero classes."""
     _check_same_surface(x, y)
@@ -326,32 +373,6 @@ def proportional(x: DivisorClass, y: DivisorClass) -> bool:
             if x.coeffs[i] * y.coeffs[j] != x.coeffs[j] * y.coeffs[i]:
                 return False
     return not x.is_zero() and not y.is_zero()
-
-
-@dataclass(frozen=True)
-class LightConeReport:
-    both_forward: bool
-    pairing_sign: int
-    proportional: bool
-
-
-def light_cone_facts(a: DivisorClass, b: DivisorClass) -> LightConeReport:
-    """Signature-(1,n) positivity facts for a reference class a and a test b.
-
-    a must have square >= 0 and lie in the forward component (square-zero a
-    is accepted; its component is still determined by the pairing with H or
-    U+T).  Two forward classes pair non-negatively, with zero pairing only
-    for proportional null classes.
-    """
-    if a.square() < 0:
-        raise LatticeError("reference class has negative square, no forward cone")
-    if not is_forward(a):
-        raise LatticeError("reference class is not in the forward component")
-    p = pair(a, b)
-    both = b.square() >= 0 and is_forward(b)
-    sign = 0 if p == 0 else (1 if p > 0 else -1)
-    prop = p == 0 and a.square() == 0 and b.square() == 0 and proportional(a, b)
-    return LightConeReport(both_forward=both, pairing_sign=sign, proportional=prop)
 
 
 # -- class literals ---------------------------------------------------------

@@ -676,9 +676,8 @@ def check_ruled_negative_classes() -> tuple[bool, str]:
 def check_sweeps() -> tuple[bool, str]:
     ok = True
     rows = []
-    for k in range(0, 10):
-        sk = rational_surface(k)
-        sweep = enumeration.sphere_class_sweeps(sk, bound=8)
+    for k, sweep in enumerate(enumeration.sweeps_up_to(9, bound=8)):
+        sk = sweep.surface
         good = sweep.ok
         if k <= 8:
             good &= not sweep.zero_square_positive_genus and sweep.genus_bound_ok

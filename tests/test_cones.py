@@ -17,7 +17,6 @@ from conelab import cones, exactlp, linalg
 from conelab.cones import (
     ConeError,
     NonPointedError,
-    cone_from_facets,
     cone_from_rays,
     cone_theorem_audit,
     dual_cone,
@@ -59,7 +58,7 @@ class TestConstruction:
 
     def test_facets_on_the_plane(self):
         s0 = rational_surface(0)
-        c = cone_from_facets([H(s0)])
+        c = dual_cone(cone_from_rays([H(s0)]))
         assert c.rays() == (H(s0),)
 
     def test_empty_and_mixed_inputs_rejected(self):
@@ -95,7 +94,7 @@ class TestDualCone:
         # the half-space pair(x, H) >= 0 on one blowup has lineality E1, so its
         # dual is the ray H inside the hyperplane pair(y, E1) = 0
         s1 = rational_surface(1)
-        d = dual_cone(cone_from_facets([H(s1)]))
+        d = dual_cone(dual_cone(cone_from_rays([H(s1)])))
         assert d.rays() == (H(s1),)
         assert dual_cone(d).lineality() == (E(s1, 1),)
         assert membership(d, H(s1) + E(s1, 1)).kind == "outside"
@@ -276,7 +275,7 @@ class TestMembership:
     def test_tight_facets_of_a_cone_from_facets_are_irredundant(self):
         # E1 + E2 is a redundant input facet; the certificate names only
         # the facets of the cone
-        c = cone_from_facets([E(S2, 1), E(S2, 2), E(S2, 1) + E(S2, 2)])
+        c = dual_cone(cone_from_rays([E(S2, 1), E(S2, 2), E(S2, 1) + E(S2, 2)]))
         got = membership(c, H(S2))
         assert got.kind == "boundary"
         assert set(got.tight) == {E(S2, 1), E(S2, 2)}

@@ -12,8 +12,8 @@ from conelab.enumeration import (
     exceptional_classes,
     family_instances,
     nine_squares_representations,
-    sphere_class_sweeps,
     sphere_classes,
+    sweeps_up_to,
 )
 from conelab.lattice import (
     E,
@@ -313,7 +313,7 @@ class TestNineSquares:
 class TestSweeps:
     @pytest.mark.parametrize("k", [0, 2, 5, 8])
     def test_no_positive_genus_nonpositive_square_below_nine(self, k):
-        sweep = sphere_class_sweeps(rational_surface(k), bound=6)
+        sweep = sweeps_up_to(k, bound=6)[k]
         assert sweep.ok
         assert not sweep.negative_square_positive_genus
         assert not sweep.zero_square_positive_genus
@@ -321,7 +321,7 @@ class TestSweeps:
 
     def test_nine_blowups_only_anti_canonical_multiples(self):
         s = rational_surface(9)
-        sweep = sphere_class_sweeps(s, bound=7)
+        sweep = sweeps_up_to(9, bound=7)[9]
         assert sweep.ok
         assert not sweep.negative_square_positive_genus
         anti = -1 * canonical_class(s)
@@ -332,24 +332,23 @@ class TestSweeps:
 
     def test_genus_bound_audit_six(self):
         s = rational_surface(6)
-        sweep = sphere_class_sweeps(s, bound=8)
+        sweep = sweeps_up_to(6, bound=8)[6]
         assert sweep.genus_bound_ok
         assert sweep.genus_one_equality == (parse_class("3H-E1-E2-E3-E4-E5-E6", s),)
         assert sweep.genus_one_equality[0].square() == 3  # 9 - k
 
     def test_genus_one_minimum_square_at_eight(self):
-        s = rational_surface(8)
-        sweep = sphere_class_sweeps(s, bound=8)
+        sweep = sweeps_up_to(8, bound=8)[8]
         assert sweep.genus_bound_ok
         assert sweep.genus_one_equality[0].square() == 1
 
     def test_no_nonnegative_k_pairing_class_small_k(self):
-        sweep = sphere_class_sweeps(rational_surface(3), bound=6)
+        sweep = sweeps_up_to(3, bound=6)[3]
         assert sweep.nonneg_square_nonneg_k_pairing == ()
 
     @pytest.mark.parametrize("k,bound", [(4, 8), (7, 4), (9, 4)])
     def test_every_field_matches_brute_force(self, k, bound):
-        sweep = sphere_class_sweeps(rational_surface(k), bound=bound)
+        sweep = sweeps_up_to(k, bound=bound)[k]
         want = brute_sweep(k, bound)
         for name in SWEEP_FIELDS:
             got = [(c.coeffs[0], c.b_vector()) for c in getattr(sweep, name)]
@@ -358,6 +357,34 @@ class TestSweeps:
         assert want["low_degree"] == []
         if k == 9:
             assert want["nonneg_square_nonneg_k_pairing"] == [(3, (1,) * 9)]
+
+    @pytest.mark.parametrize("bound", range(1, 7))
+    def test_tuple_counts_match_brute_force(self, bound):
+        # a sweep that skips a tuple leaves every field as it is below nine
+        # blowups, but not the count of tuples it examined
+        for k, sweep in enumerate(sweeps_up_to(5, bound)):
+            want = sum(
+                1
+                for a in range(1, bound + 1)
+                for b in itertools.combinations_with_replacement(range(-bound, bound + 1), k)
+                if sum(x * (x - 1) for x in b) <= a * (a - 3)
+            )
+            assert sweep.surface == rational_surface(k)
+            assert sweep.tuples == want, k
+
+    def test_one_pass_serves_every_k(self):
+        # each report of the pass to depth nine is the report of the pass
+        # that stops at its own k; the k = 0 tuple of degree 3 is 3H
+        reports = sweeps_up_to(9)
+        assert [r.tuples for r in reports] == [
+            6, 42, 179, 518, 1177, 2246, 3769, 5770, 8227, 11118
+        ]
+        for k in (0, 1, 4, 7):
+            assert sweeps_up_to(k)[k] == reports[k]
+        assert reports[0].genus_one_equality == (3 * H(rational_surface(0)),)
+        assert all(r.genus_bound_ok for r in reports[:9])
+        with pytest.raises(LatticeError):
+            sweeps_up_to(10)
 
     def test_genus_one_brute_force_small_k(self):
         # independent loops: every genus-1 class with positive degree on

@@ -2,6 +2,7 @@
 basis, and Bland's rule on the dense tableau, whose solutions it must return
 unchanged; on random small systems and on the LPs of a real validation."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -167,6 +168,17 @@ def test_eight_blowup_decompositions_sum_to_their_targets(monkeypatch):
         terms = [(v, c) for v, c in zip(x, columns) if v]
         total = tuple(sum(v * c[i] for v, c in terms) for i in range(len(target.coeffs)))
         assert total == target.coeffs, target
+
+
+def test_eight_blowup_solutions_are_pinned(monkeypatch):
+    # every value of the 240 LP solutions, as the dense-tableau pivots gave
+    # them; a change to the simplex must keep each pivot and each value
+    _, calls = validation_lps(monkeypatch, disjoint_minus_one_configuration(8, 8))
+    text = "\n".join(" ".join(map(str, x)) for _, _, x in calls)
+    assert len(calls) == 240
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1faa283a68f8b8c2dcd621588d576d57ade09563ed0ebab35de3b44d4ec31837"
+    )
 
 
 def test_a_basic_solution_that_misses_the_target_raises(monkeypatch):

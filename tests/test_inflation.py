@@ -15,8 +15,6 @@ from conelab.inflation import (
     achieve_all_rays,
     achieve_vertex,
     alternate_inflate,
-    formal_inflate,
-    gram_schmidt_negative,
     max_inflate,
 )
 from conelab.lattice import (
@@ -38,32 +36,37 @@ S3 = rational_surface(3)
 
 
 class TestFormalInflate:
+    # a formal step is A + eps*C with 0 < eps <= (A.C)/(-C.C); max_inflate
+    # takes the whole window and refuses what the window does not allow
     def test_maximal_step_along_the_slant_line(self):
-        got = formal_inflate(H(S2), parse_class("H-E1-E2", S2), 1)
-        assert got == parse_class("2H-E1-E2", S2)
+        got = max_inflate(H(S2), parse_class("H-E1-E2", S2))
+        assert got == (parse_class("2H-E1-E2", S2), 1)
 
     def test_zero_window_rejected(self):
         # H pairs to zero with E1: no positive step is admissible
-        with pytest.raises(InflationError):
-            formal_inflate(H(S2), E(S2, 1), Fraction(1, 10))
         assert max_inflate(H(S2), E(S2, 1)) == (H(S2), 0)
 
     def test_square_zero_direction_is_unbounded(self):
+        # the window along a square-zero class has no end, so no maximal step
         s = trivial_ruled(2)
-        b = U(s) + T(s)
-        assert formal_inflate(b, T(s), 5) == U(s) + 6 * T(s)
+        with pytest.raises(InflationError, match="negative square"):
+            max_inflate(U(s) + T(s), T(s))
 
     def test_step_beyond_the_window_rejected(self):
-        with pytest.raises(InflationError):
-            formal_inflate(H(S2), parse_class("H-E1-E2", S2), 2)
+        # the window of H along H-E1-E2 ends at eps = 1; a step of 2 lands on
+        # a class pairing negatively with the curve, where inflation stops
+        c = parse_class("H-E1-E2", S2)
+        assert pair(H(S2) + 2 * c, c) < 0
+        with pytest.raises(InflationError, match="negative"):
+            max_inflate(H(S2) + 2 * c, c)
 
     def test_negative_pairing_rejected(self):
         with pytest.raises(InflationError):
-            formal_inflate(E(S2, 2), parse_class("H-E1-E2", S2) + E(S2, 2) * 3, 1)
+            max_inflate(E(S2, 2), parse_class("H-E1-E2", S2) + E(S2, 2) * 3)
 
     def test_float_step_rejected(self):
         with pytest.raises(LatticeError):
-            formal_inflate(H(S2), parse_class("H-E1-E2", S2), 0.5)
+            H(S2) + 0.5 * parse_class("H-E1-E2", S2)
 
     def test_membership_is_preserved(self):
         # each admissible step keeps the class inside the positive dual
@@ -78,7 +81,7 @@ class TestFormalInflate:
             if top == 0:
                 continue
             eps = top * Fraction(rng.randint(1, 4), 4)
-            current = formal_inflate(current, c, eps)
+            current = current + eps * c
             assert membership(dual, current).kind in ("interior", "boundary")
 
 
@@ -161,37 +164,37 @@ class TestAlternateInflate:
 
 
 class TestGramSchmidt:
+    # achieve_vertex orthogonalizes its curves and steps once along each
+    # orthogonalized class the start pairs positively with
     def test_orthogonal_family_unchanged(self):
         curves = [E(S3, 3), parse_class("E1-E2", S3), parse_class("H-E1-E2", S3)]
-        got = gram_schmidt_negative(curves)
-        assert got == curves
-        assert [c.square() for c in got] == [-1, -2, -1]
+        got = achieve_vertex(parse_class("5H-3E1-E2-E3", S3), curves)
+        assert [u for u, _ in got.steps] == curves
+        assert [c.square() for c, _ in got.steps] == [-1, -2, -1]
 
     def test_light_cone_meeting_detected(self):
-        with pytest.raises(LightConeViolation) as err:
-            gram_schmidt_negative([E(S2, 1), parse_class("H-E1-E2", S2)])
-        assert err.value.vector == parse_class("H-E2", S2)
+        # E1 and H-E1-E2 orthogonalize to E1 and H-E2, of square zero: the
+        # facets meet the light cone on the ray H-E2
+        got = achieve_vertex(parse_class("3H-E1-E2", S2), [E(S2, 1), parse_class("H-E1-E2", S2)])
+        assert got.limit_formula_used and got.result == parse_class("H-E2", S2)
 
     def test_single_class_unchanged(self):
-        assert gram_schmidt_negative([E(S2, 1)]) == [E(S2, 1)]
+        s1 = rational_surface(1)
+        got = achieve_vertex(parse_class("2H-E1", s1), [E(s1, 1)])
+        assert got.steps == ((E(s1, 1), 1),)
 
     def test_dependent_input_rejected(self):
-        with pytest.raises(InflationError):
-            gram_schmidt_negative([E(S3, 1) - E(S3, 2), E(S3, 2) - E(S3, 1)])
-
-    def test_square_zero_input_rejected(self):
-        # a square-zero class passes the residual loop and is refused as a
-        # class on the light cone
-        with pytest.raises(LightConeViolation) as err:
-            gram_schmidt_negative([parse_class("H-E1", S2)])
-        assert err.value.vector == parse_class("H-E1", S2)
+        with pytest.raises(InflationError, match="not a single ray"):
+            achieve_vertex(H(S3), [E(S3, 1) - E(S3, 2), E(S3, 2) - E(S3, 1), E(S3, 3)])
 
     def test_outputs_are_pairwise_orthogonal(self):
         curves = [parse_class(t, S3) for t in ("E3", "E2-E3", "-H+2E1-E2")]
-        got = gram_schmidt_negative(curves)
-        for i, a in enumerate(got):
+        got = achieve_vertex(parse_class("3H-2E1-E2-E3", S3), curves)
+        ortho = [u for u, _ in got.steps]
+        assert len(ortho) == 3
+        for i, a in enumerate(ortho):
             assert a.square() < 0
-            for b in got[i + 1 :]:
+            for b in ortho[i + 1 :]:
                 assert pair(a, b) == 0
 
 
@@ -235,6 +238,15 @@ class TestAchieveVertex:
         s = trivial_ruled(1)
         start = parse_class("U+3T", s)
         assert achieve_vertex(start, [T(s)]) == InflationTrace(start, (), T(s), True)
+
+    def test_positive_square_residual_is_a_light_cone_violation(self):
+        # E1, E2 and H-E1-E2 orthogonalize to E1, E2 and H: three facets of
+        # a rank-3 lattice whose last residual has left the light cone
+        with pytest.raises(LightConeViolation) as err:
+            achieve_vertex(
+                parse_class("3H-E1-E2", S2), [E(S2, 1), E(S2, 2), parse_class("H-E1-E2", S2)]
+            )
+        assert err.value.vector == H(S2)
 
     def test_non_ray_intersection_rejected(self):
         with pytest.raises(InflationError):

@@ -1,10 +1,12 @@
 """Pairing, canonical classes, genus and dimension arithmetic, literals."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conelab.cremona import order, reflect
 from conelab.lattice import (
     NONTRIVIAL_RULED,
     RATIONAL,
@@ -19,10 +21,10 @@ from conelab.lattice import (
     canonical_class,
     divisor,
     format_class,
-    light_cone_facts,
     nontrivial_ruled,
     pair,
     parse_class,
+    proportional,
     rational_surface,
     sw_dimension,
     trivial_ruled,
@@ -201,26 +203,12 @@ class TestGenusAndDimension:
 
 
 class TestLightCone:
-    def test_forward_pair(self):
-        s = rational_surface(1)
-        rep = light_cone_facts(H(s), H(s) - E(s, 1))
-        assert rep.both_forward and rep.pairing_sign == 1 and not rep.proportional
-
-    def test_multiple_not_flagged_proportional(self):
-        s = rational_surface(1)
-        rep = light_cone_facts(H(s), 2 * H(s))
-        assert rep.pairing_sign == 1 and not rep.proportional
-
     def test_null_orthogonal_forces_proportional(self):
         s = rational_surface(9)
         a = parse_class("3H-E1-E2-E3-E4-E5-E6-E7-E8-E9", s)
-        rep = light_cone_facts(a, -1 * canonical_class(s))
-        assert rep.pairing_sign == 0 and rep.proportional
-
-    def test_negative_reference_rejected(self):
-        s = rational_surface(1)
-        with pytest.raises(LatticeError):
-            light_cone_facts(E(s, 1), H(s))
+        anti = -1 * canonical_class(s)
+        assert a.square() == anti.square() == pair(a, anti) == 0
+        assert proportional(a, anti)
 
     def test_forward_classes_pair_nonnegatively(self):
         import random
@@ -281,6 +269,87 @@ class TestCoefficients:
         # so is_integral tests their type
         x = divisor(rational_surface(2), coeffs)
         assert x.is_integral() == all(Fraction(c).denominator == 1 for c in coeffs)
+
+
+def fraction_class(s, entries):
+    """The class the checked constructor makes from entries computed with
+    Fraction arithmetic."""
+    return DivisorClass(s, tuple(Fraction(c) for c in entries))
+
+
+def assert_same_class(got, want):
+    """got, built by a closed operation, against the checked construction:
+    coefficients and their types, integrality, equality, hash, and the
+    pairing, which reads the stored numerators and denominator."""
+    assert got.coeffs == want.coeffs
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    assert got.is_integral() == want.is_integral() == all(type(c) is int for c in want.coeffs)
+    assert got == want and hash(got) == hash(want)
+    for other in (got, want):
+        assert pair(got, other) == pair(want, other)
+        assert type(pair(got, other)) is type(pair(want, other))
+
+
+class TestTrustedPath:
+    """Sums, scalings, negation, primitive, reflect and order skip the
+    constructor's checks; each must build the class the checks would."""
+
+    scalar = st.integers(-5, 5)
+    fraction = st.fractions(-5, 5, max_denominator=6)
+
+    @settings(deadline=None, max_examples=200)
+    @given(any_surface, st.data())
+    def test_arithmetic_matches_fraction_arithmetic(self, s, data):
+        ints = st.lists(st.integers(-9, 9), min_size=s.rank, max_size=s.rank)
+        mixed = st.lists(coefficient, min_size=s.rank, max_size=s.rank)
+        x = divisor(s, data.draw(ints | mixed))
+        y = divisor(s, data.draw(ints | mixed))
+        n, q = data.draw(self.scalar), data.draw(self.fraction)
+        fx, fy = [Fraction(c) for c in x.coeffs], [Fraction(c) for c in y.coeffs]
+        assert_same_class(x + y, fraction_class(s, [a + b for a, b in zip(fx, fy)]))
+        assert_same_class(x - y, fraction_class(s, [a - b for a, b in zip(fx, fy)]))
+        assert_same_class(-x, fraction_class(s, [-a for a in fx]))
+        assert_same_class(n * x, fraction_class(s, [n * a for a in fx]))
+        assert_same_class(x * q, fraction_class(s, [q * a for a in fx]))
+        if not x.is_zero():
+            # the positive multiple with coprime integer entries
+            m = 1
+            while any((m * a).denominator != 1 for a in fx):
+                m += 1
+            g = math.gcd(*(int(m * a) for a in fx))
+            assert_same_class(x.primitive(), fraction_class(s, [m * a / g for a in fx]))
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(3, 6), st.data())
+    def test_reflect_and_order_match_fraction_arithmetic(self, k, data):
+        s = rational_surface(k)
+        x = divisor(s, data.draw(st.lists(st.integers(-9, 9), min_size=k + 1, max_size=k + 1)))
+        i, j, l = data.draw(st.permutations(range(1, k + 1)))[:3]
+        fx = [Fraction(c) for c in x.coeffs]
+        d = fx[0] + fx[i] + fx[j] + fx[l]  # pairing with H - Ei - Ej - El
+        want = list(fx)
+        want[0] += d
+        for e in (i, j, l):
+            want[e] -= d
+        assert_same_class(reflect(x, (i, j, l)), fraction_class(s, want))
+        y = divisor(s, data.draw(st.lists(coefficient, min_size=k + 1, max_size=k + 1)))
+        fy = [Fraction(c) for c in y.coeffs]
+        assert_same_class(order(y), fraction_class(s, [fy[0], *sorted(fy[1:])]))
+
+    def test_other_scalars_go_through_the_checks(self):
+        s = nontrivial_ruled(1, 2)
+        x = divisor(s, [1, Fraction(1, 2), -2, 3])
+        assert_same_class(True * x, x)
+        assert_same_class(x * False, fraction_class(s, [0, 0, 0, 0]))
+        for bad in (0.5, 2.0):
+            with pytest.raises(LatticeError):
+                bad * x
+
+    def test_an_integral_pairing_of_a_fractional_class_is_a_fraction(self):
+        s = rational_surface(1)
+        half = divisor(s, [Fraction(1, 2), Fraction(1, 2)])
+        assert pair(half, 2 * H(s)) == 1 and type(pair(half, 2 * H(s))) is Fraction
+        assert type((2 * half).square()) is int
 
 
 class TestInterning:
