@@ -218,32 +218,6 @@ def extremal_rays(cone: RationalCone) -> list[DivisorClass]:
     return list(hull.rays())
 
 
-@dataclass(frozen=True)
-class Membership:
-    kind: str  # "interior" | "boundary" | "outside"
-    tight: tuple[DivisorClass, ...] = ()
-    violated: DivisorClass | None = None
-
-
-def membership(cone: RationalCone, x: DivisorClass) -> Membership:
-    """Exact position of x relative to the cone, with a certificate read
-    from the rays (facets) and lineality (equations) of its dual."""
-    inequalities = dual_cone(cone)
-    for e in inequalities.lineality():
-        if pair(x, e) != 0:
-            return Membership("outside", violated=e)
-    tight = []
-    for f in inequalities.rays():
-        v = pair(x, f)
-        if v < 0:
-            return Membership("outside", violated=f)
-        if v == 0:
-            tight.append(f)
-    if not tight and not inequalities.lineality():
-        return Membership("interior")
-    return Membership("boundary", tight=tuple(tight))
-
-
 # ---------------------------------------------------------------------------
 # the K-symplectic cone and duals of curve cones
 # ---------------------------------------------------------------------------
@@ -262,7 +236,6 @@ class CornerInfo:
 
 @dataclass(frozen=True)
 class KSymplecticCone:
-    cone: RationalCone
     corners: tuple[CornerInfo, ...]
 
     @property
@@ -303,13 +276,13 @@ def k_symplectic_cone(surface: SurfaceModel) -> KSymplecticCone:
     if surface.k > 8:
         raise ConeError("infinitely many -1 classes for k >= 9")
     if surface.k == 0:
-        cone = cone_from_rays([H(surface)])
+        rays = {H(surface)}
     elif surface.k == 1:
-        cone = cone_from_rays([H(surface), H(surface) - E(surface, 1)])
+        rays = {H(surface), H(surface) - E(surface, 1)}
     else:
-        cone = RationalCone(surface, sorted_classes(_certified_corners(surface)))
-    corners = tuple(CornerInfo(r, r.square(), adjunction_genus(r)) for r in cone.rays())
-    return KSymplecticCone(cone, corners)
+        rays = _certified_corners(surface)
+    corners = (CornerInfo(r, r.square(), adjunction_genus(r)) for r in sorted_classes(rays))
+    return KSymplecticCone(tuple(corners))
 
 
 def _certified_corners(surface: SurfaceModel) -> set[DivisorClass]:
@@ -404,7 +377,8 @@ class AuditReport:
     failure: str = ""
 
 
-def _extremal_taxonomy(surface: SurfaceModel, ray: DivisorClass) -> str:
+def _extremal_taxonomy(ray: DivisorClass) -> str:
+    surface = ray.surface
     kc = canonical_class(surface)
     if pair(ray, ray) == -1 and pair(kc, ray) == -1:
         return "minus_one"
@@ -417,20 +391,21 @@ def _extremal_taxonomy(surface: SurfaceModel, ray: DivisorClass) -> str:
     return "violation"
 
 
-def cone_theorem_audit(generators: Iterable[DivisorClass], surface: SurfaceModel) -> AuditReport:
+def cone_theorem_audit(generators: Iterable[DivisorClass]) -> AuditReport:
     """Check every K-negative extremal ray of the generated cone: rational,
     pairing with K in [-3, 0), and of the allowed extremal-curve shapes."""
+    cone = cone_from_rays(generators)
     try:
-        rays = extremal_rays(cone_from_rays(generators))
+        rays = extremal_rays(cone)
     except NonPointedError as err:
         return AuditReport((), False, failure=str(err))
-    kc = canonical_class(surface)
+    kc = canonical_class(cone.ambient)
     entries = []
     for r in rays:
         kp = pair(kc, r)
         if kp >= 0:
             continue
-        entries.append(AuditEntry(r, kp, adjunction_genus(r), _extremal_taxonomy(surface, r)))
+        entries.append(AuditEntry(r, kp, adjunction_genus(r), _extremal_taxonomy(r)))
     return AuditReport(tuple(entries), all(e.ok for e in entries))
 
 

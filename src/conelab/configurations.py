@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from typing import Sequence
 
 from . import exactlp
@@ -76,10 +76,6 @@ class NegativeConfiguration:
                     raise ConfigurationError(
                         f"distinct curves {a} and {b} pair negatively"
                     )
-
-    @cached_property
-    def intersection_matrix(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(pair(a, b) for b in self.curves) for a in self.curves)
 
     def generators(self) -> list[DivisorClass]:
         return list(self.curves) + list(self.extra_square_zero)
@@ -417,11 +413,9 @@ def catalog_cp2_3(n_values: Sequence[int] = (0, 1, 2)) -> list[CatalogEntry]:
 # ---------------------------------------------------------------------------
 
 
-def count_minus_one(cfg: NegativeConfiguration) -> tuple[int, list[DivisorClass]]:
-    found = [
-        c for c in cfg.curves if c.square() == -1 and adjunction_genus(c) == 0
-    ]
-    return len(found), found
+def count_minus_one(cfg: NegativeConfiguration) -> list[DivisorClass]:
+    """The -1 sphere classes among the curves."""
+    return [c for c in cfg.curves if c.square() == -1 and adjunction_genus(c) == 0]
 
 
 def disjoint_minus_one_configuration(k: int, l: int) -> NegativeConfiguration:

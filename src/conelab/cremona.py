@@ -22,7 +22,8 @@ from .lattice import (
     pair,
 )
 
-DEFAULT_BUDGET = 10_000
+MAX_STEPS = 1_000
+BUDGET = 10_000
 
 
 def _require_cremona_surface(x: DivisorClass) -> None:
@@ -79,11 +80,11 @@ class ReductionOutcome:
     steps: int
 
 
-def cremona_reduce(x: DivisorClass, max_steps: int = 1_000) -> ReductionOutcome:
+def cremona_reduce(x: DivisorClass) -> ReductionOutcome:
     """Alternately order and reflect on the top three coefficients.
 
     Ends in the first reduced class, in a cycle certificate (a repeated
-    ordered class), or with the budget spent.  Classes of square-1 spheres
+    ordered class), or with MAX_STEPS spent.  Classes of square-1 spheres
     reduce; -1 sphere classes always cycle.
     """
     _require_cremona_surface(x)
@@ -91,7 +92,7 @@ def cremona_reduce(x: DivisorClass, max_steps: int = 1_000) -> ReductionOutcome:
     # the ordered classes in the order seen, each with its step, so that a
     # repeat is found in constant time
     seen: dict[DivisorClass, int] = {}
-    for step in range(max_steps):
+    for step in range(MAX_STEPS):
         if is_reduced(current):
             return ReductionOutcome("reduced", current, (*seen, current), step)
         if current in seen:
@@ -99,7 +100,7 @@ def cremona_reduce(x: DivisorClass, max_steps: int = 1_000) -> ReductionOutcome:
             return ReductionOutcome("cycle", None, (*cycle, current), step)
         seen[current] = step
         current = order(reflect(current, (1, 2, 3)))
-    return ReductionOutcome("budget_exceeded", current, tuple(list(seen)[-5:]), max_steps)
+    return ReductionOutcome("budget_exceeded", current, tuple(list(seen)[-5:]), MAX_STEPS)
 
 
 @dataclass(frozen=True)
@@ -116,14 +117,13 @@ def _neighbors(x: DivisorClass) -> Iterable[DivisorClass]:
         yield order(reflect(x, triple))
 
 
-def cremona_equivalent(
-    x: DivisorClass, y: DivisorClass, budget: int = DEFAULT_BUDGET
-) -> EquivalenceOutcome:
+def cremona_equivalent(x: DivisorClass, y: DivisorClass) -> EquivalenceOutcome:
     """Decide equivalence under reflections and permutations.
 
     Square and K-pairing mismatches reject immediately; otherwise a
-    bidirectional search over ordered classes runs within the budget.  A
-    fully explored orbit without a meeting is a distinctness certificate."""
+    bidirectional search over ordered classes answers unknown once it has
+    visited more than BUDGET of them.  A fully explored orbit without a
+    meeting is a distinctness certificate."""
     if x.surface != y.surface:
         raise LatticeError("classes on different surfaces")
     if not x.surface.is_rational or not x.is_integral() or not y.is_integral():
@@ -171,6 +171,6 @@ def cremona_equivalent(
                 visited += 1
                 if nxt in parents[1 - side]:
                     return EquivalenceOutcome("equivalent", path=(x, *path_through(nxt), y))
-                if visited > budget:
+                if visited > BUDGET:
                     return EquivalenceOutcome("unknown", "budget")
     return EquivalenceOutcome("distinct_by_invariant", "orbit_exhausted")

@@ -80,9 +80,8 @@ class AlternateInflation:
     trace: InflationTrace
     limit: DivisorClass
     ratio: Fraction  # (C1.C2)^2 / (C1^2 C2^2); at 1 the limit ray sits on the light cone
-    first_coefficient: Fraction
-    odd_coefficients: tuple[Fraction, ...] = ()
-    even_coefficients: tuple[Fraction, ...] = ()
+    odd_coefficients: tuple[Fraction, ...]
+    even_coefficients: tuple[Fraction, ...]
 
 
 def alternate_inflate(
@@ -121,11 +120,11 @@ def alternate_inflate(
     trace = InflationTrace(a, tuple(steps), current)
     direction = c2 - Fraction(c12, s1) * c1
     if x == 1:
-        return AlternateInflation(trace, direction.primitive(), x, l1, tuple(odd), tuple(even))
+        return AlternateInflation(trace, direction.primitive(), x, tuple(odd), tuple(even))
     limit = a + (l1 / (1 - x)) * direction
     if pair(limit, c1) != 0 or pair(limit, c2) != 0:
         raise InflationError(f"limit {limit} is not orthogonal to {c1} and {c2}")
-    return AlternateInflation(trace, limit, x, l1, tuple(odd), tuple(even))
+    return AlternateInflation(trace, limit, x, tuple(odd), tuple(even))
 
 
 def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> InflationTrace:

@@ -18,7 +18,6 @@ from .lattice import (
     DivisorClass,
     E,
     H,
-    SurfaceModel,
     T,
     adjunction_genus,
     canonical_class,
@@ -33,11 +32,10 @@ class CertificateError(ValueError):
     pass
 
 
-def wall_crossing_magnitude(surface: SurfaceModel, e: DivisorClass) -> int:
+def wall_crossing_magnitude(e: DivisorClass) -> int:
     """|SW+ - SW-| for the class e: 1 on rational surfaces, |1 + e.T|^h on
     irrationally ruled ones."""
-    if e.surface != surface:
-        raise CertificateError("class on the wrong surface")
+    surface = e.surface
     if surface.is_rational:
         return 1
     a = pair(e, T(surface))
@@ -54,14 +52,13 @@ class SWCertificate:
     magnitude: int
 
     def revalidate(self) -> bool:
-        surface = self.cls.surface
-        kc = canonical_class(surface)
+        kc = canonical_class(self.cls.surface)
         return (
             self.dimension == sw_dimension(self.cls)
             and self.dimension >= 0
             and self.witness.square() >= 0
             and pair(kc - self.cls, self.witness) < 0
-            and self.magnitude == wall_crossing_magnitude(surface, self.cls)
+            and self.magnitude == wall_crossing_magnitude(self.cls)
             and self.magnitude > 0
         )
 
@@ -73,15 +70,14 @@ class NoCertificate:
 
 
 def sw_certificate(
-    surface: SurfaceModel,
-    e: DivisorClass,
-    witness_pool: Sequence[DivisorClass] | None = None,
+    e: DivisorClass, witness_pool: Sequence[DivisorClass] | None = None
 ) -> SWCertificate | NoCertificate:
     """Certify nonvanishing of the invariant of e when possible.
 
     Needs dimension >= 0 and a pool member W of non-negative square with
     (K - e).W < 0; the default pool is {H} on rational surfaces and {T} on
     ruled ones."""
+    surface = e.surface
     if witness_pool is None:
         witness_pool = [H(surface) if surface.is_rational else T(surface)]
     dim = sw_dimension(e)
@@ -90,7 +86,7 @@ def sw_certificate(
     kc = canonical_class(surface)
     for w in witness_pool:
         if w.square() >= 0 and pair(kc - e, w) < 0:
-            return SWCertificate(e, dim, w, wall_crossing_magnitude(surface, e))
+            return SWCertificate(e, dim, w, wall_crossing_magnitude(e))
     return NoCertificate(e, "no vanishing witness in the pool")
 
 
@@ -124,7 +120,8 @@ class ExtremalReport:
     reason: str
 
 
-def _is_allowed_extremal(surface: SurfaceModel, c: DivisorClass) -> str | None:
+def _is_allowed_extremal(c: DivisorClass) -> str | None:
+    surface = c.surface
     if c == T(surface):
         return "fiber class"
     for i in range(1, surface.k + 1):
@@ -135,9 +132,7 @@ def _is_allowed_extremal(surface: SurfaceModel, c: DivisorClass) -> str | None:
     return None
 
 
-def non_extremal_witness(
-    surface: SurfaceModel, c: DivisorClass
-) -> Decomposition | ExtremalReport:
+def non_extremal_witness(c: DivisorClass) -> Decomposition | ExtremalReport:
     """Split a K-negative class on an irrational ruled surface into two
     non-proportional certified classes, eliminating it as an extremal ray.
 
@@ -145,6 +140,7 @@ def non_extremal_witness(
     exceeds one or some blowup multiplicity exceeds a; over a torus base a
     multiple l C - T is certified instead, with the smallest l > 2a whose
     dimension is positive."""
+    surface = c.surface
     if not surface.is_ruled:
         raise CertificateError("non-extremality witnesses cover ruled surfaces")
     if not c.is_integral():
@@ -152,7 +148,7 @@ def non_extremal_witness(
     kc = canonical_class(surface)
     if pair(kc, c) >= 0:
         raise CertificateError(f"K.C = {pair(kc, c)} is not negative")
-    reason = _is_allowed_extremal(surface, c)
+    reason = _is_allowed_extremal(c)
     if reason is not None:
         return ExtremalReport(c, f"extremal, no witness expected: {reason}")
     fiber = T(surface)
@@ -171,21 +167,18 @@ def non_extremal_witness(
         parts = [c - fiber + ei, fiber - ei]
         scale = 1
     else:
-        scale = None
-        for l in range(2 * a + 1, 2 * a + 11):
-            if sw_dimension(l * c - fiber) > 0:
-                scale = l
-                break
+        window = range(2 * a + 1, 2 * a + 11)
+        scale = next((l for l in window if sw_dimension(l * c - fiber) > 0), None)
         if scale is None:
             raise CertificateError("no certified multiple found in the scan window")
         parts = [scale * c - fiber, fiber]
     certs = []
     for p in parts:
-        cert = sw_certificate(surface, p, [fiber, fiber - E(surface, big[1])] if surface.k else [fiber])
+        cert = sw_certificate(p, [fiber, fiber - E(surface, big[1])] if surface.k else [fiber])
         if isinstance(cert, NoCertificate):
             raise CertificateError(f"summand {p} not certified: {cert.reason}")
         certs.append((p, cert))
-    dec = Decomposition(c, scale if scale else 1, tuple(certs))
+    dec = Decomposition(c, scale, tuple(certs))
     if not dec.revalidate():
         raise CertificateError(f"the decomposition of {c} does not revalidate")
     return dec
@@ -199,7 +192,6 @@ def non_extremal_witness(
 @dataclass(frozen=True)
 class AntiCanonicalAudit:
     square: Fraction
-    rational_summands: tuple[DivisorClass, ...]
     summand_certificates: tuple[SWCertificate, ...]
     integral_obstruction: str
 
@@ -229,7 +221,7 @@ def anti_canonical_eight_point_audit() -> AntiCanonicalAudit:
         raise CertificateError(f"{six} or {e1} is not a sphere class")
     certs = []
     for part in (six, e1):
-        cert = sw_certificate(surface, part)
+        cert = sw_certificate(part)
         if isinstance(cert, NoCertificate):
             raise CertificateError(f"summand {part} not certified: {cert.reason}")
         certs.append(cert)
@@ -241,4 +233,4 @@ def anti_canonical_eight_point_audit() -> AntiCanonicalAudit:
         )
     else:
         obstruction = ""
-    return AntiCanonicalAudit(anti.square(), (six, e1), tuple(certs), obstruction)
+    return AntiCanonicalAudit(anti.square(), tuple(certs), obstruction)

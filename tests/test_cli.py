@@ -320,6 +320,42 @@ def test_ksymp_output_is_pinned(capsys, flags, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (["cert", "--k", "3", "--class", "2H-E1-E2-E3"], 0,
+         '{"certified": true, "class": "2H-E1-E2-E3", "dimension": "4", "witness": "H", '
+         '"magnitude": 1}\n', ""),
+        (["cert", "--surface", "ruled:h=2", "--class", "2U+3T"], 0,
+         '{"certified": true, "class": "2U+3T", "dimension": "14", "witness": "T", '
+         '"magnitude": 9}\n', ""),
+        (["cert", "--k", "0", "--class=-H"], 1,
+         '{"certified": false, "reason": "dimension -2 negative"}\n', ""),
+        (["cert", "--k", "0", "--class=-3H"], 1,
+         '{"certified": false, "reason": "no vanishing witness in the pool"}\n', ""),
+        (["decompose", "--surface", "ruled:h=2", "--class", "T"], 0,
+         '{"extremal": true, "reason": "extremal, no witness expected: fiber class"}\n', ""),
+        (["decompose", "--surface", "ruled:h=1", "--class", "U+T"], 0,
+         '{"extremal": false, "scale": 3, "summands": ['
+         '{"class": "3U+2T", "magnitude": 4, "dimension": "16"}, '
+         '{"class": "T", "magnitude": 1, "dimension": "2"}]}\n', ""),
+        (["decompose", "--surface", "ruled:h=1,k=1", "--class", "U+3T-2E1"], 0,
+         '{"extremal": false, "scale": 1, "summands": ['
+         '{"class": "U+2T-E1", "magnitude": 2, "dimension": "6"}, '
+         '{"class": "T-E1", "magnitude": 1, "dimension": "0"}]}\n', ""),
+        (["decompose", "--k", "2", "--class", "H"], 1, "",
+         "error: non-extremality witnesses cover ruled surfaces\n"),
+    ],
+    ids=["cert-rational", "cert-ruled", "cert-negative-dimension", "cert-no-witness",
+         "decompose-fiber", "decompose-torus-base", "decompose-multiplicity",
+         "decompose-rational"],
+)
+def test_sw_output_is_pinned(capsys, argv, code, out, err):
+    """The full stdout, stderr and exit code of `sw cert` and `sw decompose`,
+    byte for byte."""
+    assert run(capsys, "sw", *argv) == (code, out, err)
+
+
 class TestSw:
     def test_cert(self, capsys):
         code, out, _ = run(capsys, "sw", "cert", "--surface", "ruled:h=2",

@@ -42,13 +42,6 @@ def config(surface, *texts):
 
 
 class TestConstruction:
-    def test_intersection_matrix(self):
-        cfg = config(S2, "E2", "H-E1-E2", "-H+2E1")
-        flat = [x for row in cfg.intersection_matrix for x in row]
-        assert all(v >= 0 for i, row in enumerate(cfg.intersection_matrix)
-                   for j, v in enumerate(row) if i != j)
-        assert min(flat) >= -4  # diagonal entries are the negative squares
-
     def test_nonnegative_square_curve_rejected(self):
         with pytest.raises(ConfigurationError):
             config(S2, "H-E1", "E2")
@@ -235,19 +228,18 @@ class TestCatalogs:
 
 class TestMinusOneCounts:
     def test_two_blowup_configuration(self):
-        n, classes = count_minus_one(config(S2, "E2", "H-E1-E2", "-H+2E1"))
-        assert n == 2
+        classes = count_minus_one(config(S2, "E2", "H-E1-E2", "-H+2E1"))
+        assert len(classes) == 2
         assert set(str(c) for c in classes) == {"E2", "H-E1-E2"}
 
     def test_catalog_case_seven_has_one(self):
         cfg = config(S3, "E3", "E2-E3", "H-E1-E2-E3", "-H+2E1-E2")
-        n, classes = count_minus_one(cfg)
-        assert n == 1 and classes == [E(S3, 3)]
+        assert count_minus_one(cfg) == [E(S3, 3)]
 
     def test_disjoint_construction_counts(self):
         cfg = disjoint_minus_one_configuration(5, 3)
-        n, classes = count_minus_one(cfg)
-        assert n == 3
+        classes = count_minus_one(cfg)
+        assert len(classes) == 3
         for i, a in enumerate(classes):
             for b in classes[i + 1 :]:
                 assert pair(a, b) == 0
@@ -265,14 +257,13 @@ class TestDisjointConfiguration:
 
     def test_four_two(self):
         cfg = disjoint_minus_one_configuration(4, 2)
-        n, classes = count_minus_one(cfg)
-        assert n == 2
+        classes = count_minus_one(cfg)
+        assert len(classes) == 2
         assert pair(classes[0], classes[1]) == 0
 
     def test_three_one(self):
         cfg = disjoint_minus_one_configuration(3, 1)
-        n, classes = count_minus_one(cfg)
-        assert n == 1 and classes == [E(S3, 3)]
+        assert count_minus_one(cfg) == [E(S3, 3)]
 
     def test_validates(self):
         for k in (3, 4, 5):

@@ -6,7 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conelab import cremona
 from conelab.cremona import (
+    EquivalenceOutcome,
     cremona_equivalent,
     cremona_reduce,
     is_reduced,
@@ -170,13 +172,9 @@ class TestReduce:
                 out = cremona_reduce(x)
                 assert out.kind == "reduced" and out.result == order(normal)
 
-    def test_budget_outcome(self):
-        out = cremona_reduce(E(S3, 1), max_steps=1)
-        assert out.kind in ("cycle", "budget_exceeded")
-
     def test_budget_exceeded_trace(self):
-        # E1 - E2 on nine blowups has an infinite orbit, so the default budget
-        # of 1,000 steps runs out; the trace holds the last five ordered classes
+        # E1 - E2 on nine blowups has an infinite orbit, so the MAX_STEPS
+        # budget of 1,000 steps runs out; the trace holds the last five ordered classes
         s = rational_surface(9)
         out = cremona_reduce(parse_class("E1-E2", s))
         assert (out.kind, out.steps) == ("budget_exceeded", 1000)
@@ -240,9 +238,14 @@ class TestEquivalence:
         out = cremona_equivalent(a, c)
         assert out.kind == "distinct_by_invariant" and out.which == "orbit_exhausted"
 
-    def test_budget_unknown(self):
-        s6 = rational_surface(6)
-        x = divisor(s6, [11, -4, -4, -4, -4, -4, -3])
-        y = divisor(s6, [11, -5, -5, -3, -3, -3, -3])
-        out = cremona_equivalent(x, y, budget=5)
-        assert out.kind in ("unknown", "equivalent", "distinct_by_invariant")
+    def test_budget_unknown(self, monkeypatch):
+        # E1 - E2 and E1 - E2 - 10K on nine blowups share square and K-pairing,
+        # and the search joins them within BUDGET; with a budget of five
+        # visited classes it gives up first and says so
+        s9 = rational_surface(9)
+        x = parse_class("E1-E2", s9)
+        y = x - 10 * canonical_class(s9)
+        out = cremona_equivalent(x, y)
+        assert (out.kind, len(out.path)) == ("equivalent", 24)
+        monkeypatch.setattr(cremona, "BUDGET", 5)
+        assert cremona_equivalent(x, y) == EquivalenceOutcome("unknown", "budget")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conelab import inflation
-from conelab.cones import cone_from_rays, dual_cone, membership
+from conelab.cones import cone_from_rays, dual_cone
 from conelab.inflation import (
     InflationError,
     InflationTrace,
@@ -82,7 +82,7 @@ class TestFormalInflate:
                 continue
             eps = top * Fraction(rng.randint(1, 4), 4)
             current = current + eps * c
-            assert membership(dual, current).kind in ("interior", "boundary")
+            assert all(pair(current, g) >= 0 for g in cfg)
 
 
 class TestMaxInflate:

@@ -1,21 +1,22 @@
 """Dead-code guard: every public top-level function and class of the
 package, and every public method of those classes, is used somewhere in
-``src/`` or ``tests/``.  A top-level name counts as used through its own
-module only: as a bare name inside that module, as ``module.name``, or
-imported ``from`` that module (or re-exported by the package and imported
-from it), so ``linalg.add`` is not kept alive by ``set.add``.  A method
-counts as used by any name, attribute or import alias it matches.  A
-function passed to a registering decorator defined in its own module, such
-as ``@check(...)`` in ``verify``, counts as used.  A private (``_``-prefixed)
-top-level function is used when its own module names it outside its own
-body, or a test names it.
+``src/``; a name that only tests use is test-only API.  A top-level name
+counts as used through its own module only: as a bare name inside that
+module, as ``module.name``, or imported ``from`` that module (or
+re-exported by the package and imported from it), so ``linalg.add`` is not
+kept alive by ``set.add``.  A method counts as used by any name, attribute
+or import alias it matches.  A function passed to a registering decorator
+defined in its own module, such as ``@check(...)`` in ``verify``, counts as
+used.  A private (``_``-prefixed) top-level function is used when its own
+module names it outside its own body, or a test names it.
 
 Every defaulted parameter of a package function, method or constructor
 (``__init__`` or dataclass field) is passed, by position or by keyword, by
-some call in ``src/`` or ``tests/``.  Calls are matched by the called name,
-so a function referenced as a value (``makers[name](ns)``; a type
-annotation is not a value) or called with ``*args``/``**kwargs`` counts as
-passing every parameter.
+some call in ``src/``: a default that no caller in the package changes is a
+constant.  Calls are matched by the called name, so a function referenced as
+a value (``makers[name](ns)``; a type annotation is not a value), called
+with ``*args``/``**kwargs`` or named in ``[project.scripts]`` of
+``pyproject.toml`` counts as passing every parameter.
 
 Every dataclass field of a package class, and every ``self.x`` a package
 class assigns, is read as an attribute somewhere in ``src/`` or ``tests/``.
@@ -24,10 +25,12 @@ The package holds no ``assert`` statement: ``python -O`` strips them, so an
 invariant is checked by raising."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "conelab"
+SRC = ROOT / "src"
+PACKAGE = SRC / "conelab"
 
 
 def _trees(*dirs):
@@ -57,7 +60,7 @@ def _public_definitions():
 
 
 def _used_names():
-    """Bare names used anywhere, and (module, name) pairs used through a
+    """Bare names used in ``src/``, and (module, name) pairs used through a
     module; the package's re-exports resolve to their defining module."""
     reexported = {
         alias.name: node.module
@@ -66,7 +69,7 @@ def _used_names():
         for alias in node.names
     }
     bare, qualified = set(), set()
-    for path, tree in _trees(ROOT / "src", ROOT / "tests"):
+    for path, tree in _trees(SRC):
         own = path.stem if path.parent == PACKAGE else None
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -93,7 +96,7 @@ def test_every_public_name_is_used():
         for module, qual, name in _public_definitions()
         if (name not in bare if module is None else (module, name) not in qualified)
     )
-    assert not unused, "never used in src/ or tests/: " + ", ".join(unused)
+    assert not unused, "never used in src/: " + ", ".join(unused)
 
 
 def test_every_private_function_is_used():
@@ -149,10 +152,12 @@ def _signatures():
 
 
 def _calls():
-    """Call name -> [(positional count, keyword names)], and the names that
-    pass everything: referenced as a value or called with *args/**kwargs."""
-    calls, everything = {}, set()
-    for _, tree in _trees(ROOT / "src", ROOT / "tests"):
+    """Call name -> [(positional count, keyword names)] in ``src/``, and the
+    names that pass everything: referenced as a value, called with
+    *args/**kwargs, or a console script's entry point."""
+    scripts = (ROOT / "pyproject.toml").read_text().partition("[project.scripts]")[2]
+    calls, everything = {}, set(re.findall(r':(\w+)"', scripts.partition("\n[")[0]))
+    for _, tree in _trees(SRC):
         not_values = set()  # called names and annotations
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
@@ -206,7 +211,7 @@ def test_every_stored_field_is_read():
             stored |= {(f"{path.stem}.{cls.name}", node.attr) for node in ast.walk(cls)
                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
                        and getattr(node.value, "id", None) == "self"}
-    read = {node.attr for _, tree in _trees(ROOT / "src", ROOT / "tests")
+    read = {node.attr for _, tree in _trees(SRC, ROOT / "tests")
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = sorted(f"{owner}.{name}" for owner, name in stored if name not in read)

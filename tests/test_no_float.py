@@ -35,7 +35,7 @@ PAIRS = [
 ]
 CURVES = [parse_class(t, S3) for t in ("E3", "E2-E3", "H-E1-E2-E3", "-H+2E1-E2")]
 CURVE_DUAL_RAYS = dual_cone(cone_from_rays(CURVES)).rays()
-K_SYMPLECTIC = k_symplectic_cone(S3).cone
+K_SYMPLECTIC = cone_from_rays(c.ray for c in k_symplectic_cone(S3).corners)
 EXTREMAL = sorted_classes(exceptional_classes(S3)) + [parse_class("H-E1", S3)]
 
 

@@ -32,28 +32,28 @@ S2 = rational_surface(2)
 
 class TestMagnitude:
     def test_rational_is_one(self):
-        assert wall_crossing_magnitude(S2, E(S2, 1)) == 1
+        assert wall_crossing_magnitude(E(S2, 1)) == 1
 
     def test_ruled_grows_with_fiber_degree(self):
         s = trivial_ruled(2)
-        assert wall_crossing_magnitude(s, parse_class("2U+3T", s)) == 9  # |1+2|^2
+        assert wall_crossing_magnitude(parse_class("2U+3T", s)) == 9  # |1+2|^2
 
     def test_fiber_itself(self):
         s = trivial_ruled(3)
-        assert wall_crossing_magnitude(s, T(s)) == 1  # |1+0|^3
+        assert wall_crossing_magnitude(T(s)) == 1  # |1+0|^3
 
 
 class TestCertificates:
     def test_ruled_section_class(self):
         s = trivial_ruled(2)
-        cert = sw_certificate(s, U(s) + T(s), [T(s)])
+        cert = sw_certificate(U(s) + T(s), [T(s)])
         assert isinstance(cert, SWCertificate)
         assert cert.dimension == 2
         assert cert.magnitude == 4
         assert cert.revalidate()
 
     def test_slant_line_with_hyperplane_witness(self):
-        cert = sw_certificate(S2, parse_class("H-E1-E2", S2), [H(S2)])
+        cert = sw_certificate(parse_class("H-E1-E2", S2), [H(S2)])
         assert isinstance(cert, SWCertificate)
         assert cert.dimension == 0 and cert.magnitude == 1
 
@@ -61,9 +61,9 @@ class TestCertificates:
         s1 = rational_surface(1)
         big = parse_class("3H-E1", s1)
         assert sw_dimension(big) == 16  # 8 - (-8) by the pairing oracle
-        cert = sw_certificate(s1, big)
+        cert = sw_certificate(big)
         assert isinstance(cert, SWCertificate)
-        none = sw_certificate(s1, -1 * H(s1))
+        none = sw_certificate(-1 * H(s1))
         assert isinstance(none, NoCertificate)
         assert "dimension" in none.reason
 
@@ -71,7 +71,7 @@ class TestCertificates:
         for k in range(1, 9):
             s = rational_surface(k)
             for e in exceptional_classes(s):
-                cert = sw_certificate(s, e)
+                cert = sw_certificate(e)
                 assert isinstance(cert, SWCertificate)
                 assert cert.witness == H(s)
                 assert cert.magnitude == 1
@@ -80,7 +80,7 @@ class TestCertificates:
 class TestNonExtremalWitness:
     def test_high_genus_base_splits_off_a_fiber(self):
         s = trivial_ruled(2)
-        out = non_extremal_witness(s, parse_class("2U+3T", s))
+        out = non_extremal_witness(parse_class("2U+3T", s))
         assert isinstance(out, Decomposition)
         parts = [str(p) for p, _ in out.summands]
         assert parts == ["2U+2T", "T"]
@@ -91,7 +91,7 @@ class TestNonExtremalWitness:
 
     def test_torus_base_certifies_a_multiple(self):
         s = trivial_ruled(1)
-        out = non_extremal_witness(s, parse_class("U+T", s))
+        out = non_extremal_witness(parse_class("U+T", s))
         assert isinstance(out, Decomposition)
         assert out.scale == 3
         assert str(out.summands[0][0]) == "3U+2T"
@@ -99,12 +99,12 @@ class TestNonExtremalWitness:
 
     def test_fiber_is_reported_extremal(self):
         s = trivial_ruled(2)
-        out = non_extremal_witness(s, T(s))
+        out = non_extremal_witness(T(s))
         assert isinstance(out, ExtremalReport)
 
     def test_blowup_multiplicity_above_the_fiber_degree(self):
         s = trivial_ruled(1, k=1)
-        out = non_extremal_witness(s, parse_class("U+3T-2E1", s))
+        out = non_extremal_witness(parse_class("U+3T-2E1", s))
         assert isinstance(out, Decomposition)
         parts = {str(p) for p, _ in out.summands}
         assert parts == {"U+2T-E1", "T-E1"}
@@ -112,18 +112,18 @@ class TestNonExtremalWitness:
 
     def test_nontrivial_bundle(self):
         s = nontrivial_ruled(2)
-        out = non_extremal_witness(s, parse_class("U+2T", s))
+        out = non_extremal_witness(parse_class("U+2T", s))
         assert isinstance(out, Decomposition)
         assert out.revalidate()
 
     def test_k_nonnegative_rejected(self):
         s = trivial_ruled(2)
         with pytest.raises(CertificateError):
-            non_extremal_witness(s, parse_class("U-T", s))
+            non_extremal_witness(parse_class("U-T", s))
 
     def test_rational_surface_rejected(self):
         with pytest.raises(CertificateError):
-            non_extremal_witness(S2, E(S2, 1))
+            non_extremal_witness(E(S2, 1))
 
 
 class TestAntiCanonicalAudit:
@@ -136,7 +136,8 @@ class TestAntiCanonicalAudit:
 
     def test_decomposition_is_exact(self):
         audit = anti_canonical_eight_point_audit()
-        half_sum = audit.rational_summands[0] * 1 + audit.rational_summands[1] * 1
+        first, second = (cert.cls for cert in audit.summand_certificates)
+        half_sum = first + second
         # the two summands average to -K: (C1 + C2)/2 = -K
         s8 = rational_surface(8)
         from conelab.lattice import canonical_class
@@ -151,7 +152,7 @@ class TestBrokenInvariants:
         s = trivial_ruled(2)
         monkeypatch.setattr(Decomposition, "revalidate", lambda self: False)
         with pytest.raises(CertificateError, match="does not revalidate"):
-            non_extremal_witness(s, parse_class("2U+3T", s))
+            non_extremal_witness(parse_class("2U+3T", s))
 
     def test_a_wrong_splitting_of_minus_k_raises(self, monkeypatch):
         monkeypatch.setattr(swcert, "E", lambda surface, i: E(surface, 2))
@@ -164,6 +165,6 @@ class TestBrokenInvariants:
             anti_canonical_eight_point_audit()
 
     def test_an_uncertified_summand_raises(self, monkeypatch):
-        monkeypatch.setattr(swcert, "sw_certificate", lambda surface, e: NoCertificate(e, "none"))
+        monkeypatch.setattr(swcert, "sw_certificate", lambda e: NoCertificate(e, "none"))
         with pytest.raises(CertificateError, match="not certified"):
             anti_canonical_eight_point_audit()
