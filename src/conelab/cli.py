@@ -223,14 +223,14 @@ def cmd_dual(args) -> int:
     if args.json:
         print(json.dumps({
             "surface": dual.ambient.to_json(),
-            "rays": [str(r) for r in dual.rays()],
-            "facets": [str(f) for f in cone.rays()],
-            "lineality": [str(v) for v in dual.lineality()],
+            "rays": [str(r) for r in dual.rays],
+            "facets": [str(f) for f in cone.rays],
+            "lineality": [str(v) for v in dual.lineality],
         }))
     else:
-        for r in dual.rays():
+        for r in dual.rays:
             print(format_class(r, paper_signs=args.paper_signs))
-        for v in dual.lineality():
+        for v in dual.lineality:
             print(f"{v} (lineality)")
     return 0
 

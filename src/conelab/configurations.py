@@ -24,6 +24,7 @@ from .lattice import (
     DivisorClass,
     SurfaceModel,
     T,
+    TRIVIAL_RULED,
     U,
     adjunction_genus,
     canonical_class,
@@ -41,19 +42,20 @@ class ConfigurationError(ValueError):
     pass
 
 
+@dataclass(frozen=True, repr=False)
 class NegativeConfiguration:
     """A surface with a finite set of negative classes and optional
-    square-zero curve-cone generators (the ruled fiber, for instance)."""
+    square-zero curve-cone generators (the ruled fiber, for instance); both
+    are kept as sorted tuples."""
 
-    def __init__(
-        self,
-        surface: SurfaceModel,
-        curves: Sequence[DivisorClass],
-        extra_square_zero: Sequence[DivisorClass] = (),
-    ):
-        self.surface = surface
-        self.curves = tuple(sorted_classes(curves))
-        self.extra_square_zero = tuple(sorted_classes(extra_square_zero))
+    surface: SurfaceModel
+    curves: Sequence[DivisorClass]
+    extra_square_zero: Sequence[DivisorClass] = ()
+
+    def __post_init__(self):
+        surface = self.surface
+        object.__setattr__(self, "curves", tuple(sorted_classes(self.curves)))
+        object.__setattr__(self, "extra_square_zero", tuple(sorted_classes(self.extra_square_zero)))
         seen = set()
         for c in self.curves:
             if c.surface != surface:
@@ -79,17 +81,6 @@ class NegativeConfiguration:
 
     def generators(self) -> list[DivisorClass]:
         return list(self.curves) + list(self.extra_square_zero)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NegativeConfiguration)
-            and self.surface == other.surface
-            and self.curves == other.curves
-            and self.extra_square_zero == other.extra_square_zero
-        )
-
-    def __hash__(self):
-        return hash((self.surface, self.curves, self.extra_square_zero))
 
     def __repr__(self) -> str:
         body = ", ".join(str(c) for c in self.curves)
@@ -159,7 +150,7 @@ def certified_sw_classes(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
     if surface.k != 0:
         raise ConfigurationError("certified ruled sets cover minimal surfaces")
     h = surface.h
-    a = h // 2 if surface.kind == "trivial_ruled" else (h - 1) // 2
+    a = h // 2 if surface.kind == TRIVIAL_RULED else (h - 1) // 2
     section = U(surface) + a * T(surface)
     return tuple(sorted_classes({T(surface), section}))
 
@@ -205,7 +196,7 @@ def validate_configuration(cfg: NegativeConfiguration) -> ValidationReport:
     # with the curves and with every certified class; the certified classes
     # join the curves when there are none or they leave a lineality
     dual = dual_cone(cone_from_rays(gens)) if gens else None
-    if dual is None or dual.lineality():
+    if dual is None or dual.lineality:
         dual = dual_cone(cone_from_rays(known))
     witness = ray_sum(dual)
     if witness is None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -33,6 +32,8 @@ from .lattice import (
     rational_surface,
     sorted_classes,
 )
+
+SWEEP_BOUND = 8
 
 
 def _sum_square_solutions(
@@ -74,10 +75,6 @@ def _sum_square_solutions(
             rec(m - 1, v, ns, nsq, acc)
             acc.pop()
 
-    if count == 0:
-        if total_square == 0 and (total_sum is None or total_sum == 0):
-            return [()]
-        return []
     rec(count, hi, total_sum, total_square, [])
     return out
 
@@ -281,7 +278,7 @@ class SweepReport:
             return False
         anti = -1 * canonical_class(self.surface)
         for c in self.zero_square_positive_genus + self.nonneg_square_nonneg_k_pairing:
-            if self.surface.k < 9 or c != Fraction(c.coeffs[0], 3) * anti:
+            if self.surface.k < 9 or 3 * c != c.coeffs[0] * anti:
                 return False
         return True
 
@@ -300,13 +297,13 @@ class SweepReport:
         )
 
 
-def sweeps_up_to(k: int, bound: int = 8) -> tuple[SweepReport, ...]:
+def sweeps_up_to(k: int) -> tuple[SweepReport, ...]:
     """Certify the "all negative curves are spheres" arithmetic on m blowups
     of the plane, for every m = 0..k (k <= 9): one report per m.
 
-    H-degrees from 1 to bound, subtracted coefficients up to bound in
-    absolute value.  Classes with non-positive H-degree are settled by the
-    closed-form classification and are out of scope here.
+    H-degrees from 1 to SWEEP_BOUND, subtracted coefficients up to
+    SWEEP_BOUND in absolute value.  Classes with non-positive H-degree are
+    settled by the closed-form classification and are out of scope here.
     """
     if not 0 <= k <= 9:
         raise LatticeError("sweeps cover blowups of the plane with k <= 9")
@@ -340,15 +337,15 @@ def sweeps_up_to(k: int, bound: int = 8) -> tuple[SweepReport, ...]:
             return
         # v(v - 1) <= left exactly for 1 - top <= v <= top
         top = (1 + isqrt(4 * left + 1)) // 2
-        for v in range(min(prev, bound, top), max(-bound, 1 - top) - 1, -1):
+        for v in range(min(prev, SWEEP_BOUND, top), max(-SWEEP_BOUND, 1 - top) - 1, -1):
             b[m] = v
             rec(m + 1, v, left - v * (v - 1), s1 + v, s2 + v * v)
 
-    for a in range(3, bound + 1):
+    for a in range(3, SWEEP_BOUND + 1):
         # every class with square >= 0 and K.C >= 0 has 2g - 2 = C.C + K.C >= 0,
         # so this one search also covers nonneg_square_nonneg_k_pairing; degrees
         # 1 and 2 have a negative budget a(a - 3) and no tuple
-        rec(0, bound, a * (a - 3), 0, 0)
+        rec(0, SWEEP_BOUND, a * (a - 3), 0, 0)
     reports = []
     for m, (fields, count) in enumerate(zip(found, tuples)):
         surface = rational_surface(m)

@@ -203,14 +203,14 @@ def achieve_all_rays(
     when both are null and proportional), reached as a light-cone limit."""
     gens = list(curves) + list(extra_square_zero)
     dual = dual_cone(cone_from_rays(gens))
-    evidence = [r for r in dual.rays() + dual.lineality() if r.square() < 0]
-    if evidence or dual.lineality():
-        raise RoundBoundaryError(sorted_classes(evidence) or dual.lineality())
+    evidence = [r for r in dual.rays + dual.lineality if r.square() < 0]
+    if evidence or dual.lineality:
+        raise RoundBoundaryError(sorted_classes(evidence) or dual.lineality)
     for g in gens:
         if pair(start, g) < 0:
             raise InflationError(f"start class pairs negatively with {g}")
     achieved: dict[DivisorClass, InflationTrace] = {}
-    for ray in dual.rays():
+    for ray in dual.rays:
         tight = [c for c in curves if pair(c, c) < 0 and pair(c, ray) == 0]
         null = [g for g in gens if pair(g, g) == 0 and pair(g, ray) == 0]
         trace = achieve_vertex(start, tight or null)

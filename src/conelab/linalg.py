@@ -1,19 +1,17 @@
 """Small exact linear algebra on vectors that mix int and Fraction entries, as
 class coefficients do: the integer-preserving pivot, row reduction and kernels
-(eliminated in int, normalized to Fraction once at the end), and primitive
-normalization of rational and integer vectors."""
+(in int throughout, each scaled by the common denominator of the
+elimination), and primitive normalization of rational and integer vectors."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
 
-def is_zero(a: Sequence[Fraction]) -> bool:
+def is_zero(a: Sequence) -> bool:
     return all(x == 0 for x in a)
 
 
@@ -36,12 +34,12 @@ def pivot(mat: list[list[int]], r: int, c: int, d: int) -> int:
     return p
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+def rref(rows: Sequence[Sequence]) -> tuple[list[IntVec], list[int]]:
+    """Reduced row echelon form times its common denominator d > 0, in int;
+    returns (nonzero rows, pivot columns).
 
     Each row is first scaled to a primitive integer row, which leaves the
-    row space alone; the elimination then stays in int and divides by the
-    common denominator once, at the end."""
+    row space alone; the elimination leaves d in every pivot entry."""
     mat = [list(primitive(row)) for row in rows]
     if not mat:
         return [], []
@@ -61,17 +59,18 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
         r += 1
         if r == len(mat):
             break
-    return [tuple(Fraction(x, d) for x in row) for row in mat[:r]], pivots
+    return [tuple(row) for row in mat[:r]], pivots
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[Vec]:
-    """Basis of {x : row . x = 0 for every row}."""
+def nullspace(rows: Sequence[Sequence], dim: int) -> list[IntVec]:
+    """Integer basis of {x : row . x = 0}: d at a free column f, -row[f] at the pivots."""
     reduced, pivots = rref(rows)
+    d = reduced[0][pivots[0]] if reduced else 1
     free = [c for c in range(dim) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * dim
-        v[f] = Fraction(1)
+        v = [0] * dim
+        v[f] = d
         for row, p in zip(reduced, pivots):
             v[p] = -row[f]
         basis.append(tuple(v))

@@ -268,7 +268,7 @@ def check_two_blowup_duals() -> tuple[bool, str]:
         want2 = {s * h - (s - 1) * e1, h - e1, (s + 1) * h - s * e1 - e2}
         for alpha, want in ((alpha1, want1), (alpha2, want2)):
             dual = cones.dual_cone(cones.cone_from_rays([alpha, e2, h - e1 - e2]))
-            good = set(dual.rays()) == want and not dual.lineality()
+            good = set(dual.rays) == want and not dual.lineality
             ok &= good
             rows.append(f"s={s}: {'ok' if good else 'MISMATCH'}")
     return ok, "; ".join(rows)
@@ -324,7 +324,7 @@ def check_vertex_example() -> tuple[bool, str]:
 
 
 def _negative_class_pool(surface) -> list[DivisorClass]:
-    fams = enumeration.sphere_classes(surface, n_bound=2)
+    fams = enumeration.sphere_classes(surface)
     return sorted_classes(enumeration.family_instances(fams))
 
 
@@ -347,7 +347,7 @@ def check_alternating_inflation() -> tuple[bool, str]:
             continue
         dual = cones.dual_cone(cones.cone_from_rays([c1, c2]))
         omega = cones.ray_sum(dual)
-        for v in dual.lineality():
+        for v in dual.lineality:
             if pair(v, v) > 0:
                 omega = omega + v if omega is not None else v
         if omega is None or pair(omega, c1) < 0 or pair(omega, c2) < 0:
@@ -400,7 +400,7 @@ def check_alternating_inflation() -> tuple[bool, str]:
 @check("achieve-all-rays-catalog",
        "every dual extremal ray of a catalog configuration is reachable by inflation", "inflation")
 def check_achieve_all_rays() -> tuple[bool, str]:
-    entries = list(catalog_cp2_3((0, 1, 2))) + list(catalog_cp2_2((0, 1, 2)))
+    entries = list(catalog_cp2_3()) + list(catalog_cp2_2())
     achieved = 0
     for entry in entries:
         cfg = entry.configuration
@@ -409,7 +409,7 @@ def check_achieve_all_rays() -> tuple[bool, str]:
             results = inflation.achieve_all_rays(cfg.curves, cones.ray_sum(dual))
         except inflation.RoundBoundaryError:
             return False, f"{entry.label()}: dual not polytopic"
-        if set(results) != set(dual.rays()):
+        if set(results) != set(dual.rays):
             return False, f"{entry.label()}: rays missed"
         achieved += len(results)
     s2 = rational_surface(2)
@@ -443,10 +443,10 @@ _CASE_TO_TWO_BLOWUP_VARIANT = {
        "configurations")
 def check_blowdown_golden() -> tuple[bool, str]:
     s3 = rational_surface(3)
-    targets = {(e.variant, e.n): e.configuration for e in catalog_cp2_2((0, 1, 2))}
+    targets = {(e.variant, e.n): e.configuration for e in catalog_cp2_2()}
     mismatches = []
     monotone = True
-    for entry in catalog_cp2_3((0, 1, 2)):
+    for entry in catalog_cp2_3():
         result = blow_down(entry.configuration, E(s3, 3))
         want = targets[(_CASE_TO_TWO_BLOWUP_VARIANT[(entry.case, entry.variant)], entry.n)]
         if result.configuration != want:
@@ -472,7 +472,7 @@ def check_blowdown_golden() -> tuple[bool, str]:
        "cones")
 def check_cone_theorem_audit() -> tuple[bool, str]:
     reports = []
-    for entry in list(catalog_cp2_3((0, 1, 2))) + list(catalog_cp2_2((0, 1, 2))):
+    for entry in list(catalog_cp2_3()) + list(catalog_cp2_2()):
         reports.append(cones.cone_theorem_audit(entry.configuration.generators()).passed)
     seeded = cones.cone_theorem_audit([parse_class("3H-E1", rational_surface(1))])
     ok = all(reports) and not seeded.passed
@@ -488,7 +488,7 @@ def check_cone_theorem_audit() -> tuple[bool, str]:
 def check_minus_one_counts() -> tuple[bool, str]:
     ok = True
     rows = []
-    for entry in catalog_cp2_2((0, 1, 2)):
+    for entry in catalog_cp2_2():
         rep = validate_configuration(entry.configuration)
         n = len(count_minus_one(entry.configuration))
         good = rep.passed and n >= 2
@@ -525,7 +525,7 @@ def check_nef_threshold() -> tuple[bool, str]:
                 for c in entry.configuration.curves
                 if pair(canonical_class(s2), c) < 0
             ]
-            for entry in catalog_cp2_2((0, 1, 2))
+            for entry in catalog_cp2_2()
         ],
     }
     checked = 0
@@ -669,7 +669,7 @@ def check_ruled_negative_classes() -> tuple[bool, str]:
        "square zero only along the anti-canonical ray at nine", "enumeration")
 def check_sweeps() -> tuple[bool, str]:
     ok = True
-    for k, sweep in enumerate(enumeration.sweeps_up_to(9, bound=8)):
+    for k, sweep in enumerate(enumeration.sweeps_up_to(9)):
         ok &= sweep.ok
         if k <= 8:
             ok &= not sweep.zero_square_positive_genus and sweep.genus_bound_ok

@@ -312,16 +312,18 @@ class TestNineSquares:
 
 class TestSweeps:
     @pytest.mark.parametrize("k", [0, 2, 5, 8])
-    def test_no_positive_genus_nonpositive_square_below_nine(self, k):
-        sweep = sweeps_up_to(k, bound=6)[k]
+    def test_no_positive_genus_nonpositive_square_below_nine(self, k, monkeypatch):
+        monkeypatch.setattr(enumeration, "SWEEP_BOUND", 6)
+        sweep = sweeps_up_to(k)[k]
         assert sweep.ok
         assert not sweep.negative_square_positive_genus
         assert not sweep.zero_square_positive_genus
         assert not sweep.nonneg_square_nonneg_k_pairing
 
-    def test_nine_blowups_only_anti_canonical_multiples(self):
+    def test_nine_blowups_only_anti_canonical_multiples(self, monkeypatch):
         s = rational_surface(9)
-        sweep = sweeps_up_to(9, bound=7)[9]
+        monkeypatch.setattr(enumeration, "SWEEP_BOUND", 7)
+        sweep = sweeps_up_to(9)[9]
         assert sweep.ok
         assert not sweep.negative_square_positive_genus
         anti = -1 * canonical_class(s)
@@ -332,23 +334,25 @@ class TestSweeps:
 
     def test_genus_bound_audit_six(self):
         s = rational_surface(6)
-        sweep = sweeps_up_to(6, bound=8)[6]
+        sweep = sweeps_up_to(6)[6]
         assert sweep.genus_bound_ok
         assert sweep.genus_one_equality == (parse_class("3H-E1-E2-E3-E4-E5-E6", s),)
         assert sweep.genus_one_equality[0].square() == 3  # 9 - k
 
     def test_genus_one_minimum_square_at_eight(self):
-        sweep = sweeps_up_to(8, bound=8)[8]
+        sweep = sweeps_up_to(8)[8]
         assert sweep.genus_bound_ok
         assert sweep.genus_one_equality[0].square() == 1
 
-    def test_no_nonnegative_k_pairing_class_small_k(self):
-        sweep = sweeps_up_to(3, bound=6)[3]
+    def test_no_nonnegative_k_pairing_class_small_k(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "SWEEP_BOUND", 6)
+        sweep = sweeps_up_to(3)[3]
         assert sweep.nonneg_square_nonneg_k_pairing == ()
 
     @pytest.mark.parametrize("k,bound", [(4, 8), (7, 4), (9, 4)])
-    def test_every_field_matches_brute_force(self, k, bound):
-        sweep = sweeps_up_to(k, bound=bound)[k]
+    def test_every_field_matches_brute_force(self, k, bound, monkeypatch):
+        monkeypatch.setattr(enumeration, "SWEEP_BOUND", bound)
+        sweep = sweeps_up_to(k)[k]
         want = brute_sweep(k, bound)
         for name in SWEEP_FIELDS:
             got = [(c.coeffs[0], c.b_vector()) for c in getattr(sweep, name)]
@@ -359,10 +363,11 @@ class TestSweeps:
             assert want["nonneg_square_nonneg_k_pairing"] == [(3, (1,) * 9)]
 
     @pytest.mark.parametrize("bound", range(1, 7))
-    def test_tuple_counts_match_brute_force(self, bound):
+    def test_tuple_counts_match_brute_force(self, bound, monkeypatch):
         # a sweep that skips a tuple leaves every field as it is below nine
         # blowups, but not the count of tuples it examined
-        for k, sweep in enumerate(sweeps_up_to(5, bound)):
+        monkeypatch.setattr(enumeration, "SWEEP_BOUND", bound)
+        for k, sweep in enumerate(sweeps_up_to(5)):
             want = sum(
                 1
                 for a in range(1, bound + 1)

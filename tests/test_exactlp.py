@@ -22,7 +22,7 @@ def basic_solutions(columns, target):
             aug = [[columns[j][i] for j in support] + [target[i]] for i in range(m)]
             reduced, pivots = linalg.rref(aug)
             if pivots == list(range(size)):  # independent, target in the span
-                yield support, [row[-1] for row in reduced[:size]]
+                yield support, [Fraction(row[-1], row[i]) for i, row in enumerate(reduced[:size])]
 
 
 def brute_force_feasible(columns, target):

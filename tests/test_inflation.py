@@ -72,7 +72,7 @@ class TestFormalInflate:
         # each admissible step keeps the class inside the positive dual
         cfg = parse_class("-H+2E1", S2), E(S2, 2), parse_class("H-E1-E2", S2)
         dual = dual_cone(cone_from_rays(cfg))
-        start = sum(dual.rays()[1:], dual.rays()[0])
+        start = sum(dual.rays[1:], dual.rays[0])
         rng = random.Random(8)
         current = start
         for _ in range(30):
@@ -151,7 +151,7 @@ class TestAlternateInflate:
                     continue
                 dual = dual_cone(cone_from_rays([c1, c2]))
                 omega = None
-                for r in list(dual.rays()) + [v for v in dual.lineality() if v.square() > 0]:
+                for r in list(dual.rays) + [v for v in dual.lineality if v.square() > 0]:
                     omega = r if omega is None else omega + r
                 if omega is None or pair(omega, c1) < 0 or pair(omega, c2) < 0:
                     continue

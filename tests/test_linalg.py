@@ -39,10 +39,13 @@ def test_rref_matches_sympy():
         ).rref()
         reduced, pivots = linalg.rref(mat)
         assert pivots == list(want_pivots), mat
-        assert reduced == [
+        # every pivot entry is the one positive common denominator
+        assert len({row[c] for row, c in zip(reduced, pivots)}) <= 1, mat
+        assert all(row[c] > 0 for row, c in zip(reduced, pivots)), mat
+        assert all(type(x) is int for row in reduced for x in row)
+        assert [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(reduced, pivots)] == [
             tuple(Fraction(int(x.p), int(x.q)) for x in want.row(i)) for i in range(len(pivots))
         ], mat
-        assert all(type(x) is Fraction for row in reduced for x in row)
         seen["Fraction" if any(type(x) is Fraction for row in mat for x in row) else "int"] += 1
         seen["zero row"] += any(linalg.is_zero(row) for row in mat)
         seen["rank deficient"] += len(pivots) < len(mat)

@@ -16,7 +16,9 @@ some call in ``src/``: a default that no caller in the package changes is a
 constant.  Calls are matched by the called name, so a function referenced as
 a value (``makers[name](ns)``; a type annotation is not a value), called
 with ``*args``/``**kwargs`` or named in ``[project.scripts]`` of
-``pyproject.toml`` counts as passing every parameter.
+``pyproject.toml`` counts as passing every parameter.  No call in ``src/``
+passes a parameter the expression of its own default (compared as source
+text): such an argument restates what the signature already says.
 
 Every dataclass field of a package class, and every ``self.x`` a package
 class assigns, is read as an attribute somewhere in ``src/`` or ``tests/``.
@@ -124,18 +126,19 @@ def test_every_private_function_is_used():
 
 
 def _parameters(args):
-    """Positional and defaulted parameter names, without self or cls."""
+    """Positional parameter names, without self or cls, and the source text
+    of each default by parameter name."""
     positional = [a.arg for a in args.posonlyargs + args.args]
     if positional[:1] in (["self"], ["cls"]):
         positional = positional[1:]
-    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
-    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-    return positional, defaulted
+    defaulted = dict(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    defaulted |= {a.arg: d for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+    return positional, {name: ast.unparse(d) for name, d in defaulted.items()}
 
 
 def _signatures():
-    """(qualified name, call name, positional parameters, defaulted
-    parameters) of each function, method and constructor in the package."""
+    """(qualified name, call name, positional parameters, default text by
+    parameter) of each function, method and constructor in the package."""
     for path, tree in _trees(PACKAGE):
         for node in ast.walk(tree):
             qual = f"{path.stem}.{getattr(node, 'name', '')}"
@@ -148,7 +151,7 @@ def _signatures():
                 elif any("dataclass" in ast.unparse(d) for d in node.decorator_list):
                     fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
                     yield (qual, node.name, [f.target.id for f in fields],
-                           [f.target.id for f in fields if f.value is not None])
+                           {f.target.id: ast.unparse(f.value) for f in fields if f.value is not None})
 
 
 def _calls():
@@ -197,6 +200,23 @@ def test_every_defaulted_parameter_is_passed():
         )
     )
     assert not unpassed, "defaulted parameters no call passes: " + ", ".join(unpassed)
+
+
+def test_no_call_restates_a_default():
+    defaults = {}
+    for _, name, positional, defaulted in _signatures():
+        defaults.setdefault(name, []).append((positional, defaulted))
+    restated = set()
+    for path, tree in _trees(SRC):
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))):
+                continue
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for positional, defaulted in defaults.get(name, []):
+                passed = [*zip(positional, node.args), *((k.arg, k.value) for k in node.keywords)]
+                if any(defaulted.get(param) == ast.unparse(value) for param, value in passed):
+                    restated.add(f"{path.stem}:{node.lineno} {ast.unparse(node)}")
+    assert not restated, "calls that pass a default again: " + "; ".join(sorted(restated))
 
 
 def test_every_stored_field_is_read():

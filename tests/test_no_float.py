@@ -34,7 +34,7 @@ PAIRS = [
     if c1 != -c2 and pair(c1, c2) >= 0 and pair(c1, c2) ** 2 <= c1.square() * c2.square()
 ]
 CURVES = [parse_class(t, S3) for t in ("E3", "E2-E3", "H-E1-E2-E3", "-H+2E1-E2")]
-CURVE_DUAL_RAYS = dual_cone(cone_from_rays(CURVES)).rays()
+CURVE_DUAL_RAYS = dual_cone(cone_from_rays(CURVES)).rays
 K_SYMPLECTIC = cone_from_rays(c.ray for c in k_symplectic_cone(S3).corners)
 EXTREMAL = sorted_classes(exceptional_classes(S3)) + [parse_class("H-E1", S3)]
 
@@ -104,7 +104,7 @@ def test_achieve_vertex(weights, ray):
 
 
 @settings(deadline=None, max_examples=60)
-@given(numbers_in(0, 4, len(K_SYMPLECTIC.rays()) + 1))
+@given(numbers_in(0, 4, len(K_SYMPLECTIC.rays) + 1))
 def test_nef_threshold(weights):
-    omega = ray_sum(K_SYMPLECTIC) + combination(weights, K_SYMPLECTIC.rays())
+    omega = ray_sum(K_SYMPLECTIC) + combination(weights, K_SYMPLECTIC.rays)
     assert_exact(nef_threshold(omega, [(1 + weights[-1]) * c for c in EXTREMAL]))
