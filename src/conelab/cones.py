@@ -109,7 +109,7 @@ def _adjacent(common: int, tights: list[int]) -> bool:
     return True
 
 
-def extreme_rays_h(ineqs: Sequence[Sequence], dim: int) -> tuple[list[IntVec], list[IntVec]]:
+def extreme_rays_h(ineqs: Sequence[Sequence[int]], dim: int) -> tuple[list[IntVec], list[IntVec]]:
     """Extreme rays and lineality basis of {x : a.x >= 0 for all a}, as
     primitive integer vectors.
 

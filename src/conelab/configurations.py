@@ -46,7 +46,7 @@ class ConfigurationError(ValueError):
 class NegativeConfiguration:
     """A surface with a finite set of negative classes and optional
     square-zero curve-cone generators (the ruled fiber, for instance); both
-    are kept as sorted tuples."""
+    are integral classes, kept as sorted tuples."""
 
     surface: SurfaceModel
     curves: Sequence[DivisorClass]
@@ -72,6 +72,8 @@ class NegativeConfiguration:
         for c in self.extra_square_zero:
             if c.surface != surface or c.square() != 0 or c.is_zero():
                 raise ConfigurationError(f"{c} is not a square-zero class here")
+            if not c.is_integral():
+                raise ConfigurationError(f"square-zero class {c} is not integral")
         for i, a in enumerate(self.curves):
             for b in self.curves[i + 1 :]:
                 if pair(a, b) < 0:
@@ -242,32 +244,21 @@ def validate_configuration(cfg: NegativeConfiguration) -> ValidationReport:
 
 
 @dataclass(frozen=True)
-class BlowDownStep:
-    before: DivisorClass
-    genus_before: int | Fraction
-    genus_after: int | Fraction
-    pairing: int
-    kept: bool
-
-
-@dataclass(frozen=True)
 class BlowDownResult:
     configuration: NegativeConfiguration
-    steps: tuple[BlowDownStep, ...]
-
-    @property
-    def dropped(self) -> tuple[DivisorClass, ...]:
-        return tuple(s.before for s in self.steps if not s.kept)
+    dropped: tuple[DivisorClass, ...]
 
 
 def blow_down(cfg: NegativeConfiguration, at: DivisorClass) -> BlowDownResult:
     """Remove a -1 basis class E from the configuration, replacing every
     other curve C by C + (C.E) E and deleting the E coordinate.
 
-    The replaced classes are orthogonal to E, so the deletion is exact;
-    classes of non-negative square leave the configuration and are reported.
-    New-lattice genus never drops: it is preserved exactly when C.E is 0 or
-    1 and grows otherwise.
+    The replaced classes are orthogonal to E, so the deletion is exact; a
+    curve whose replacement has non-negative square leaves the configuration
+    and is returned in `dropped` as it was.  New-lattice genus never drops:
+    it is preserved exactly when C.E is 0 or 1 and grows otherwise.  These
+    laws are checked here, for every curve; a broken one raises
+    ConfigurationError.
     """
     surface = cfg.surface
     if not surface.is_rational:
@@ -276,28 +267,23 @@ def blow_down(cfg: NegativeConfiguration, at: DivisorClass) -> BlowDownResult:
         raise ConfigurationError(f"{at} is not a curve of the configuration")
     if at.square() != -1 or adjunction_genus(at) != 0:
         raise ConfigurationError(f"{at} is not a -1 sphere class")
-    index = next(
-        (i for i in range(1, surface.k + 1) if at == E(surface, i)),
-        None,
-    )
+    # the coefficient position of E_index is index, as H sits at 0
+    index = next((i for i in range(1, surface.k + 1) if at == E(surface, i)), None)
     if index is None:
         raise ConfigurationError(
             f"{at} is not a basis class; apply a Cremona change of basis first"
         )
     small = rational_surface(surface.k - 1)
     kc, kc_small = canonical_class(surface), canonical_class(small)
-    drop = index  # coefficient position of E_index is index (H sits at 0)
-    steps = []
-    kept_classes = []
+    kept = []
+    dropped = []
     for c in cfg.curves:
         if c == at:
             continue
         m = pair(c, at)
         transformed = c + m * at
         g_before = adjunction_genus(c)
-        reduced = divisor(
-            small, [x for i, x in enumerate(transformed.coeffs) if i != drop]
-        )
+        reduced = divisor(small, [x for i, x in enumerate(transformed.coeffs) if i != index])
         g_after = adjunction_genus(reduced)
         broken = [law for law, holds in (
             ("orthogonality to E", pair(transformed, at) == 0),
@@ -308,11 +294,11 @@ def blow_down(cfg: NegativeConfiguration, at: DivisorClass) -> BlowDownResult:
         ) if not holds]
         if broken:
             raise ConfigurationError(f"blowing down {at} breaks the {broken[0]} law for {c}")
-        kept = reduced.square() < 0
-        steps.append(BlowDownStep(c, g_before, g_after, m, kept))
-        if kept:
-            kept_classes.append(reduced)
-    return BlowDownResult(NegativeConfiguration(small, kept_classes), tuple(steps))
+        if reduced.square() < 0:
+            kept.append(reduced)
+        else:
+            dropped.append(c)
+    return BlowDownResult(NegativeConfiguration(small, kept), tuple(dropped))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
-"""Exact rational LP feasibility: non-negative combinations hitting a target.
+"""Exact LP feasibility on integer data: non-negative combinations hitting a
+target.
 
 A revised phase-1 simplex (Dantzig & Orchard-Hays, 1954): it keeps the basis
 inverse in int over one common denominator, updated by the integer-preserving
 pivot, and prices the columns in int, on demand.  Its pivots are those of
 Bland's rule on the dense phase-1 tableau (columns, then one artificial per
 row); it stops once the artificials are zero, after which that tableau's
-pivots are all degenerate, so the solutions are the same.  The target and each
-column are scaled to primitive integer vectors; a positive scale changes
-neither the sign of a reduced cost nor the order of the ratios, so only the
-returned values are scaled back, to Fraction.
+pivots are all degenerate, so the solutions are the same.  The columns and
+the target are integer vectors, used as given; only the returned values are
+Fractions.
 """
 
 from __future__ import annotations
@@ -20,14 +20,8 @@ from typing import Sequence
 from . import linalg
 
 
-def _scale(v: Sequence[Fraction], w: Sequence[int]) -> tuple[int, int]:
-    """The positive factor p/q taking v to its primitive rescale w, as the
-    ints (p, q), of one sign; (1, 1) for zero."""
-    return next(((y * x.denominator, x.numerator) for x, y in zip(v, w) if x), (1, 1))
-
-
 def nonnegative_combination(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
+    columns: Sequence[Sequence[int]], target: Sequence[int]
 ) -> list[Fraction] | None:
     """Coefficients x >= 0 with sum x_j columns[j] = target, or None.
 
@@ -40,16 +34,12 @@ def nonnegative_combination(
     # rows whose target entry is negative are negated, so the right-hand side
     # starts non-negative; pricing folds that sign into the pricing row
     flip = [t < 0 for t in target]
-    # primitive columns, made on first use; a positive rescale keeps the
-    # sign of a reduced cost
-    column: list[tuple[int, ...] | None] = [None] * n
-    goal = linalg.primitive(target)
     # the dense tableau on the entering column, the artificial columns and
     # the right-hand side, all times the common denominator `denom`: row i is
     # [d_i | row i of the basis inverse | x_i]; the last row is
     # [reduced cost | y = c_B B^-1 | phase-1 objective]
-    rows = [[0] + [int(i == k) for k in range(m)] + [abs(t)] for i, t in enumerate(goal)]
-    rows.append([0] + [1] * m + [sum(map(abs, goal))])
+    rows = [[0] + [int(i == k) for k in range(m)] + [abs(t)] for i, t in enumerate(target)]
+    rows.append([0] + [1] * m + [sum(map(abs, target))])
     denom = 1
     basis = list(range(n, n + m))
 
@@ -58,10 +48,7 @@ def nonnegative_combination(
         # prices positive, the basis is optimal for the columns and the basic
         # artificials alone, so a positive objective proves infeasibility
         price = linalg.primitive([-x if f else x for f, x in zip(flip, rows[m][1:-1])])
-        for enter in range(n):
-            col = column[enter]
-            if col is None:
-                col = column[enter] = linalg.primitive(columns[enter])
+        for enter, col in enumerate(columns):
             if sum(map(mul, price, col)) > 0:
                 break
         else:
@@ -82,13 +69,9 @@ def nonnegative_combination(
         basis[leave] = enter
 
     used = [(row[-1], var) for row, var in zip(rows, basis) if var < n and row[-1]]
-    if any(sum(x * column[var][k] for x, var in used) != denom * g for k, g in enumerate(goal)):
+    if any(sum(x * columns[var][k] for x, var in used) != denom * t for k, t in enumerate(target)):
         raise ArithmeticError("the basic solution does not reproduce the target")
-    # x_var / denom solves the scaled system; the column's factor p/q and the
-    # target's factor pt/qt turn it into one Fraction of the original system
     solution = [Fraction(0)] * n
-    pt, qt = _scale(target, goal)
     for x, var in used:
-        p, q = _scale(columns[var], column[var])
-        solution[var] = Fraction(x * p * qt, q * denom * pt)
+        solution[var] = Fraction(x, denom)
     return solution

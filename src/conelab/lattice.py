@@ -214,17 +214,6 @@ class DivisorClass:
     def __str__(self) -> str:
         return format_class(self)
 
-    def to_json(self) -> dict:
-        return {
-            "surface": self.surface.to_json(),
-            "coeffs": [str(c) for c in self.coeffs],
-        }
-
-    @staticmethod
-    def from_json(d: dict) -> "DivisorClass":
-        surface = SurfaceModel.from_json(d["surface"])
-        return DivisorClass(surface, tuple(Fraction(c) for c in d["coeffs"]))
-
 
 # the slot setters of the frozen fields, for the trusted constructor below
 _new = object.__new__

@@ -1,11 +1,10 @@
-"""Small exact linear algebra on vectors that mix int and Fraction entries, as
-class coefficients do: the integer-preserving pivot, row reduction and kernels
-(in int throughout, each scaled by the common denominator of the
-elimination), and primitive normalization of rational and integer vectors."""
+"""Small exact linear algebra on integer vectors: the integer-preserving
+pivot, row reduction and kernels (in int throughout, each scaled by the
+common denominator of the elimination), and primitive normalization."""
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 IntVec = tuple[int, ...]
@@ -34,12 +33,12 @@ def pivot(mat: list[list[int]], r: int, c: int, d: int) -> int:
     return p
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[IntVec], list[int]]:
-    """Reduced row echelon form times its common denominator d > 0, in int;
-    returns (nonzero rows, pivot columns).
+def rref(rows: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[int]]:
+    """Reduced row echelon form of integer rows times its common denominator
+    d > 0, in int; returns (nonzero rows, pivot columns).
 
-    Each row is first scaled to a primitive integer row, which leaves the
-    row space alone; the elimination leaves d in every pivot entry."""
+    Each row is first divided by its gcd, which leaves the row space alone;
+    the elimination leaves d in every pivot entry."""
     mat = [list(primitive(row)) for row in rows]
     if not mat:
         return [], []
@@ -62,7 +61,7 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[IntVec], list[int]]:
     return [tuple(row) for row in mat[:r]], pivots
 
 
-def nullspace(rows: Sequence[Sequence], dim: int) -> list[IntVec]:
+def nullspace(rows: Sequence[Sequence[int]], dim: int) -> list[IntVec]:
     """Integer basis of {x : row . x = 0}: d at a free column f, -row[f] at the pivots."""
     reduced, pivots = rref(rows)
     d = reduced[0][pivots[0]] if reduced else 1
@@ -77,12 +76,8 @@ def nullspace(rows: Sequence[Sequence], dim: int) -> list[IntVec]:
     return basis
 
 
-def primitive(v: Sequence) -> IntVec:
-    """Positive rescale making the entries integers with gcd 1; int entries
-    skip the common denominator."""
-    if not all(type(x) is int for x in v):
-        denom = lcm(*(x.denominator for x in v))
-        v = [x.numerator * (denom // x.denominator) for x in v]
+def primitive(v: Sequence[int]) -> IntVec:
+    """The integer vector divided by the gcd of its entries."""
     g = gcd(*v)
     return tuple(x // g for x in v) if g > 1 else tuple(v)
 

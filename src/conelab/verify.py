@@ -445,22 +445,16 @@ def check_blowdown_golden() -> tuple[bool, str]:
     s3 = rational_surface(3)
     targets = {(e.variant, e.n): e.configuration for e in catalog_cp2_2()}
     mismatches = []
-    monotone = True
     for entry in catalog_cp2_3():
-        result = blow_down(entry.configuration, E(s3, 3))
         want = targets[(_CASE_TO_TWO_BLOWUP_VARIANT[(entry.case, entry.variant)], entry.n)]
-        if result.configuration != want:
+        # blow_down raises when a step breaks a genus law
+        if blow_down(entry.configuration, E(s3, 3)).configuration != want:
             mismatches.append(entry.label())
-        for step in result.steps:
-            if step.genus_after < step.genus_before:
-                monotone = False
-            if (step.genus_after == step.genus_before) != (step.pairing in (0, 1)):
-                monotone = False
-    ok = not mismatches and monotone
+    ok = not mismatches
     return ok, (
         "all cases land on their targets; genus never drops"
         if ok
-        else f"mismatches: {mismatches}, monotone: {monotone}"
+        else f"mismatches: {mismatches}"
     )
 
 

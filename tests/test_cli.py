@@ -175,6 +175,24 @@ class TestConfigCommands:
         assert (code, out) == (1, "")
         assert err == "error: 0 is not a square-zero class here\n"
 
+    @pytest.mark.parametrize(
+        "document,err",
+        [
+            ({"surface": {"kind": "rational", "k": 2}, "curves": ["1/2E1-1/2E2", "E2"]},
+             "error: curve 1/2E1-1/2E2 is not integral\n"),
+            ({"surface": {"kind": "rational", "k": 2}, "curves": ["E1", "E1"]},
+             "error: duplicate curve E1\n"),
+            ({"surface": {"kind": "trivial_ruled", "h": 1}, "curves": ["U-T"],
+              "extra_square_zero": ["1/2T"]},
+             "error: square-zero class 1/2T is not integral\n"),
+        ],
+        ids=["fractional-curve", "duplicate-curve", "fractional-square-zero"],
+    )
+    def test_validate_rejects_a_bad_configuration(self, capsys, tmp_path, document, err):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        assert run(capsys, "config", "validate", str(path)) == (1, "", err)
+
     def test_validate_empty_plane(self, capsys, tmp_path):
         path = tmp_path / "plane.json"
         path.write_text(json.dumps({"surface": {"kind": "rational", "k": 0}, "curves": []}))
@@ -302,6 +320,36 @@ def test_inflate_output_is_pinned(capsys, tmp_path, config, argv, code, out, err
     path = tmp_path / "config.json"
     path.write_text(json.dumps(INFLATE_CONFIGS[config]))
     assert run(capsys, "inflate", "--config", str(path), *argv) == (code, out, err)
+
+
+RULED_CONFIGS = {
+    "trivial": {"surface": {"kind": "trivial_ruled", "h": 1}, "curves": ["U-T"],
+                "extra_square_zero": ["T"]},
+    "nontrivial": {"surface": {"kind": "nontrivial_ruled", "h": 2}, "curves": ["U-2T"],
+                   "extra_square_zero": ["T"]},
+}
+
+
+@pytest.mark.parametrize("config", ["trivial", "nontrivial"])
+@pytest.mark.parametrize(
+    "flags,out",
+    [
+        ((), "p1: pass -- all curves classified\n"
+             "p2: pass -- witness U+2T\n"
+             "p3: pass -- all -1 classes decompose\n"),
+        (("--json",), '{"p1": {"passed": true, "details": "all curves classified"}, '
+                      '"p2": {"passed": true, "details": "witness U+2T"}, '
+                      '"p3": {"passed": true, "details": "all -1 classes decompose"}, '
+                      '"passed": true}\n'),
+    ],
+    ids=["text", "json"],
+)
+def test_validate_ruled_output_is_pinned(capsys, tmp_path, config, flags, out):
+    """`config validate` on minimal ruled surfaces, whose certified classes
+    are the fiber and one section: full stdout, stderr and exit code."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(RULED_CONFIGS[config]))
+    assert run(capsys, "config", "validate", str(path), *flags) == (0, out, "")
 
 
 @pytest.mark.parametrize(

@@ -148,10 +148,12 @@ class TestBlowDown:
         sextic = parse_class("6H-3E1-2E2-2E3-2E4-2E5-2E6-2E7-2E8", s8)
         cfg = NegativeConfiguration(s8, [sextic, E(s8, 8)])
         out = blow_down(cfg, E(s8, 8))
-        step = next(s for s in out.steps if s.before == sextic)
-        assert step.pairing == 2
-        assert step.genus_before == 0 and step.genus_after == 1
-        assert not step.kept  # square -1 + 4 = 3
+        # pairing 2 takes the genus from 0 to 1; the transform has square
+        # -1 + 4 = 3, so the sextic leaves the configuration
+        assert pair(sextic, E(s8, 8)) == 2 and adjunction_genus(sextic) == 0
+        transform = parse_class("6H-3E1-2E2-2E3-2E4-2E5-2E6-2E7", rational_surface(7))
+        assert adjunction_genus(transform) == 1
+        assert out.dropped == (sextic,)
 
     def test_a_broken_genus_law_raises(self, monkeypatch):
         # the bookkeeping checks raise, so they also hold under python -O

@@ -398,19 +398,6 @@ class TestLiteralsAndJson:
     def test_format_parse_round_trip(self, x):
         assert parse_class(format_class(x), x.surface) == x
 
-    @settings(deadline=None, max_examples=150)
-    @given(classes())
-    def test_json_round_trip(self, x):
-        assert DivisorClass.from_json(x.to_json()) == x
-
-    def test_json_shape(self):
-        s = rational_surface(2)
-        d = parse_class("H-E1-E2", s).to_json()
-        assert d == {
-            "surface": {"kind": "rational", "k": 2},
-            "coeffs": ["1", "-1", "-1"],
-        }
-
     def test_paper_signs_rendering(self):
         s = rational_surface(2)
         assert format_class(parse_class("6H-3E1-2E2", s), paper_signs=True) == "(6; 3, 2)"
