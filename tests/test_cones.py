@@ -249,6 +249,19 @@ class TestExtremalRays:
         c = cone_from_rays([E(S2, 1), -1 * E(S2, 1), E(S2, 2)])
         assert dual_cone(dual_cone(c)).lineality in ((E(S2, 1),), (-1 * E(S2, 1),))
 
+    def test_interior_generator_dropped_after_facets(self):
+        # computing the facets first must not turn the generators into the
+        # answer: the redundant E1 + E2 is still dropped
+        c = cone_from_rays([E(S2, 1), E(S2, 2), E(S2, 1) + E(S2, 2)])
+        facets = dual_cone(c)
+        assert set(dual_cone(facets).rays) == {E(S2, 1), E(S2, 2)}
+        assert len(c.rays) == 3
+
+    def test_non_pointed_after_facets_reports_lineality(self):
+        c = cone_from_rays([E(S2, 1), -1 * E(S2, 1), E(S2, 2)])
+        lineality = dual_cone(dual_cone(c)).lineality
+        assert [v.primitive() for v in lineality] in ([E(S2, 1)], [-1 * E(S2, 1)])
+
 
 class TestMembership:
     def test_lp_membership_agrees_with_dd_membership(self):
