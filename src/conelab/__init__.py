@@ -5,35 +5,3 @@ reduction, exact polyhedral cone duality, formal inflation, negative-curve
 configurations, and wall-crossing certificates.  Everything runs over
 exact rationals; see the README for the command line front end.
 """
-
-from .lattice import (
-    DivisorClass,
-    SurfaceModel,
-    adjunction_genus,
-    canonical_class,
-    divisor,
-    format_class,
-    nontrivial_ruled,
-    pair,
-    parse_class,
-    rational_surface,
-    sw_dimension,
-    trivial_ruled,
-)
-
-__all__ = [
-    "DivisorClass",
-    "SurfaceModel",
-    "adjunction_genus",
-    "canonical_class",
-    "divisor",
-    "format_class",
-    "nontrivial_ruled",
-    "pair",
-    "parse_class",
-    "rational_surface",
-    "sw_dimension",
-    "trivial_ruled",
-]
-
-__version__ = "0.1.0"

@@ -345,8 +345,8 @@ def cmd_catalog(args) -> int:
         raise UsageError(f"unknown catalog {args.name!r}; choose from {sorted(makers)}")
     if args.n is not None and args.n < 0:
         raise UsageError("--n must be >= 0")
-    ns = (args.n,) if args.n is not None else (0, 1, 2)
-    entries = makers[args.name](ns)
+    maker = makers[args.name]
+    entries = maker() if args.n is None else maker((args.n,))
     if args.json:
         print(
             json.dumps(

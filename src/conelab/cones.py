@@ -8,10 +8,7 @@ package never exceed 10, so no effort is spent on sparse or floating point
 shortcuts.  It has two callers.  dual_cone serves every cone of classes.
 _neighbours runs it on the Gram functionals of the -1 classes tight at a
 corner and pairs the integer directions it returns with the Gram
-functionals of the others; through dual_cone, which returns sorted classes,
-its two calls at k = 8 took 19.4 ms, not 18.8 ms, and 44 ms once the
-directions were paired as classes (minimum of 30 runs, 2-core x86-64,
-CPython 3.11).
+functionals of the others.
 
 The K-symplectic cone of k >= 2 blowups, the dual of the -1 classes, is not
 converted whole: its corners are the nef sphere classes of square 0 and 1,

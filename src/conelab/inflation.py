@@ -85,7 +85,7 @@ class AlternateInflation:
 
 
 def alternate_inflate(
-    a: DivisorClass, c1: DivisorClass, c2: DivisorClass, iterations: int = 0
+    a: DivisorClass, c1: DivisorClass, c2: DivisorClass, iterations: int
 ) -> AlternateInflation:
     """Alternating maximal inflations along c2, c1, c2, ... from a class on
     the hyperplane of c1.

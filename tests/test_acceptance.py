@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conelab import cones, inflation, verify
+from conelab import cones, inflation, swcert, verify
 
 
 CRITERIA = [(f"{i:02d}", fn) for i, fn in enumerate(verify.ALL_CHECKS, start=1)]
@@ -38,8 +38,10 @@ def test_every_criterion_is_covered():
          "achieve-all-rays-catalog"),
         ("check_nef_threshold", cones, "nef_threshold", lambda omega, curves: Fraction(1, 5),
          "nef-threshold"),
+        ("check_sw_certificates", swcert, "anti_canonical_eight_point_audit", lambda: False,
+         "sw-certificates"),
     ],
-    ids=["achieve-all-rays", "nef-threshold"],
+    ids=["achieve-all-rays", "nef-threshold", "sw-certificates"],
 )
 def test_a_failing_check_keeps_its_name_and_reference(monkeypatch, check, module, attr, fake, name):
     """An early failure reports the name verify-paper shows when the check

@@ -15,6 +15,7 @@ from conelab.lattice import parse_class, rational_surface, trivial_ruled
 
 # the benchmark's reference output of `verify-paper --json`, read here and never written
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "verify-paper.json"
+FILE = "FILE"  # an argument replaced by the path of a JSON document the test writes
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -139,14 +140,15 @@ class TestNefThreshold:
         assert code == 1 and "nef" in err
 
 
+FOUR_CURVES = {"surface": {"kind": "rational", "k": 3},
+               "curves": ["E3", "E2-E3", "H-E1-E2-E3", "-H+2E1-E2"]}
+
+
 class TestConfigCommands:
     @pytest.fixture
     def cfg_file(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "surface": {"kind": "rational", "k": 3},
-            "curves": ["E3", "E2-E3", "H-E1-E2-E3", "-H+2E1-E2"],
-        }))
+        path.write_text(json.dumps(FOUR_CURVES))
         return str(path)
 
     def test_validate(self, capsys, cfg_file):
@@ -361,8 +363,8 @@ def test_validate_ruled_output_is_pinned(capsys, tmp_path, config, flags, out):
     ids=["text", "json"],
 )
 def test_ksymp_output_is_pinned(capsys, flags, digest):
-    """The sha256 of the stdout of `cone ksymp --k 7`, 702 corners, as the
-    double description of the dual of the 56 -1 classes printed it."""
+    """The sha256 of the stdout of `cone ksymp --k 7`: the 702 corners that
+    the sphere-class search finds and adjacency decomposition certifies."""
     code, out, err = run(capsys, "cone", "ksymp", "--k", "7", *flags)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -381,8 +383,19 @@ def test_ksymp_output_is_pinned(capsys, flags, digest):
          '{"certified": false, "reason": "dimension -2 negative"}\n', ""),
         (["cert", "--k", "0", "--class=-3H"], 1,
          '{"certified": false, "reason": "no vanishing witness in the pool"}\n', ""),
+        (["cert", "--k", "0", "--class", "1/2H"], 1, "", "error: integral classes only\n"),
+        (["cert", "--surface", "ruled:h=2", "--class", "U+1/2T"], 1, "",
+         "error: integral classes only\n"),
         (["decompose", "--surface", "ruled:h=2", "--class", "T"], 0,
          '{"extremal": true, "reason": "extremal, no witness expected: fiber class"}\n', ""),
+        (["decompose", "--surface", "ruled:h=2,k=1", "--class", "T"], 1, "",
+         "error: fiber degree must be positive for the case split\n"),
+        (["decompose", "--surface", "ruled:h=2,k=1", "--class", "E1"], 0,
+         '{"extremal": true, "reason": "extremal, no witness expected: exceptional class"}\n',
+         ""),
+        (["decompose", "--surface", "ruled:h=2,k=1", "--class", "T-E1"], 0,
+         '{"extremal": true, "reason": "extremal, no witness expected: '
+         'fiber minus exceptional class"}\n', ""),
         (["decompose", "--surface", "ruled:h=1", "--class", "U+T"], 0,
          '{"extremal": false, "scale": 3, "summands": ['
          '{"class": "3U+2T", "magnitude": 4, "dimension": "16"}, '
@@ -395,13 +408,53 @@ def test_ksymp_output_is_pinned(capsys, flags, digest):
          "error: non-extremality witnesses cover ruled surfaces\n"),
     ],
     ids=["cert-rational", "cert-ruled", "cert-negative-dimension", "cert-no-witness",
-         "decompose-fiber", "decompose-torus-base", "decompose-multiplicity",
-         "decompose-rational"],
+         "cert-fractional-rational", "cert-fractional-ruled",
+         "decompose-fiber", "decompose-fiber-after-blowup", "decompose-exceptional",
+         "decompose-fiber-minus-exceptional",
+         "decompose-torus-base", "decompose-multiplicity", "decompose-rational"],
 )
 def test_sw_output_is_pinned(capsys, argv, code, out, err):
     """The full stdout, stderr and exit code of `sw cert` and `sw decompose`,
     byte for byte."""
     assert run(capsys, "sw", *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "document,argv,code,out,err",
+    [
+        (None, ["cremona", "equiv", "2H-E1-E2-E3", "H", "--k", "3", "--json"], 0,
+         '{"outcome": "equivalent", "which": "", '
+         '"path": ["2H-E1-E2-E3", "2H-E1-E2-E3", "H", "H"]}\n', ""),
+        (None, ["cremona", "reduce", "--class", "E1", "--k", "3"], 0,
+         "cycle after 2 steps\ntrace: E3 -> H-E1-E2 -> E3\n", ""),
+        (None, ["cone", "dual", "--rays", "E1,-E1,E2", "--k", "2"], 0, "-E2\nH (lineality)\n", ""),
+        ({"surface": {"kind": "rational", "k": 2}, "curves": ["E1", "E2", "H-E1-E2"]},
+         ["nef-threshold", "--omega", "3H-E1-E2", "--curves-file", FILE], 0, "1\n", ""),
+        ({"surface": {"kind": "rational", "k": 2}, "curves": ["E1", "E2", "H-E1-E2"]},
+         ["nef-threshold", "--omega", "3H-E1-E2", "--curves-file", FILE, "--json"], 0,
+         '{"threshold": "1"}\n', ""),
+        (FOUR_CURVES, ["inflate", "--config", FILE, "--start", "11H-7E1-2E2-E3", "--ray", "H"],
+         2, "", "error: H is not an extremal ray of the positive dual\n"),
+        (INFLATE_CONFIGS["two"], ["inflate", "--config", FILE, "--start", "8H-5E1-E2",
+                                  "--ray", "3H-2E1-E2", "--trace", "4"], 0,
+         "3H-2E1-E2: reached 39/4H-13/2E1-13/4E2 via 1/4 along -H+2E1-E2, 2 along H-E1-E2\n"
+         "alternating coefficients:\n  odd:  2, 0\n  even: 0, 0\n", ""),
+        ({"surface": {"kind": "rational", "k": 3}, "curves": ["E3", "H-E1-E3"]},
+         ["config", "blowdown", FILE, "--at", "E3"], 0,
+         "curves: \ndropped (non-negative square): H-E1-E3\n", ""),
+        (None, ["enumerate", "--k", "2", "--genus", "1"], 2, "",
+         "error: only genus-0 enumeration is finite; use --genus 0\n"),
+    ],
+    ids=["cremona-equiv-json", "cremona-reduce-cycle-text", "cone-dual-lineality-text",
+         "nef-threshold-file-text", "nef-threshold-file-json", "inflate-ray-not-extremal",
+         "inflate-trace-text", "blowdown-dropped-text", "enumerate-positive-genus"],
+)
+def test_branch_output_is_pinned(capsys, tmp_path, document, argv, code, out, err):
+    """The full stdout, stderr and exit code of the CLI branches that no
+    other test reaches, byte for byte; `FILE` names the written document."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    assert run(capsys, *(str(path) if a == FILE else a for a in argv)) == (code, out, err)
 
 
 class TestSw:
@@ -574,7 +627,6 @@ DOCUMENTS = _mostly(
     st.one_of(st.fixed_dictionaries({}, optional={"curves": JSON_LISTS}),
               st.sampled_from([[], "x", 1, None])),
 )
-FILE = "FILE"  # replaced by the path of a drawn JSON document
 ON_SURFACE = {"--k": st.integers(-2, 6).map(str), "--surface": SURFACES}
 # leaf command -> (positionals, groups of which one flag is drawn, optional flags);
 # a flag maps to its value strategy, or to None for a switch

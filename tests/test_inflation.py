@@ -261,7 +261,7 @@ class TestBrokenDivisions:
         with pytest.raises(InflationError, match="misses its hyperplane"):
             max_inflate(H(S2) - E(S2, 1), E(S2, 1) - E(S2, 2))
         with pytest.raises(InflationError, match="not orthogonal"):
-            alternate_inflate(H(S2) - E(S2, 2), E(S2, 1), E(S2, 2))
+            alternate_inflate(H(S2) - E(S2, 2), E(S2, 1), E(S2, 2), 0)
         with pytest.raises(InflationError, match="not orthogonal"):
             achieve_vertex(parse_class("2H-E1-E2", S2), [E(S2, 1), E(S2, 2)])
 

@@ -2,23 +2,25 @@
 package, and every public method of those classes, is used somewhere in
 ``src/``; a name that only tests use is test-only API.  A top-level name
 counts as used through its own module only: as a bare name inside that
-module, as ``module.name``, or imported ``from`` that module (or
-re-exported by the package and imported from it), so ``linalg.add`` is not
-kept alive by ``set.add``.  A method counts as used by any name, attribute
-or import alias it matches.  A function passed to a registering decorator
-defined in its own module, such as ``@check(...)`` in ``verify``, counts as
-used.  A private (``_``-prefixed) top-level function is used when its own
-module names it outside its own body, or a test names it.
+module, as ``module.name``, or imported ``from`` that module, so
+``linalg.add`` is not kept alive by ``set.add``.  A method counts as used
+by any name, attribute or import alias it matches.  A function passed to a
+registering decorator defined in its own module, such as ``@check(...)`` in
+``verify``, counts as used.  A private (``_``-prefixed) top-level function
+is used when its own module names it outside its own body, or a test names
+it.
 
 Every defaulted parameter of a package function, method or constructor
 (``__init__`` or dataclass field) is passed, by position or by keyword, by
-some call in ``src/``: a default that no caller in the package changes is a
-constant.  Calls are matched by the called name, so a function referenced as
-a value (``makers[name](ns)``; a type annotation is not a value), called
-with ``*args``/``**kwargs`` or named in ``[project.scripts]`` of
-``pyproject.toml`` counts as passing every parameter.  No call in ``src/``
-passes a parameter the expression of its own default (compared as source
-text): such an argument restates what the signature already says.
+some call in ``src/``, and left out by another: a default that no caller in
+the package changes is a constant, and one that every caller overrides is
+a required parameter.  Calls are matched by the called name, so a function
+referenced as a value (``makers[name](ns)``; a type annotation is not a
+value), called with ``*args``/``**kwargs`` or named in ``[project.scripts]``
+of ``pyproject.toml`` counts as both passing and leaving every parameter.
+No call in ``src/`` passes a parameter the expression of its own default
+(compared as source text): such an argument restates what the signature
+already says.
 
 Every dataclass field of a package class, and every ``self.x`` a package
 class assigns, is read as an attribute somewhere in ``src/`` or ``tests/``.
@@ -63,13 +65,7 @@ def _public_definitions():
 
 def _used_names():
     """Bare names used in ``src/``, and (module, name) pairs used through a
-    module; the package's re-exports resolve to their defining module."""
-    reexported = {
-        alias.name: node.module
-        for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    module."""
     bare, qualified = set(), set()
     for path, tree in _trees(SRC):
         own = path.stem if path.parent == PACKAGE else None
@@ -86,8 +82,6 @@ def _used_names():
                 bare.add(node.name.rsplit(".", 1)[-1])
             if isinstance(node, ast.ImportFrom) and node.module:
                 qualified.update((node.module.rsplit(".", 1)[-1], a.name) for a in node.names)
-    qualified |= {(reexported[name], name) for owner, name in qualified
-                  if owner == PACKAGE.name and name in reexported}
     return bare, qualified
 
 
@@ -187,19 +181,31 @@ def _calls():
     return calls, everything
 
 
-def test_every_defaulted_parameter_is_passed():
+def _defaults_by_use(passed):
+    """Defaulted parameters, as ``qual(param)``, that no call in ``src/``
+    passes (``passed`` True) or leaves at its default (``passed`` False)."""
     calls, everything = _calls()
-    unpassed = sorted(
+    return sorted(
         f"{qual}({param})"
         for qual, name, positional, defaulted in _signatures()
         if name not in everything
         for param in defaulted
         if not any(
-            param in keywords or (param in positional and positional.index(param) < count)
+            (param in keywords or (param in positional and positional.index(param) < count))
+            == passed
             for count, keywords in calls.get(name, [])
         )
     )
+
+
+def test_every_defaulted_parameter_is_passed():
+    unpassed = _defaults_by_use(passed=True)
     assert not unpassed, "defaulted parameters no call passes: " + ", ".join(unpassed)
+
+
+def test_every_default_is_relied_on():
+    overridden = _defaults_by_use(passed=False)
+    assert not overridden, "defaults every call overrides: " + ", ".join(overridden)
 
 
 def test_no_call_restates_a_default():
