@@ -355,17 +355,19 @@ def test_validate_ruled_output_is_pinned(capsys, tmp_path, config, flags, out):
 
 
 @pytest.mark.parametrize(
-    "flags,digest",
+    "k,flags,digest",
     [
-        ((), "9b2075d0a22db73389d787913081147c0235864d57c5aad0543ebe34f79ec737"),
-        (("--json",), "dedb565581cc907b20e9010f962f4bfd6c1a5d4ae8dcbaf2dc349a822a4f199d"),
+        ("7", (), "9b2075d0a22db73389d787913081147c0235864d57c5aad0543ebe34f79ec737"),
+        ("7", ("--json",), "dedb565581cc907b20e9010f962f4bfd6c1a5d4ae8dcbaf2dc349a822a4f199d"),
+        ("8", ("--json",), "50359b714f6d7905b2552749d762b1697163b14c9f24e268671a96e4764f1e88"),
     ],
-    ids=["text", "json"],
+    ids=["text", "json", "k8-json"],
 )
-def test_ksymp_output_is_pinned(capsys, flags, digest):
-    """The sha256 of the stdout of `cone ksymp --k 7`: the 702 corners that
-    the sphere-class search finds and adjacency decomposition certifies."""
-    code, out, err = run(capsys, "cone", "ksymp", "--k", "7", *flags)
+def test_ksymp_output_is_pinned(capsys, k, flags, digest):
+    """The sha256 of the stdout of `cone ksymp --k 7` and `--k 8`: the 702
+    and 19,440 corners that the sphere-class search finds and adjacency
+    decomposition certifies."""
+    code, out, err = run(capsys, "cone", "ksymp", "--k", k, *flags)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -427,6 +429,8 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          '"path": ["2H-E1-E2-E3", "2H-E1-E2-E3", "H", "H"]}\n', ""),
         (None, ["cremona", "reduce", "--class", "E1", "--k", "3"], 0,
          "cycle after 2 steps\ntrace: E3 -> H-E1-E2 -> E3\n", ""),
+        (None, ["cremona", "equiv", "E1", "H-E1-E2", "--k", "2", "--json"], 0,
+         '{"outcome": "distinct_by_invariant", "which": "orbit_exhausted", "path": []}\n', ""),
         (None, ["cone", "dual", "--rays", "E1,-E1,E2", "--k", "2"], 0, "-E2\nH (lineality)\n", ""),
         ({"surface": {"kind": "rational", "k": 2}, "curves": ["E1", "E2", "H-E1-E2"]},
          ["nef-threshold", "--omega", "3H-E1-E2", "--curves-file", FILE], 0, "1\n", ""),
@@ -445,7 +449,7 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
         (None, ["enumerate", "--k", "2", "--genus", "1"], 2, "",
          "error: only genus-0 enumeration is finite; use --genus 0\n"),
     ],
-    ids=["cremona-equiv-json", "cremona-reduce-cycle-text", "cone-dual-lineality-text",
+    ids=["cremona-equiv-json", "cremona-reduce-cycle-text", "cremona-equiv-two-blowups-json", "cone-dual-lineality-text",
          "nef-threshold-file-text", "nef-threshold-file-json", "inflate-ray-not-extremal",
          "inflate-trace-text", "blowdown-dropped-text", "enumerate-positive-genus"],
 )
