@@ -11,11 +11,12 @@ corner and pairs the integer directions it returns with the Gram
 functionals of the others.
 
 The K-symplectic cone of k >= 2 blowups, the dual of the -1 classes, is not
-converted whole: its corners are the nef sphere classes of square 0 and 1,
-and adjacency decomposition up to symmetry (Christof and Reinelt, Int. J.
-Comput. Geom. Appl. 11, 2001; Bremner, Dutour Sikiric and Schuermann,
-"Polyhedral representation conversion up to symmetries", 2009) certifies
-them complete from two orbit representatives and their neighbours.
+converted whole: its corners are generated as the orbits of H and H - E1
+under cremona.moves and the permutations of E1..Ek, and adjacency
+decomposition up to symmetry (Christof and Reinelt, Int. J. Comput. Geom.
+Appl. 11, 2001; Bremner, Dutour Sikiric and Schuermann, "Polyhedral
+representation conversion up to symmetries", 2009) certifies them complete
+from the two orbit representatives and their neighbours.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
-from .cremona import cremona_reduce, order
-from .enumeration import exceptional_classes, sphere_classes
+from .cremona import moves
+from .enumeration import distinct_arrangements, exceptional_classes
 from .lattice import (
     DivisorClass,
     SurfaceModel,
@@ -209,23 +210,19 @@ def k_symplectic_cone(surface: SurfaceModel) -> KSymplecticCone:
 
     Finite data exists for k <= 8 only.  k in {0, 1} needs the forward-cone
     boundary rays H and H - E1.  For k >= 2 the cone is the dual of the -1
-    classes.  Its corners are taken from the sphere classes of square 0 and
-    1 that pair non-negatively with every -1 class; the -1 classes are closed
-    under permuting E1..Ek, so one representative decides a family.  No
-    double description of the whole cone is run: adjacency decomposition up
-    to symmetry (Christof and Reinelt, Int. J. Comput. Geom. Appl. 11, 2001;
-    Bremner, Dutour Sikiric and Schuermann, "Polyhedral representation
-    conversion up to symmetries", 2009) certifies the set complete.
+    classes, and its corners are the orbits of H and H - E1 under the Weyl
+    group W(E_k), generated by permuting E1..Ek and by the Cremona
+    reflection.  No double description of the whole cone is run: adjacency
+    decomposition up to symmetry (Christof and Reinelt, Int. J. Comput.
+    Geom. Appl. 11, 2001; Bremner, Dutour Sikiric and Schuermann,
+    "Polyhedral representation conversion up to symmetries", 2009)
+    certifies the set complete.  The group permutes the -1 classes, so it
+    maps the cone to itself; two steps remain.
 
-    (a) Every family reduces to H or H - E1 under the Weyl group, by the
-        permutation alone at k = 2 and by Cremona reduction for k >= 3.  The
-        group permutes the -1 classes, so it maps the cone to itself and a
-        nef sphere class of square 0 or 1 to another; the search finds all
-        of these, so the set is the two orbits of H and H - E1.
-    (b) The -1 classes tight at H, and at H - E1, have rank k, so both are
+    (a) The -1 classes tight at H, and at H - E1, have rank k, so both are
         extreme rays, and so is every class of their orbits.
-    (c) H and H - E1 lie in the set, and so does each of their neighbours
-        on the cone (_neighbours).  The group carries this to every member.
+    (b) Each neighbour of H and of H - E1 on the cone (_neighbours) lies in
+        the orbits.  The group carries this to every member.
 
     The ray graph of a pointed cone is connected (Balinski), so a set of
     extreme rays holding every neighbour of each member holds every ray.
@@ -247,29 +244,24 @@ def k_symplectic_cone(surface: SurfaceModel) -> KSymplecticCone:
 
 def _certified_corners(surface: SurfaceModel) -> set[DivisorClass]:
     """The corners for k in 2..8, with the certificate of k_symplectic_cone."""
-    minus_one = exceptional_classes(surface)
     targets = (H(surface), H(surface) - E(surface, 1))
-    corners: set[DivisorClass] = set()
-    for fam in sphere_classes(surface, square=0) + sphere_classes(surface, square=1):
-        rep = fam.representative
-        if any(pair(rep, e) < 0 for e in minus_one):
-            continue
-        if surface.k == 2:
-            reduced = order(rep)
-        else:
-            outcome = cremona_reduce(rep)
-            reduced = outcome.result if outcome.kind == "reduced" else None
-        if reduced not in targets:
-            raise ConeError(f"the sphere class {rep} does not reduce to H or H-E1")
-        corners |= fam.instances()
-    missing = "the corner {} is missing from the nef sphere classes"
+    # the ordered classes of the two orbits, closed under the reflections
+    ordered, todo = set(targets), list(targets)
+    while todo:
+        for x in moves(todo.pop()):
+            if x not in ordered:
+                ordered.add(x)
+                todo.append(x)
+    corners = {
+        divisor(surface, (a, *arr))
+        for a, *b in (x.coeffs for x in ordered)
+        for arr in distinct_arrangements(b)
+    }
+    minus_one = exceptional_classes(surface)
     for t in targets:
-        # membership first: _neighbours needs a class of the cone
-        if t not in corners:
-            raise ConeError(missing.format(t))
         for x in _neighbours(t, minus_one):
             if x not in corners:
-                raise ConeError(missing.format(x))
+                raise ConeError(f"the corner {x} is missing from the orbits of H and H-E1")
     return corners
 
 

@@ -107,11 +107,14 @@ def cremona_reduce(x: DivisorClass) -> ReductionOutcome:
 class EquivalenceOutcome:
     kind: str  # "equivalent" | "distinct_by_invariant" | "unknown"
     which: str = ""
-    # x, order(x), ..., order(y), y: each step orders, or reflects once and orders
+    # x, order(x), ..., order(y), y without repeats: each step orders, or
+    # reflects once and orders
     path: tuple[DivisorClass, ...] = ()
 
 
-def _neighbors(x: DivisorClass) -> Iterable[DivisorClass]:
+def moves(x: DivisorClass) -> Iterable[DivisorClass]:
+    """The ordered classes one reflection away from the ordered class x;
+    none below three blowups."""
     k = x.surface.k
     for triple in combinations(range(1, k + 1), 3):
         yield order(reflect(x, triple))
@@ -135,9 +138,7 @@ def cremona_equivalent(x: DivisorClass, y: DivisorClass) -> EquivalenceOutcome:
         return EquivalenceOutcome("distinct_by_invariant", "k_pairing")
     sx, sy = order(x), order(y)
     if sx == sy:
-        return EquivalenceOutcome("equivalent", path=(x, sx, y))
-    if x.surface.k < 3:
-        return EquivalenceOutcome("distinct_by_invariant", "orbit_exhausted")
+        return EquivalenceOutcome("equivalent", path=_without_repeats(x, sx, y))
 
     parents: dict[int, dict[DivisorClass, DivisorClass | None]] = {
         0: {sx: None},
@@ -163,14 +164,19 @@ def cremona_equivalent(x: DivisorClass, y: DivisorClass) -> EquivalenceOutcome:
         side = 0 if len(parents[0]) <= len(parents[1]) else 1
         for _ in range(len(frontiers[side])):
             node = frontiers[side].popleft()
-            for nxt in _neighbors(node):
+            for nxt in moves(node):
                 if nxt in parents[side]:
                     continue
                 parents[side][nxt] = node
                 frontiers[side].append(nxt)
                 visited += 1
                 if nxt in parents[1 - side]:
-                    return EquivalenceOutcome("equivalent", path=(x, *path_through(nxt), y))
+                    path = _without_repeats(x, *path_through(nxt), y)
+                    return EquivalenceOutcome("equivalent", path=path)
                 if visited > BUDGET:
                     return EquivalenceOutcome("unknown", "budget")
     return EquivalenceOutcome("distinct_by_invariant", "orbit_exhausted")
+
+
+def _without_repeats(*path: DivisorClass) -> tuple[DivisorClass, ...]:
+    return tuple(c for i, c in enumerate(path) if i == 0 or c != path[i - 1])

@@ -24,7 +24,7 @@ from conelab.cones import (
     nef_threshold,
 )
 from conelab.configurations import catalog_cp2_3
-from conelab.cremona import ReductionOutcome, cremona_reduce
+from conelab.cremona import cremona_reduce, moves, order
 from conelab.enumeration import exceptional_classes, family_instances, sphere_classes
 from conelab.lattice import (
     E,
@@ -314,13 +314,18 @@ class TestKSymplecticCone:
         assert ks.corners_ok
         for c in ks.corners:
             assert c.square in (0, 1) and c.genus == 0
-        # the corners are the square-0 and square-1 sphere classes that pair
-        # non-negatively with every -1 class; this restates the construction
-        # for k >= 2, and the double description oracle below is independent
+        # independent oracle: the corners are the square-0 and square-1
+        # sphere classes that pair non-negatively with every -1 class, found
+        # by the sphere-class search rather than generated by the group
         minus_one = exceptional_classes(s)
         spheres = family_instances(sphere_classes(s, square=0) + sphere_classes(s, square=1))
         nef = {x for x in spheres if all(pair(x, e) >= 0 for e in minus_one)}
         assert {c.ray for c in ks.corners} == nef
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+    def test_corners_are_closed_under_the_moves(self, k):
+        corners = {c.ray for c in k_symplectic_cone(rational_surface(k)).corners}
+        assert all(set(moves(order(c))) <= corners for c in corners)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
     def test_corners_are_the_double_description_of_the_minus_one_cone(self, k):
@@ -407,19 +412,6 @@ class TestKSymplecticCone:
 class TestCornerCertificate:
     """Each step of the completeness certificate raises when it fails."""
 
-    @pytest.mark.parametrize(
-        "k,name,fake",
-        [
-            (2, "order", lambda x: 2 * x),
-            (3, "cremona_reduce", lambda x: ReductionOutcome("cycle", None, (x,), 1)),
-        ],
-        ids=["permutation", "cremona"],
-    )
-    def test_a_family_reducing_elsewhere(self, monkeypatch, k, name, fake):
-        monkeypatch.setattr(cones, name, fake)
-        with pytest.raises(ConeError, match="does not reduce to H or H-E1"):
-            k_symplectic_cone(rational_surface(k))
-
     def test_a_rank_deficient_tight_set(self, monkeypatch):
         # without E3 only E1 and E2 are tight at H
         monkeypatch.setattr(
@@ -429,14 +421,11 @@ class TestCornerCertificate:
             k_symplectic_cone(S3)
 
     def test_a_missing_neighbour(self, monkeypatch):
-        # without the family of 2H-E1-E2-E3 the neighbour of H-E1 across the
-        # face tight on H-E1-E2 and H-E1-E3 is lost
+        # without the moves to degree 2 the orbits hold only H and the H - Ei,
+        # and the neighbour of H-E1 across the face tight on H-E1-E2 and
+        # H-E1-E3 is lost
         monkeypatch.setattr(
-            cones,
-            "sphere_classes",
-            lambda s, square: [
-                f for f in sphere_classes(s, square=square) if f.representative.coeffs[0] == 1
-            ],
+            cones, "moves", lambda x: [y for y in moves(x) if y.coeffs[0] < 2]
         )
         with pytest.raises(ConeError, match="corner 2H-E1-E2-E3 is missing"):
             k_symplectic_cone(S3)

@@ -12,6 +12,7 @@ from conelab.cremona import (
     cremona_equivalent,
     cremona_reduce,
     is_reduced,
+    moves,
     order,
     reflect,
 )
@@ -193,14 +194,29 @@ class TestReduce:
         assert [str(c) for c in out.trace] == ["-3H+E1+E2+E3+E4+E5+E6+E7+E8+2E9"] * 2
 
 
+class TestMoves:
+    def test_none_below_three_blowups(self):
+        s2 = rational_surface(2)
+        assert list(moves(H(s2))) == []
+        assert list(moves(H(s2) - E(s2, 1))) == []
+
+    def test_the_one_move_of_h_on_three_blowups(self):
+        assert [str(c) for c in moves(H(S3))] == ["2H-E1-E2-E3"]
+
+
 class TestEquivalence:
     def test_reduction_path(self):
         out = cremona_equivalent(parse_class("2H-E1-E2-E3", S3), H(S3))
         assert out.kind == "equivalent"
+        assert [str(c) for c in out.path] == ["2H-E1-E2-E3", "H"]
+
+    def test_a_class_is_its_own_path(self):
+        assert cremona_equivalent(H(S3), H(S3)).path == (H(S3),)
 
     def test_path_replays_from_a_to_b(self):
         # a certificate replayable from the list alone: it starts at x, ends
-        # at y, and each step permutes the E's or reflects once and orders
+        # at y, and each step permutes the E's or reflects once and orders,
+        # with no class repeated
         s4 = rational_surface(4)
         triples = list(itertools.combinations(range(1, 5), 3))
 
@@ -213,7 +229,7 @@ class TestEquivalence:
                 out = cremona_equivalent(x, y)
                 assert out.kind == "equivalent"
                 assert out.path[0] == x and out.path[-1] == y
-                assert all(step_ok(a, b) for a, b in zip(out.path, out.path[1:]))
+                assert all(a != b and step_ok(a, b) for a, b in zip(out.path, out.path[1:]))
 
     def test_square_mismatch(self):
         out = cremona_equivalent(H(S3), 2 * H(S3))
