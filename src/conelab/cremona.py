@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .lattice import (
+    RATIONAL,
     DivisorClass,
     LatticeError,
     _from_numerators,
@@ -35,18 +36,21 @@ def _require_cremona_surface(x: DivisorClass) -> None:
 
 def reflect(x: DivisorClass, triple: tuple[int, int, int]) -> DivisorClass:
     """Reflection x -> x + (x.alpha) alpha for alpha = H - Ei - Ej - El."""
-    _require_cremona_surface(x)
+    surface = x.surface
+    k = surface.k
+    # _require_cremona_surface raises exactly when this test fails
+    if not (surface.kind == RATIONAL and k >= 3 and x._den == 1):
+        _require_cremona_surface(x)
     i, j, l = triple
-    k = x.surface.k
     if not (0 < i <= k and 0 < j <= k and 0 < l <= k and i != j != l != i):
         raise LatticeError(f"bad reflection triple {triple}")
-    coeffs = list(x.coeffs)
+    coeffs = list(x._num)
     d = coeffs[0] + coeffs[i] + coeffs[j] + coeffs[l]  # x.alpha
     coeffs[0] += d
     coeffs[i] -= d
     coeffs[j] -= d
     coeffs[l] -= d
-    return _from_numerators(x.surface, tuple(coeffs))
+    return _from_numerators(surface, tuple(coeffs))
 
 
 def order(x: DivisorClass) -> DivisorClass:

@@ -137,8 +137,11 @@ class DivisorClass:
     The constructor checks its input.  A class also keeps its coefficients
     as integer numerators over one common denominator, 1 on an integral
     class, so a sum, a scaling or a pairing of fractional classes runs in int
-    and builds one Fraction per result entry or pairing.  Equality and hash
-    read the surface and the coefficients only.
+    and builds one Fraction per result entry or pairing.  Equality reads the
+    surface and the coefficients only.  The hash reads the numerators alone,
+    doubled because hash(-1) == hash(-2) in CPython: numerators over one
+    common denominator are a canonical form, so equal classes hash equal,
+    and the hash does not depend on PYTHONHASHSEED.
     """
 
     surface: SurfaceModel
@@ -162,6 +165,9 @@ class DivisorClass:
             object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
+
+    def __hash__(self) -> int:
+        return hash(tuple([n + n for n in self._num]))
 
     # -- vector space structure ------------------------------------------
 
@@ -294,7 +300,8 @@ def E(surface: SurfaceModel, i: int) -> DivisorClass:
 def pair(x: DivisorClass, y: DivisorClass) -> int | Fraction:
     """Intersection pairing, signature (1, rank-1): an int on integral
     classes, and a Fraction when either class has a fractional entry."""
-    _check_same_surface(x, y)
+    if x.surface is not y.surface:
+        _check_same_surface(x, y)
     a, b = x._num, y._num
     kind = x.surface.kind
     if kind == RATIONAL:

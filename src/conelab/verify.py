@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Iterable
 
 from . import cones, cremona, enumeration, inflation, swcert
@@ -541,6 +542,21 @@ def check_nef_threshold() -> tuple[bool, str]:
 # --------------------------------------------------------------------- 14
 
 
+def _reflection_samples() -> Iterable[tuple[DivisorClass, DivisorClass, tuple[int, int, int]]]:
+    """10^4 random samples (K, x, triple): k uniform on 3..8, the
+    coefficients of x uniform on -9..9, and the triple uniform among k's
+    ordered triples of distinct indices.  All k are drawn in one call and
+    the triples of one k in one more, so the samples come grouped by k,
+    which the check does not see; each class's coefficients take one call."""
+    rng = random.Random(5)
+    counts = Counter(rng.choices(range(3, 9), k=10_000))
+    for k in range(3, 9):
+        sk = rational_surface(k)
+        kc = canonical_class(sk)
+        for triple in rng.choices(list(permutations(range(1, k + 1), 3)), k=counts[k]):
+            yield kc, divisor(sk, rng.choices(range(-9, 10), k=k + 1)), triple
+
+
 @check("cremona-reduction",
        "reduction reaches H; -1 classes cycle; reflections preserve the form and K", "cremona")
 def check_cremona() -> tuple[bool, str]:
@@ -553,15 +569,9 @@ def check_cremona() -> tuple[bool, str]:
         for e in enumeration.exceptional_classes(sk):
             if cremona.cremona_reduce(e).kind != "cycle":
                 cycles_ok = False
-    rng = random.Random(5)
     preserved = True
-    for _ in range(10_000):
-        k = rng.randint(3, 8)
-        sk = rational_surface(k)
-        x = divisor(sk, [rng.randint(-9, 9) for _ in range(k + 1)])
-        triple = tuple(rng.sample(range(1, k + 1), 3))
+    for kc, x, triple in _reflection_samples():
         y = cremona.reflect(x, triple)
-        kc = canonical_class(sk)
         if (
             y.square() != x.square()
             or pair(kc, y) != pair(kc, x)

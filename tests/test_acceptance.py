@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from conelab import cones, inflation, swcert, verify
+from conelab import cones, cremona, inflation, swcert, verify
+from conelab.lattice import H
 
 
 CRITERIA = [(f"{i:02d}", fn) for i, fn in enumerate(verify.ALL_CHECKS, start=1)]
@@ -50,3 +51,19 @@ def test_a_failing_check_keeps_its_name_and_reference(monkeypatch, check, module
     result = getattr(verify, check)()
     assert not result.passed
     assert result.name == name and result.reference
+
+
+@pytest.mark.parametrize("broken", ["square", "involution"])
+def test_the_cremona_check_catches_a_broken_reflection(monkeypatch, broken):
+    """Check 14 tests every sampled reflection for square, K-pairing and
+    involution: adding H breaks the square, and ordering the image keeps
+    form and K but is no involution."""
+    reflect = cremona.reflect
+    fakes = {
+        "square": lambda x, triple: x + H(x.surface),
+        "involution": lambda x, triple: cremona.order(reflect(x, triple)),
+    }
+    monkeypatch.setattr(cremona, "reflect", fakes[broken])
+    result = verify.check_cremona()
+    assert not result.passed
+    assert result.details.endswith("preserve invariants: False")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from conelab.lattice import (
     pair,
     parse_class,
     rational_surface,
+    trivial_ruled,
 )
 
 S3 = rational_surface(3)
@@ -61,6 +63,15 @@ class TestReflect:
             reflect(H(S3), (1, 2, 4))
         with pytest.raises(LatticeError):
             reflect(H(rational_surface(2)), (1, 2, 3))
+        for triple in ((0, 1, 2), (1, 2, 2)):
+            with pytest.raises(LatticeError):
+                reflect(H(S3), triple)
+
+    def test_fractional_and_ruled_classes_rejected(self):
+        with pytest.raises(LatticeError):
+            reflect(divisor(S3, [Fraction(1, 2), 0, 0, 0]), (1, 2, 3))
+        with pytest.raises(LatticeError):
+            reflect(divisor(trivial_ruled(1, 3), [1, 0, 0, 0, 0]), (1, 2, 3))
 
     def test_matches_the_reflection_through_the_pairing(self):
         # independent oracle: x + (x.alpha) alpha with alpha = H - Ei - Ej - El

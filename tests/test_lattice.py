@@ -1,12 +1,19 @@
 """Pairing, canonical classes, genus and dimension arithmetic, literals."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conelab
+from conelab.configurations import certified_sw_classes
 from conelab.cremona import order, reflect
+from conelab.enumeration import exceptional_classes
 from conelab.lattice import (
     NONTRIVIAL_RULED,
     RATIONAL,
@@ -350,6 +357,46 @@ class TestTrustedPath:
         half = divisor(s, [Fraction(1, 2), Fraction(1, 2)])
         assert pair(half, 2 * H(s)) == 1 and type(pair(half, 2 * H(s))) is Fraction
         assert type((2 * half).square()) is int
+
+
+class TestHash:
+    """The hash reads the doubled numerators: equal classes hash equal, and
+    classes that differ by -1 against -2 in one slot do not collide."""
+
+    def test_equal_classes_hash_equal(self):
+        s, r = rational_surface(3), trivial_ruled(2, 1)
+        pairs = [
+            (divisor(s, [Fraction(4, 2), -1, 0, -2]), parse_class("2H-E1-2E3", s)),
+            (divisor(s, [3, -1, -1, -1]), reflect(H(s), (1, 2, 3)) + H(s)),
+            (divisor(s, [Fraction(1, 2), -1, Fraction(-3, 4), 0]),
+             Fraction(1, 4) * divisor(s, [2, -4, -3, 0])),
+            (divisor(r, [1, Fraction(-2, 2), -1]), U(r) - T(r) - E(r, 1)),
+        ]
+        for checked, trusted in pairs:
+            assert checked == trusted and hash(checked) == hash(trusted)
+
+    def test_the_exceptional_and_certified_classes_at_eight_blowups_have_distinct_hashes(self):
+        s = rational_surface(8)
+        minus_one = exceptional_classes(s)
+        certified = certified_sw_classes(s)
+        assert len(minus_one) == 240 and len({hash(e) for e in minus_one}) == 240
+        assert len(certified) == 2401 and len({hash(c) for c in certified}) == 2401
+
+    def test_the_hash_does_not_depend_on_the_hash_seed(self):
+        code = (
+            "from conelab.lattice import parse_class, rational_surface, trivial_ruled\n"
+            "print(hash(parse_class('3H-2E1-E2', rational_surface(2))),"
+            " hash(parse_class('U-2T+E1', trivial_ruled(1, 1))))\n"
+        )
+        src = str(Path(conelab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        outs = [
+            subprocess.run([sys.executable, "-c", code], env=dict(env, PYTHONHASHSEED=seed),
+                           capture_output=True, text=True, timeout=60)
+            for seed in ("1", "2")
+        ]
+        assert all(out.returncode == 0 for out in outs), [out.stderr for out in outs]
+        assert outs[0].stdout == outs[1].stdout
 
 
 class TestInterning:
