@@ -3,13 +3,12 @@ composed with permutations of the exceptional classes.
 
 Both generators preserve the intersection form and the canonical class, so
 square and K-pairing are orbit invariants.  A class x0 H - x1 E1 - ... is
-ordered when x1 >= ... >= xk and reduced when additionally
-x0 >= x1 + x2 + x3 and every xi >= 0.
+ordered when x1 >= ... >= xk, in the chamber when also x0 >= x1 + x2 + x3,
+and reduced when in the chamber with every xi >= 0.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -62,18 +61,12 @@ def order(x: DivisorClass) -> DivisorClass:
     return _from_numerators(x.surface, (n[0], *sorted(n[1:])), x._den)
 
 
-def is_ordered(x: DivisorClass) -> bool:
-    b = x.b_vector()
-    return all(b[i] >= b[i + 1] for i in range(len(b) - 1))
-
-
 def is_reduced(x: DivisorClass) -> bool:
     """x0 >= x1 + x2 + x3 and all xi >= 0, for an ordered class."""
-    if not is_ordered(x):
+    if x != order(x):
         raise LatticeError(f"{x} is not ordered")
     b = x.b_vector()
-    head = sum(b[:3])
-    return x.coeffs[0] >= head and all(v >= 0 for v in b)
+    return x.coeffs[0] >= sum(b[:3]) and all(v >= 0 for v in b)
 
 
 @dataclass(frozen=True)
@@ -87,31 +80,29 @@ class ReductionOutcome:
 def cremona_reduce(x: DivisorClass) -> ReductionOutcome:
     """Alternately order and reflect on the top three coefficients.
 
-    Ends in the first reduced class, in a cycle certificate (a repeated
-    ordered class), or with MAX_STEPS spent.  Classes of square-1 spheres
-    reduce; -1 sphere classes always cycle.
+    The trace runs from order(x) to the first reduced or the first repeated
+    ordered class (a cycle certificate), or holds the last five once
+    MAX_STEPS are spent.  Square-1 sphere classes reduce; -1 classes cycle.
     """
     _require_cremona_surface(x)
     current = order(x)
-    # the ordered classes in the order seen, each with its step, so that a
-    # repeat is found in constant time
-    seen: dict[DivisorClass, int] = {}
+    # the ordered classes in the order seen; a dict finds a repeat at once
+    seen: dict[DivisorClass, None] = {}
     for step in range(MAX_STEPS):
         if is_reduced(current):
             return ReductionOutcome("reduced", current, (*seen, current), step)
         if current in seen:
-            cycle = list(seen)[seen[current]:]
-            return ReductionOutcome("cycle", None, (*cycle, current), step)
-        seen[current] = step
+            return ReductionOutcome("cycle", None, (*seen, current), step)
+        seen[current] = None
         current = order(reflect(current, (1, 2, 3)))
-    return ReductionOutcome("budget_exceeded", current, tuple(list(seen)[-5:]), MAX_STEPS)
+    return ReductionOutcome("budget_exceeded", current, tuple(seen)[-5:], MAX_STEPS)
 
 
 @dataclass(frozen=True)
 class EquivalenceOutcome:
     kind: str  # "equivalent" | "distinct_by_invariant" | "unknown"
-    which: str = ""
-    # x, order(x), ..., order(y), y without repeats: each step orders, or
+    which: str = ""  # "square" | "k_pairing" | "chamber" | "orbit_exhausted" | "budget"
+    # x, order(x), ..., order(y), y, each class once: each step orders, or
     # reflects once and orders
     path: tuple[DivisorClass, ...] = ()
 
@@ -127,10 +118,14 @@ def moves(x: DivisorClass) -> Iterable[DivisorClass]:
 def cremona_equivalent(x: DivisorClass, y: DivisorClass) -> EquivalenceOutcome:
     """Decide equivalence under reflections and permutations.
 
-    Square and K-pairing mismatches reject immediately; otherwise a
-    bidirectional search over ordered classes answers unknown once it has
-    visited more than BUDGET of them.  A fully explored orbit without a
-    meeting is a distinctness certificate."""
+    Square and K-pairing mismatches reject immediately.  From three blowups
+    on the moves generate W(E_k), and each orbit meets the closed chamber at
+    most once, exactly once for k <= 8, where W(E_k) is finite (Humphreys,
+    Reflection Groups and Coxeter Groups, 1990, 1.12 and 5.13); so walks
+    that reach it decide.  A bidirectional search over ordered classes runs
+    only below three blowups and when a walk spends MAX_STEPS (k >= 9): it
+    answers unknown past BUDGET visited classes, and a fully explored orbit
+    without a meeting is a distinctness certificate."""
     if x.surface != y.surface:
         raise LatticeError("classes on different surfaces")
     if not x.surface.is_rational or not x.is_integral() or not y.is_integral():
@@ -142,45 +137,47 @@ def cremona_equivalent(x: DivisorClass, y: DivisorClass) -> EquivalenceOutcome:
         return EquivalenceOutcome("distinct_by_invariant", "k_pairing")
     sx, sy = order(x), order(y)
     if sx == sy:
-        return EquivalenceOutcome("equivalent", path=_without_repeats(x, sx, y))
-
-    parents: dict[int, dict[DivisorClass, DivisorClass | None]] = {
-        0: {sx: None},
-        1: {sy: None},
-    }
-    frontiers = {0: deque([sx]), 1: deque([sy])}
-    visited = 2
-
-    def path_through(meet: DivisorClass) -> tuple[DivisorClass, ...]:
-        left: list[DivisorClass] = []
-        node: DivisorClass | None = meet
-        while node is not None:
-            left.append(node)
-            node = parents[0][node]
-        left.reverse()
-        node = parents[1][meet]
-        while node is not None:
-            left.append(node)
-            node = parents[1][node]
-        return tuple(left)
-
+        return _joined(x, sx, y)
+    if x.surface.k >= 3:
+        tx, ty = _walk_to_chamber(x), _walk_to_chamber(y)
+        if tx and ty:
+            if tx[-1] != ty[-1]:
+                return EquivalenceOutcome("distinct_by_invariant", "chamber")
+            return _joined(x, *tx, *reversed(ty), y)
+    reached = ({sx: (sx,)}, {sy: (sy,)})
+    frontiers = [[sx], [sy]]
     while frontiers[0] and frontiers[1]:
-        side = 0 if len(parents[0]) <= len(parents[1]) else 1
-        for _ in range(len(frontiers[side])):
-            node = frontiers[side].popleft()
+        side = 0 if len(reached[0]) <= len(reached[1]) else 1
+        level, frontiers[side] = frontiers[side], []
+        for node in level:
             for nxt in moves(node):
-                if nxt in parents[side]:
+                if nxt in reached[side]:
                     continue
-                parents[side][nxt] = node
+                reached[side][nxt] = (*reached[side][node], nxt)
                 frontiers[side].append(nxt)
-                visited += 1
-                if nxt in parents[1 - side]:
-                    path = _without_repeats(x, *path_through(nxt), y)
-                    return EquivalenceOutcome("equivalent", path=path)
-                if visited > BUDGET:
+                if nxt in reached[1 - side]:
+                    return _joined(x, *reached[0][nxt], *reversed(reached[1][nxt]), y)
+                if len(reached[0]) + len(reached[1]) > BUDGET:
                     return EquivalenceOutcome("unknown", "budget")
     return EquivalenceOutcome("distinct_by_invariant", "orbit_exhausted")
 
 
-def _without_repeats(*path: DivisorClass) -> tuple[DivisorClass, ...]:
-    return tuple(c for i, c in enumerate(path) if i == 0 or c != path[i - 1])
+def _walk_to_chamber(x: DivisorClass) -> tuple[DivisorClass, ...] | None:
+    """x's walk from order(x) to its first chamber class, or None when it
+    spends MAX_STEPS first.  Outside the chamber each step lowers x0, so a
+    walk that repeats a class has passed the chamber."""
+    out = cremona_reduce(x)
+    if out.kind == "budget_exceeded":
+        return None
+    # in the chamber: the ordered c has c.(H - E1 - E2 - E3) >= 0
+    end = next(i for i, c in enumerate(out.trace) if sum(c._num[:4]) >= 0)
+    return out.trace[: end + 1]
+
+
+def _joined(*path: DivisorClass) -> EquivalenceOutcome:
+    """The path with every loop cut out, so that no class is on it twice."""
+    out: list[DivisorClass] = []
+    for c in path:
+        del out[out.index(c) if c in out else len(out):]
+        out.append(c)
+    return EquivalenceOutcome("equivalent", path=tuple(out))

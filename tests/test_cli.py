@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conelab import cones
 from conelab.cli import main, parse_surface
+from conelab.cones import ConeError
 from conelab.lattice import parse_class, rational_surface, trivial_ruled
 
 # the benchmark's reference output of `verify-paper --json`, read here and never written
@@ -480,6 +482,20 @@ class TestVerify:
         code, out, _ = run(capsys, "verify-paper", "--suite", "cremona")
         assert code == 0
         assert "[PASS]" in out
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError("division by zero"),
+                                       ConeError("threshold denominator 5 exceeds 3")])
+    def test_a_raising_check_fails_and_the_others_run(self, capsys, monkeypatch, error):
+        def raising(omega, curves):
+            raise error
+
+        monkeypatch.setattr(cones, "nef_threshold", raising)
+        code, out, _ = run(capsys, "verify-paper", "--suite", "cones", "--json")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        failed = checks.pop("nef-threshold")
+        assert code == 1
+        assert (failed["status"], failed["details"]) == ("fail", f"raised {type(error).__name__}: {error}")
+        assert checks and all(c["status"] == "pass" for c in checks.values())
 
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, "verify-paper", "--suite", "ruled", "--json")

@@ -199,10 +199,27 @@ class TestReduce:
         ]
         assert str(out.result) == "-1499H+499E1+499E2+499E3+500E4+500E5+500E6+500E7+500E8+500E9"
 
-    def test_cycle_trace_starts_at_the_repeated_class(self):
+    def test_cycle_trace_starts_at_the_ordered_input(self):
         out = cremona_reduce(parse_class("H-2E1", rational_surface(9)))
         assert (out.kind, out.steps, out.result) == ("cycle", 5, None)
-        assert [str(c) for c in out.trace] == ["-3H+E1+E2+E3+E4+E5+E6+E7+E8+2E9"] * 2
+        assert [str(c) for c in out.trace] == [
+            "H-2E1",
+            "-E1+E8+E9",
+            "-H+E6+E7+E8+E9",
+            "-2H+E3+E4+E5+E6+E7+E8+E9",
+            "-3H+E1+E2+E3+E4+E5+E6+E7+E8+2E9",
+            "-3H+E1+E2+E3+E4+E5+E6+E7+E8+2E9",
+        ]
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(3, 8), st.data())
+    def test_every_walk_ends_below_nine_blowups(self, k, data):
+        # W(E_k) is finite for k <= 8: outside the chamber each reflection
+        # lowers the H coefficient, so the walk reaches the chamber and,
+        # unless it reduces, comes back to the class where it left it
+        coeffs = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=k + 1, max_size=k + 1))
+        out = cremona_reduce(divisor(rational_surface(k), coeffs))
+        assert out.kind in ("reduced", "cycle")
 
 
 class TestMoves:
@@ -257,13 +274,14 @@ class TestEquivalence:
         out = cremona_equivalent(a, b)
         assert out.kind == "distinct_by_invariant" and out.which == "k_pairing"
 
-    def test_exhausted_orbit_is_a_distinctness_certificate(self):
+    def test_distinct_chamber_classes_are_a_distinctness_certificate(self):
         # E1 - E2 and H - E1 - E2 - E3 are roots of different irreducible
-        # components on three blowups, so their orbits never meet
+        # components on three blowups; their walks reach the chamber at
+        # -E1+E3 and -H+E1+E2+E3, and each orbit meets the chamber once
         a = parse_class("E1-E2", S3)
         c = parse_class("H-E1-E2-E3", S3)
         out = cremona_equivalent(a, c)
-        assert out.kind == "distinct_by_invariant" and out.which == "orbit_exhausted"
+        assert out.kind == "distinct_by_invariant" and out.which == "chamber"
 
     def test_budget_unknown(self, monkeypatch):
         # E1 - E2 and E1 - E2 - 10K on nine blowups share square and K-pairing,
@@ -276,3 +294,84 @@ class TestEquivalence:
         assert (out.kind, len(out.path)) == ("equivalent", 24)
         monkeypatch.setattr(cremona, "BUDGET", 5)
         assert cremona_equivalent(x, y) == EquivalenceOutcome("unknown", "budget")
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_no_path_repeats_a_class(self, k):
+        # each -1 class and its negative, paired with itself and with every
+        # relabelling of its E's
+        s = rational_surface(k)
+        for e in exceptional_classes(s):
+            for x in (e, -e):
+                for perm in itertools.permutations(range(1, k + 1)):
+                    y = divisor(s, [x.coeffs[0]] + [x.coeffs[p] for p in perm])
+                    out = cremona_equivalent(x, y)
+                    assert out.kind == "equivalent"
+                    assert out.path[0] == x and out.path[-1] == y
+                    assert len(set(out.path)) == len(out.path)
+                    if x == y:
+                        assert out.path == (x,)
+
+
+def _same_invariant_pairs():
+    """Seeded pairs (x, y) with equal square and K-pairing: ten each at
+    k = 4..7, with y a random Weyl image of x or a random
+    class drawn until its invariants match; and two at k = 8, where x is
+    twice a root, whose orbit is small, and y twice another root or a sum
+    of four orthogonal roots, which share its square and K-pairing."""
+    rng = random.Random(11)
+
+    def weyl_image(x):
+        k = x.surface.k
+        for _ in range(rng.randint(0, 6)):
+            x = reflect(x, tuple(rng.sample(range(1, k + 1), 3)))
+        perm = rng.sample(range(1, k + 1), k)
+        return divisor(x.surface, [x.coeffs[0]] + [x.coeffs[p] for p in perm])
+
+    def drawn(s):
+        return divisor(s, [rng.randint(-4, 4) for _ in range(s.k + 1)])
+
+    pairs = []
+    for k in range(4, 8):
+        s = rational_surface(k)
+        kc = canonical_class(s)
+        for i in range(10):
+            x = drawn(s)
+            y = weyl_image(x) if i % 2 else drawn(s)
+            while i % 2 == 0 and (y.square(), pair(kc, y)) != (x.square(), pair(kc, x)):
+                y = drawn(s)
+            pairs.append((x, y))
+    s8 = rational_surface(8)
+    x = weyl_image(2 * parse_class("E1-E2", s8))
+    four = parse_class("E1-E2+E3-E4+E5-E6+E7-E8", s8)
+    pairs += [(x, weyl_image(2 * parse_class("H-E1-E2-E3", s8))), (x, weyl_image(four))]
+    return pairs
+
+
+def test_equivalence_agrees_with_the_orbit_closure():
+    """Oracle: y is equivalent to x exactly when order(y) lies in the
+    closure of order(x) under cremona.moves."""
+    answers = []
+    for x, y in _same_invariant_pairs():
+        orbit, frontier = {order(x)}, [order(x)]
+        while frontier:
+            frontier = {c for node in frontier for c in moves(node)} - orbit
+            orbit.update(frontier)
+        want = order(y) in orbit
+        out = cremona_equivalent(x, y)
+        assert out.kind == ("equivalent" if want else "distinct_by_invariant"), (x, y)
+        answers.append(want)
+    assert True in answers and False in answers
+
+
+def test_no_search_from_three_to_eight_blowups(monkeypatch):
+    """The walks answer every pair from three to eight blowups alone."""
+    def no_moves(x):
+        raise AssertionError("cremona_equivalent searched")
+
+    s3 = rational_surface(3)
+    roots = [parse_class(r, s3) for r in ("E1-E2", "-E1+E3", "H-E1-E2-E3", "-H+E1+E2+E3")]
+    minus_one = exceptional_classes(s3)
+    pairs = [(x, y) for x in roots for y in roots] + [(x, y) for x in minus_one for y in minus_one]
+    monkeypatch.setattr(cremona, "moves", no_moves)
+    for x, y in pairs + _same_invariant_pairs():
+        assert cremona_equivalent(x, y).kind in ("equivalent", "distinct_by_invariant")
