@@ -150,16 +150,12 @@ def cmd_squares(args) -> int:
 def cmd_reduce(args) -> int:
     out = cremona.cremona_reduce(parse_class(args.cls, _surface(args)))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "outcome": out.kind,
-                    "result": str(out.result) if out.result else None,
-                    "trace": [str(t) for t in out.trace],
-                    "steps": out.steps,
-                }
-            )
-        )
+        print(json.dumps({
+            "outcome": out.kind,
+            "result": str(out.result) if out.result else None,
+            "trace": [str(t) for t in out.trace],
+            "steps": out.steps,
+        }))
     else:
         print(f"{out.kind} after {out.steps} steps")
         if out.kind == "reduced":
@@ -175,11 +171,8 @@ def cmd_equiv(args) -> int:
     y = parse_class(args.other, surface)
     out = cremona.cremona_equivalent(x, y)
     if args.json:
-        print(
-            json.dumps(
-                {"outcome": out.kind, "which": out.which, "path": [str(p) for p in out.path]}
-            )
-        )
+        path = [str(p) for p in out.path]
+        print(json.dumps({"outcome": out.kind, "which": out.which, "path": path}))
     else:
         print(out.kind + (f" ({out.which})" if out.which else ""))
         if out.path:
@@ -217,14 +210,15 @@ def cmd_dual(args) -> int:
         _no_surface_beside(args, "--rays-file")
         surface, rays = _load_json(args.rays_file, _parse_cone)
     else:
-        rays = _classes_from_arg(args.rays, _surface(args))
-    cone = cones.cone_from_rays(rays)
-    dual = cones.dual_cone(cone)
+        surface = _surface(args)
+        rays = _classes_from_arg(args.rays, surface)
+    dual = cones.dual_cone(rays)
     if args.json:
+        facets = sorted_classes({r.primitive() for r in rays if not r.is_zero()})
         print(json.dumps({
-            "surface": dual.ambient.to_json(),
+            "surface": surface.to_json(),
             "rays": [str(r) for r in dual.rays],
-            "facets": [str(f) for f in cone.rays],
+            "facets": [str(f) for f in facets],
             "lineality": [str(v) for v in dual.lineality],
         }))
     else:

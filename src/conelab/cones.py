@@ -1,14 +1,14 @@
 """Exact rational polyhedral cones under the intersection pairing.
 
-A cone is held by its rays and a lineality basis.  The inequalities
-pair(facet, .) >= 0 that cut it out are the rays of its dual.  The double
-description, extreme_rays_h, runs on primitive integer vectors, with
-bitmask tight sets and the combinatorial adjacency test; ranks in this
-package never exceed 10, so no effort is spent on sparse or floating point
-shortcuts.  It has two callers.  dual_cone serves every cone of classes.
-_neighbours runs it on the Gram functionals of the -1 classes tight at a
-corner and pairs the integer directions it returns with the Gram
-functionals of the others.
+dual_cone takes a list of classes and returns the dual of their cone, held
+by its extreme rays, the facets pair(f, .) >= 0 of the cone, and a
+lineality basis.  The double description, extreme_rays_h, runs on
+primitive integer vectors, with bitmask tight sets and the combinatorial
+adjacency test; ranks in this package never exceed 10, so no effort is
+spent on sparse or floating point shortcuts.  It has two callers.
+dual_cone serves every list of classes.  _neighbours runs it on the Gram
+functionals of the -1 classes tight at a corner and pairs the integer
+directions it returns with the Gram functionals of the others.
 
 The K-symplectic cone of k >= 2 blowups, the dual of the -1 classes, is not
 converted whole: its corners are generated as the orbits of H and H - E1
@@ -34,6 +34,7 @@ from .lattice import (
     SurfaceModel,
     T,
     adjunction_genus,
+    basis_class,
     canonical_class,
     divisor,
     E,
@@ -128,47 +129,30 @@ def extreme_rays_h(ineqs: Sequence[Sequence[int]], dim: int) -> tuple[list[IntVe
 
 @dataclass(frozen=True)
 class RationalCone:
-    """A polyhedral cone of divisor classes: cone(rays) + span(lineality).
+    """The dual of a list of classes, cone(rays) + span(lineality): the rays
+    are the facets of their cone, and the lineality gives its equations."""
 
-    A cone built from rays keeps its generators, interior or opposite ones
-    included, with no lineality (its double dual holds the minimal ones); a
-    dual holds its extreme rays and a lineality basis.  The inequalities of
-    a cone are its dual: pair(x, f) >= 0 on the dual's rays and
-    pair(x, e) = 0 on its lineality.
-    """
-
-    ambient: SurfaceModel
     rays: tuple[DivisorClass, ...]
-    lineality: tuple[DivisorClass, ...] = ()
+    lineality: tuple[DivisorClass, ...]
 
 
-def cone_from_rays(rays: Iterable[DivisorClass]) -> RationalCone:
-    """The cone of the generators, each made primitive, zeros and repeats
-    dropped, sorted."""
-    gens = list(rays)
+def dual_cone(generators: Iterable[DivisorClass]) -> RationalCone:
+    """The pairing-dual {y : pair(y, g) >= 0 for every generator g}, with
+    its extreme rays and lineality basis sorted.  Order, positive scaling,
+    repeats and zero classes among the generators do not change it."""
+    gens = list(generators)
     if not gens:
         raise ConeError("empty generator list")
     surface = gens[0].surface
     if any(g.surface != surface for g in gens):
         raise ConeError("generators on mixed surfaces")
-    primitive = {g.primitive() for g in gens if not g.is_zero()}
-    if not primitive:
+    if all(g.is_zero() for g in gens):
         raise ConeError("all generators are zero")
-    return RationalCone(surface, tuple(sorted_classes(primitive)))
-
-
-def dual_cone(cone: RationalCone) -> RationalCone:
-    """The pairing-dual {y : pair(y, r) >= 0 on the rays, = 0 on the
-    lineality}, with its extreme rays and lineality basis sorted."""
-    ineqs = [gram_functional(r) for r in cone.rays]
-    for v in cone.lineality:
-        q = gram_functional(v)
-        ineqs += [q, tuple(-x for x in q)]
-    rays, lineality = extreme_rays_h(ineqs, cone.ambient.rank)
+    # primitive, since the double description takes int rows
+    rays, lineality = extreme_rays_h([gram_functional(g.primitive()) for g in gens], surface.rank)
     return RationalCone(
-        cone.ambient,
-        tuple(sorted_classes(divisor(cone.ambient, r) for r in rays)),
-        tuple(sorted_classes(divisor(cone.ambient, v) for v in lineality)),
+        tuple(sorted_classes(divisor(surface, r) for r in rays)),
+        tuple(sorted_classes(divisor(surface, v) for v in lineality)),
     )
 
 
@@ -188,7 +172,7 @@ def ray_sum(cone: RationalCone) -> DivisorClass | None:
 class CornerInfo:
     ray: DivisorClass
     square: int
-    genus: int | Fraction
+    genus: int
 
     @property
     def ok(self) -> bool:
@@ -310,7 +294,7 @@ def _neighbours(r: DivisorClass, minus_one: Iterable[DivisorClass]) -> list[Divi
 class AuditEntry:
     ray: DivisorClass
     k_pairing: int
-    genus: int | Fraction
+    genus: int
     taxonomy: str  # "minus_one" | "fiber" | "line" | "violation"
 
     @property
@@ -348,11 +332,16 @@ def cone_theorem_audit(generators: Iterable[DivisorClass]) -> AuditReport:
     pairing with K in [-3, 0), and of the allowed extremal-curve shapes.
     The extremal rays are those of the double dual, which drops interior
     generators; a lineality there fails the audit."""
-    hull = dual_cone(dual_cone(cone_from_rays(generators)))
+    gens = list(generators)
+    dual, surface = dual_cone(gens), gens[0].surface
+    back = [*dual.rays, *dual.lineality, *(-v for v in dual.lineality)]
+    # a zero dual means the generators span everything
+    basis = (basis_class(surface, i) for i in range(surface.rank))
+    hull = dual_cone(back) if back else RationalCone((), tuple(sorted_classes(basis)))
     if hull.lineality:
         lines = ", ".join(str(v) for v in hull.lineality)
         return AuditReport((), False, failure=f"cone is not pointed; lineality spanned by {lines}")
-    kc = canonical_class(hull.ambient)
+    kc = canonical_class(surface)
     entries = []
     for r in hull.rays:
         kp = pair(kc, r)

@@ -18,7 +18,7 @@ from functools import cache
 from typing import Sequence
 
 from . import exactlp
-from .cones import cone_from_rays, dual_cone, ray_sum
+from .cones import dual_cone, ray_sum
 from .enumeration import exceptional_classes, family_instances, sphere_classes
 from .lattice import (
     DivisorClass,
@@ -197,9 +197,9 @@ def validate_configuration(cfg: NegativeConfiguration) -> ValidationReport:
     # P2: an explicit rational class of positive square pairing positively
     # with the curves and with every certified class; the certified classes
     # join the curves when there are none or they leave a lineality
-    dual = dual_cone(cone_from_rays(gens)) if gens else None
+    dual = dual_cone(gens) if gens else None
     if dual is None or dual.lineality:
-        dual = dual_cone(cone_from_rays(known))
+        dual = dual_cone(known)
     witness = ray_sum(dual)
     if witness is None:
         p2 = PropertyResult(False, "dual cone has no extremal rays")

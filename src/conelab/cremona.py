@@ -61,12 +61,16 @@ def order(x: DivisorClass) -> DivisorClass:
     return _from_numerators(x.surface, (n[0], *sorted(n[1:])), x._den)
 
 
+def _in_chamber(x: DivisorClass) -> bool:
+    """x0 >= x1 + x2 + x3 for an ordered x: x.(H - E1 - E2 - E3) >= 0."""
+    return sum(x._num[:4]) >= 0
+
+
 def is_reduced(x: DivisorClass) -> bool:
-    """x0 >= x1 + x2 + x3 and all xi >= 0, for an ordered class."""
+    """In the chamber and all xi >= 0, for an ordered class."""
     if x != order(x):
         raise LatticeError(f"{x} is not ordered")
-    b = x.b_vector()
-    return x.coeffs[0] >= sum(b[:3]) and all(v >= 0 for v in b)
+    return _in_chamber(x) and all(v >= 0 for v in x.b_vector())
 
 
 @dataclass(frozen=True)
@@ -163,15 +167,14 @@ def cremona_equivalent(x: DivisorClass, y: DivisorClass) -> EquivalenceOutcome:
 
 
 def _walk_to_chamber(x: DivisorClass) -> tuple[DivisorClass, ...] | None:
-    """x's walk from order(x) to its first chamber class, or None when it
-    spends MAX_STEPS first.  Outside the chamber each step lowers x0, so a
-    walk that repeats a class has passed the chamber."""
-    out = cremona_reduce(x)
-    if out.kind == "budget_exceeded":
-        return None
-    # in the chamber: the ordered c has c.(H - E1 - E2 - E3) >= 0
-    end = next(i for i, c in enumerate(out.trace) if sum(c._num[:4]) >= 0)
-    return out.trace[: end + 1]
+    """cremona_reduce's walk from order(x), stopped at its first chamber
+    class, or None when MAX_STEPS classes lie outside the chamber."""
+    walk = [order(x)]
+    while not _in_chamber(walk[-1]):
+        if len(walk) == MAX_STEPS:
+            return None
+        walk.append(order(reflect(walk[-1], (1, 2, 3))))
+    return tuple(walk)
 
 
 def _joined(*path: DivisorClass) -> EquivalenceOutcome:

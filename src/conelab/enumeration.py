@@ -174,11 +174,13 @@ def sphere_classes(
     square: int | None = None,
     margin: int = 0,
 ) -> list[ClassFamily]:
-    """Families of genus-0 classes of the given square, or of every negative
-    square when square is None (k <= 8).
+    """Families of the numerical genus-0 classes of the given square, or of
+    every negative square when square is None (k <= 8).
 
     The part with positive H-degree is a finite list, searched for degrees
-    1 through _max_degree and coefficients in [-margin, a + 1 + margin]; the
+    1 through _max_degree.  Its bi lie in [-margin, a + 1 + margin] for a
+    negative square, as C.Ei >= 0 for distinct curves, and for square >= 0
+    in |bi| <= isqrt(a^2 - square) + margin, which sum bi^2 forces.  The
     part with non-positive H-degree is the one-parameter anchored family
     -nH + (n+1)E_i - sum of further E's, of square -(2n + 1 + m),
     materialized for n <= n_bound.
@@ -202,6 +204,8 @@ def sphere_classes(
         for s in squares:
             if (3 * a - 2 + s) ** 2 > k * (a * a + s):
                 continue
+            if s <= 0:
+                lo, hi = -isqrt(a * a + s) - margin, isqrt(a * a + s) + margin
             for b in _sum_square_solutions(k, 3 * a - 2 + s, a * a + s, lo, hi):
                 admit(_family_positive(surface, a, b), s)
     for n in range(0, n_bound + 1):

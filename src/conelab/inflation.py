@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cones import cone_from_rays, dual_cone
+from .cones import dual_cone
 from .lattice import DivisorClass, pair, proportional, sorted_classes
 
 
@@ -202,7 +202,7 @@ def achieve_all_rays(
     generator's ray (two forward classes of square >= 0 pair to zero only
     when both are null and proportional), reached as a light-cone limit."""
     gens = list(curves) + list(extra_square_zero)
-    dual = dual_cone(cone_from_rays(gens))
+    dual = dual_cone(gens)
     evidence = [r for r in dual.rays + dual.lineality if r.square() < 0]
     if evidence or dual.lineality:
         raise RoundBoundaryError(sorted_classes(evidence) or dual.lineality)

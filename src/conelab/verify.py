@@ -273,7 +273,7 @@ def check_two_blowup_duals() -> tuple[bool, str]:
         want1 = {s * h - (s - 1) * e1, h - e1, s * h - (s - 1) * e1 - e2}
         want2 = {s * h - (s - 1) * e1, h - e1, (s + 1) * h - s * e1 - e2}
         for alpha, want in ((alpha1, want1), (alpha2, want2)):
-            dual = cones.dual_cone(cones.cone_from_rays([alpha, e2, h - e1 - e2]))
+            dual = cones.dual_cone([alpha, e2, h - e1 - e2])
             good = set(dual.rays) == want and not dual.lineality
             ok &= good
             rows.append(f"s={s}: {'ok' if good else 'MISMATCH'}")
@@ -351,7 +351,7 @@ def check_alternating_inflation() -> tuple[bool, str]:
         x = Fraction(pair(c1, c2) ** 2, c1.square() * c2.square())
         if x > 1:
             continue
-        dual = cones.dual_cone(cones.cone_from_rays([c1, c2]))
+        dual = cones.dual_cone([c1, c2])
         omega = cones.ray_sum(dual)
         for v in dual.lineality:
             if pair(v, v) > 0:
@@ -410,7 +410,7 @@ def check_achieve_all_rays() -> tuple[bool, str]:
     achieved = 0
     for entry in entries:
         cfg = entry.configuration
-        dual = cones.dual_cone(cones.cone_from_rays(cfg.generators()))
+        dual = cones.dual_cone(cfg.generators())
         try:
             results = inflation.achieve_all_rays(cfg.curves, cones.ray_sum(dual))
         except inflation.RoundBoundaryError:

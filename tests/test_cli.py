@@ -434,6 +434,10 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
         (None, ["cremona", "equiv", "E1", "H-E1-E2", "--k", "2", "--json"], 0,
          '{"outcome": "distinct_by_invariant", "which": "orbit_exhausted", "path": []}\n', ""),
         (None, ["cone", "dual", "--rays", "E1,-E1,E2", "--k", "2"], 0, "-E2\nH (lineality)\n", ""),
+        (None, ["cone", "dual", "--rays", "2E1,E1,E2,E1+E2,0", "--k", "2", "--json"], 0,
+         '{"surface": {"kind": "rational", "k": 2}, "rays": ["-E1", "-E2"], '
+         '"facets": ["E2", "E1", "E1+E2"], "lineality": ["H"]}\n', ""),
+        (None, ["cone", "dual", "--rays", "0", "--k", "2"], 1, "", "error: all generators are zero\n"),
         ({"surface": {"kind": "rational", "k": 2}, "curves": ["E1", "E2", "H-E1-E2"]},
          ["nef-threshold", "--omega", "3H-E1-E2", "--curves-file", FILE], 0, "1\n", ""),
         ({"surface": {"kind": "rational", "k": 2}, "curves": ["E1", "E2", "H-E1-E2"]},
@@ -452,6 +456,7 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          "error: only genus-0 enumeration is finite; use --genus 0\n"),
     ],
     ids=["cremona-equiv-json", "cremona-reduce-cycle-text", "cremona-equiv-two-blowups-json", "cone-dual-lineality-text",
+         "cone-dual-normalised-facets-json", "cone-dual-zero-generators",
          "nef-threshold-file-text", "nef-threshold-file-json", "inflate-ray-not-extremal",
          "inflate-trace-text", "blowdown-dropped-text", "enumerate-positive-genus"],
 )

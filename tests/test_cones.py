@@ -11,12 +11,13 @@ from math import gcd, lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conelab
 from conelab import cones, exactlp, linalg
 from conelab.cones import (
     ConeError,
-    cone_from_rays,
+    RationalCone,
     cone_theorem_audit,
     dual_cone,
     extreme_rays_h,
@@ -29,6 +30,7 @@ from conelab.enumeration import exceptional_classes, family_instances, sphere_cl
 from conelab.lattice import (
     E,
     H,
+    basis_class,
     divisor,
     pair,
     parse_class,
@@ -44,43 +46,79 @@ def classes(surface, *texts):
     return [parse_class(t, surface) for t in texts]
 
 
+def double_dual(gens):
+    """The dual of the dual of the cone on gens: its extreme rays, and a
+    lineality basis when it is not pointed.  A zero dual means the
+    generators span everything, and the double dual is the whole space."""
+    d = dual_cone(gens)
+    back = [*d.rays, *d.lineality, *(-v for v in d.lineality)]
+    if back:
+        return dual_cone(back)
+    s = gens[0].surface
+    return RationalCone((), tuple(sorted_classes(basis_class(s, i) for i in range(s.rank))))
+
+
 class TestConstruction:
     def test_scaling_duplicates_removed(self):
-        c = cone_from_rays([E(S2, 1), 2 * E(S2, 1)])
-        assert c.rays == (E(S2, 1),)
+        assert dual_cone([E(S2, 1), 2 * E(S2, 1)]) == dual_cone([E(S2, 1)])
 
     def test_three_ray_cone(self):
-        c = cone_from_rays(classes(S2, "H-E1-E2", "E1", "E2"))
-        assert len(c.rays) == 3
+        d = dual_cone(classes(S2, "H-E1-E2", "E1", "E2"))
+        assert len(d.rays) == 3 and d.lineality == ()
 
     def test_facets_on_the_plane(self):
         s0 = rational_surface(0)
-        c = dual_cone(cone_from_rays([H(s0)]))
+        c = dual_cone([H(s0)])
         assert c.rays == (H(s0),)
 
     def test_empty_and_mixed_inputs_rejected(self):
-        with pytest.raises(ConeError):
-            cone_from_rays([])
-        with pytest.raises(ConeError):
-            cone_from_rays([H(S2), H(S3)])
+        with pytest.raises(ConeError, match="empty generator list"):
+            dual_cone([])
+        with pytest.raises(ConeError, match="generators on mixed surfaces"):
+            dual_cone([H(S2), H(S3)])
+        with pytest.raises(ConeError, match="all generators are zero"):
+            dual_cone([0 * H(S2)])
+
+
+@st.composite
+def generators_and_variant(draw):
+    """A list of classes on at most three blowups, at least one nonzero,
+    and the same list reordered, each member scaled by a positive int or
+    Fraction, with duplicates and zero classes added."""
+    s = rational_surface(draw(st.integers(0, 3)))
+    vector = st.lists(st.integers(-3, 3), min_size=s.rank, max_size=s.rank)
+    gens = draw(st.lists(vector.map(lambda c: divisor(s, c)), min_size=1, max_size=6))
+    gens.append(divisor(s, draw(vector.filter(any))))
+    scale = st.integers(1, 5) | st.fractions(min_value=Fraction(1, 7), max_value=5).filter(bool)
+    variant = [draw(scale) * g for g in gens]
+    variant += draw(st.lists(st.sampled_from(gens), max_size=3))
+    variant += [0 * gens[0]] * draw(st.integers(0, 2))
+    return gens, draw(st.permutations(variant))
+
+
+@settings(deadline=None, max_examples=120)
+@given(generators_and_variant())
+def test_dual_ignores_order_scale_duplicates_and_zeros(case):
+    gens, variant = case
+    assert dual_cone(variant) == dual_cone(gens)
 
 
 class TestDualCone:
     def test_exceptional_cone_dual(self):
-        d = dual_cone(cone_from_rays(classes(S2, "E1", "E2", "H-E1-E2")))
+        d = dual_cone(classes(S2, "E1", "E2", "H-E1-E2"))
         assert set(d.rays) == set(classes(S2, "H", "H-E1", "H-E2"))
 
     def test_first_family_section_two(self):
-        d = dual_cone(cone_from_rays(classes(S2, "-H+2E1", "E2", "H-E1-E2")))
+        d = dual_cone(classes(S2, "-H+2E1", "E2", "H-E1-E2"))
         assert set(d.rays) == set(classes(S2, "2H-E1", "H-E1", "2H-E1-E2"))
 
     def test_full_space_has_zero_dual(self):
-        d = dual_cone(cone_from_rays(classes(S2, "H", "-H", "E1", "-E1", "E2", "-E2")))
+        d = dual_cone(classes(S2, "H", "-H", "E1", "-E1", "E2", "-E2"))
         assert d.rays == () and d.lineality == ()
 
     def test_dual_rays_satisfy_the_defining_inequalities(self):
         gens = classes(S3, "E3", "E2-E3", "H-E1-E2-E3", "-2H+3E1-E2")
-        d = dual_cone(cone_from_rays(gens))
+        d = dual_cone(gens)
         for r in d.rays:
             assert all(pair(r, g) >= 0 for g in gens)
             # extremality: the tight generators span a hyperplane
@@ -91,9 +129,9 @@ class TestDualCone:
         # the half-space pair(x, H) >= 0 on one blowup has lineality E1, so its
         # dual is the ray H inside the hyperplane pair(y, E1) = 0
         s1 = rational_surface(1)
-        d = dual_cone(dual_cone(cone_from_rays([H(s1)])))
+        d = double_dual([H(s1)])
         assert d.rays == (H(s1),)
-        inequalities = dual_cone(d)
+        inequalities = dual_cone(d.rays)
         assert inequalities.lineality == (E(s1, 1),)
         # H + E1 breaks the equation; H satisfies it and every facet
         assert pair(H(s1) + E(s1, 1), E(s1, 1)) != 0
@@ -111,17 +149,17 @@ class TestDualCone:
         ]
         seen = Counter()
         for _ in range(120):
-            c = cone_from_rays(rng.sample(rng.choice(pools), rng.randint(2, 7)))
-            dd = dual_cone(dual_cone(c))
+            gens = rng.sample(rng.choice(pools), rng.randint(2, 7))
+            dd = double_dual(gens)
 
             def combination(target, g):
-                others = [h.coeffs for h in c.rays if h != g]
+                others = [h.coeffs for h in gens if h != g]
                 return exactlp.nonnegative_combination(others, target.coeffs)
 
-            pointed = all(combination(-1 * g, g) is None for g in c.rays)
-            assert pointed == (not dd.lineality), c
+            pointed = all(combination(-1 * g, g) is None for g in gens)
+            assert pointed == (not dd.lineality), gens
             if pointed:
-                assert set(dd.rays) == {g for g in c.rays if combination(g, g) is None}, c
+                assert set(dd.rays) == {g for g in gens if combination(g, g) is None}, gens
             seen[pointed] += 1
         assert seen[True] >= 100 and seen[False] >= 5, seen
 
@@ -235,31 +273,29 @@ class TestExtremalRays:
     """The extremal rays of a generated cone are the rays of its double dual."""
 
     def test_already_extremal(self):
-        c = cone_from_rays(classes(S2, "H", "H-E1", "H-E2"))
-        assert set(dual_cone(dual_cone(c)).rays) == set(classes(S2, "H", "H-E1", "H-E2"))
+        gens = classes(S2, "H", "H-E1", "H-E2")
+        assert set(double_dual(gens).rays) == set(gens)
 
     def test_interior_generator_dropped(self):
-        # the cone keeps its generators, the redundant E1 + E2 among them;
-        # only its double dual drops it
-        c = cone_from_rays([E(S2, 1), E(S2, 2), E(S2, 1) + E(S2, 2)])
-        assert len(c.rays) == 3
-        assert set(dual_cone(dual_cone(c)).rays) == {E(S2, 1), E(S2, 2)}
+        # the redundant generator E1 + E2 is no ray of the double dual
+        dd = double_dual([E(S2, 1), E(S2, 2), E(S2, 1) + E(S2, 2)])
+        assert set(dd.rays) == {E(S2, 1), E(S2, 2)}
 
     def test_non_pointed_reports_lineality(self):
-        c = cone_from_rays([E(S2, 1), -1 * E(S2, 1), E(S2, 2)])
-        assert dual_cone(dual_cone(c)).lineality in ((E(S2, 1),), (-1 * E(S2, 1),))
+        dd = double_dual([E(S2, 1), -1 * E(S2, 1), E(S2, 2)])
+        assert dd.lineality in ((E(S2, 1),), (-1 * E(S2, 1),))
 
     def test_interior_generator_dropped_after_facets(self):
-        # computing the facets first must not turn the generators into the
-        # answer: the redundant E1 + E2 is still dropped
-        c = cone_from_rays([E(S2, 1), E(S2, 2), E(S2, 1) + E(S2, 2)])
-        facets = dual_cone(c)
-        assert set(dual_cone(facets).rays) == {E(S2, 1), E(S2, 2)}
-        assert len(c.rays) == 3
+        # the facets of the cone on E1, E2 and E1 + E2 are the dual's rays,
+        # and its lineality H gives an equation; the dual of those drops the
+        # redundant E1 + E2
+        facets = dual_cone([E(S2, 1), E(S2, 2), E(S2, 1) + E(S2, 2)])
+        assert facets.lineality == (H(S2),)
+        equations = [H(S2), -1 * H(S2)]
+        assert set(dual_cone([*facets.rays, *equations]).rays) == {E(S2, 1), E(S2, 2)}
 
     def test_non_pointed_after_facets_reports_lineality(self):
-        c = cone_from_rays([E(S2, 1), -1 * E(S2, 1), E(S2, 2)])
-        lineality = dual_cone(dual_cone(c)).lineality
+        lineality = double_dual([E(S2, 1), -1 * E(S2, 1), E(S2, 2)]).lineality
         assert [v.primitive() for v in lineality] in ([E(S2, 1)], [-1 * E(S2, 1)])
 
 
@@ -273,9 +309,8 @@ class TestMembership:
         pool = sorted_classes(exceptional_classes(s4))
         feasible = infeasible = 0
         for _ in range(40):
-            cone = cone_from_rays(rng.sample(pool, rng.randint(4, 6)))
-            gens = list(cone.rays)
-            inequalities = dual_cone(cone)
+            gens = rng.sample(pool, rng.randint(4, 6))
+            inequalities = dual_cone(gens)
             for _ in range(5):
                 target = divisor(s4, [rng.randint(-1, 2) for _ in range(s4.rank)])
                 x = exactlp.nonnegative_combination([g.coeffs for g in gens], target.coeffs)
@@ -332,7 +367,7 @@ class TestKSymplecticCone:
         # oracle: the full double description of the dual of the -1 classes
         s = rational_surface(k)
         ks = k_symplectic_cone(s)
-        dual = dual_cone(cone_from_rays(exceptional_classes(s)))
+        dual = dual_cone(exceptional_classes(s))
         assert tuple(c.ray for c in ks.corners) == dual.rays
         assert dual.lineality == ()
 
@@ -404,7 +439,7 @@ class TestKSymplecticCone:
     def test_catalog_extremal_rays_lie_in_the_classification(self):
         allowed = family_instances(sphere_classes(S3, n_bound=3))
         for entry in catalog_cp2_3((0, 1, 2)):
-            hull = dual_cone(dual_cone(cone_from_rays(entry.configuration.curves)))
+            hull = double_dual(entry.configuration.curves)
             assert not hull.lineality
             assert set(hull.rays) <= allowed
 
@@ -435,24 +470,24 @@ class TestPositiveDual:
     # achieve_all_rays raises RoundBoundaryError on these duals unless they
     # are polytopic; its tests cover that on the same curves
     def test_exceptional_configuration_polytopic(self):
-        dual = dual_cone(cone_from_rays(classes(S2, "E1", "E2", "H-E1-E2")))
+        dual = dual_cone(classes(S2, "E1", "E2", "H-E1-E2"))
         assert not dual.lineality
         assert sorted(r.square() for r in dual.rays) == [0, 0, 1]
 
     def test_section_two_family(self):
-        dual = dual_cone(cone_from_rays(classes(S2, "-H+2E1", "E2", "H-E1-E2")))
+        dual = dual_cone(classes(S2, "-H+2E1", "E2", "H-E1-E2"))
         assert not dual.lineality
         got = {str(r): r.square() for r in dual.rays}
         assert got == {"2H-E1": 3, "H-E1": 0, "2H-E1-E2": 2}
 
     def test_sparse_cone_has_round_boundary(self):
-        dual = dual_cone(cone_from_rays([E(S2, 1)]))
+        dual = dual_cone([E(S2, 1)])
         assert any(v.square() < 0 for v in dual.rays + dual.lineality)
 
     def test_meeting_facets_obey_the_light_cone_inequality(self):
         for entry in catalog_cp2_3((0, 1, 2)):
             cfg = entry.configuration
-            for ray in dual_cone(cone_from_rays(cfg.generators())).rays:
+            for ray in dual_cone(cfg.generators()).rays:
                 tight = [c for c in cfg.curves if pair(c, ray) == 0]
                 for c1, c2 in combinations(tight, 2):
                     lhs = pair(c1, c2) ** 2
@@ -499,6 +534,12 @@ class TestConeTheoremAudit:
         rep = cone_theorem_audit(classes(s1, "E1", "-E1", "H"))
         assert not rep.passed and rep.entries == ()
         assert rep.failure == "cone is not pointed; lineality spanned by E1"
+
+    def test_generators_spanning_everything_name_the_whole_basis(self):
+        # the dual of the cone is zero, and the double dual is all of R^3
+        rep = cone_theorem_audit(classes(S2, "H", "-H", "E1", "-E1", "E2", "-E2"))
+        assert not rep.passed and rep.entries == ()
+        assert rep.failure == "cone is not pointed; lineality spanned by E2, E1, H"
 
     def test_k_positive_rays_are_ignored(self):
         rep = cone_theorem_audit(classes(S3, "E3", "-2H+3E1-E2"))

@@ -312,6 +312,37 @@ class TestEquivalence:
                         assert out.path == (x,)
 
 
+def _seeded_classes():
+    """E1 on three blowups and 120 seeded integral classes at k = 3..8 with
+    coefficients in [-4, 4]."""
+    rng = random.Random(11)
+    out = [E(S3, 1)]
+    for k in range(3, 9):
+        s = rational_surface(k)
+        out += [divisor(s, [rng.randint(-4, 4) for _ in range(k + 1)]) for _ in range(20)]
+    return out
+
+
+def test_the_walk_stops_at_its_first_chamber_class(monkeypatch):
+    """A walk of n classes makes n - 1 reflections, and it is the trace of
+    cremona_reduce cut at its first class with c.(H - E1 - E2 - E3) >= 0."""
+    reflections = []
+
+    def counting(x, triple):
+        reflections.append(x)
+        return reflect(x, triple)
+
+    for x in _seeded_classes():
+        trace = cremona_reduce(x).trace
+        end = next(i for i, c in enumerate(trace) if c.coeffs[0] >= -sum(c.coeffs[1:4]))
+        monkeypatch.setattr(cremona, "reflect", counting)
+        reflections.clear()
+        walk = cremona._walk_to_chamber(x)
+        monkeypatch.undo()
+        assert walk == trace[: end + 1], x
+        assert len(reflections) == len(walk) - 1, x
+
+
 def _same_invariant_pairs():
     """Seeded pairs (x, y) with equal square and K-pairing: ten each at
     k = 4..7, with y a random Weyl image of x or a random

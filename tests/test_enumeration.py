@@ -210,10 +210,12 @@ class TestNegativeSphereClasses:
 
 def brute_sphere_keys(k, square, a_hi=15):
     """Family keys of the genus-0 classes of the given square with degree
-    1..a_hi and non-increasing subtracted coefficients in [0, a + 1]."""
+    1..a_hi and non-increasing subtracted coefficients in [0, a + 1], or in
+    [-a - 1, a + 1] for square >= 0, wider than the search's windows."""
     keys = set()
     for a in range(1, a_hi + 1):
-        for b in itertools.combinations_with_replacement(range(a + 1, -1, -1), k):
+        lo = -a - 1 if square >= 0 else 0
+        for b in itertools.combinations_with_replacement(range(a + 1, lo - 1, -1), k):
             sq = a * a - sum(x * x for x in b)
             # genus 0: C.C + K.C = -2 with K.C = -3a + sum b
             if sq == square and sq - 3 * a + sum(b) == -2:
@@ -228,6 +230,31 @@ class TestSphereClassSlices:
         got = {f.key() for f in sphere_classes(rational_surface(4), square=square)
                if f.representative.coeffs[0] >= 1}
         assert got == brute_sphere_keys(4, square)
+
+
+class TestEightBlowupThetaCounts:
+    """At k = 8, K^2 = 1 and the orthogonal complement of K is the E8
+    lattice.  A genus-0 class C = tK + w of square s has t = K.C = -2 - s
+    and w^2 = -(s^2 + 3s + 4), so such classes number
+    240 sigma3((s^2 + 3s + 4)/2),
+    the E8 theta series being the Eisenstein series E4 (Conway and Sloane,
+    Sphere Packings, Lattices and Groups, ch. 4, 8.3).  The count does not
+    depend on any search window."""
+
+    @pytest.mark.parametrize("square,count", [(-1, 240), (0, 2160), (1, 17520)])
+    def test_genus_zero_classes_match_the_theta_series(self, square, count):
+        n = (square * square + 3 * square + 4) // 2
+        assert count == 240 * sum(d**3 for d in range(1, n + 1) if n % d == 0)
+        s = rational_surface(8)
+        assert len(family_instances(sphere_classes(s, square=square))) == count
+
+    def test_square_one_classes_with_a_negative_coefficient(self):
+        # the classes 3H + Ei - (the other seven E's): some bi is -1, below a
+        # window that starts at 0
+        s = rational_surface(8)
+        got = {c for c in family_instances(sphere_classes(s, square=1)) if max(c.coeffs[1:]) > 0}
+        want = {divisor(s, [3] + [1 if j == i else -1 for j in range(8)]) for i in range(8)}
+        assert got == want
 
 
 class TestBrokenSearch:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conelab import inflation
-from conelab.cones import cone_from_rays, dual_cone
+from conelab.cones import dual_cone
 from conelab.inflation import (
     InflationError,
     InflationTrace,
@@ -71,7 +71,7 @@ class TestFormalInflate:
     def test_membership_is_preserved(self):
         # each admissible step keeps the class inside the positive dual
         cfg = parse_class("-H+2E1", S2), E(S2, 2), parse_class("H-E1-E2", S2)
-        dual = dual_cone(cone_from_rays(cfg))
+        dual = dual_cone(cfg)
         start = sum(dual.rays[1:], dual.rays[0])
         rng = random.Random(8)
         current = start
@@ -149,7 +149,7 @@ class TestAlternateInflate:
                 x = Fraction(pair(c1, c2) ** 2, c1.square() * c2.square())
                 if x > 1:
                     continue
-                dual = dual_cone(cone_from_rays([c1, c2]))
+                dual = dual_cone([c1, c2])
                 omega = None
                 for r in list(dual.rays) + [v for v in dual.lineality if v.square() > 0]:
                     omega = r if omega is None else omega + r

@@ -29,9 +29,17 @@ Every dataclass field of a package class, and every ``self.x`` a package
 class assigns, is read as an attribute somewhere in ``src/`` or ``tests/``.
 
 The package holds no ``assert`` statement: ``python -O`` strips them, so an
-invariant is checked by raising."""
+invariant is checked by raising.
+
+Every ``name(`` and every ``module.name`` inside an inline code span of the
+README names what exists: ``name`` a module, function, class, method, field
+or constant of the package, a name it imports or a builtin, and for a
+``module`` of the package (or ``conelab``) a name that module defines or
+imports (a module of ``conelab``).  Math notation that reads like a call is
+listed in ``README_MATH``."""
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -294,3 +302,38 @@ def test_no_assert_in_the_package():
         if isinstance(node, ast.Assert)
     )
     assert not found, "assert statements in the package: " + ", ".join(found)
+
+
+# Math notation in README code spans that reads like a call, such as the
+# intersection form diag(1, -1, ..., -1)
+README_MATH = {"diag"}
+
+
+def test_readme_code_spans_name_what_exists():
+    modules = {path.stem: tree for path, tree in _trees(PACKAGE)}
+    own = {"conelab": set(modules)}
+    names = set(dir(builtins)) | README_MATH | set(modules)
+    for module, tree in modules.items():
+        own[module] = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own[module].add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                own[module] |= {t.id for t in targets if isinstance(t, ast.Name)}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                own[module] |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        names |= own[module]
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    names.add(item.name)
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    names.add(item.target.id)
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    stale = set()
+    for span in re.findall(r"`([^`]+)`", text):
+        stale |= {f"{m}(" for m in re.findall(r"\b([A-Za-z_]\w*)\(", span) if m not in names}
+        stale |= {f"{m}.{n}" for m, n in re.findall(r"\b([A-Za-z_]\w*)\.([A-Za-z_]\w*)", span)
+                  if m in own and n not in own[m]}
+    assert not stale, "README code spans name what the package lacks: " + ", ".join(sorted(stale))
