@@ -33,6 +33,7 @@ from .lattice import (
     ParseError,
     SurfaceModel,
     format_class,
+    intern_surface,
     parse_class,
     parse_class_list,
     sorted_classes,
@@ -61,7 +62,7 @@ def parse_surface(text: str) -> SurfaceModel:
         except ValueError:
             raise UsageError(f"bad surface parameter {item!r}") from None
     try:
-        return SurfaceModel(kind, **values)
+        return intern_surface(SurfaceModel(kind, **values))
     except LatticeError as err:
         raise UsageError(str(err)) from None
 
@@ -104,7 +105,10 @@ def _load_json(path: str, parse):
 
 def _parse_cone(data: dict):
     surface = SurfaceModel.from_json(data["surface"])
-    return surface, parse_class_list(data.get("rays", []), surface)
+    rays = parse_class_list(data["rays"], surface)
+    if not rays:
+        raise UsageError("no class literal in the rays entry")
+    return surface, rays
 
 
 def _print_classes(classes, args):
@@ -262,7 +266,7 @@ def cmd_inflate(args) -> int:
         raise UsageError(
             f"--trace needs a ray tight on exactly two curves; {wanted} is tight on {len(tight)}"
         )
-    achieved = inflation.achieve_all_rays(cfg.curves, start, cfg.extra_square_zero)
+    achieved = inflation.achieve_all_rays(cfg, start)
     if wanted is not None and wanted not in achieved:
         raise UsageError(f"{wanted} is not an extremal ray of the positive dual")
     records = []

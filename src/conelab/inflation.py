@@ -15,20 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .configurations import NegativeConfiguration
 from .cones import dual_cone
-from .lattice import DivisorClass, pair, proportional, sorted_classes
+from .lattice import DivisorClass, pair, sorted_classes
 
 
 class InflationError(ValueError):
     pass
-
-
-class LightConeViolation(InflationError):
-    """An orthogonalized combination acquired non-negative square."""
-
-    def __init__(self, vector: DivisorClass, message: str):
-        self.vector = vector
-        super().__init__(message)
 
 
 class RoundBoundaryError(InflationError):
@@ -134,8 +127,9 @@ def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> Inflation
     projection of the start class onto the common pairing kernel, reached in
     one maximal step per orthogonalized class.  When an orthogonalized class
     goes null (a square-zero curve among them), the facets meet the light
-    cone in exactly that ray; its trace records no steps and is flagged as a
-    limit.  The ray is the trace's result.primitive().
+    cone in exactly that ray, and another null class pairs to zero with it
+    only when proportional (the light-cone lemma); its trace records no
+    steps and is flagged as a limit.  The ray is the trace's result.primitive().
     """
     if not curves:
         raise InflationError("no curves supplied")
@@ -152,9 +146,9 @@ def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> Inflation
             continue  # facet already implied by the previous ones
         sq = pair(v, v)
         if sq > 0:
-            raise LightConeViolation(v, f"orthogonalized class {v} has positive square")
+            raise InflationError(f"orthogonalized class {v} has positive square")
         if sq == 0:
-            if null_direction is not None and not proportional(null_direction, v):
+            if null_direction is not None and pair(null_direction, v) != 0:
                 raise InflationError("facet intersection is not a single ray")
             null_direction = v
             continue
@@ -173,11 +167,8 @@ def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> Inflation
     steps = []
     current = a
     for u in ortho:
-        eps = Fraction(pair(current, u), -pair(u, u))
-        if eps < 0:
-            raise InflationError(f"start class pairs negatively with {u}")
-        if eps > 0:
-            current = current + eps * u
+        current, eps = max_inflate(current, u)
+        if eps:
             steps.append((u, eps))
     if any(pair(current, u) != 0 for u in ortho):
         raise InflationError(f"projection {current} is not orthogonal to the curves")
@@ -187,11 +178,9 @@ def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> Inflation
 
 
 def achieve_all_rays(
-    curves: Sequence[DivisorClass],
-    start: DivisorClass,
-    extra_square_zero: Sequence[DivisorClass] = (),
+    cfg: NegativeConfiguration, start: DivisorClass
 ) -> dict[DivisorClass, InflationTrace]:
-    """Achieve every extremal ray of the positive dual of the curve cone.
+    """Achieve every extremal ray of the positive dual of cfg's curve cone.
 
     Requires the dual to be polytopic: pointed, with every extremal ray of
     non-negative square; otherwise RoundBoundaryError names the dual's
@@ -201,7 +190,7 @@ def achieve_all_rays(
     negative curve is tight on but a square-zero generator is, is that
     generator's ray (two forward classes of square >= 0 pair to zero only
     when both are null and proportional), reached as a light-cone limit."""
-    gens = list(curves) + list(extra_square_zero)
+    gens = cfg.generators()
     dual = dual_cone(gens)
     evidence = [r for r in dual.rays + dual.lineality if r.square() < 0]
     if evidence or dual.lineality:
@@ -211,8 +200,8 @@ def achieve_all_rays(
             raise InflationError(f"start class pairs negatively with {g}")
     achieved: dict[DivisorClass, InflationTrace] = {}
     for ray in dual.rays:
-        tight = [c for c in curves if pair(c, c) < 0 and pair(c, ray) == 0]
-        null = [g for g in gens if pair(g, g) == 0 and pair(g, ray) == 0]
+        tight = [c for c in cfg.curves if pair(c, ray) == 0]
+        null = [g for g in cfg.extra_square_zero if pair(g, ray) == 0]
         trace = achieve_vertex(start, tight or null)
         if trace.result.primitive() != ray:
             raise InflationError(f"achieved {trace.result.primitive()} instead of dual ray {ray}")

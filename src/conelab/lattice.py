@@ -97,28 +97,30 @@ class SurfaceModel:
         """The surface a JSON object describes; a malformed one raises
         ParseError, and one without a kind KeyError."""
         try:
-            return SurfaceModel(d["kind"], d.get("k", 0), d.get("h", 0))
+            return intern_surface(SurfaceModel(d["kind"], d.get("k", 0), d.get("h", 0)))
         except (TypeError, ValueError) as err:
             raise ParseError(f"bad surface {d!r}: {err}") from None
 
 
-# The three constructors intern their surfaces, so classes built on one surface,
-# canonical_class's among them, share it and a pairing's surface check is an
-# identity test.  The cache is typed: an untyped one would hand
-# trivial_ruled(True, 1) the surface cached for trivial_ruled(1, 1).
-@functools.lru_cache(maxsize=None, typed=True)
+# Every surface, a parsed one too, is the one object this cache keeps for its
+# value, so classes built on one surface, canonical_class's among them, share it
+# and a pairing's surface check is an identity test.  The key is a checked
+# surface, whose k and h are ints, so True never stands for 1.
+@functools.cache
+def intern_surface(surface: SurfaceModel) -> SurfaceModel:
+    return surface
+
+
 def rational_surface(k: int) -> SurfaceModel:
-    return SurfaceModel(RATIONAL, k)
+    return intern_surface(SurfaceModel(RATIONAL, k))
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def trivial_ruled(h: int, k: int = 0) -> SurfaceModel:
-    return SurfaceModel(TRIVIAL_RULED, k, h)
+    return intern_surface(SurfaceModel(TRIVIAL_RULED, k, h))
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def nontrivial_ruled(h: int, k: int = 0) -> SurfaceModel:
-    return SurfaceModel(NONTRIVIAL_RULED, k, h)
+    return intern_surface(SurfaceModel(NONTRIVIAL_RULED, k, h))
 
 
 def _exact(c) -> int | Fraction:
@@ -358,17 +360,6 @@ def sw_dimension(x: DivisorClass) -> int | Fraction:
     """Expected dimension x.x - K.x entering the wall-crossing argument."""
     k = canonical_class(x.surface)
     return pair(x, x) - pair(k, x)
-
-
-def proportional(x: DivisorClass, y: DivisorClass) -> bool:
-    """Exact cross-multiple test for proportionality of nonzero classes."""
-    _check_same_surface(x, y)
-    n = x.surface.rank
-    for i in range(n):
-        for j in range(i + 1, n):
-            if x.coeffs[i] * y.coeffs[j] != x.coeffs[j] * y.coeffs[i]:
-                return False
-    return not x.is_zero() and not y.is_zero()
 
 
 # -- class literals ---------------------------------------------------------

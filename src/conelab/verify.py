@@ -18,6 +18,7 @@ from typing import Callable, Iterable
 
 from . import cones, cremona, enumeration, inflation, swcert
 from .configurations import (
+    NegativeConfiguration,
     blow_down,
     catalog_cp2_2,
     catalog_cp2_3,
@@ -412,7 +413,7 @@ def check_achieve_all_rays() -> tuple[bool, str]:
         cfg = entry.configuration
         dual = cones.dual_cone(cfg.generators())
         try:
-            results = inflation.achieve_all_rays(cfg.curves, cones.ray_sum(dual))
+            results = inflation.achieve_all_rays(cfg, cones.ray_sum(dual))
         except inflation.RoundBoundaryError:
             return False, f"{entry.label()}: dual not polytopic"
         if set(results) != set(dual.rays):
@@ -420,7 +421,7 @@ def check_achieve_all_rays() -> tuple[bool, str]:
         achieved += len(results)
     s2 = rational_surface(2)
     try:
-        inflation.achieve_all_rays([E(s2, 1)], H(s2))
+        inflation.achieve_all_rays(NegativeConfiguration(s2, [E(s2, 1)]), H(s2))
         fired = False
     except inflation.RoundBoundaryError:
         fired = True

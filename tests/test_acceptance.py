@@ -35,7 +35,7 @@ def test_every_criterion_is_covered():
 @pytest.mark.parametrize(
     "check,module,attr,fake,name",
     [
-        ("check_achieve_all_rays", inflation, "achieve_all_rays", lambda curves, start: {},
+        ("check_achieve_all_rays", inflation, "achieve_all_rays", lambda cfg, start: {},
          "achieve-all-rays-catalog"),
         ("check_nef_threshold", cones, "nef_threshold", lambda omega, curves: Fraction(1, 5),
          "nef-threshold"),

@@ -438,6 +438,10 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          '{"surface": {"kind": "rational", "k": 2}, "rays": ["-E1", "-E2"], '
          '"facets": ["E2", "E1", "E1+E2"], "lineality": ["H"]}\n', ""),
         (None, ["cone", "dual", "--rays", "0", "--k", "2"], 1, "", "error: all generators are zero\n"),
+        ({"surface": {"kind": "rational", "k": 2}}, ["cone", "dual", "--rays-file", FILE], 2, "",
+         "error: FILE has no 'rays' entry\n"),
+        ({"surface": {"kind": "rational", "k": 2}, "rays": []}, ["cone", "dual", "--rays-file", FILE],
+         2, "", "error: no class literal in the rays entry\n"),
         ({"surface": {"kind": "rational", "k": 2}, "curves": ["E1", "E2", "H-E1-E2"]},
          ["nef-threshold", "--omega", "3H-E1-E2", "--curves-file", FILE], 0, "1\n", ""),
         ({"surface": {"kind": "rational", "k": 2}, "curves": ["E1", "E2", "H-E1-E2"]},
@@ -457,6 +461,7 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
     ],
     ids=["cremona-equiv-json", "cremona-reduce-cycle-text", "cremona-equiv-two-blowups-json", "cone-dual-lineality-text",
          "cone-dual-normalised-facets-json", "cone-dual-zero-generators",
+         "cone-dual-file-without-rays", "cone-dual-file-with-empty-rays",
          "nef-threshold-file-text", "nef-threshold-file-json", "inflate-ray-not-extremal",
          "inflate-trace-text", "blowdown-dropped-text", "enumerate-positive-genus"],
 )
@@ -465,7 +470,8 @@ def test_branch_output_is_pinned(capsys, tmp_path, document, argv, code, out, er
     other test reaches, byte for byte; `FILE` names the written document."""
     path = tmp_path / "input.json"
     path.write_text(json.dumps(document))
-    assert run(capsys, *(str(path) if a == FILE else a for a in argv)) == (code, out, err)
+    got = run(capsys, *(str(path) if a == FILE else a for a in argv))
+    assert got == (code, out, err.replace(FILE, str(path)))
 
 
 class TestSw:

@@ -1,5 +1,6 @@
 """Configuration validity, blow-down, catalogs, and ruled surface data."""
 
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from conelab.configurations import (
     ruled_negative_classes,
     validate_configuration,
 )
+from conelab.enumeration import _max_degree, family_instances, sphere_classes
 from conelab.lattice import (
     E,
     T,
@@ -81,6 +83,21 @@ class TestClassification:
         s = trivial_ruled(2)
         assert is_classified_negative_class(U(s) - 3 * T(s))
         assert not is_classified_negative_class(2 * U(s) - T(s))
+
+    @pytest.mark.parametrize("k,count", [(1, 3), (2, 13), (3, 40), (4, 107)])
+    def test_agrees_with_the_sphere_class_search(self, k, count):
+        # two definitions of the negative sphere classes pick the same classes
+        # on a box that holds every searched class with room on each side
+        s = rational_surface(k)
+        top = _max_degree(k, 1)
+        box = (
+            divisor(s, (a, *(-b for b in bs)))
+            for a in range(-2, top + 2)
+            for bs in itertools.product(range(-4, top + 3), repeat=k)
+        )
+        picked = {c for c in box if is_classified_negative_class(c)}
+        assert picked == family_instances(sphere_classes(s, n_bound=2))
+        assert len(picked) == count
 
 
 class TestValidation:

@@ -394,6 +394,22 @@ def test_equivalence_agrees_with_the_orbit_closure():
     assert True in answers and False in answers
 
 
+def test_the_search_agrees_with_the_chamber(monkeypatch):
+    """The bidirectional search, forced by walks that never reach the
+    chamber, gives the chamber's answer on the pairs at k = 4..8; outside
+    tests only nine or more blowups reach it."""
+    pairs = _same_invariant_pairs()
+    chamber = [cremona_equivalent(x, y) for x, y in pairs]
+    monkeypatch.setattr(cremona, "_walk_to_chamber", lambda x: None)
+    for (x, y), want in zip(pairs, chamber):
+        got = cremona_equivalent(x, y)
+        assert got.kind == want.kind, (x, y)
+        if got.kind == "equivalent":
+            assert (got.path[0], got.path[-1]) == (x, y)
+        else:
+            assert (got.which, want.which) == ("orbit_exhausted", "chamber"), (x, y)
+
+
 def test_no_search_from_three_to_eight_blowups(monkeypatch):
     """The walks answer every pair from three to eight blowups alone."""
     def no_moves(x):

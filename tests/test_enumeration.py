@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conelab import enumeration
+from conelab.cremona import moves, order
 from conelab.enumeration import (
     distinct_arrangements,
     exceptional_classes,
@@ -255,6 +256,40 @@ class TestEightBlowupThetaCounts:
         got = {c for c in family_instances(sphere_classes(s, square=1)) if max(c.coeffs[1:]) > 0}
         want = {divisor(s, [3] + [1 if j == i else -1 for j in range(8)]) for i in range(8)}
         assert got == want
+
+
+class TestWeylOrbits:
+    """The genus-0 classes of square -1, 0 and 1 on k = 3..8 blowups are the
+    orbits of E1, H - E1 and H under W(E_k), and at k = 8, square 1, also of
+    3H - E1 - ... - E7 + E8 (Humphreys, Reflection Groups and Coxeter Groups,
+    1990, 1.12 and 5.13): an oracle that reads no search window."""
+
+    @staticmethod
+    def orbit(seeds):
+        # the ordered classes, closed under the reflections, then every
+        # arrangement of their E-coefficients
+        ordered = {order(x) for x in seeds}
+        todo = list(ordered)
+        while todo:
+            for x in moves(todo.pop()):
+                if x not in ordered:
+                    ordered.add(x)
+                    todo.append(x)
+        surface = seeds[0].surface
+        return {
+            divisor(surface, (a, *arr))
+            for a, *b in (x.coeffs for x in ordered)
+            for arr in distinct_arrangements(b)
+        }
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    @pytest.mark.parametrize("square,seeds", [(-1, ["E1"]), (0, ["H-E1"]), (1, ["H"])])
+    def test_sphere_classes_are_the_orbits(self, k, square, seeds):
+        s = rational_surface(k)
+        if k == 8 and square == 1:
+            seeds = seeds + ["3H-E1-E2-E3-E4-E5-E6-E7+E8"]
+        got = self.orbit([parse_class(t, s) for t in seeds])
+        assert got == family_instances(sphere_classes(s, square=square, n_bound=0))
 
 
 class TestBrokenSearch:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conelab
+from conelab.cli import parse_surface
 from conelab.configurations import certified_sw_classes
 from conelab.cremona import order, reflect
 from conelab.enumeration import exceptional_classes
@@ -31,7 +32,6 @@ from conelab.lattice import (
     nontrivial_ruled,
     pair,
     parse_class,
-    proportional,
     rational_surface,
     sw_dimension,
     trivial_ruled,
@@ -215,7 +215,7 @@ class TestLightCone:
         a = parse_class("3H-E1-E2-E3-E4-E5-E6-E7-E8-E9", s)
         anti = -1 * canonical_class(s)
         assert a.square() == anti.square() == pair(a, anti) == 0
-        assert proportional(a, anti)
+        assert a.primitive() == anti.primitive()
 
     def test_forward_classes_pair_nonnegatively(self):
         import random
@@ -405,6 +405,17 @@ class TestInterning:
         assert trivial_ruled(2, 1) is trivial_ruled(2, 1)
         assert nontrivial_ruled(1, 2) is nontrivial_ruled(1, 2)
         assert H(rational_surface(3)).surface is E(rational_surface(3), 1).surface
+
+    def test_parsed_surfaces_are_the_interned_ones(self):
+        # a surface read from the command line or from JSON is the one the
+        # constructors hand out, so canonical_class's cache, filled from a
+        # parsed surface, still answers with a class on the constructed one
+        canonical_class.cache_clear()
+        parsed = parse_surface("rational:k=3")
+        assert parsed is rational_surface(3)
+        assert SurfaceModel.from_json(trivial_ruled(2).to_json()) is trivial_ruled(2)
+        canonical_class(parsed)
+        assert canonical_class(rational_surface(3)).surface is rational_surface(3)
 
     def test_a_cached_surface_does_not_answer_for_a_bool_or_float(self):
         # cache the integer arguments that True and 1.0 compare equal to
