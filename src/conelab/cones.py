@@ -293,17 +293,7 @@ def _neighbours(r: DivisorClass, minus_one: Iterable[DivisorClass]) -> list[Divi
 @dataclass(frozen=True)
 class AuditEntry:
     ray: DivisorClass
-    k_pairing: int
-    genus: int
     taxonomy: str  # "minus_one" | "fiber" | "line" | "violation"
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.taxonomy != "violation"
-            and self.genus == 0
-            and -3 <= self.k_pairing < 0
-        )
 
 
 @dataclass(frozen=True)
@@ -328,10 +318,11 @@ def _extremal_taxonomy(ray: DivisorClass) -> str:
 
 
 def cone_theorem_audit(generators: Iterable[DivisorClass]) -> AuditReport:
-    """Check every K-negative extremal ray of the generated cone: rational,
-    pairing with K in [-3, 0), and of the allowed extremal-curve shapes.
-    The extremal rays are those of the double dual, which drops interior
-    generators; a lineality there fails the audit."""
+    """Check that every K-negative extremal ray of the generated cone has an
+    allowed extremal-curve shape: a -1 class, a fiber or the line, which are
+    rational and pair with K to -1, -2 and -3.  The extremal rays are those
+    of the double dual, which drops interior generators; a lineality there
+    fails the audit."""
     gens = list(generators)
     dual, surface = dual_cone(gens), gens[0].surface
     back = [*dual.rays, *dual.lineality, *(-v for v in dual.lineality)]
@@ -342,13 +333,8 @@ def cone_theorem_audit(generators: Iterable[DivisorClass]) -> AuditReport:
         lines = ", ".join(str(v) for v in hull.lineality)
         return AuditReport((), False, failure=f"cone is not pointed; lineality spanned by {lines}")
     kc = canonical_class(surface)
-    entries = []
-    for r in hull.rays:
-        kp = pair(kc, r)
-        if kp >= 0:
-            continue
-        entries.append(AuditEntry(r, kp, adjunction_genus(r), _extremal_taxonomy(r)))
-    return AuditReport(tuple(entries), all(e.ok for e in entries))
+    entries = tuple(AuditEntry(r, _extremal_taxonomy(r)) for r in hull.rays if pair(kc, r) < 0)
+    return AuditReport(entries, all(e.taxonomy != "violation" for e in entries))
 
 
 def nef_threshold(omega: DivisorClass, extremal_curves: Sequence[DivisorClass]) -> Fraction:

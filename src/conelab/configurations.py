@@ -113,9 +113,15 @@ class NegativeConfiguration:
 def is_classified_negative_class(c: DivisorClass) -> bool:
     """Membership in the certified classification of negative sphere classes.
 
-    Positive H-degree: genus 0, negative square, all subtracted coefficients
-    non-negative (the six-family list).  Non-positive H-degree: the anchored
-    shape -nH + (n+1)Ei - further E's.  Minimal ruled: U - nT.
+    Positive H-degree: genus 0 and negative square (the six-family list).
+    These force every subtracted coefficient b_i >= 0 for k <= 8: genus 0
+    gives sum b_i(b_i - 1) = (a - 1)(a - 2) and a negative square gives
+    sum b_i >= 3a - 1, so a b_1 <= -1 leaves the other at most seven a sum
+    S >= 3a with S^2/7 - S <= a^2 - 3a, which fails for a >= 1
+    (Cauchy-Schwarz).  Non-positive H-degree: the anchored shape
+    -nH + (n+1)Ei - further E's; an entry b_i = a - 1 uses the whole genus
+    budget (a - 1)(a - 2) > 0, so it is the only one and every other b_j is
+    0 or 1.  Minimal ruled: U - nT.
     """
     surface = c.surface
     if not c.is_integral() or c.square() >= 0:
@@ -128,13 +134,7 @@ def is_classified_negative_class(c: DivisorClass) -> bool:
     if surface.k > 8 or adjunction_genus(c) != 0:
         return False
     a = c.coeffs[0]
-    b = c.b_vector()
-    if a >= 1:
-        return all(v >= 0 for v in b)
-    n = -a
-    anchors = [v for v in b if v == -(n + 1)]
-    rest_ok = all(v in (0, 1) for v in b if v != -(n + 1))
-    return len(anchors) == 1 and rest_ok
+    return a >= 1 or a - 1 in c.b_vector()
 
 
 @cache
@@ -251,13 +251,16 @@ class BlowDownResult:
 
 def blow_down(cfg: NegativeConfiguration, at: DivisorClass) -> BlowDownResult:
     """Remove a -1 basis class E from the configuration, replacing every
-    other curve C by C + (C.E) E and deleting the E coordinate.
+    other curve and square-zero generator C by C + (C.E) E and deleting the
+    E coordinate.
 
     The replaced classes are orthogonal to E, so the deletion is exact; a
     curve whose replacement has non-negative square leaves the configuration
-    and is returned in `dropped` as it was.  New-lattice genus never drops:
+    and is returned in `dropped` as it was.  A square-zero generator stays
+    one when orthogonal to E; otherwise its replacement has square (C.E)^2
+    > 0, and it is dropped too.  New-lattice genus never drops:
     it is preserved exactly when C.E is 0 or 1 and grows otherwise.  These
-    laws are checked here, for every curve; a broken one raises
+    laws are checked here, for every class; a broken one raises
     ConfigurationError.
     """
     surface = cfg.surface
@@ -275,9 +278,8 @@ def blow_down(cfg: NegativeConfiguration, at: DivisorClass) -> BlowDownResult:
         )
     small = rational_surface(surface.k - 1)
     kc, kc_small = canonical_class(surface), canonical_class(small)
-    kept = []
-    dropped = []
-    for c in cfg.curves:
+    kept, kept_square_zero, dropped = [], [], []
+    for c in (*cfg.curves, *cfg.extra_square_zero):
         if c == at:
             continue
         m = pair(c, at)
@@ -296,9 +298,11 @@ def blow_down(cfg: NegativeConfiguration, at: DivisorClass) -> BlowDownResult:
             raise ConfigurationError(f"blowing down {at} breaks the {broken[0]} law for {c}")
         if reduced.square() < 0:
             kept.append(reduced)
+        elif m == 0:
+            kept_square_zero.append(reduced)
         else:
             dropped.append(c)
-    return BlowDownResult(NegativeConfiguration(small, kept), tuple(dropped))
+    return BlowDownResult(NegativeConfiguration(small, kept, kept_square_zero), tuple(dropped))
 
 
 # ---------------------------------------------------------------------------

@@ -82,24 +82,26 @@ class ReductionOutcome:
 
 
 def cremona_reduce(x: DivisorClass) -> ReductionOutcome:
-    """Alternately order and reflect on the top three coefficients.
+    """Alternately order and reflect on the top three coefficients, up to the
+    first class in the chamber.
 
-    The trace runs from order(x) to the first reduced or the first repeated
-    ordered class (a cycle certificate), or holds the last five once
-    MAX_STEPS are spent.  Square-1 sphere classes reduce; -1 classes cycle.
+    Outside the chamber x.(H - E1 - E2 - E3) < 0, so each reflection lowers
+    x0 and no class repeats before the chamber.  The walk's chamber class is
+    its orbit's one chamber class (see cremona_equivalent): reduced when it
+    is reduced, and a cycle otherwise, since then no class of the orbit is
+    reduced and the walk continued from it descends back to it.  The trace
+    runs from order(x) to that class, or holds the last five once MAX_STEPS
+    are spent.  Square-1 sphere classes reduce; -1 classes cycle.
     """
     _require_cremona_surface(x)
-    current = order(x)
-    # the ordered classes in the order seen; a dict finds a repeat at once
-    seen: dict[DivisorClass, None] = {}
-    for step in range(MAX_STEPS):
-        if is_reduced(current):
-            return ReductionOutcome("reduced", current, (*seen, current), step)
-        if current in seen:
-            return ReductionOutcome("cycle", None, (*seen, current), step)
-        seen[current] = None
-        current = order(reflect(current, (1, 2, 3)))
-    return ReductionOutcome("budget_exceeded", current, tuple(seen)[-5:], MAX_STEPS)
+    trace = [order(x)]
+    while not _in_chamber(trace[-1]):
+        trace.append(order(reflect(trace[-1], (1, 2, 3))))
+        if len(trace) > MAX_STEPS:
+            return ReductionOutcome("budget_exceeded", trace[-1], tuple(trace[-6:-1]), MAX_STEPS)
+    if is_reduced(trace[-1]):
+        return ReductionOutcome("reduced", trace[-1], tuple(trace), len(trace) - 1)
+    return ReductionOutcome("cycle", None, tuple(trace), len(trace) - 1)
 
 
 @dataclass(frozen=True)
@@ -125,11 +127,12 @@ def cremona_equivalent(x: DivisorClass, y: DivisorClass) -> EquivalenceOutcome:
     Square and K-pairing mismatches reject immediately.  From three blowups
     on the moves generate W(E_k), and each orbit meets the closed chamber at
     most once, exactly once for k <= 8, where W(E_k) is finite (Humphreys,
-    Reflection Groups and Coxeter Groups, 1990, 1.12 and 5.13); so walks
-    that reach it decide.  A bidirectional search over ordered classes runs
-    only below three blowups and when a walk spends MAX_STEPS (k >= 9): it
-    answers unknown past BUDGET visited classes, and a fully explored orbit
-    without a meeting is a distinctness certificate."""
+    Reflection Groups and Coxeter Groups, 1990, 1.12 and 5.13); so the last
+    trace classes of two cremona_reduce walks that reach it decide.  A
+    bidirectional search over ordered classes runs only below three blowups
+    and when a walk spends MAX_STEPS (k >= 9): it answers unknown past
+    BUDGET visited classes, and a fully explored orbit without a meeting is
+    a distinctness certificate."""
     if x.surface != y.surface:
         raise LatticeError("classes on different surfaces")
     if not x.surface.is_rational or not x.is_integral() or not y.is_integral():
@@ -143,11 +146,11 @@ def cremona_equivalent(x: DivisorClass, y: DivisorClass) -> EquivalenceOutcome:
     if sx == sy:
         return _joined(x, sx, y)
     if x.surface.k >= 3:
-        tx, ty = _walk_to_chamber(x), _walk_to_chamber(y)
-        if tx and ty:
-            if tx[-1] != ty[-1]:
+        tx, ty = cremona_reduce(x), cremona_reduce(y)
+        if "budget_exceeded" not in (tx.kind, ty.kind):
+            if tx.trace[-1] != ty.trace[-1]:
                 return EquivalenceOutcome("distinct_by_invariant", "chamber")
-            return _joined(x, *tx, *reversed(ty), y)
+            return _joined(x, *tx.trace, *reversed(ty.trace), y)
     reached = ({sx: (sx,)}, {sy: (sy,)})
     frontiers = [[sx], [sy]]
     while frontiers[0] and frontiers[1]:
@@ -164,17 +167,6 @@ def cremona_equivalent(x: DivisorClass, y: DivisorClass) -> EquivalenceOutcome:
                 if len(reached[0]) + len(reached[1]) > BUDGET:
                     return EquivalenceOutcome("unknown", "budget")
     return EquivalenceOutcome("distinct_by_invariant", "orbit_exhausted")
-
-
-def _walk_to_chamber(x: DivisorClass) -> tuple[DivisorClass, ...] | None:
-    """cremona_reduce's walk from order(x), stopped at its first chamber
-    class, or None when MAX_STEPS classes lie outside the chamber."""
-    walk = [order(x)]
-    while not _in_chamber(walk[-1]):
-        if len(walk) == MAX_STEPS:
-            return None
-        walk.append(order(reflect(walk[-1], (1, 2, 3))))
-    return tuple(walk)
 
 
 def _joined(*path: DivisorClass) -> EquivalenceOutcome:

@@ -430,7 +430,7 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          '{"outcome": "equivalent", "which": "", '
          '"path": ["2H-E1-E2-E3", "H"]}\n', ""),
         (None, ["cremona", "reduce", "--class", "E1", "--k", "3"], 0,
-         "cycle after 2 steps\ntrace: E3 -> H-E1-E2 -> E3\n", ""),
+         "cycle after 0 steps\ntrace: E3\n", ""),
         (None, ["cremona", "equiv", "E1", "H-E1-E2", "--k", "2", "--json"], 0,
          '{"outcome": "distinct_by_invariant", "which": "orbit_exhausted", "path": []}\n', ""),
         (None, ["cone", "dual", "--rays", "E1,-E1,E2", "--k", "2"], 0, "-E2\nH (lineality)\n", ""),
@@ -456,6 +456,13 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
         ({"surface": {"kind": "rational", "k": 3}, "curves": ["E3", "H-E1-E3"]},
          ["config", "blowdown", FILE, "--at", "E3"], 0,
          "curves: \ndropped (non-negative square): H-E1-E3\n", ""),
+        ({"surface": {"kind": "rational", "k": 2}, "curves": ["E1", "E2", "H-E1-E2"],
+          "extra_square_zero": ["H-E1"]},
+         ["config", "blowdown", FILE, "--at", "E2", "--json"], 0,
+         '{"surface": {"kind": "rational", "k": 1}, "curves": ["E1"], '
+         '"extra_square_zero": ["H-E1"], "dropped": ["H-E1-E2"]}\n', ""),
+        (None, ["nef-threshold", "--omega", "3H-E1", "--curves", "2H-E1-E2", "--k", "2"], 1, "",
+         "error: threshold denominator 4 exceeds 3\n"),
         (None, ["enumerate", "--k", "2", "--genus", "1"], 2, "",
          "error: only genus-0 enumeration is finite; use --genus 0\n"),
     ],
@@ -463,7 +470,8 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          "cone-dual-normalised-facets-json", "cone-dual-zero-generators",
          "cone-dual-file-without-rays", "cone-dual-file-with-empty-rays",
          "nef-threshold-file-text", "nef-threshold-file-json", "inflate-ray-not-extremal",
-         "inflate-trace-text", "blowdown-dropped-text", "enumerate-positive-genus"],
+         "inflate-trace-text", "blowdown-dropped-text", "blowdown-square-zero-kept-json",
+         "nef-threshold-denominator-four", "enumerate-positive-genus"],
 )
 def test_branch_output_is_pinned(capsys, tmp_path, document, argv, code, out, err):
     """The full stdout, stderr and exit code of the CLI branches that no

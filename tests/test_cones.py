@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import conelab
 from conelab import cones, exactlp, linalg
 from conelab.cones import (
+    AuditEntry,
     ConeError,
     RationalCone,
     cone_theorem_audit,
@@ -24,18 +25,24 @@ from conelab.cones import (
     k_symplectic_cone,
     nef_threshold,
 )
-from conelab.configurations import catalog_cp2_3
+from conelab.configurations import catalog_cp2_2, catalog_cp2_3
 from conelab.cremona import cremona_reduce, moves, order
 from conelab.enumeration import exceptional_classes, family_instances, sphere_classes
 from conelab.lattice import (
     E,
     H,
+    T,
+    U,
+    adjunction_genus,
     basis_class,
+    canonical_class,
     divisor,
+    nontrivial_ruled,
     pair,
     parse_class,
     rational_surface,
     sorted_classes,
+    trivial_ruled,
 )
 
 S2 = rational_surface(2)
@@ -527,7 +534,17 @@ class TestConeTheoremAudit:
         s1 = rational_surface(1)
         rep = cone_theorem_audit([parse_class("3H-E1", s1)])
         assert not rep.passed
-        assert rep.entries[0].k_pairing == -8
+        assert [(str(e.ray), e.taxonomy) for e in rep.entries] == [("3H-E1", "violation")]
+        assert pair(canonical_class(s1), rep.entries[0].ray) == -8
+
+    @pytest.mark.parametrize("surface", [trivial_ruled(1), trivial_ruled(2), nontrivial_ruled(1)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_minimal_ruled_surfaces_with_a_negative_curve(self, surface, n):
+        # U - nT pairs positively with K and is skipped; the fiber is the
+        # one K-negative extremal ray
+        rep = cone_theorem_audit([U(surface) - n * T(surface), T(surface)])
+        assert rep.passed
+        assert rep.entries == (AuditEntry(T(surface), "fiber"),)
 
     def test_non_pointed_cone_names_its_lineality(self):
         s1 = rational_surface(1)
@@ -546,6 +563,28 @@ class TestConeTheoremAudit:
         # -2H+3E1-E2 pairs positively with K and is skipped
         assert rep.passed
         assert len(rep.entries) == 1
+
+    def test_allowed_taxonomies_imply_genus_and_pairing(self):
+        """Oracle: an entry passes exactly when the earlier three-part test
+        passes, which also required genus 0 and -3 <= K.r < 0, on the
+        catalog cones of the cone-theorem-audit check, the minimal ruled
+        cones, the line on the plane and the seeded 3H-E1."""
+        generator_sets = [e.configuration.generators() for e in catalog_cp2_3() + catalog_cp2_2()]
+        for s in (trivial_ruled(1), trivial_ruled(2), nontrivial_ruled(1)):
+            generator_sets += [[U(s) - n * T(s), T(s)] for n in (1, 2)]
+        generator_sets += [[H(rational_surface(0))], [parse_class("3H-E1", rational_surface(1))]]
+        taxonomies = Counter()
+        for gens in generator_sets:
+            kc = canonical_class(gens[0].surface)
+            for e in cone_theorem_audit(gens).entries:
+                old_ok = (
+                    e.taxonomy != "violation"
+                    and adjunction_genus(e.ray) == 0
+                    and -3 <= pair(kc, e.ray) < 0
+                )
+                assert (e.taxonomy != "violation") == old_ok, e
+                taxonomies[e.taxonomy] += 1
+        assert set(taxonomies) == {"minus_one", "fiber", "line", "violation"}
 
 
 class TestNefThreshold:

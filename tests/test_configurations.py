@@ -1,6 +1,8 @@
 """Configuration validity, blow-down, catalogs, and ruled surface data."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from conelab.configurations import (
     ruled_negative_classes,
     validate_configuration,
 )
+from conelab.cremona import reflect
 from conelab.enumeration import _max_degree, family_instances, sphere_classes
 from conelab.lattice import (
     E,
@@ -100,6 +103,57 @@ class TestClassification:
         assert len(picked) == count
 
 
+def _classified_before(c):
+    """is_classified_negative_class as first written, on blowups of the
+    plane: all b_i >= 0 at positive degree, and at degree -n <= 0 exactly one
+    anchor b_i = -(n + 1) with every other b_j 0 or 1."""
+    if not c.is_integral() or c.square() >= 0:
+        return False
+    if c.surface.k > 8 or adjunction_genus(c) != 0:
+        return False
+    a, b = c.coeffs[0], c.b_vector()
+    if a >= 1:
+        return all(v >= 0 for v in b)
+    n = -a
+    anchors = [v for v in b if v == -(n + 1)]
+    return len(anchors) == 1 and all(v in (0, 1) for v in b if v != -(n + 1))
+
+
+class TestClassificationAgainstItsFirstForm:
+    """Oracle: genus 0 and a negative square leave the two predicates no
+    class to disagree on."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_exhaustive_box(self, k):
+        # a class of non-negative square or non-zero genus fails the same
+        # first tests in both, so only the rest of the box is built
+        s = rational_surface(k)
+        built = Counter()
+        for a in range(-4, 5):
+            for bs in itertools.product(range(-6, 7), repeat=k):
+                sq = sum(b * b for b in bs)
+                if a * a >= sq or sq - sum(bs) != (a - 1) * (a - 2):
+                    continue
+                c = divisor(s, (a, *(-b for b in bs)))
+                got = is_classified_negative_class(c)
+                assert got == _classified_before(c), c
+                built[a >= 1, got] += 1
+        # unanchored classes of degree <= 0 exist in the box, and are refused
+        assert built[False, False] > 0 and built[False, True] > 0
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    def test_seeded_and_searched_classes(self, k):
+        s = rational_surface(k)
+        rng = random.Random(k)
+        searched = family_instances(sphere_classes(s, margin=2))
+        drawn = [divisor(s, [rng.randint(-5, 5) for _ in range(k + 1)]) for _ in range(500)]
+        # Weyl images of the searched classes reach other degrees
+        images = [reflect(c, tuple(rng.sample(range(1, k + 1), 3))) for c in searched]
+        for c in (*searched, *drawn, *images):
+            assert is_classified_negative_class(c) == _classified_before(c), c
+        assert all(is_classified_negative_class(c) for c in searched)
+
+
 class TestValidation:
     def test_two_blowup_configuration_passes(self):
         cfg = config(S2, "E2", "H-E1-E2", "-H+2E1")
@@ -159,6 +213,23 @@ class TestBlowDown:
         s1 = rational_surface(1)
         assert out.configuration.curves == (parse_class("-H+2E1", s1),)
         assert [str(c) for c in out.dropped] == ["H-E1-E2"]
+
+    WITH_SQUARE_ZERO = NegativeConfiguration(
+        S2, [parse_class(t, S2) for t in ("E1", "E2", "H-E1-E2")], [parse_class("H-E1", S2)]
+    )
+
+    def test_an_orthogonal_square_zero_generator_is_kept(self):
+        out = blow_down(self.WITH_SQUARE_ZERO, E(S2, 2))
+        s1 = rational_surface(1)
+        assert out.configuration == NegativeConfiguration(s1, [E(s1, 1)], [parse_class("H-E1", s1)])
+        assert [str(c) for c in out.dropped] == ["H-E1-E2"]
+
+    def test_a_square_zero_generator_meeting_the_class_is_dropped(self):
+        # H - E1 pairs 1 with E1, so its transform H has square 1
+        out = blow_down(self.WITH_SQUARE_ZERO, E(S2, 1))
+        s1 = rational_surface(1)
+        assert out.configuration == NegativeConfiguration(s1, [E(s1, 1)])
+        assert [str(c) for c in out.dropped] == ["H-E1-E2", "H-E1"]
 
     def test_pairing_two_grows_the_genus(self):
         s8 = rational_surface(8)

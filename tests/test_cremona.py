@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conelab import cremona
 from conelab.cremona import (
     EquivalenceOutcome,
+    ReductionOutcome,
     cremona_equivalent,
     cremona_reduce,
     is_reduced,
@@ -146,10 +147,13 @@ class TestReduce:
         assert out.kind == "reduced" and out.result == H(S3) and out.steps <= 2
 
     def test_exceptional_basis_class_cycles(self):
+        # order(E1) = E3 is already the chamber class of its orbit, and is
+        # not reduced; the walk continued from it comes back through H-E1-E2
         out = cremona_reduce(E(S3, 1))
-        assert out.kind == "cycle"
-        assert out.trace[0] == out.trace[-1]
-        assert len(out.trace) == 3  # a two-step cycle
+        assert (out.kind, out.result, out.trace, out.steps) == ("cycle", None, (E(S3, 3),), 0)
+        back = order(reflect(E(S3, 3), (1, 2, 3)))
+        assert back == parse_class("H-E1-E2", S3)
+        assert order(reflect(back, (1, 2, 3))) == E(S3, 3)
 
     def test_exceptional_line_class_cycles(self):
         out = cremona_reduce(parse_class("H-E1-E2", S3))
@@ -201,13 +205,12 @@ class TestReduce:
 
     def test_cycle_trace_starts_at_the_ordered_input(self):
         out = cremona_reduce(parse_class("H-2E1", rational_surface(9)))
-        assert (out.kind, out.steps, out.result) == ("cycle", 5, None)
+        assert (out.kind, out.steps, out.result) == ("cycle", 4, None)
         assert [str(c) for c in out.trace] == [
             "H-2E1",
             "-E1+E8+E9",
             "-H+E6+E7+E8+E9",
             "-2H+E3+E4+E5+E6+E7+E8+E9",
-            "-3H+E1+E2+E3+E4+E5+E6+E7+E8+2E9",
             "-3H+E1+E2+E3+E4+E5+E6+E7+E8+2E9",
         ]
 
@@ -215,8 +218,7 @@ class TestReduce:
     @given(st.integers(3, 8), st.data())
     def test_every_walk_ends_below_nine_blowups(self, k, data):
         # W(E_k) is finite for k <= 8: outside the chamber each reflection
-        # lowers the H coefficient, so the walk reaches the chamber and,
-        # unless it reduces, comes back to the class where it left it
+        # lowers the H coefficient, so the walk reaches the chamber
         coeffs = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=k + 1, max_size=k + 1))
         out = cremona_reduce(divisor(rational_surface(k), coeffs))
         assert out.kind in ("reduced", "cycle")
@@ -324,23 +326,69 @@ def _seeded_classes():
 
 
 def test_the_walk_stops_at_its_first_chamber_class(monkeypatch):
-    """A walk of n classes makes n - 1 reflections, and it is the trace of
-    cremona_reduce cut at its first class with c.(H - E1 - E2 - E3) >= 0."""
+    """A walk of n classes makes n - 1 reflections, and its last class is
+    the first with c.(H - E1 - E2 - E3) >= 0."""
     reflections = []
 
     def counting(x, triple):
         reflections.append(x)
         return reflect(x, triple)
 
+    monkeypatch.setattr(cremona, "reflect", counting)
     for x in _seeded_classes():
-        trace = cremona_reduce(x).trace
-        end = next(i for i, c in enumerate(trace) if c.coeffs[0] >= -sum(c.coeffs[1:4]))
-        monkeypatch.setattr(cremona, "reflect", counting)
         reflections.clear()
-        walk = cremona._walk_to_chamber(x)
-        monkeypatch.undo()
-        assert walk == trace[: end + 1], x
-        assert len(reflections) == len(walk) - 1, x
+        trace = cremona_reduce(x).trace
+        in_chamber = [c.coeffs[0] >= -sum(c.coeffs[1:4]) for c in trace]
+        assert in_chamber == [False] * (len(trace) - 1) + [True], x
+        assert len(reflections) == len(trace) - 1, x
+
+
+def _reduce_to_a_repeat(x):
+    """cremona_reduce as first written: the walk goes on past the chamber to
+    the first reduced or the first repeated ordered class."""
+    current = order(x)
+    seen = {}
+    for step in range(cremona.MAX_STEPS):
+        if is_reduced(current):
+            return ReductionOutcome("reduced", current, (*seen, current), step)
+        if current in seen:
+            return ReductionOutcome("cycle", None, (*seen, current), step)
+        seen[current] = None
+        current = order(reflect(current, (1, 2, 3)))
+    return ReductionOutcome("budget_exceeded", current, tuple(seen)[-5:], cremona.MAX_STEPS)
+
+
+def test_the_walk_to_a_repeat_gives_the_same_answer(monkeypatch):
+    """Oracle: wherever the walk to a repeat does not spend its budget, it
+    gives cremona_reduce's kind and result, its trace extends cremona_reduce's,
+    and a cycle comes back to a class of cremona_reduce's walk.  The classes
+    are seeded at k = 3..10: coefficient draws, draws of positive degree,
+    and Weyl images of H, H - E1 and 2H - E1; a budget of 100 steps keeps
+    the infinite orbits at k = 9 and 10 cheap."""
+    monkeypatch.setattr(cremona, "MAX_STEPS", 100)
+    rng = random.Random(26)
+    kinds = set()
+    for k in range(3, 11):
+        s = rational_surface(k)
+        for i in range(150):
+            if i % 3 == 0:
+                x = divisor(s, [rng.randint(-4, 4) for _ in range(k + 1)])
+            elif i % 3 == 1:
+                x = divisor(s, [rng.randint(0, 12)] + [rng.randint(-4, 2) for _ in range(k)])
+            else:
+                x = parse_class(rng.choice(["H", "H-E1", "2H-E1"]), s)
+                for _ in range(rng.randint(1, 6)):
+                    x = reflect(x, tuple(rng.sample(range(1, k + 1), 3)))
+            old, new = _reduce_to_a_repeat(x), cremona_reduce(x)
+            if old.kind == "budget_exceeded":
+                assert k >= 9, x
+                continue
+            assert (new.kind, new.result) == (old.kind, old.result), x
+            assert old.trace[: len(new.trace)] == new.trace, x
+            if new.kind == "cycle":
+                assert old.trace[-1] in new.trace, x
+            kinds.add((k, new.kind))
+    assert kinds == {(k, kind) for k in range(3, 11) for kind in ("reduced", "cycle")}
 
 
 def _same_invariant_pairs():
@@ -395,12 +443,13 @@ def test_equivalence_agrees_with_the_orbit_closure():
 
 
 def test_the_search_agrees_with_the_chamber(monkeypatch):
-    """The bidirectional search, forced by walks that never reach the
-    chamber, gives the chamber's answer on the pairs at k = 4..8; outside
-    tests only nine or more blowups reach it."""
+    """The bidirectional search, forced by walks that report a spent budget,
+    gives the chamber's answer on the pairs at k = 4..8; outside tests only
+    nine or more blowups reach it."""
     pairs = _same_invariant_pairs()
     chamber = [cremona_equivalent(x, y) for x, y in pairs]
-    monkeypatch.setattr(cremona, "_walk_to_chamber", lambda x: None)
+    spent = ReductionOutcome("budget_exceeded", None, (), cremona.MAX_STEPS)
+    monkeypatch.setattr(cremona, "cremona_reduce", lambda x: spent)
     for (x, y), want in zip(pairs, chamber):
         got = cremona_equivalent(x, y)
         assert got.kind == want.kind, (x, y)

@@ -234,6 +234,15 @@ class TestAchieveVertex:
         assert got.limit_formula_used
         assert got.result.primitive() == parse_class("H-E1", S2)
 
+    def test_a_null_residual_pointing_away_from_the_start_is_flipped(self):
+        # E1 and -H+E1+E2 orthogonalize to E1 and -H+E2, a null class that
+        # pairs -1 with the start; the ray is its negative, as it is for
+        # H-E1-E2 in place of -H+E1+E2
+        start = parse_class("2H-E2", S2)
+        away = achieve_vertex(start, [E(S2, 1), parse_class("-H+E1+E2", S2)])
+        toward = achieve_vertex(start, [E(S2, 1), parse_class("H-E1-E2", S2)])
+        assert away == toward == InflationTrace(start, (), parse_class("H-E2", S2), True)
+
     def test_square_zero_curve_is_its_own_ray(self):
         s = trivial_ruled(1)
         start = parse_class("U+3T", s)

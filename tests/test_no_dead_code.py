@@ -113,7 +113,6 @@ def test_every_public_name_is_used():
 SHARED_METHOD_NAMES = {
     "ok": {
         "cones.CornerInfo",  # cones.KSymplecticCone.corners_ok
-        "cones.AuditEntry",  # cones.cone_theorem_audit
         "enumeration.SweepReport",  # verify.check_sweeps
     },
     "passed": {
