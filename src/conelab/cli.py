@@ -332,6 +332,8 @@ def cmd_blowdown(args) -> int:
         print(json.dumps(out))
     else:
         print("curves: " + ", ".join(str(c) for c in result.configuration.curves))
+        if result.configuration.extra_square_zero:
+            print("square-zero: " + ", ".join(str(c) for c in result.configuration.extra_square_zero))
         if result.dropped:
             print("dropped (non-negative square): " + ", ".join(str(d) for d in result.dropped))
     return 0

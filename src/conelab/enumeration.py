@@ -38,36 +38,31 @@ SWEEP_BOUND = 8
 
 def _sum_square_solutions(
     count: int,
-    total_sum: int | None,
+    total_sum: int,
     total_square: int,
     lo: int,
     hi: int,
 ) -> list[tuple[int, ...]]:
-    """Non-increasing integer tuples with the given sum of squares, and the
-    given sum when total_sum is not None."""
+    """Non-increasing integer tuples with entries in [lo, hi] and the given
+    sum and sum of squares."""
     out: list[tuple[int, ...]] = []
 
-    def feasible(m: int, s, sq: int, v: int) -> bool:
-        if sq < 0:
+    def feasible(m: int, s: int, sq: int, v: int) -> bool:
+        # (x1+...+xm)^2 <= m (x1^2+...+xm^2), which rules out sq < 0 when m > 0
+        if s * s > m * sq:
             return False
-        if m == 0:
-            return sq == 0 and (s is None or s == 0)
-        if s is not None:
-            # (x1+...+xm)^2 <= m (x1^2+...+xm^2)
-            if s * s > m * sq:
-                return False
-            if s > m * v or s < m * lo:
-                return False
+        if s > m * v or s < m * lo:
+            return False
         return True
 
-    def rec(m: int, prev: int, s, sq: int, acc: list[int]):
+    def rec(m: int, prev: int, s: int, sq: int, acc: list[int]):
         if m == 0:
-            if sq == 0 and (s is None or s == 0):
+            if sq == 0 and s == 0:
                 out.append(tuple(acc))
             return
         top = min(prev, hi, isqrt(sq) if sq >= 0 else lo - 1)
         for v in range(top, lo - 1, -1):
-            ns = None if s is None else s - v
+            ns = s - v
             nsq = sq - v * v
             if not feasible(m - 1, ns, nsq, v):
                 continue
@@ -138,11 +133,6 @@ def _note_from_b(b: Sequence[int]) -> str:
     return ", ".join(bits)
 
 
-def _family_positive(surface: SurfaceModel, a: int, b_desc: Sequence[int]) -> ClassFamily:
-    b_full = list(b_desc) + [0] * (surface.k - len(b_desc))
-    return ClassFamily(_class_from_b(surface, a, b_full), _note_from_b(b_full))
-
-
 def _family_anchor(surface: SurfaceModel, n: int, m: int) -> ClassFamily:
     """-nH + (n+1)E_i - (m further E's), anchored at E1 for display."""
     stored = [n + 1] + [-1] * m + [0] * (surface.k - 1 - m)
@@ -207,7 +197,7 @@ def sphere_classes(
             if s <= 0:
                 lo, hi = -isqrt(a * a + s) - margin, isqrt(a * a + s) + margin
             for b in _sum_square_solutions(k, 3 * a - 2 + s, a * a + s, lo, hi):
-                admit(_family_positive(surface, a, b), s)
+                admit(ClassFamily(_class_from_b(surface, a, b), _note_from_b(b)), s)
     for n in range(0, n_bound + 1):
         for m in range(0, k):
             s = 2 * n + 1 + m
@@ -227,18 +217,21 @@ def nine_squares_representations(total: int, residue_sum_zero: bool = True) -> l
     """Multisets of 9 integers, congruent to each other mod 3, whose squares
     sum to the given total; entries sum to zero when flagged.
 
-    Multisets are returned as non-increasing tuples, lexicographically
-    sorted; "essentially different" representations are exactly these."""
+    Entries r + 3m, r in {-1, 0, 1}, have squares summing to 9(r^2 + sum m^2)
+    + 6r sum m, so each sum m fixes sum m^2; the zero sum fixes sum m = -3r.
+    The multisets come as non-increasing tuples, lexicographically sorted;
+    "essentially different" representations are exactly these."""
     if total < 0:
         raise ValueError("total must be non-negative")
-    bound = isqrt(total)
-    target_sum = 0 if residue_sum_zero else None
-    sols = _sum_square_solutions(9, target_sum, total, -bound, bound)
+    bound = isqrt(total) // 3 + 1
     out = []
-    for s in sols:
-        r = s[0] % 3
-        if all(x % 3 == r for x in s):
-            out.append(s)
+    for r in (-1, 0, 1):
+        sums = (-3 * r,) if residue_sum_zero else range(-9 * bound, 9 * bound + 1)
+        for s in sums:
+            sq, rest = divmod(total - 9 * r * r - 6 * r * s, 9)
+            if rest == 0:
+                for ms in _sum_square_solutions(9, s, sq, -bound, bound):
+                    out.append(tuple(r + 3 * m for m in ms))
     return sorted(out, reverse=True)
 
 

@@ -540,7 +540,7 @@ def check_nef_threshold() -> tuple[bool, str]:
             for curves in curve_sets[k]:
                 cones.nef_threshold(omega, curves)  # raises past denominator three
                 checked += 1
-    return ok, f"examples 1/3, 1, 1 exact; {checked} random integral classes bounded"
+    return ok, f"examples {ex1}, {ex2}, {ex3} exact; {checked} random integral classes bounded"
 
 
 # --------------------------------------------------------------------- 14

@@ -461,6 +461,22 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          ["config", "blowdown", FILE, "--at", "E2", "--json"], 0,
          '{"surface": {"kind": "rational", "k": 1}, "curves": ["E1"], '
          '"extra_square_zero": ["H-E1"], "dropped": ["H-E1-E2"]}\n', ""),
+        ({"surface": {"kind": "rational", "k": 2}, "curves": ["E1", "E2", "H-E1-E2"],
+          "extra_square_zero": ["H-E1"]},
+         ["config", "blowdown", FILE, "--at", "E2"], 0,
+         "curves: E1\nsquare-zero: H-E1\ndropped (non-negative square): H-E1-E2\n", ""),
+        ({"surface": {"kind": "rational", "k": 2}, "curves": ["-H+E1+E2"]},
+         ["config", "validate", FILE], 1,
+         "p1: FAIL -- unclassified: -H+E1+E2\n"
+         "p2: FAIL -- witness not positive on: -H+E1+E2, H-E1-E2\n"
+         "p3: FAIL -- no decomposition for: H-E1-E2\n", ""),
+        ({"surface": {"kind": "nontrivial_ruled", "h": 1}, "curves": ["T-U"]},
+         ["config", "validate", FILE], 1,
+         "p1: FAIL -- unclassified: -U+T\n"
+         "p2: FAIL -- witness 2U-T has square 0\n"
+         "p3: pass -- all -1 classes decompose\n", ""),
+        (None, ["cone", "dual", "--rays", "U,T", "--surface", "ruled:h=1", "--paper-signs"], 0,
+         "(0, 1)\n(1, 0)\n", ""),
         (None, ["nef-threshold", "--omega", "3H-E1", "--curves", "2H-E1-E2", "--k", "2"], 1, "",
          "error: threshold denominator 4 exceeds 3\n"),
         (None, ["enumerate", "--k", "2", "--genus", "1"], 2, "",
@@ -471,6 +487,8 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          "cone-dual-file-without-rays", "cone-dual-file-with-empty-rays",
          "nef-threshold-file-text", "nef-threshold-file-json", "inflate-ray-not-extremal",
          "inflate-trace-text", "blowdown-dropped-text", "blowdown-square-zero-kept-json",
+         "blowdown-square-zero-kept-text", "validate-witness-not-positive",
+         "validate-witness-square-zero", "cone-dual-ruled-paper-signs",
          "nef-threshold-denominator-four", "enumerate-positive-genus"],
 )
 def test_branch_output_is_pinned(capsys, tmp_path, document, argv, code, out, err):
@@ -673,7 +691,7 @@ LEAVES = {
     ("enumerate",): ([], [ON_SURFACE], {"--json": None, "--paper-signs": None,
                                         "--families": None, "--square": INTS,
                                         "--genus": INTS, "--nbound": INTS}),
-    ("squares",): ([], [{"--total": st.integers(-3, 100).map(str)}],
+    ("squares",): ([], [{"--total": st.integers(-3, 500).map(str)}],
                    {"--any-sum": None, "--json": None}),
     ("cremona", "reduce"): ([], [ON_SURFACE, {"--class": CLASSES}], {"--json": None}),
     ("cremona", "equiv"): ([CLASSES, CLASSES], [ON_SURFACE], {"--json": None}),

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -370,6 +371,80 @@ class TestNineSquares:
         got = set(nine_squares_representations(18, residue_sum_zero=False))
         assert (3, 3, 0, 0, 0, 0, 0, 0, 0) in got
         assert len(got) == 5
+
+
+def _sum_square_solutions(
+    count: int,
+    total_sum: int | None,
+    total_square: int,
+    lo: int,
+    hi: int,
+) -> list[tuple[int, ...]]:
+    """Non-increasing integer tuples with the given sum of squares, and the
+    given sum when total_sum is not None."""
+    out: list[tuple[int, ...]] = []
+
+    def feasible(m: int, s, sq: int, v: int) -> bool:
+        if sq < 0:
+            return False
+        if m == 0:
+            return sq == 0 and (s is None or s == 0)
+        if s is not None:
+            # (x1+...+xm)^2 <= m (x1^2+...+xm^2)
+            if s * s > m * sq:
+                return False
+            if s > m * v or s < m * lo:
+                return False
+        return True
+
+    def rec(m: int, prev: int, s, sq: int, acc: list[int]):
+        if m == 0:
+            if sq == 0 and (s is None or s == 0):
+                out.append(tuple(acc))
+            return
+        top = min(prev, hi, isqrt(sq) if sq >= 0 else lo - 1)
+        for v in range(top, lo - 1, -1):
+            ns = None if s is None else s - v
+            nsq = sq - v * v
+            if not feasible(m - 1, ns, nsq, v):
+                continue
+            acc.append(v)
+            rec(m - 1, v, ns, nsq, acc)
+            acc.pop()
+
+    rec(count, hi, total_sum, total_square, [])
+    return out
+
+
+def search_then_filter(total: int, residue_sum_zero: bool = True) -> list[tuple[int, ...]]:
+    """The nine-squares search before the residue class became part of it:
+    every nine-tuple with |x| <= sqrt(total), and the sum free unless fixed
+    at zero, then the tuples with mixed residues thrown away.  Kept word for
+    word, with the free-sum search above, as a reference."""
+    if total < 0:
+        raise ValueError("total must be non-negative")
+    bound = isqrt(total)
+    target_sum = 0 if residue_sum_zero else None
+    sols = _sum_square_solutions(9, target_sum, total, -bound, bound)
+    out = []
+    for s in sols:
+        r = s[0] % 3
+        if all(x % 3 == r for x in s):
+            out.append(s)
+    return sorted(out, reverse=True)
+
+
+class TestNineSquaresResidueSearch:
+    @pytest.mark.parametrize("residue_sum_zero,top", [(True, 100), (False, 45)])
+    def test_matches_search_then_filter(self, residue_sum_zero, top):
+        for total in range(top + 1):
+            want = search_then_filter(total, residue_sum_zero)
+            assert nine_squares_representations(total, residue_sum_zero) == want, total
+
+    def test_large_totals(self):
+        # 2000 is not divisible by 9, so no zero-sum representation exists
+        assert nine_squares_representations(2000) == []
+        assert len(nine_squares_representations(396)) == 150
 
 
 class TestSweeps:
