@@ -16,7 +16,7 @@ under cremona.moves and the permutations of E1..Ek, and adjacency
 decomposition up to symmetry (Christof and Reinelt, Int. J. Comput. Geom.
 Appl. 11, 2001; Bremner, Dutour Sikiric and Schuermann, "Polyhedral
 representation conversion up to symmetries", 2009) certifies them complete
-from the two orbit representatives and their neighbours.
+from the two orbit representatives and one neighbour per stabiliser orbit.
 """
 
 from __future__ import annotations
@@ -27,12 +27,13 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
-from .cremona import moves
+from .cremona import moves, order
 from .enumeration import distinct_arrangements, exceptional_classes
 from .lattice import (
     DivisorClass,
     SurfaceModel,
     T,
+    _from_numerators,
     adjunction_genus,
     basis_class,
     canonical_class,
@@ -205,8 +206,9 @@ def k_symplectic_cone(surface: SurfaceModel) -> KSymplecticCone:
 
     (a) The -1 classes tight at H, and at H - E1, have rank k, so both are
         extreme rays, and so is every class of their orbits.
-    (b) Each neighbour of H and of H - E1 on the cone (_neighbours) lies in
-        the orbits.  The group carries this to every member.
+    (b) Each neighbour of H and of H - E1 on the cone lies in the orbits,
+        tested for one per orbit of the permutations of E1..Ek that fix H,
+        or H - E1 (_neighbours).  The group carries this to every member.
 
     The ray graph of a pointed cone is connected (Balinski), so a set of
     extreme rays holding every neighbour of each member holds every ray.
@@ -226,7 +228,7 @@ def k_symplectic_cone(surface: SurfaceModel) -> KSymplecticCone:
     return KSymplecticCone(tuple(corners))
 
 
-def _certified_corners(surface: SurfaceModel) -> set[DivisorClass]:
+def _certified_corners(surface: SurfaceModel) -> list[DivisorClass]:
     """The corners for k in 2..8, with the certificate of k_symplectic_cone."""
     targets = (H(surface), H(surface) - E(surface, 1))
     # the ordered classes of the two orbits, closed under the reflections
@@ -236,28 +238,31 @@ def _certified_corners(surface: SurfaceModel) -> set[DivisorClass]:
             if x not in ordered:
                 ordered.add(x)
                 todo.append(x)
-    corners = {
-        divisor(surface, (a, *arr))
-        for a, *b in (x.coeffs for x in ordered)
-        for arr in distinct_arrangements(b)
-    }
     minus_one = exceptional_classes(surface)
     for t in targets:
         for x in _neighbours(t, minus_one):
-            if x not in corners:
+            if order(x) not in ordered:
                 raise ConeError(f"the corner {x} is missing from the orbits of H and H-E1")
-    return corners
+    # no two ordered classes share an arrangement
+    return [
+        _from_numerators(surface, (a, *arr))
+        for a, *b in (x.coeffs for x in ordered)
+        for arr in distinct_arrangements(b)
+    ]
 
 
 def _neighbours(r: DivisorClass, minus_one: Iterable[DivisorClass]) -> list[DivisorClass]:
-    """The extreme rays adjacent to r on the dual of the -1 classes, for r
-    in that cone; raises ConeError unless r is an extreme ray.
+    """One extreme ray adjacent to r on the dual of the -1 classes per orbit
+    of r's stabiliser in the permutations of E1..Ek, for r in that cone;
+    raises ConeError unless r is an extreme ray.
 
     The -1 classes tight at r cut out the cone's tangent cone at r, and r is
     extreme when they have rank k, that is when that cone's lineality is the
     line of r alone.  Each extreme ray d of the tangent cone spans a 2-face
     with r, whose other ray is d + s r for the least s that leaves every
     pairing non-negative: the largest -(e.d)/(e.r) over the non-tight e.
+    The stabiliser permutes the tight and the loose e, and so the d and the
+    neighbours: one d per orbit is shot.
     """
     surface = r.surface
     tight, loose = [], []
@@ -272,8 +277,10 @@ def _neighbours(r: DivisorClass, minus_one: Iterable[DivisorClass]) -> list[Divi
         raise ConeError(
             f"the -1 classes tight at {r} have rank {surface.rank - len(lineality)}, not {surface.k}"
         )
+    # d's orbit: its H-coordinate and its E-coordinates paired with r's
+    orbits = {(d[0], *sorted(zip(r.coeffs[1:], d[1:]))): d for d in directions}
     out = []
-    for d in directions:
+    for d in orbits.values():
         # s = num / den with den > 0, compared by cross-multiplying; (-1, 0)
         # stands below every ratio
         num, den = -1, 0

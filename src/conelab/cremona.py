@@ -10,7 +10,6 @@ and reduced when in the chamber with every xi >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .lattice import (
@@ -115,10 +114,17 @@ class EquivalenceOutcome:
 
 def moves(x: DivisorClass) -> Iterable[DivisorClass]:
     """The ordered classes one reflection away from the ordered class x;
-    none below three blowups."""
-    k = x.surface.k
-    for triple in combinations(range(1, k + 1), 3):
-        yield order(reflect(x, triple))
+    none below three blowups.  Triples with equal values (xi, xj, xl) give
+    one class, so only the least of them reflects x, which keeps the order
+    in which the classes first come; its indices each open a run of equal
+    xi or follow the one before."""
+    k, n = x.surface.k, x._num
+    def after(p: int) -> Iterable[int]:
+        return (m for m in range(p + 1, k + 1) if m == p + 1 or n[m] != n[m - 1])
+    for i in after(0):
+        for j in after(i):
+            for l in after(j):
+                yield order(reflect(x, (i, j, l)))
 
 
 def cremona_equivalent(x: DivisorClass, y: DivisorClass) -> EquivalenceOutcome:

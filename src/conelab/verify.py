@@ -549,16 +549,18 @@ def check_nef_threshold() -> tuple[bool, str]:
 def _reflection_samples() -> Iterable[tuple[DivisorClass, DivisorClass, tuple[int, int, int]]]:
     """10^4 random samples (K, x, triple): k uniform on 3..8, the
     coefficients of x uniform on -9..9, and the triple uniform among k's
-    ordered triples of distinct indices.  All k are drawn in one call and
-    the triples of one k in one more, so the samples come grouped by k,
-    which the check does not see; each class's coefficients take one call."""
+    ordered triples of distinct indices.  All k are drawn in one call, then
+    per k its triples in one and its classes' coefficients in one, so the
+    samples come grouped by k, which the check does not see."""
     rng = random.Random(5)
     counts = Counter(rng.choices(range(3, 9), k=10_000))
     for k in range(3, 9):
         sk = rational_surface(k)
         kc = canonical_class(sk)
-        for triple in rng.choices(list(permutations(range(1, k + 1), 3)), k=counts[k]):
-            yield kc, divisor(sk, rng.choices(range(-9, 10), k=k + 1)), triple
+        triples = rng.choices(list(permutations(range(1, k + 1), 3)), k=counts[k])
+        coeffs = rng.choices(range(-9, 10), k=(k + 1) * counts[k])
+        for m, triple in enumerate(triples):
+            yield kc, divisor(sk, coeffs[m * (k + 1):(m + 1) * (k + 1)]), triple
 
 
 @check("cremona-reduction",

@@ -5,7 +5,10 @@ Run with -s to see one PASS/FAIL line per criterion; the same checks back
 the ``conelab verify-paper`` command.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -67,3 +70,16 @@ def test_the_cremona_check_catches_a_broken_reflection(monkeypatch, broken):
     result = verify.check_cremona()
     assert not result.passed
     assert result.details.endswith("preserve invariants: False")
+
+
+def test_the_cremona_samples_are_the_draws_of_one_call_per_class():
+    """Reference: check 14 draws the coefficients of all classes of one k in
+    one call, which reads the random stream as one call per class does."""
+    rng = random.Random(5)
+    counts = Counter(rng.choices(range(3, 9), k=10_000))
+    want = []
+    for k in range(3, 9):
+        for triple in rng.choices(list(permutations(range(1, k + 1), 3)), k=counts[k]):
+            want.append((k, tuple(rng.choices(range(-9, 10), k=k + 1)), triple))
+    got = [(x.surface.k, x.coeffs, triple) for _, x, triple in verify._reflection_samples()]
+    assert got == want

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conelab
-from conelab import cones, exactlp, linalg
+from conelab import cones, cremona, exactlp, linalg
 from conelab.cones import (
     AuditEntry,
     ConeError,
@@ -26,7 +26,7 @@ from conelab.cones import (
     nef_threshold,
 )
 from conelab.configurations import catalog_cp2_2, catalog_cp2_3
-from conelab.cremona import cremona_reduce, moves, order
+from conelab.cremona import cremona_reduce, moves, order, reflect
 from conelab.enumeration import exceptional_classes, family_instances, sphere_classes
 from conelab.lattice import (
     E,
@@ -37,6 +37,7 @@ from conelab.lattice import (
     basis_class,
     canonical_class,
     divisor,
+    gram_functional,
     nontrivial_ruled,
     pair,
     parse_class,
@@ -471,6 +472,32 @@ class TestCornerCertificate:
         )
         with pytest.raises(ConeError, match="corner 2H-E1-E2-E3 is missing"):
             k_symplectic_cone(S3)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_one_neighbour_per_orbit_of_the_stabiliser(self, k):
+        # reference: a ray shot along every edge direction of the tangent cone
+        s = rational_surface(k)
+        minus_one = exceptional_classes(s)
+        for r, orbits in ((H(s), 1), (H(s) - E(s, 1), k)):
+            tight = [e for e in minus_one if pair(e, r) == 0]
+            loose = [e for e in minus_one if pair(e, r) > 0]
+            every = set()
+            for d in extreme_rays_h([gram_functional(e) for e in tight], s.rank)[0]:
+                d = divisor(s, d)
+                step = max(Fraction(-pair(e, d), pair(e, r)) for e in loose)
+                every.add(order((d + step * r).primitive()))
+            got = cones._neighbours(r, minus_one)
+            assert len(got) == orbits
+            assert {order(x) for x in got} == every
+
+    @pytest.mark.parametrize("k,reflections", [(7, 56), (8, 328)])
+    def test_one_reflection_per_value_triple(self, monkeypatch, k, reflections):
+        # every index triple of the 15 and 50 ordered classes of the two
+        # orbits would make 15 * 35 and 50 * 56 = 2,800 reflections
+        made = []
+        monkeypatch.setattr(cremona, "reflect", lambda x, t: made.append(t) or reflect(x, t))
+        k_symplectic_cone(rational_surface(k))
+        assert len(made) == reflections
 
 
 class TestPositiveDual:

@@ -233,6 +233,17 @@ class TestMoves:
     def test_the_one_move_of_h_on_three_blowups(self):
         assert [str(c) for c in moves(H(S3))] == ["2H-E1-E2-E3"]
 
+    @pytest.mark.parametrize("k", range(3, 11))
+    def test_the_same_classes_first_seen_in_the_same_order_as_every_triple(self, k):
+        # reference: the reflection in every index triple; coefficients from
+        # a short range repeat, so many triples share their values
+        sk = rational_surface(k)
+        rng = random.Random(k)
+        for _ in range(40):
+            x = order(divisor(sk, [rng.randint(-3, 3) for _ in range(k + 1)]))
+            every = (order(reflect(x, t)) for t in itertools.combinations(range(1, k + 1), 3))
+            assert list(dict.fromkeys(moves(x))) == list(dict.fromkeys(every))
+
 
 class TestEquivalence:
     def test_reduction_path(self):
