@@ -212,24 +212,34 @@ def k_symplectic_cone(surface: SurfaceModel) -> KSymplecticCone:
 
     The ray graph of a pointed cone is connected (Balinski), so a set of
     extreme rays holding every neighbour of each member holds every ray.
-    A failed step raises ConeError.
+    A failed step raises ConeError.  Square and genus are read once per
+    ordered class, for all its arrangements: the form and K = -3H + sum Ei
+    are symmetric in E1..Ek.
     """
     if not surface.is_rational:
         raise ConeError("the K-symplectic cone helper covers rational surfaces")
     if surface.k > 8:
         raise ConeError("infinitely many -1 classes for k >= 9")
     if surface.k == 0:
-        rays = {H(surface)}
+        ordered = [H(surface)]
     elif surface.k == 1:
-        rays = {H(surface), H(surface) - E(surface, 1)}
+        ordered = [H(surface), H(surface) - E(surface, 1)]
     else:
-        rays = _certified_corners(surface)
-    corners = (CornerInfo(r, r.square(), adjunction_genus(r)) for r in sorted_classes(rays))
+        ordered = _certified_corners(surface)
+    corners = []
+    for x in ordered:
+        (a, *b), square, genus = x.coeffs, x.square(), adjunction_genus(x)
+        # no two ordered classes share an arrangement
+        corners += (
+            CornerInfo(_from_numerators(surface, (a, *arr)), square, genus)
+            for arr in distinct_arrangements(b)
+        )
+    corners.sort(key=lambda c: c.ray.coeffs)
     return KSymplecticCone(tuple(corners))
 
 
-def _certified_corners(surface: SurfaceModel) -> list[DivisorClass]:
-    """The corners for k in 2..8, with the certificate of k_symplectic_cone."""
+def _certified_corners(surface: SurfaceModel) -> set[DivisorClass]:
+    """The ordered classes of the corners for k in 2..8, certified as in k_symplectic_cone."""
     targets = (H(surface), H(surface) - E(surface, 1))
     # the ordered classes of the two orbits, closed under the reflections
     ordered, todo = set(targets), list(targets)
@@ -238,20 +248,15 @@ def _certified_corners(surface: SurfaceModel) -> list[DivisorClass]:
             if x not in ordered:
                 ordered.add(x)
                 todo.append(x)
-    minus_one = exceptional_classes(surface)
+    functionals = [gram_functional(e) for e in exceptional_classes(surface)]
     for t in targets:
-        for x in _neighbours(t, minus_one):
+        for x in _neighbours(t, functionals):
             if order(x) not in ordered:
                 raise ConeError(f"the corner {x} is missing from the orbits of H and H-E1")
-    # no two ordered classes share an arrangement
-    return [
-        _from_numerators(surface, (a, *arr))
-        for a, *b in (x.coeffs for x in ordered)
-        for arr in distinct_arrangements(b)
-    ]
+    return ordered
 
 
-def _neighbours(r: DivisorClass, minus_one: Iterable[DivisorClass]) -> list[DivisorClass]:
+def _neighbours(r: DivisorClass, functionals: Iterable[IntVec]) -> list[DivisorClass]:
     """One extreme ray adjacent to r on the dual of the -1 classes per orbit
     of r's stabiliser in the permutations of E1..Ek, for r in that cone;
     raises ConeError unless r is an extreme ray.
@@ -262,16 +267,16 @@ def _neighbours(r: DivisorClass, minus_one: Iterable[DivisorClass]) -> list[Divi
     with r, whose other ray is d + s r for the least s that leaves every
     pairing non-negative: the largest -(e.d)/(e.r) over the non-tight e.
     The stabiliser permutes the tight and the loose e, and so the d and the
-    neighbours: one d per orbit is shot.
+    neighbours: one d per orbit is shot.  Each e comes as its Gram functional.
     """
     surface = r.surface
     tight, loose = [], []
-    for e in minus_one:
-        er = pair(e, r)
+    for q in functionals:
+        er = sum(map(mul, q, r._num))
         if er:
-            loose.append((gram_functional(e), er))
+            loose.append((q, er))
         else:
-            tight.append(gram_functional(e))
+            tight.append(q)
     directions, lineality = extreme_rays_h(tight, surface.rank)
     if len(lineality) != 1:
         raise ConeError(

@@ -429,6 +429,18 @@ class TestKSymplecticCone:
         tight = Counter(zip((c.square for c in corners), (pairings == 0).sum(axis=1).tolist()))
         assert tight == {(1, 8): 17280, (0, 14): 2160}
 
+    @pytest.mark.parametrize("k", range(9))
+    def test_square_and_genus_agree_with_each_corner(self, k):
+        # reference: square and genus paired on each corner, not read off
+        # its ordered class
+        ks = k_symplectic_cone(rational_surface(k))
+        corners = ks.corners
+        for c in corners:
+            assert (c.square, c.genus) == (c.ray.square(), adjunction_genus(c.ray))
+        keys = [c.ray.coeffs for c in corners]
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+        assert ks.corners_ok == all(c.ok for c in corners)
+
     def test_k3_corner_types(self):
         ks = k_symplectic_cone(rational_surface(3))
         squares = sorted(c.square for c in ks.corners)
@@ -486,9 +498,18 @@ class TestCornerCertificate:
                 d = divisor(s, d)
                 step = max(Fraction(-pair(e, d), pair(e, r)) for e in loose)
                 every.add(order((d + step * r).primitive()))
-            got = cones._neighbours(r, minus_one)
+            got = cones._neighbours(r, [gram_functional(e) for e in minus_one])
             assert len(got) == orbits
             assert {order(x) for x in got} == every
+
+    def test_one_gram_functional_per_minus_one_class(self, monkeypatch):
+        # the 240 -1 classes of eight blowups serve both H and H - E1
+        made = []
+        monkeypatch.setattr(
+            cones, "gram_functional", lambda e: made.append(e) or gram_functional(e)
+        )
+        k_symplectic_cone(rational_surface(8))
+        assert len(made) == len(set(made)) == 240
 
     @pytest.mark.parametrize("k,reflections", [(7, 56), (8, 328)])
     def test_one_reflection_per_value_triple(self, monkeypatch, k, reflections):
