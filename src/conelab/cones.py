@@ -17,6 +17,7 @@ decomposition up to symmetry (Christof and Reinelt, Int. J. Comput. Geom.
 Appl. 11, 2001; Bremner, Dutour Sikiric and Schuermann, "Polyhedral
 representation conversion up to symmetries", 2009) certifies them complete
 from the two orbit representatives and one neighbour per stabiliser orbit.
+The cone is held as its ordered classes; its corners are expanded on read.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .lattice import (
     DivisorClass,
     SurfaceModel,
     T,
-    _from_numerators,
     adjunction_genus,
     basis_class,
     canonical_class,
@@ -182,11 +182,18 @@ class CornerInfo:
 
 @dataclass(frozen=True)
 class KSymplecticCone:
-    corners: tuple[CornerInfo, ...]
+    orbits: tuple[CornerInfo, ...]  # one per ordered class of the corners, sorted
+
+    @property
+    def corners(self) -> list[CornerInfo]:
+        """Every corner, expanded from its ordered class on each read, sorted by coefficients."""
+        out = (CornerInfo(x, c.square, c.genus) for c in self.orbits
+               for x in distinct_arrangements(c.ray))
+        return sorted(out, key=lambda c: c.ray.coeffs)
 
     @property
     def corners_ok(self) -> bool:
-        return all(c.ok for c in self.corners)
+        return all(c.ok for c in self.orbits)
 
 
 def k_symplectic_cone(surface: SurfaceModel) -> KSymplecticCone:
@@ -212,9 +219,9 @@ def k_symplectic_cone(surface: SurfaceModel) -> KSymplecticCone:
 
     The ray graph of a pointed cone is connected (Balinski), so a set of
     extreme rays holding every neighbour of each member holds every ray.
-    A failed step raises ConeError.  Square and genus are read once per
-    ordered class, for all its arrangements: the form and K = -3H + sum Ei
-    are symmetric in E1..Ek.
+    A failed step raises ConeError.  The cone holds one CornerInfo per
+    ordered class: the form and K = -3H + sum Ei are symmetric in E1..Ek, so
+    its arrangements share its square and genus.
     """
     if not surface.is_rational:
         raise ConeError("the K-symplectic cone helper covers rational surfaces")
@@ -226,16 +233,8 @@ def k_symplectic_cone(surface: SurfaceModel) -> KSymplecticCone:
         ordered = [H(surface), H(surface) - E(surface, 1)]
     else:
         ordered = _certified_corners(surface)
-    corners = []
-    for x in ordered:
-        (a, *b), square, genus = x.coeffs, x.square(), adjunction_genus(x)
-        # no two ordered classes share an arrangement
-        corners += (
-            CornerInfo(_from_numerators(surface, (a, *arr)), square, genus)
-            for arr in distinct_arrangements(b)
-        )
-    corners.sort(key=lambda c: c.ray.coeffs)
-    return KSymplecticCone(tuple(corners))
+    orbits = (CornerInfo(x, x.square(), adjunction_genus(x)) for x in sorted_classes(ordered))
+    return KSymplecticCone(tuple(orbits))
 
 
 def _certified_corners(surface: SurfaceModel) -> set[DivisorClass]:

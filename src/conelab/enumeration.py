@@ -26,6 +26,7 @@ from .lattice import (
     DivisorClass,
     LatticeError,
     SurfaceModel,
+    _from_numerators,
     adjunction_genus,
     canonical_class,
     divisor,
@@ -74,14 +75,15 @@ def _sum_square_solutions(
     return out
 
 
-def distinct_arrangements(values: Sequence[int]) -> Iterable[tuple[int, ...]]:
-    """All distinct orderings of a multiset, each once, in lexicographic
-    order: Knuth's Algorithm L (TAOCP 7.2.1.2), stepping from the sorted
-    values to the next permutation until none is larger."""
-    a = sorted(values)
+def distinct_arrangements(x: DivisorClass) -> Iterable[DivisorClass]:
+    """The distinct classes that permuting E1..Ek makes of x, each once, in
+    lexicographic order: Knuth's Algorithm L (TAOCP 7.2.1.2), stepping from the
+    sorted E-coefficients to the next permutation until none is larger."""
+    surface, (h, *a) = x.surface, x._num
+    a.sort()
     n = len(a)
     while True:
-        yield tuple(a)
+        yield _from_numerators(surface, (h, *a), x._den)
         # the last ascent a[j] < a[j + 1]; past it the values do not increase
         j = n - 2
         while j >= 0 and a[j] >= a[j + 1]:
@@ -117,8 +119,7 @@ class ClassFamily:
         return (c[0], tuple(sorted(c[1:], reverse=True)))
 
     def instances(self) -> frozenset[DivisorClass]:
-        a, *b = self.representative.coeffs
-        return frozenset(divisor(self.surface, (a,) + arr) for arr in distinct_arrangements(b))
+        return frozenset(distinct_arrangements(self.representative))
 
     def __str__(self) -> str:
         return f"{self.representative} ({self.orbit_note})"

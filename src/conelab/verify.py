@@ -299,7 +299,7 @@ def check_k_symplectic_corners() -> tuple[bool, str]:
         got = {str(c.ray) for c in ks.corners}
         good = ks.corners_ok and got == expected[k]
         ok &= good
-        rows.append(f"k={k}: {len(ks.corners)} corners, squares/genus ok={ks.corners_ok}")
+        rows.append(f"k={k}: {len(got)} corners, squares/genus ok={ks.corners_ok}")
     return ok, "; ".join(rows)
 
 

@@ -4,12 +4,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conelab
 from conelab import cones
 from conelab.cli import main, parse_surface
 from conelab.cones import ConeError
@@ -374,6 +378,19 @@ def test_ksymp_output_is_pinned(capsys, k, flags, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_a_closed_pipe_ends_quietly():
+    """A reader that stops after one line of `cone ksymp --k 8`, about 800 KB,
+    far above a pipe's buffer, leaves exit code 1 and no traceback."""
+    src = str(Path(conelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "conelab.cli", "cone", "ksymp", "--k", "8"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"H-E1  square 0  genus 0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
 @pytest.mark.parametrize(
     "argv,code,out,err",
     [
@@ -481,6 +498,8 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          "error: threshold denominator 4 exceeds 3\n"),
         (None, ["enumerate", "--k", "2", "--genus", "1"], 2, "",
          "error: only genus-0 enumeration is finite; use --genus 0\n"),
+        (None, ["enumerate", "--k", "3", "--families", "--json"], 0,
+         '{"families": ["E1 (1 on one E)", "H-E1-E2 (1 on 2 E\'s)"]}\n', ""),
     ],
     ids=["cremona-equiv-json", "cremona-reduce-cycle-text", "cremona-equiv-two-blowups-json", "cone-dual-lineality-text",
          "cone-dual-normalised-facets-json", "cone-dual-zero-generators",
@@ -489,7 +508,8 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          "inflate-trace-text", "blowdown-dropped-text", "blowdown-square-zero-kept-json",
          "blowdown-square-zero-kept-text", "validate-witness-not-positive",
          "validate-witness-square-zero", "cone-dual-ruled-paper-signs",
-         "nef-threshold-denominator-four", "enumerate-positive-genus"],
+         "nef-threshold-denominator-four", "enumerate-positive-genus",
+         "enumerate-families-json"],
 )
 def test_branch_output_is_pinned(capsys, tmp_path, document, argv, code, out, err):
     """The full stdout, stderr and exit code of the CLI branches that no

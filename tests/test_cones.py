@@ -7,7 +7,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -18,6 +18,8 @@ from conelab import cones, cremona, exactlp, linalg
 from conelab.cones import (
     AuditEntry,
     ConeError,
+    CornerInfo,
+    KSymplecticCone,
     RationalCone,
     cone_theorem_audit,
     dual_cone,
@@ -440,6 +442,38 @@ class TestKSymplecticCone:
         keys = [c.ray.coeffs for c in corners]
         assert all(x < y for x, y in zip(keys, keys[1:]))
         assert ks.corners_ok == all(c.ok for c in corners)
+
+    @pytest.mark.parametrize("k,count", enumerate([1, 2, 2, 3, 4, 5, 8, 15, 50]))
+    def test_one_entry_per_ordered_class(self, k, count):
+        # reference: the corners are the arrangements of the entries, so each
+        # corner's ordered class is an entry with its square and genus, and
+        # the corners number the multinomial counts of the entries
+        ks = k_symplectic_cone(rational_surface(k))
+        assert len(ks.orbits) == count
+        assert all(c.ray == order(c.ray) for c in ks.orbits)
+        entries = {c.ray: c for c in ks.orbits}
+        corners = ks.corners
+        for c in corners:
+            entry = entries[order(c.ray)]
+            assert (entry.square, entry.genus) == (c.square, c.genus)
+        arrangements = [
+            factorial(k) // prod(map(factorial, Counter(c.ray.coeffs[1:]).values()))
+            for c in ks.orbits
+        ]
+        keys = [c.ray.coeffs for c in corners]
+        assert len(keys) == sum(arrangements)
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+
+    def test_k8_entries_by_square(self):
+        squares = Counter(c.square for c in k_symplectic_cone(rational_surface(8)).orbits)
+        assert squares == {1: 35, 0: 15}
+
+    def test_an_entry_of_square_two_fails(self):
+        x = parse_class("2H-E1-E2", S2)
+        assert (x.square(), adjunction_genus(x)) == (2, 0)
+        ks = KSymplecticCone((CornerInfo(x, 2, 0),))
+        assert not ks.corners_ok
+        assert ks.corners == [CornerInfo(x, 2, 0)]
 
     def test_k3_corner_types(self):
         ks = k_symplectic_cone(rational_surface(3))

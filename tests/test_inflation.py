@@ -177,6 +177,8 @@ class TestGramSchmidt:
         # facets meet the light cone on the ray H-E2
         got = achieve_vertex(parse_class("3H-E1-E2", S2), [E(S2, 1), parse_class("H-E1-E2", S2)])
         assert got.limit_formula_used and got.result == parse_class("H-E2", S2)
+        # replay does not apply to a light-cone limit, which verifies as flagged
+        assert got.verify()
 
     def test_single_class_unchanged(self):
         s1 = rational_surface(1)
