@@ -421,10 +421,11 @@ def ruled_negative_classes(surface: SurfaceModel, bound: int) -> list[DivisorCla
     if not surface.is_ruled or surface.k != 0:
         raise ConfigurationError("minimal ruled surfaces only")
     h = surface.h
+    u, t = U(surface), T(surface)
     out = []
     for a in range(0, bound + 1):
         for b in range(-bound, bound + 1):
-            c = a * U(surface) + b * T(surface)
+            c = a * u + b * t
             if c.square() >= 0:
                 continue
             if 2 * adjunction_genus(c) - 2 < a * (2 * h - 2):

@@ -9,6 +9,11 @@ row); it stops once the artificials are zero, after which that tableau's
 pivots are all degenerate, so the solutions are the same.  The columns and
 the target are integer vectors, used as given; only the returned values are
 Fractions.
+
+The rows with a negative target entry are negated, to S A x = |t| for the
+sign matrix S, and the tableau keeps B^-1 S, starting from S: a pivot is a
+row operation, which commutes with S, so the pivots and solutions are those
+of the negated system, while the columns are priced and entered as given.
 """
 
 from __future__ import annotations
@@ -31,29 +36,29 @@ def nonnegative_combination(
     """
     m = len(target)
     n = len(columns)
-    # rows whose target entry is negative are negated, so the right-hand side
-    # starts non-negative; pricing folds that sign into the pricing row
-    flip = [t < 0 for t in target]
     # the dense tableau on the entering column, the artificial columns and
     # the right-hand side, all times the common denominator `denom`: row i is
-    # [d_i | row i of the basis inverse | x_i]; the last row is
-    # [reduced cost | y = c_B B^-1 | phase-1 objective]
-    rows = [[0] + [int(i == k) for k in range(m)] + [abs(t)] for i, t in enumerate(target)]
-    rows.append([0] + [1] * m + [sum(map(abs, target))])
+    # [d_i | row i of B^-1 S | x_i]; the last row is
+    # [reduced cost | y S for y = c_B B^-1 | phase-1 objective]
+    signs = [-1 if t < 0 else 1 for t in target]
+    rows = [[0] + [s if i == k else 0 for k in range(m)] + [s * t]
+            for i, (s, t) in enumerate(zip(signs, target))]
+    rows.append([0] + signs + [sum(map(abs, target))])
     denom = 1
     basis = list(range(n, n + m))
 
     while rows[m][-1] != 0:
-        # reduced cost y.column; artificials are never priced: when no column
-        # prices positive, the basis is optimal for the columns and the basic
-        # artificials alone, so a positive objective proves infeasibility
-        price = linalg.primitive([-x if f else x for f, x in zip(flip, rows[m][1:-1])])
+        # reduced cost y S column, whose sign alone is read; artificials are
+        # never priced: when no column prices positive, the basis is optimal
+        # for the columns and the basic artificials alone, so a positive
+        # objective proves infeasibility
+        price = rows[m][1:-1]
         for enter, col in enumerate(columns):
             if sum(map(mul, price, col)) > 0:
                 break
         else:
             return None
-        entering = [(k, -x if f else x) for k, (f, x) in enumerate(zip(flip, col)) if x]
+        entering = [(k, a) for k, a in enumerate(col) if a]
         for row in rows:
             row[0] = sum(row[1 + k] * a for k, a in entering if row[1 + k])
         # Bland's ratio test: the least x_i / d_i over d_i > 0, ties to the

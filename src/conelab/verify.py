@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import mul
 from typing import Callable, Iterable
 
 from . import cones, cremona, enumeration, inflation, swcert
@@ -33,6 +34,7 @@ from .lattice import (
     H,
     T,
     U,
+    _from_numerators,
     canonical_class,
     divisor,
     nontrivial_ruled,
@@ -100,15 +102,15 @@ def check_exceptional_small_k() -> tuple[bool, str]:
     want2 = {E(s2, 1), E(s2, 2), H(s2) - E(s2, 1) - E(s2, 2)}
     s3 = rational_surface(3)
     got3 = enumeration.exceptional_classes(s3)
-    # independent oracle: plain triple loops over the certified window
+    # independent oracle: plain loops over the certified window, in int;
+    # K.C = -3a + b1 + b2 + b3 for C = aH - b1E1 - b2E2 - b3E3
     brute3 = set()
     for a in range(0, 4):
         for b1 in range(-4, 5):
             for b2 in range(-4, 5):
                 for b3 in range(-4, 5):
-                    c = divisor(s3, [a, -b1, -b2, -b3])
-                    if c.square() == -1 and pair(canonical_class(s3), c) == -1:
-                        brute3.add(c)
+                    if a * a - b1 * b1 - b2 * b2 - b3 * b3 == -1 and b1 + b2 + b3 - 3 * a == -1:
+                        brute3.add(divisor(s3, [a, -b1, -b2, -b3]))
     ok = got2 == want2 and len(got3) == 6 and got3 == brute3
     return ok, (
         f"k=2 -> {sorted(str(c) for c in got2)}; k=3 -> {len(got3)} classes"
@@ -558,9 +560,9 @@ def _reflection_samples() -> Iterable[tuple[DivisorClass, DivisorClass, tuple[in
         sk = rational_surface(k)
         kc = canonical_class(sk)
         triples = rng.choices(list(permutations(range(1, k + 1), 3)), k=counts[k])
-        coeffs = rng.choices(range(-9, 10), k=(k + 1) * counts[k])
+        coeffs = tuple(rng.choices(range(-9, 10), k=(k + 1) * counts[k]))
         for m, triple in enumerate(triples):
-            yield kc, divisor(sk, coeffs[m * (k + 1):(m + 1) * (k + 1)]), triple
+            yield kc, _from_numerators(sk, coeffs[m * (k + 1):(m + 1) * (k + 1)]), triple
 
 
 @check("cremona-reduction",
@@ -575,13 +577,17 @@ def check_cremona() -> tuple[bool, str]:
         for e in enumeration.exceptional_classes(sk):
             if cremona.cremona_reduce(e).kind != "cycle":
                 cycles_ok = False
+    # on the numerators a of a class, with sums over every index: the square
+    # is 2 a0^2 - sum ai^2, and K.x = -(2 a0 + sum ai) for K = -3H + sum Ei
     preserved = True
-    for kc, x, triple in _reflection_samples():
+    for _, x, triple in _reflection_samples():
+        a = x._num
         y = cremona.reflect(x, triple)
+        b = y._num
         if (
-            y.square() != x.square()
-            or pair(kc, y) != pair(kc, x)
-            or cremona.reflect(y, triple) != x
+            2 * b[0] * b[0] - sum(map(mul, b, b)) != 2 * a[0] * a[0] - sum(map(mul, a, a))
+            or 2 * b[0] + sum(b) != 2 * a[0] + sum(a)
+            or cremona.reflect(y, triple)._num != a
         ):
             preserved = False
             break

@@ -13,7 +13,7 @@ from itertools import permutations
 import pytest
 
 from conelab import cones, cremona, inflation, swcert, verify
-from conelab.lattice import H
+from conelab.lattice import H, divisor
 
 
 CRITERIA = [(f"{i:02d}", fn) for i, fn in enumerate(verify.ALL_CHECKS, start=1)]
@@ -56,14 +56,16 @@ def test_a_failing_check_keeps_its_name_and_reference(monkeypatch, check, module
     assert result.name == name and result.reference
 
 
-@pytest.mark.parametrize("broken", ["square", "involution"])
+@pytest.mark.parametrize("broken", ["square", "k_pairing", "involution"])
 def test_the_cremona_check_catches_a_broken_reflection(monkeypatch, broken):
     """Check 14 tests every sampled reflection for square, K-pairing and
-    involution: adding H breaks the square, and ordering the image keeps
-    form and K but is no involution."""
+    involution: adding H breaks the square, negating every E-coefficient is
+    an involution that keeps the square but not K, and ordering the image
+    keeps form and K but is no involution."""
     reflect = cremona.reflect
     fakes = {
         "square": lambda x, triple: x + H(x.surface),
+        "k_pairing": lambda x, triple: divisor(x.surface, [x.coeffs[0]] + [-c for c in x.coeffs[1:]]),
         "involution": lambda x, triple: cremona.order(reflect(x, triple)),
     }
     monkeypatch.setattr(cremona, "reflect", fakes[broken])
