@@ -127,19 +127,22 @@ def cmd_enumerate(args) -> int:
     surface = _surface(args)
     if args.genus != 0:
         raise UsageError("only genus-0 enumeration is finite; use --genus 0")
-    families = enumeration.sphere_classes(surface, n_bound=args.nbound, square=args.square)
+    reps = enumeration.sphere_classes(surface, n_bound=args.nbound, square=args.square)
     if args.families:
+        labels = [enumeration.family_label(x) for x in reps]
         if args.json:
-            print(json.dumps({"families": [str(f) for f in families]}))
+            print(json.dumps({"families": labels}))
         else:
-            for f in families:
-                print(f)
+            for label in labels:
+                print(label)
     else:
-        _print_classes(sorted_classes(enumeration.family_instances(families)), args)
+        _print_classes(sorted_classes(enumeration.family_instances(reps)), args)
     return 0
 
 
 def cmd_squares(args) -> int:
+    if args.total < 0:
+        raise UsageError("--total must be >= 0")
     reps = enumeration.nine_squares_representations(
         args.total, residue_sum_zero=not args.any_sum
     )

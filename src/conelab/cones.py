@@ -62,7 +62,10 @@ def _dd_pointed(ineqs: list[IntVec], dim: int) -> list[IntVec]:
     Double description after Fukuda and Prodon (1996): each ray carries the
     bitmask of the inserted rows it is tight on, and a positive and a
     negative ray are adjacent when their common tight set has at least
-    dim - 2 rows and no third ray is tight on all of it.
+    dim - 2 rows and no third ray is tight on all of it.  Its one caller,
+    extreme_rays_h, adds a basis of the rows' kernel and its negatives, so
+    the rows span R^dim and every pivot of the row reduction falls among
+    them, none in the identity block.
     """
     # one row reduction of [A^T | I]: its pivot columns are the first rows
     # that span, and row c of its identity block is column c of the inverse
@@ -71,8 +74,6 @@ def _dd_pointed(ineqs: list[IntVec], dim: int) -> list[IntVec]:
     reduced, chosen = linalg.rref(
         [[a[r] for a in ineqs] + [int(r == c) for c in range(dim)] for r in range(dim)]
     )
-    if chosen[-1] >= m:
-        raise ConeError(f"the inequalities do not span a space of dimension {dim}")
     start = sum(1 << i for i in chosen)
     rays = [linalg.primitive(row[m:]) for row in reduced]
     tights = [start ^ (1 << i) for i in chosen]

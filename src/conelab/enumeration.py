@@ -6,13 +6,15 @@ class aH - sum bi Ei.  A class of genus g and square -s satisfies
     sum bi   = 3a + s + 2g - 2,      sum bi^2 = a^2 + s,
 
 so enumeration reduces to constrained sum/sum-of-squares searches with
-Cauchy-Schwarz pruning.  Families collect permutation orbits of the Ei.
-One search, sphere_classes, serves every square: the -1 classes and the
-square-zero classes are its square -1 and square 0 slices.  The
-sweeps for every k <= 9 make one recursive pass over the positive-genus
-tuples: each node's prefix of length m is a tuple of the m-blowup sweep, and
-sum bi and sum bi^2 are carried down, so square, K.C and genus come out in
-int at each node; a DivisorClass is built only for a reported class.
+Cauchy-Schwarz pruning.  One search, sphere_classes, serves every square: the
+-1 classes and the square-zero classes are its square -1 and square 0 slices.
+It returns each family, a permutation orbit of the Ei, as its representative
+class: family_instances expands it, family_key sorts it and family_label
+names it.  The sweeps for every k <= 9 make one recursive pass over the
+positive-genus tuples: each node's prefix of length m is a tuple of the
+m-blowup sweep, and sum bi and sum bi^2 are carried down, so square, K.C and
+genus come out in int at each node; a DivisorClass is built only for a
+reported class.
 """
 
 from __future__ import annotations
@@ -103,26 +105,20 @@ def _class_from_b(surface: SurfaceModel, a: int, b: Sequence[int]) -> DivisorCla
     return divisor(surface, [a] + [-x for x in b])
 
 
-@dataclass(frozen=True)
-class ClassFamily:
-    """A permutation orbit of classes, keyed by the coefficient multiset."""
+def family_key(x: DivisorClass) -> tuple:
+    """The family of x as its degree and its E-coefficients in descending order."""
+    c = x.coeffs
+    return (c[0], tuple(sorted(c[1:], reverse=True)))
 
-    representative: DivisorClass
-    orbit_note: str
 
-    @property
-    def surface(self) -> SurfaceModel:
-        return self.representative.surface
-
-    def key(self):
-        c = self.representative.coeffs
-        return (c[0], tuple(sorted(c[1:], reverse=True)))
-
-    def instances(self) -> frozenset[DivisorClass]:
-        return frozenset(distinct_arrangements(self.representative))
-
-    def __str__(self) -> str:
-        return f"{self.representative} ({self.orbit_note})"
+def family_label(x: DivisorClass) -> str:
+    """x and a note on its family: the multiplicities of its subtracted
+    coefficients, or for degree -n <= 0 the anchored family's shape."""
+    b = x.b_vector()
+    if x.coeffs[0] > 0:
+        return f"{x} ({_note_from_b(b)})"
+    n, m = -x.coeffs[0], b.count(1)
+    return f"{x} ({n + 1} on one E, 1 subtracted on {m} E's)" if m else f"{x} ({n + 1} on one E)"
 
 
 def _note_from_b(b: Sequence[int]) -> str:
@@ -134,12 +130,9 @@ def _note_from_b(b: Sequence[int]) -> str:
     return ", ".join(bits)
 
 
-def _family_anchor(surface: SurfaceModel, n: int, m: int) -> ClassFamily:
+def _family_anchor(surface: SurfaceModel, n: int, m: int) -> DivisorClass:
     """-nH + (n+1)E_i - (m further E's), anchored at E1 for display."""
-    stored = [n + 1] + [-1] * m + [0] * (surface.k - 1 - m)
-    rep = divisor(surface, [-n] + stored)
-    note = f"{n + 1} on one E, 1 subtracted on {m} E's" if m else f"{n + 1} on one E"
-    return ClassFamily(rep, note)
+    return divisor(surface, [-n, n + 1] + [-1] * m + [0] * (surface.k - 1 - m))
 
 
 def exceptional_classes(surface: SurfaceModel) -> frozenset[DivisorClass]:
@@ -164,9 +157,10 @@ def sphere_classes(
     n_bound: int = 2,
     square: int | None = None,
     margin: int = 0,
-) -> list[ClassFamily]:
+) -> list[DivisorClass]:
     """Families of the numerical genus-0 classes of the given square, or of
-    every negative square when square is None (k <= 8).
+    every negative square when square is None (k <= 8), each as its
+    representative class, sorted by family_key.
 
     The part with positive H-degree is a finite list, searched for degrees
     1 through _max_degree.  Its bi lie in [-margin, a + 1 + margin] for a
@@ -175,19 +169,22 @@ def sphere_classes(
     part with non-positive H-degree is the one-parameter anchored family
     -nH + (n+1)E_i - sum of further E's, of square -(2n + 1 + m),
     materialized for n <= n_bound.
+
+    No two admitted classes share a family: within one (a, s) the search
+    yields distinct non-increasing tuples, distinct (a, s) differ in degree
+    or square, and the anchored classes have degree <= 0 and distinct (n, m).
     """
     if not surface.is_rational:
         raise LatticeError("enumeration applies to blowups of the plane")
     if surface.k > 8:
         raise LatticeError(f"k = {surface.k} rejected: the class set is infinite")
     k = surface.k
-    families: dict[tuple, ClassFamily] = {}
+    reps: list[DivisorClass] = []
 
-    def admit(fam: ClassFamily, s: int):
-        c = fam.representative
+    def admit(c: DivisorClass, s: int):
         if adjunction_genus(c) != 0 or c.square() != -s:
             raise LatticeError(f"search found {c}, not a sphere class of square {-s}")
-        families.setdefault(fam.key(), fam)
+        reps.append(c)
 
     for a in range(1, _max_degree(k, 1 if square is None else -square) + 1):
         lo, hi = -margin, a + 1 + margin
@@ -198,20 +195,18 @@ def sphere_classes(
             if s <= 0:
                 lo, hi = -isqrt(a * a + s) - margin, isqrt(a * a + s) + margin
             for b in _sum_square_solutions(k, 3 * a - 2 + s, a * a + s, lo, hi):
-                admit(ClassFamily(_class_from_b(surface, a, b), _note_from_b(b)), s)
+                admit(_class_from_b(surface, a, b), s)
     for n in range(0, n_bound + 1):
         for m in range(0, k):
             s = 2 * n + 1 + m
             if square is None or s == -square:
                 admit(_family_anchor(surface, n, m), s)
-    return sorted(families.values(), key=lambda f: f.key())
+    return sorted(reps, key=family_key)
 
 
-def family_instances(families: Iterable[ClassFamily]) -> frozenset[DivisorClass]:
-    out: set[DivisorClass] = set()
-    for fam in families:
-        out |= fam.instances()
-    return frozenset(out)
+def family_instances(reps: Iterable[DivisorClass]) -> frozenset[DivisorClass]:
+    """Every class of the families the representatives stand for."""
+    return frozenset(x for rep in reps for x in distinct_arrangements(rep))
 
 
 def nine_squares_representations(total: int, residue_sum_zero: bool = True) -> list[tuple[int, ...]]:

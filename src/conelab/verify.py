@@ -83,7 +83,7 @@ def check(name: str, reference: str, *suites: str):
 
 
 def _family_set(families) -> set[tuple]:
-    return {f.key() for f in families}
+    return set(map(enumeration.family_key, families))
 
 
 def _expected_family_keys(surface, patterns: Iterable[tuple[int, list[int]]]) -> set[tuple]:
@@ -137,17 +137,10 @@ def _expected_negative_patterns_k8() -> list[tuple[int, list[int]]]:
        "enumeration")
 def check_negative_spheres_k8() -> tuple[bool, str]:
     s8 = rational_surface(8)
-    got = [
-        f
-        for f in enumeration.sphere_classes(s8, n_bound=0)
-        if f.representative.coeffs[0] >= 1
-    ]
+    got = [c for c in enumeration.sphere_classes(s8, n_bound=0) if c.coeffs[0] >= 1]
     want = _expected_family_keys(s8, _expected_negative_patterns_k8())
-    robust = [
-        f
-        for f in enumeration.sphere_classes(s8, n_bound=0, margin=2)
-        if f.representative.coeffs[0] >= 1
-    ]
+    robust = [c for c in enumeration.sphere_classes(s8, n_bound=0, margin=2)
+              if c.coeffs[0] >= 1]
     ok = _family_set(got) == want and _family_set(robust) == want
     return ok, (
         f"{len(got)} families (expected {len(want)}); widened bounds add "
@@ -548,8 +541,8 @@ def check_nef_threshold() -> tuple[bool, str]:
 # --------------------------------------------------------------------- 14
 
 
-def _reflection_samples() -> Iterable[tuple[DivisorClass, DivisorClass, tuple[int, int, int]]]:
-    """10^4 random samples (K, x, triple): k uniform on 3..8, the
+def _reflection_samples() -> Iterable[tuple[DivisorClass, tuple[int, int, int]]]:
+    """10^4 random samples (x, triple): k uniform on 3..8, the
     coefficients of x uniform on -9..9, and the triple uniform among k's
     ordered triples of distinct indices.  All k are drawn in one call, then
     per k its triples in one and its classes' coefficients in one, so the
@@ -558,11 +551,10 @@ def _reflection_samples() -> Iterable[tuple[DivisorClass, DivisorClass, tuple[in
     counts = Counter(rng.choices(range(3, 9), k=10_000))
     for k in range(3, 9):
         sk = rational_surface(k)
-        kc = canonical_class(sk)
         triples = rng.choices(list(permutations(range(1, k + 1), 3)), k=counts[k])
         coeffs = tuple(rng.choices(range(-9, 10), k=(k + 1) * counts[k]))
         for m, triple in enumerate(triples):
-            yield kc, _from_numerators(sk, coeffs[m * (k + 1):(m + 1) * (k + 1)]), triple
+            yield _from_numerators(sk, coeffs[m * (k + 1):(m + 1) * (k + 1)]), triple
 
 
 @check("cremona-reduction",
@@ -580,7 +572,7 @@ def check_cremona() -> tuple[bool, str]:
     # on the numerators a of a class, with sums over every index: the square
     # is 2 a0^2 - sum ai^2, and K.x = -(2 a0 + sum ai) for K = -3H + sum Ei
     preserved = True
-    for _, x, triple in _reflection_samples():
+    for x, triple in _reflection_samples():
         a = x._num
         y = cremona.reflect(x, triple)
         b = y._num

@@ -83,5 +83,5 @@ def test_the_cremona_samples_are_the_draws_of_one_call_per_class():
     for k in range(3, 9):
         for triple in rng.choices(list(permutations(range(1, k + 1), 3)), k=counts[k]):
             want.append((k, tuple(rng.choices(range(-9, 10), k=k + 1)), triple))
-    got = [(x.surface.k, x.coeffs, triple) for _, x, triple in verify._reflection_samples()]
+    got = [(x.surface.k, x.coeffs, triple) for x, triple in verify._reflection_samples()]
     assert got == want

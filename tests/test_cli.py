@@ -500,6 +500,28 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          "error: only genus-0 enumeration is finite; use --genus 0\n"),
         (None, ["enumerate", "--k", "3", "--families", "--json"], 0,
          '{"families": ["E1 (1 on one E)", "H-E1-E2 (1 on 2 E\'s)"]}\n', ""),
+        (None, ["enumerate", "--k", "3", "--square", "-2", "--families"], 0,
+         "E1-E2 (1 on one E, 1 subtracted on 1 E's)\nH-E1-E2-E3 (1 on 3 E's)\n", ""),
+        (None, ["enumerate", "--k", "3", "--square", "-3", "--nbound", "2", "--families"], 0,
+         "-H+2E1 (2 on one E)\nE1-E2-E3 (1 on one E, 1 subtracted on 2 E's)\n", ""),
+        (None, ["cone", "ksymp", "--surface", "ruled:h=1"], 1, "",
+         "error: the K-symplectic cone helper covers rational surfaces\n"),
+        ({"surface": {"kind": "rational", "k": 2}, "curves": ["E2", "H-E1-E2", "-H+2E1"]},
+         ["inflate", "--config", FILE, "--start", "H-2E2"], 1, "",
+         "error: start class pairs negatively with -H+2E1\n"),
+        ({"surface": {"kind": "rational", "k": 9}, "curves": ["E9", "E8-E9"]},
+         ["config", "validate", FILE], 1, "", "error: certified sets are finite only for k <= 8\n"),
+        ({"surface": {"kind": "trivial_ruled", "h": 1, "k": 1}, "curves": ["E1", "T-E1"]},
+         ["config", "blowdown", FILE, "--at", "E1"], 1, "",
+         "error: blow-down implemented for rational surfaces\n"),
+        ({"surface": {"kind": "rational", "k": 3}, "curves": ["E3", "E2-E3", "H-E1-E2-E3"]},
+         ["config", "blowdown", FILE, "--at", "E2-E3"], 1, "",
+         "error: E2-E3 is not a -1 sphere class\n"),
+        (None, ["sw", "decompose", "--surface", "ruled:h=1", "--class", "1/2U+T"], 1, "",
+         "error: integral classes only\n"),
+        (None, ["enumerate", "--surface", "ruled:h=0"], 2, "",
+         "error: ruled surfaces need base genus h >= 1\n"),
+        (None, ["squares", "--total", "-1"], 2, "", "error: --total must be >= 0\n"),
     ],
     ids=["cremona-equiv-json", "cremona-reduce-cycle-text", "cremona-equiv-two-blowups-json", "cone-dual-lineality-text",
          "cone-dual-normalised-facets-json", "cone-dual-zero-generators",
@@ -509,7 +531,10 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          "blowdown-square-zero-kept-text", "validate-witness-not-positive",
          "validate-witness-square-zero", "cone-dual-ruled-paper-signs",
          "nef-threshold-denominator-four", "enumerate-positive-genus",
-         "enumerate-families-json"],
+         "enumerate-families-json", "enumerate-families-anchored-one-subtracted",
+         "enumerate-families-anchored-n-one", "ksymp-ruled", "inflate-start-pairs-negatively",
+         "validate-nine-blowups", "blowdown-ruled", "blowdown-not-minus-one",
+         "decompose-fractional", "enumerate-ruled-genus-zero", "squares-negative-total"],
 )
 def test_branch_output_is_pinned(capsys, tmp_path, document, argv, code, out, err):
     """The full stdout, stderr and exit code of the CLI branches that no

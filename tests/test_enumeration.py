@@ -13,6 +13,7 @@ from conelab.enumeration import (
     distinct_arrangements,
     exceptional_classes,
     family_instances,
+    family_key,
     nine_squares_representations,
     sphere_classes,
     sweeps_up_to,
@@ -138,9 +139,7 @@ def brute_sweep(k, bound):
 class TestNegativeSphereClasses:
     def test_k7_square_minus_one_degree_three(self):
         s = rational_surface(7)
-        fams = [
-            f for f in sphere_classes(s, square=-1) if f.representative.coeffs[0] == 3
-        ]
+        fams = [f for f in sphere_classes(s, square=-1) if f.coeffs[0] == 3]
         got = family_instances(fams)
         want = set()
         for m in range(1, 8):
@@ -156,11 +155,7 @@ class TestNegativeSphereClasses:
 
     def test_k2_nonpositive_degree_families(self):
         s = rational_surface(2)
-        fams = [
-            f
-            for f in sphere_classes(s, n_bound=2)
-            if f.representative.coeffs[0] <= 0
-        ]
+        fams = [f for f in sphere_classes(s, n_bound=2) if f.coeffs[0] <= 0]
         got = family_instances(fams)
         want = set()
         for b in (1, 2, 3):  # (1-b)H + bE1 and (1-b)H + bE1 - E2, plus swaps
@@ -175,9 +170,7 @@ class TestNegativeSphereClasses:
 
     def test_k8_degree_six(self):
         s = rational_surface(8)
-        fams = [
-            f for f in sphere_classes(s, square=-1) if f.representative.coeffs[0] == 6
-        ]
+        fams = [f for f in sphere_classes(s, square=-1) if f.coeffs[0] == 6]
         got = family_instances(fams)
         want = set()
         for m in range(1, 9):
@@ -188,11 +181,10 @@ class TestNegativeSphereClasses:
 
     def test_all_outputs_satisfy_the_filters(self):
         s = rational_surface(6)
-        for fam in sphere_classes(s, n_bound=3):
-            rep = fam.representative
+        for rep in sphere_classes(s, n_bound=3):
             assert rep.square() < 0
             assert adjunction_genus(rep) == 0
-            for inst in fam.instances():
+            for inst in distinct_arrangements(rep):
                 assert inst.square() == rep.square()
                 assert adjunction_genus(inst) == 0
 
@@ -201,15 +193,12 @@ class TestNegativeSphereClasses:
         s = rational_surface(k)
         everything = sphere_classes(s, n_bound=2)
         for q in (-1, -2, -3, -5):
-            want = [f for f in everything if f.representative.square() == q]
+            want = [f for f in everything if f.square() == q]
             assert sphere_classes(s, n_bound=2, square=q) == want
         zero = sphere_classes(s, square=0)
-        assert zero and all(f.representative.square() == 0 for f in zero)
+        assert zero and all(f.square() == 0 for f in zero)
         one = sphere_classes(s, square=1)
-        assert one and all(
-            f.representative.square() == 1 and adjunction_genus(f.representative) == 0
-            for f in one
-        )
+        assert one and all(f.square() == 1 and adjunction_genus(f) == 0 for f in one)
 
 
 def brute_sphere_keys(k, square, a_hi=15):
@@ -231,9 +220,20 @@ class TestSphereClassSlices:
     @pytest.mark.parametrize("square", [1, 0, -1, -2, -3, -4])
     def test_positive_degree_slice_matches_brute_force(self, square):
         # degrees up to 15 also test the Cauchy-Schwarz degree range
-        got = {f.key() for f in sphere_classes(rational_surface(4), square=square)
-               if f.representative.coeffs[0] >= 1}
+        got = {family_key(f) for f in sphere_classes(rational_surface(4), square=square)
+               if f.coeffs[0] >= 1}
         assert got == brute_sphere_keys(4, square)
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_no_two_representatives_share_a_family(self, k):
+        # the search keeps every class it admits, so its windows and the
+        # anchored families must never meet one family twice
+        s = rational_surface(k)
+        for square in (None, 1, 0, -1, -2, -3, -4, -5, -6):
+            for n_bound in (0, 2, 3):
+                for margin in (0, 2):
+                    keys = [family_key(x) for x in sphere_classes(s, n_bound, square, margin)]
+                    assert keys == sorted(set(keys))
 
 
 class TestEightBlowupThetaCounts:

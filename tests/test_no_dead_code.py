@@ -5,7 +5,8 @@ counts as used through its own module only: as a bare name inside that
 module, as ``module.name``, or imported ``from`` that module, so
 ``linalg.add`` is not kept alive by ``set.add``.  A method counts as used
 by any name, attribute or import alias it matches, so a method whose name
-another package class shares can lose its last caller unseen: the set of
+another package class shares, or a field, ``self.x``, top-level function or
+module of the package carries, can lose its last caller unseen: the set of
 such shared names, and the classes that define each, is pinned, with a
 caller in ``src/`` named for each.  A function passed to a
 registering decorator defined in its own module, such as ``@check(...)`` in
@@ -106,10 +107,12 @@ def test_every_public_name_is_used():
     assert not unused, "never used in src/: " + ", ".join(unused)
 
 
-# Public method names that two or more package classes define, each class
-# with a caller of its method in src/.  The name guard above counts a method
-# as used when any name matches, so one of these can outlive its last caller;
-# a change to this table is made by hand, with the caller checked.
+# Public method names that two or more package classes define, or that a
+# field, a self.x, a top-level function or a module of the package also
+# carries, each class with a caller of its method in src/.  The name guard
+# above counts a method as used when any name matches, so one of these can
+# outlive its last caller; a change to this table is made by hand, with the
+# caller checked.
 SHARED_METHOD_NAMES = {
     "ok": {
         "cones.CornerInfo",  # cones.KSymplecticCone.corners_ok
@@ -132,7 +135,28 @@ SHARED_METHOD_NAMES = {
         "swcert.SWCertificate",  # swcert.Decomposition.revalidate
         "swcert.Decomposition",  # swcert.non_extremal_witness, verify.check_sw_certificates
     },
+    "is_zero": {"lattice.DivisorClass"},  # cones.dual_cone; shadowed by linalg.is_zero
+    "primitive": {"lattice.DivisorClass"},  # cones.dual_cone; shadowed by linalg.primitive
+    "square": {"lattice.DivisorClass"},  # configurations.validate_configuration; CornerInfo.square
+    "verify": {"inflation.InflationTrace"},  # verify.check_vertex_example; module verify
 }
+
+
+def _shadowing_names():
+    """Names that an attribute or a bare name in ``src/`` can carry without
+    calling a method: the fields and ``self.x`` of package classes, the
+    top-level package functions and the module names."""
+    names = set()
+    for path, tree in _trees(PACKAGE):
+        names.add(path.stem)
+        names |= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            names |= {f.target.id for f in cls.body
+                      if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)}
+            names |= {node.attr for node in ast.walk(cls)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                      and getattr(node.value, "id", None) == "self"}
+    return names
 
 
 def test_shared_method_names_are_pinned():
@@ -140,7 +164,9 @@ def test_shared_method_names_are_pinned():
     for module, qual, name in _public_definitions():
         if module is None:
             owners.setdefault(name, set()).add(qual.rsplit(".", 1)[0])
-    shared = {name: classes for name, classes in owners.items() if len(classes) > 1}
+    shadowing = _shadowing_names()
+    shared = {name: classes for name, classes in owners.items()
+              if len(classes) > 1 or name in shadowing}
     assert shared == SHARED_METHOD_NAMES
 
 
