@@ -127,6 +127,8 @@ def cmd_enumerate(args) -> int:
     surface = _surface(args)
     if args.genus != 0:
         raise UsageError("only genus-0 enumeration is finite; use --genus 0")
+    if args.nbound < 0:
+        raise UsageError("--nbound must be >= 0")
     reps = enumeration.sphere_classes(surface, n_bound=args.nbound, square=args.square)
     if args.families:
         labels = [enumeration.family_label(x) for x in reps]
@@ -260,6 +262,8 @@ def _load_config(path: str) -> NegativeConfiguration:
 
 
 def cmd_inflate(args) -> int:
+    if args.trace is not None and args.trace < 1:
+        raise UsageError("--trace must be >= 1")
     if args.trace and not args.ray:
         raise UsageError("--trace needs --ray")
     cfg = _load_config(args.config)

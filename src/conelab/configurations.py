@@ -183,7 +183,7 @@ class ValidationReport:
 
 def validate_configuration(cfg: NegativeConfiguration) -> ValidationReport:
     surface = cfg.surface
-    # P1: classification membership plus non-negative mutual pairings
+    # P1: classification membership; NegativeConfiguration checked the pairings
     bad = [c for c in cfg.curves if not is_classified_negative_class(c)]
     p1 = PropertyResult(
         not bad,

@@ -9,18 +9,18 @@ A divisor class lives in H^2 of one of three surface models:
 * ``nontrivial_ruled``  -- blowup of the twisted S^2-bundle over Sigma_h,
                            same basis but U^2 = 1.
 
-Classes are stored as exact coefficient vectors in basis order, so the class
-written aH - b1 E1 - ... - bk Ek is stored as (a, -b1, ..., -bk).  A coefficient
-is an int unless a division gave it a denominator, and then a Fraction; floats
-are rejected.  So ``pair`` returns an int on integral classes, and a caller
-that divides a pairing writes ``Fraction(p, q)``, since ``p / q`` is a float.
+A class is stored as integer numerators in basis order over one denominator,
+so aH - b1 E1 - ... - bk Ek is stored as (a, -b1, ..., -bk) over 1.  Its
+``coeffs`` are ints, and Fractions where an entry has a denominator; floats are
+rejected.  So ``pair`` returns an int on integral classes, and a caller that
+divides a pairing writes ``Fraction(p, q)``, since ``p / q`` is a float.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -124,7 +124,7 @@ def nontrivial_ruled(h: int, k: int = 0) -> SurfaceModel:
 
 
 def _exact(c) -> int | Fraction:
-    """A coefficient as stored: int, or Fraction when its denominator is not 1."""
+    """A coefficient as coeffs reads it: int, or Fraction when its denominator is not 1."""
     if type(c) is int:
         return c
     if isinstance(c, Fraction):
@@ -132,41 +132,44 @@ def _exact(c) -> int | Fraction:
     raise LatticeError(f"coefficient {c!r} is neither an int nor a Fraction")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DivisorClass:
     """An exact class over a fixed surface lattice, with int or Fraction coefficients.
 
-    The constructor checks its input.  A class also keeps its coefficients
-    as integer numerators over one common denominator, 1 on an integral
-    class, so a sum, a scaling or a pairing of fractional classes runs in int
-    and builds one Fraction per result entry or pairing.  Equality reads the
-    surface and the coefficients only.  The hash reads the numerators alone,
-    doubled because hash(-1) == hash(-2) in CPython: numerators over one
-    common denominator are a canonical form, so equal classes hash equal,
-    and the hash does not depend on PYTHONHASHSEED.
+    The constructor checks its input and stores only integer numerators over
+    their least common denominator, 1 on an integral class, so a sum, a
+    scaling or a pairing runs in int; ``coeffs`` reads the entries off them.
+    Equality reads the surface, the numerators and the denominator.  The
+    hash reads the numerators alone, doubled because hash(-1) == hash(-2) in
+    CPython: numerators over a denominator coprime to them are a canonical
+    form, so equal classes hash equal, and the hash does not depend on
+    PYTHONHASHSEED.
     """
 
     surface: SurfaceModel
-    coeffs: tuple[int | Fraction, ...]
-    _num: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _den: int = field(init=False, repr=False, compare=False)
+    _num: tuple[int, ...]
+    _den: int
 
-    def __post_init__(self):
-        c = self.coeffs
-        if len(c) != self.surface.rank:
+    def __init__(self, surface: SurfaceModel, coeffs: tuple[int | Fraction, ...]):
+        if len(coeffs) != surface.rank:
             raise LatticeError(
-                f"coefficient vector of length {len(c)} on rank {self.surface.rank} surface"
+                f"coefficient vector of length {len(coeffs)} on rank {surface.rank} surface"
             )
         # a tuple of plain ints is stored as it is (a bool is not a plain int)
-        if type(c) is tuple and {*map(type, c)} == {int}:
-            num, den = c, 1
+        if type(coeffs) is tuple and {*map(type, coeffs)} == {int}:
+            num, den = coeffs, 1
         else:
-            c = tuple(map(_exact, c))
+            c = tuple(map(_exact, coeffs))
             den = lcm(*(x.denominator for x in c))
             num = c if den == 1 else tuple(x.numerator * (den // x.denominator) for x in c)
-            object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+        _set_surface(self, surface)
+        _set_num(self, num)
+        _set_den(self, den)
+
+    @property
+    def coeffs(self) -> tuple[int | Fraction, ...]:
+        num, den = self._num, self._den
+        return num if den == 1 else tuple(Fraction(n, den) if n % den else n // den for n in num)
 
     def __hash__(self) -> int:
         return hash(tuple([n + n for n in self._num]))
@@ -223,10 +226,9 @@ class DivisorClass:
         return format_class(self)
 
 
-# the slot setters of the frozen fields, for the trusted constructor below
+# the slot setters of the frozen fields, for both constructors
 _new = object.__new__
 _set_surface = DivisorClass.surface.__set__
-_set_coeffs = DivisorClass.coeffs.__set__
 _set_num = DivisorClass._num.__set__
 _set_den = DivisorClass._den.__set__
 
@@ -242,7 +244,6 @@ def _from_numerators(surface: SurfaceModel, num: tuple[int, ...], den: int = 1) 
             den //= g
     x = _new(DivisorClass)
     _set_surface(x, surface)
-    _set_coeffs(x, num if den == 1 else tuple(Fraction(n, den) if n % den else n // den for n in num))
     _set_num(x, num)
     _set_den(x, den)
     return x

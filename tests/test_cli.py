@@ -522,6 +522,11 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
         (None, ["enumerate", "--surface", "ruled:h=0"], 2, "",
          "error: ruled surfaces need base genus h >= 1\n"),
         (None, ["squares", "--total", "-1"], 2, "", "error: --total must be >= 0\n"),
+        (None, ["enumerate", "--k", "2", "--nbound", "-1"], 2, "", "error: --nbound must be >= 0\n"),
+        (INFLATE_CONFIGS["two"], ["inflate", "--config", FILE, "--start", "8H-5E1-E2", "--trace", "0"],
+         2, "", "error: --trace must be >= 1\n"),
+        (INFLATE_CONFIGS["two"], ["inflate", "--config", FILE, "--start", "8H-5E1-E2",
+                                  "--ray", "H-E1", "--trace", "-3"], 2, "", "error: --trace must be >= 1\n"),
     ],
     ids=["cremona-equiv-json", "cremona-reduce-cycle-text", "cremona-equiv-two-blowups-json", "cone-dual-lineality-text",
          "cone-dual-normalised-facets-json", "cone-dual-zero-generators",
@@ -534,7 +539,8 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          "enumerate-families-json", "enumerate-families-anchored-one-subtracted",
          "enumerate-families-anchored-n-one", "ksymp-ruled", "inflate-start-pairs-negatively",
          "validate-nine-blowups", "blowdown-ruled", "blowdown-not-minus-one",
-         "decompose-fractional", "enumerate-ruled-genus-zero", "squares-negative-total"],
+         "decompose-fractional", "enumerate-ruled-genus-zero", "squares-negative-total",
+         "enumerate-negative-nbound", "inflate-trace-zero", "inflate-trace-negative"],
 )
 def test_branch_output_is_pinned(capsys, tmp_path, document, argv, code, out, err):
     """The full stdout, stderr and exit code of the CLI branches that no

@@ -1,5 +1,6 @@
 """Pairing, canonical classes, genus and dimension arithmetic, literals."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -247,6 +248,14 @@ class TestCoefficients:
         with pytest.raises(LatticeError):
             H(s) * 0.5
 
+    def test_a_class_stores_its_numerators_over_one_denominator_only(self):
+        assert [f.name for f in dataclasses.fields(DivisorClass)] == ["surface", "_num", "_den"]
+        s = rational_surface(2)
+        x = divisor(s, [Fraction(1, 2), Fraction(-2, 3), 1])
+        assert (x._num, x._den) == ((3, -4, 6), 6)
+        y = divisor(s, [3, -1, 0])
+        assert y.coeffs is y._num and y._den == 1
+
     def test_int_unless_a_denominator_remains(self):
         s = rational_surface(2)
         x = divisor(s, [Fraction(4, 2), -1, Fraction(1, 2)])
@@ -272,8 +281,8 @@ class TestCoefficients:
         [3, Fraction(9, 3), -4],
     ])
     def test_is_integral_agrees_with_the_denominators(self, coeffs):
-        # stored coefficients are int, or Fraction with denominator not 1,
-        # so is_integral tests their type
+        # the stored denominator is the lcm of the entries' denominators,
+        # so it is 1 exactly when every entry is whole
         x = divisor(rational_surface(2), coeffs)
         assert x.is_integral() == all(Fraction(c).denominator == 1 for c in coeffs)
 
