@@ -413,18 +413,21 @@ def disjoint_minus_one_configuration(k: int, l: int) -> NegativeConfiguration:
     return NegativeConfiguration(surface, curves)
 
 
-def ruled_negative_classes(surface: SurfaceModel, bound: int) -> list[DivisorClass]:
+RULED_BOUND = 8
+
+
+def ruled_negative_classes(surface: SurfaceModel) -> list[DivisorClass]:
     """All candidate negative classes aU + bT on a minimal ruled surface
-    within the bound: negative square, non-negative fiber degree, and genus
-    at least that of a degree-a cover of the base.  The survivors are
-    exactly U - nT for n >= 1."""
+    with 0 <= a <= RULED_BOUND and |b| <= RULED_BOUND: negative square,
+    non-negative fiber degree, and genus at least that of a degree-a cover
+    of the base.  The survivors are exactly U - nT for n >= 1."""
     if not surface.is_ruled or surface.k != 0:
         raise ConfigurationError("minimal ruled surfaces only")
     h = surface.h
     u, t = U(surface), T(surface)
     out = []
-    for a in range(0, bound + 1):
-        for b in range(-bound, bound + 1):
+    for a in range(0, RULED_BOUND + 1):
+        for b in range(-RULED_BOUND, RULED_BOUND + 1):
             c = a * u + b * t
             if c.square() >= 0:
                 continue

@@ -290,16 +290,15 @@ class SweepReport:
         )
 
 
-def sweeps_up_to(k: int) -> tuple[SweepReport, ...]:
+def sweeps_up_to() -> tuple[SweepReport, ...]:
     """Certify the "all negative curves are spheres" arithmetic on m blowups
-    of the plane, for every m = 0..k (k <= 9): one report per m.
+    of the plane, for every m = 0..9: one report per m.
 
     H-degrees from 1 to SWEEP_BOUND, subtracted coefficients up to
     SWEEP_BOUND in absolute value.  Classes with non-positive H-degree are
     settled by the closed-form classification and are out of scope here.
     """
-    if not 0 <= k <= 9:
-        raise LatticeError("sweeps cover blowups of the plane with k <= 9")
+    k = 9
     found = [([], [], [], [], []) for _ in range(k + 1)]
     tuples = [0] * (k + 1)
     b = [0] * k

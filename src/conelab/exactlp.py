@@ -14,6 +14,10 @@ The rows with a negative target entry are negated, to S A x = |t| for the
 sign matrix S, and the tableau keeps B^-1 S, starting from S: a pivot is a
 row operation, which commutes with S, so the pivots and solutions are those
 of the negated system, while the columns are priced and entered as given.
+
+The ratio test always finds a leaving row: the entering column prices
+positive, so were none of its tableau entries positive, entering it would
+lower the phase-1 objective, a sum of non-negative artificials, without bound.
 """
 
 from __future__ import annotations
@@ -68,8 +72,6 @@ def nonnegative_combination(
             if rows[i][0] > 0 and (leave is None or (rows[i][-1] * rows[leave][0], basis[i])
                                    < (rows[leave][-1] * rows[i][0], basis[leave])):
                 leave = i
-        if leave is None:
-            raise ArithmeticError("phase-1 objective unbounded; malformed input")
         denom = linalg.pivot(rows, leave, 0, denom)
         basis[leave] = enter
 

@@ -207,14 +207,10 @@ class DivisorClass:
     def square(self) -> int | Fraction:
         return pair(self, self)
 
-    def e_coeffs(self) -> tuple[int | Fraction, ...]:
-        """Coefficients on the exceptional part E1..Ek, in stored signs."""
-        head = 1 if self.surface.is_rational else 2
-        return self.coeffs[head:]
-
     def b_vector(self) -> tuple[int | Fraction, ...]:
         """Subtracted coefficients (b1, ..., bk) of aH - sum bi Ei."""
-        return tuple(-c for c in self.e_coeffs())
+        head = 1 if self.surface.is_rational else 2
+        return tuple(-c for c in self.coeffs[head:])
 
     def primitive(self) -> "DivisorClass":
         """Scale by a positive rational so entries are integers with gcd 1."""

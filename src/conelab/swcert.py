@@ -148,7 +148,7 @@ def non_extremal_witness(c: DivisorClass) -> Decomposition | ExtremalReport:
     a = pair(c, fiber)
     if a <= 0:
         raise CertificateError("fiber degree must be positive for the case split")
-    multiplicities = [(-x, i) for i, x in enumerate(c.e_coeffs(), start=1)]
+    multiplicities = [(b, i) for i, b in enumerate(c.b_vector(), start=1)]
     big = max(multiplicities, default=(0, 0))
     if surface.h > 1:
         parts = [c - fiber, fiber]

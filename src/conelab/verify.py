@@ -19,6 +19,7 @@ from typing import Callable, Iterable
 
 from . import cones, cremona, enumeration, inflation, swcert
 from .configurations import (
+    RULED_BOUND,
     NegativeConfiguration,
     blow_down,
     catalog_cp2_2,
@@ -652,10 +653,8 @@ def check_ruled_negative_classes() -> tuple[bool, str]:
     for make in (trivial_ruled, nontrivial_ruled):
         for h in (1, 2, 3):
             surface = make(h)
-            got = ruled_negative_classes(surface, 8)
-            want = sorted_classes(
-                U(surface) - n * T(surface) for n in range(1, 9)
-            )
+            got = ruled_negative_classes(surface)
+            want = sorted_classes(U(surface) - n * T(surface) for n in range(1, RULED_BOUND + 1))
             good = got == want
             ok &= good
             rows.append(f"{surface}: {'ok' if good else 'MISMATCH'}")
@@ -677,7 +676,7 @@ def check_ruled_negative_classes() -> tuple[bool, str]:
        "square zero only along the anti-canonical ray at nine", "enumeration")
 def check_sweeps() -> tuple[bool, str]:
     ok = True
-    for k, sweep in enumerate(enumeration.sweeps_up_to(9)):
+    for k, sweep in enumerate(enumeration.sweeps_up_to()):
         ok &= sweep.ok
         if k <= 8:
             ok &= not sweep.zero_square_positive_genus and sweep.genus_bound_ok

@@ -372,17 +372,17 @@ class TestDisjointConfiguration:
 class TestRuledNegativeClasses:
     def test_trivial_bundle(self):
         s = trivial_ruled(2)
-        got = ruled_negative_classes(s, 6)
-        assert got == [U(s) - n * T(s) for n in range(6, 0, -1)]
+        got = ruled_negative_classes(s)
+        assert got == [U(s) - n * T(s) for n in range(8, 0, -1)]
 
     def test_nontrivial_bundle_squares(self):
         s = nontrivial_ruled(1)
-        got = ruled_negative_classes(s, 4)
-        assert [c.square() for c in got] == [-7, -5, -3, -1]
+        got = ruled_negative_classes(s)
+        assert [c.square() for c in got] == [-15, -13, -11, -9, -7, -5, -3, -1]
 
     def test_sections_exclude_each_other(self):
         s = trivial_ruled(3)
-        got = ruled_negative_classes(s, 5)
+        got = ruled_negative_classes(s)
         for a in got:
             for b in got:
                 if a != b:
@@ -390,4 +390,4 @@ class TestRuledNegativeClasses:
 
     def test_non_ruled_rejected(self):
         with pytest.raises(ConfigurationError):
-            ruled_negative_classes(rational_surface(2), 4)
+            ruled_negative_classes(rational_surface(2))

@@ -14,6 +14,7 @@ from conelab.enumeration import (
     exceptional_classes,
     family_instances,
     family_key,
+    family_label,
     nine_squares_representations,
     sphere_classes,
     sweeps_up_to,
@@ -235,6 +236,12 @@ class TestSphereClassSlices:
                     keys = [family_key(x) for x in sphere_classes(s, n_bound, square, margin)]
                     assert keys == sorted(set(keys))
 
+    def test_a_class_without_exceptional_part_is_labelled_so(self):
+        # on two blowups the one sphere class of square one is the line
+        assert [family_label(x) for x in sphere_classes(rational_surface(2), square=1)] == [
+            "H (no exceptional part)"
+        ]
+
 
 class TestEightBlowupThetaCounts:
     """At k = 8, K^2 = 1 and the orthogonal complement of K is the E8
@@ -448,7 +455,7 @@ class TestSweeps:
     @pytest.mark.parametrize("k", [0, 2, 5, 8])
     def test_no_positive_genus_nonpositive_square_below_nine(self, k, monkeypatch):
         monkeypatch.setattr(enumeration, "SWEEP_BOUND", 6)
-        sweep = sweeps_up_to(k)[k]
+        sweep = sweeps_up_to()[k]
         assert sweep.ok
         assert not sweep.negative_square_positive_genus
         assert not sweep.zero_square_positive_genus
@@ -457,7 +464,7 @@ class TestSweeps:
     def test_nine_blowups_only_anti_canonical_multiples(self, monkeypatch):
         s = rational_surface(9)
         monkeypatch.setattr(enumeration, "SWEEP_BOUND", 7)
-        sweep = sweeps_up_to(9)[9]
+        sweep = sweeps_up_to()[9]
         assert sweep.ok
         assert not sweep.negative_square_positive_genus
         anti = -1 * canonical_class(s)
@@ -468,25 +475,25 @@ class TestSweeps:
 
     def test_genus_bound_audit_six(self):
         s = rational_surface(6)
-        sweep = sweeps_up_to(6)[6]
+        sweep = sweeps_up_to()[6]
         assert sweep.genus_bound_ok
         assert sweep.genus_one_equality == (parse_class("3H-E1-E2-E3-E4-E5-E6", s),)
         assert sweep.genus_one_equality[0].square() == 3  # 9 - k
 
     def test_genus_one_minimum_square_at_eight(self):
-        sweep = sweeps_up_to(8)[8]
+        sweep = sweeps_up_to()[8]
         assert sweep.genus_bound_ok
         assert sweep.genus_one_equality[0].square() == 1
 
     def test_no_nonnegative_k_pairing_class_small_k(self, monkeypatch):
         monkeypatch.setattr(enumeration, "SWEEP_BOUND", 6)
-        sweep = sweeps_up_to(3)[3]
+        sweep = sweeps_up_to()[3]
         assert sweep.nonneg_square_nonneg_k_pairing == ()
 
     @pytest.mark.parametrize("k,bound", [(4, 8), (7, 4), (9, 4)])
     def test_every_field_matches_brute_force(self, k, bound, monkeypatch):
         monkeypatch.setattr(enumeration, "SWEEP_BOUND", bound)
-        sweep = sweeps_up_to(k)[k]
+        sweep = sweeps_up_to()[k]
         want = brute_sweep(k, bound)
         for name in SWEEP_FIELDS:
             got = [(c.coeffs[0], c.b_vector()) for c in getattr(sweep, name)]
@@ -501,7 +508,7 @@ class TestSweeps:
         # a sweep that skips a tuple leaves every field as it is below nine
         # blowups, but not the count of tuples it examined
         monkeypatch.setattr(enumeration, "SWEEP_BOUND", bound)
-        for k, sweep in enumerate(sweeps_up_to(5)):
+        for k, sweep in enumerate(sweeps_up_to()[:6]):
             want = sum(
                 1
                 for a in range(1, bound + 1)
@@ -512,18 +519,13 @@ class TestSweeps:
             assert sweep.tuples == want, k
 
     def test_one_pass_serves_every_k(self):
-        # each report of the pass to depth nine is the report of the pass
-        # that stops at its own k; the k = 0 tuple of degree 3 is 3H
-        reports = sweeps_up_to(9)
+        # one report per k = 0..9; the k = 0 tuple of degree 3 is 3H
+        reports = sweeps_up_to()
         assert [r.tuples for r in reports] == [
             6, 42, 179, 518, 1177, 2246, 3769, 5770, 8227, 11118
         ]
-        for k in (0, 1, 4, 7):
-            assert sweeps_up_to(k)[k] == reports[k]
         assert reports[0].genus_one_equality == (3 * H(rational_surface(0)),)
         assert all(r.genus_bound_ok for r in reports[:9])
-        with pytest.raises(LatticeError):
-            sweeps_up_to(10)
 
     def test_genus_one_brute_force_small_k(self):
         # independent loops: every genus-1 class with positive degree on

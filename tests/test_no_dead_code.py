@@ -24,7 +24,9 @@ value), called with ``*args``/``**kwargs`` or named in ``[project.scripts]``
 of ``pyproject.toml`` counts as both passing and leaving every parameter.
 No call in ``src/`` passes a parameter the expression of its own default
 (compared as source text): such an argument restates what the signature
-already says.
+already says.  Likewise a required parameter that every call in ``src/``
+passes as the same literal (compared as source text) is a constant, not a
+parameter.
 
 Every dataclass field of a package class, and every ``self.x`` a package
 class assigns, is read as an attribute somewhere in ``src/`` or ``tests/``.
@@ -224,9 +226,9 @@ def _signatures():
 
 
 def _calls():
-    """Call name -> [(positional count, keyword names)] in ``src/``, and the
-    names that pass everything: referenced as a value, called with
-    *args/**kwargs, or a console script's entry point."""
+    """Call name -> [(positional arguments, keyword argument by name)] in
+    ``src/``, and the names that pass everything: referenced as a value,
+    called with *args/**kwargs, or a console script's entry point."""
     scripts = (ROOT / "pyproject.toml").read_text().partition("[project.scripts]")[2]
     calls, everything = {}, set(re.findall(r':(\w+)"', scripts.partition("\n[")[0]))
     for _, tree in _trees(SRC):
@@ -239,7 +241,7 @@ def _calls():
                     k.arg is None for k in node.keywords
                 ):
                     everything.add(name)
-                calls.setdefault(name, []).append((len(node.args), {k.arg for k in node.keywords}))
+                calls.setdefault(name, []).append((node.args, {k.arg: k.value for k in node.keywords}))
             annotation = getattr(node, "returns", None) or getattr(node, "annotation", None)
             if annotation is not None:
                 not_values.update(id(n) for n in ast.walk(annotation))
@@ -256,6 +258,15 @@ def _calls():
     return calls, everything
 
 
+def _argument(param, positional, args, keywords):
+    """The expression a call passes for the parameter, or None."""
+    if param in keywords:
+        return keywords[param]
+    if param in positional and positional.index(param) < len(args):
+        return args[positional.index(param)]
+    return None
+
+
 def _defaults_by_use(passed):
     """Defaulted parameters, as ``qual(param)``, that no call in ``src/``
     passes (``passed`` True) or leaves at its default (``passed`` False)."""
@@ -266,11 +277,19 @@ def _defaults_by_use(passed):
         if name not in everything
         for param in defaulted
         if not any(
-            (param in keywords or (param in positional and positional.index(param) < count))
-            == passed
-            for count, keywords in calls.get(name, [])
+            (_argument(param, positional, *call) is not None) == passed
+            for call in calls.get(name, [])
         )
     )
+
+
+def _literal_text(node):
+    """The source text of a literal argument, or None."""
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ast.unparse(node)
 
 
 def test_every_defaulted_parameter_is_passed():
@@ -281,6 +300,19 @@ def test_every_defaulted_parameter_is_passed():
 def test_every_default_is_relied_on():
     overridden = _defaults_by_use(passed=False)
     assert not overridden, "defaults every call overrides: " + ", ".join(overridden)
+
+
+def test_no_required_parameter_is_a_constant():
+    calls, everything = _calls()
+    constant = []
+    for qual, name, positional, defaulted in _signatures():
+        if name in everything or name not in calls:
+            continue
+        for param in (p for p in positional if p not in defaulted):
+            texts = {_literal_text(_argument(param, positional, *call)) for call in calls[name]}
+            if len(texts) == 1 and None not in texts:
+                constant.append(f"{qual}({param})")
+    assert not constant, "required parameters every call passes as one literal: " + ", ".join(constant)
 
 
 def test_no_call_restates_a_default():

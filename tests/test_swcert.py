@@ -3,6 +3,7 @@
 import pytest
 
 from conelab import swcert
+from conelab.configurations import certified_sw_classes
 from conelab.enumeration import exceptional_classes
 from conelab.lattice import (
     E,
@@ -77,6 +78,18 @@ class TestCertificates:
                 assert isinstance(cert, SWCertificate)
                 assert cert.witness == H(s)
                 assert cert.magnitude == 1
+        # the validity checks trust every certified class as a curve-cone
+        # member: each holds a certificate that revalidates
+        surfaces = [rational_surface(k) for k in range(9)]
+        surfaces += [make(h) for make in (trivial_ruled, nontrivial_ruled) for h in (1, 2, 3)]
+        certified = 0
+        for s in surfaces:
+            for c in certified_sw_classes(s):
+                cert = sw_certificate(c)
+                assert isinstance(cert, SWCertificate), c
+                assert cert.revalidate(), c
+                certified += 1
+        assert certified == 2714
 
 
 class TestNonExtremalWitness:
