@@ -125,8 +125,6 @@ def _print_classes(classes, args):
 
 def cmd_enumerate(args) -> int:
     surface = _surface(args)
-    if args.genus != 0:
-        raise UsageError("only genus-0 enumeration is finite; use --genus 0")
     if args.nbound < 0:
         raise UsageError("--nbound must be >= 0")
     reps = enumeration.sphere_classes(surface, n_bound=args.nbound, square=args.square)
@@ -278,7 +276,7 @@ def cmd_inflate(args) -> int:
     if wanted is not None and wanted not in achieved:
         raise UsageError(f"{wanted} is not an extremal ray of the positive dual")
     records = []
-    for ray, trace in sorted(achieved.items(), key=lambda kv: kv[0].coeffs):
+    for ray, trace in achieved.items():
         if wanted is not None and ray != wanted:
             continue
         records.append(
@@ -457,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(sub, "enumerate", cmd_enumerate, (on_surface, as_json, paper_signs),
              help="sphere classes with a given square")
     p.add_argument("--square", type=int, default=-1)
-    p.add_argument("--genus", type=int, default=0)
     p.add_argument("--nbound", type=int, default=2, help="materialize the non-positive-degree families up to n")
     p.add_argument("--families", action="store_true", help="print orbit families, not instances")
 

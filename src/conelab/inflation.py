@@ -124,13 +124,14 @@ def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> Inflation
     """Reach the ray where the curves' facets meet by maximal inflations.
 
     With all orthogonalized squares negative this is the exact orthogonal
-    projection of the start class onto the common pairing kernel, reached in
-    one maximal step per orthogonalized class.  When an orthogonalized class
-    goes null (a square-zero curve among them), the facets meet the light
-    cone in exactly that ray, and another null class pairs to zero with it
-    only when proportional (the light-cone lemma); its trace records no
-    steps and is flagged as a limit.  The ray is the trace's result.primitive().
-    """
+    projection of the start class onto the common pairing kernel, reached in one
+    maximal step per orthogonalized class: max_inflate lands each step on its
+    class's hyperplane, and Gram-Schmidt made every later class orthogonal to
+    it, so the result needs no further check.  When an orthogonalized class goes
+    null (a square-zero curve among them), the facets meet the light cone in
+    exactly that ray, and another null class pairs to zero with it only when
+    proportional (the light-cone lemma); its trace records no steps and is
+    flagged as a limit.  The ray is the trace's result.primitive()."""
     if not curves:
         raise InflationError("no curves supplied")
     ortho: list[DivisorClass] = []
@@ -170,8 +171,6 @@ def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> Inflation
         current, eps = max_inflate(current, u)
         if eps:
             steps.append((u, eps))
-    if any(pair(current, u) != 0 for u in ortho):
-        raise InflationError(f"projection {current} is not orthogonal to the curves")
     if current.is_zero():
         raise InflationError("projection collapsed to zero; start class is degenerate")
     return InflationTrace(a, tuple(steps), current)
@@ -189,7 +188,8 @@ def achieve_all_rays(
     maximal inflations along the negative curves tight on it.  A ray that no
     negative curve is tight on but a square-zero generator is, is that
     generator's ray (two forward classes of square >= 0 pair to zero only
-    when both are null and proportional), reached as a light-cone limit."""
+    when both are null and proportional), reached as a light-cone limit.
+    The dict holds the rays in dual_cone's order, sorted by coefficients."""
     gens = cfg.generators()
     dual = dual_cone(gens)
     evidence = [r for r in dual.rays + dual.lineality if r.square() < 0]

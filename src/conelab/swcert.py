@@ -3,8 +3,8 @@
 On a surface with b+ = 1, a class e with non-negative expected dimension
 whose complementary class K - e is killed by a positive-square witness has
 invariant of magnitude 1 (rational case) or |1 + e.T|^h (irrationally
-ruled).  A certificate records exactly those three facts; the absence of a
-certificate never claims vanishing.
+ruled), which is 0 when e.T = -1.  A certificate records these facts and a
+magnitude > 0; the absence of a certificate never claims vanishing.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ def sw_certificate(e: DivisorClass) -> SWCertificate | NoCertificate:
     """Certify nonvanishing of the invariant of the integral class e when
     possible.
 
-    Needs dimension >= 0 and (K - e).W < 0 for the witness W, which is H on
-    rational surfaces and T on ruled ones; both have square >= 0."""
+    Needs dimension >= 0, (K - e).W < 0 for the witness W (H on rational
+    surfaces, T on ruled ones; both have square >= 0) and magnitude > 0."""
     if not e.is_integral():
         raise CertificateError("integral classes only")
     surface = e.surface
@@ -80,7 +80,8 @@ def sw_certificate(e: DivisorClass) -> SWCertificate | NoCertificate:
     w = H(surface) if surface.is_rational else T(surface)
     if pair(canonical_class(surface) - e, w) >= 0:
         return NoCertificate(e, "no vanishing witness in the pool")
-    return SWCertificate(e, dim, w, wall_crossing_magnitude(e))
+    cert = SWCertificate(e, dim, w, wall_crossing_magnitude(e))
+    return cert if cert.magnitude > 0 else NoCertificate(e, "wall-crossing magnitude 0")
 
 
 # ---------------------------------------------------------------------------

@@ -353,9 +353,9 @@ def check_alternating_inflation() -> tuple[bool, str]:
         for v in dual.lineality:
             if pair(v, v) > 0:
                 omega = omega + v if omega is not None else v
-        if omega is None or pair(omega, c1) < 0 or pair(omega, c2) < 0:
+        if omega is None:  # else it pairs >= 0 with c1, c2: its rays do, its lineality pairs 0
             continue
-        a, _ = inflation.max_inflate(omega, c1) if c1.square() < 0 else (omega, 0)
+        a, _ = inflation.max_inflate(omega, c1)  # every pool class has negative square
         alt = inflation.alternate_inflate(a, c1, c2, iterations=20)
         # orthogonality of the limit, exact
         if pair(alt.limit, c1) != 0 or pair(alt.limit, c2) != 0:
@@ -678,8 +678,8 @@ def check_sweeps() -> tuple[bool, str]:
     ok = True
     for k, sweep in enumerate(enumeration.sweeps_up_to()):
         ok &= sweep.ok
-        if k <= 8:
-            ok &= not sweep.zero_square_positive_genus and sweep.genus_bound_ok
+        if k <= 8:  # sweep.ok already fails on square-zero positive-genus classes
+            ok &= sweep.genus_bound_ok
         else:
             want = {divisor(sweep.surface, [3 * m] + [-m] * 9) for m in range(1, 3)}
             ok &= want <= set(sweep.zero_square_positive_genus)

@@ -44,7 +44,7 @@ class TestSurfaceLiterals:
 
 class TestEnumerate:
     def test_exceptional_two_blowups(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "--k", "2", "--square=-1", "--genus", "0")
+        code, out, _ = run(capsys, "enumerate", "--k", "2", "--square=-1")
         assert code == 0
         assert sorted(out.split()) == ["E1", "E2", "H-E1-E2"]
 
@@ -404,6 +404,8 @@ def test_a_closed_pipe_ends_quietly():
          '{"certified": false, "reason": "dimension -2 negative"}\n', ""),
         (["cert", "--k", "0", "--class=-3H"], 1,
          '{"certified": false, "reason": "no vanishing witness in the pool"}\n', ""),
+        (["cert", "--surface", "ruled:h=2", "--class=-U+T"], 1,
+         '{"certified": false, "reason": "wall-crossing magnitude 0"}\n', ""),
         (["cert", "--k", "0", "--class", "1/2H"], 1, "", "error: integral classes only\n"),
         (["cert", "--surface", "ruled:h=2", "--class", "U+1/2T"], 1, "",
          "error: integral classes only\n"),
@@ -429,6 +431,7 @@ def test_a_closed_pipe_ends_quietly():
          "error: non-extremality witnesses cover ruled surfaces\n"),
     ],
     ids=["cert-rational", "cert-ruled", "cert-negative-dimension", "cert-no-witness",
+         "cert-magnitude-zero",
          "cert-fractional-rational", "cert-fractional-ruled",
          "decompose-fiber", "decompose-fiber-after-blowup", "decompose-exceptional",
          "decompose-fiber-minus-exceptional",
@@ -496,8 +499,6 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          "(0, 1)\n(1, 0)\n", ""),
         (None, ["nef-threshold", "--omega", "3H-E1", "--curves", "2H-E1-E2", "--k", "2"], 1, "",
          "error: threshold denominator 4 exceeds 3\n"),
-        (None, ["enumerate", "--k", "2", "--genus", "1"], 2, "",
-         "error: only genus-0 enumeration is finite; use --genus 0\n"),
         (None, ["enumerate", "--k", "3", "--families", "--json"], 0,
          '{"families": ["E1 (1 on one E)", "H-E1-E2 (1 on 2 E\'s)"]}\n', ""),
         (None, ["enumerate", "--k", "3", "--square", "-2", "--families"], 0,
@@ -535,9 +536,9 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          "inflate-trace-text", "blowdown-dropped-text", "blowdown-square-zero-kept-json",
          "blowdown-square-zero-kept-text", "validate-witness-not-positive",
          "validate-witness-square-zero", "cone-dual-ruled-paper-signs",
-         "nef-threshold-denominator-four", "enumerate-positive-genus",
-         "enumerate-families-json", "enumerate-families-anchored-one-subtracted",
-         "enumerate-families-anchored-n-one", "ksymp-ruled", "inflate-start-pairs-negatively",
+         "nef-threshold-denominator-four", "enumerate-families-json",
+         "enumerate-families-anchored-one-subtracted", "enumerate-families-anchored-n-one",
+         "ksymp-ruled", "inflate-start-pairs-negatively",
          "validate-nine-blowups", "blowdown-ruled", "blowdown-not-minus-one",
          "decompose-fractional", "enumerate-ruled-genus-zero", "squares-negative-total",
          "enumerate-negative-nbound", "inflate-trace-zero", "inflate-trace-negative"],
@@ -618,6 +619,7 @@ class TestUsageErrors:
             (["cone", "dual", "--rays-file", "{file}"],
              {"surface": {"kind": "rational", "k": 2}, "rays": [1]}),
             (["cone", "ksymp", "--k", "-1"], None),
+            (["enumerate", "--k", "2", "--genus=1"], None),
             (["enumerate", "--surface", "rational:h=2"], None),
             (["enumerate", "--surface", "rational:q=5"], None),
             (["enumerate", "--surface", "rational:k=2,k=3"], None),
@@ -652,7 +654,8 @@ class TestUsageErrors:
         ids=["zero-denominator", "missing-file", "no-surface", "bad-surface-int",
              "json-not-object", "json-bad-surface-int", "json-unknown-kind",
              "ksymp-paper-signs", "sw-json", "curve-not-string", "curves-not-list", "ray-not-string",
-             "negative-k", "rational-h", "unknown-surface-key", "repeated-surface-key",
+             "negative-k", "enumerate-genus", "rational-h", "unknown-surface-key",
+             "repeated-surface-key",
              "json-float-k", "json-string-k", "json-bool-k", "rays-and-rays-file",
              "k-and-surface", "no-ray-literal", "trace-without-ray", "trace-ray-not-on-two",
              "negative-catalog-n", "rays-file-and-k", "rays-file-and-surface",
@@ -741,7 +744,7 @@ ON_SURFACE = {"--k": st.integers(-2, 6).map(str), "--surface": SURFACES}
 LEAVES = {
     ("enumerate",): ([], [ON_SURFACE], {"--json": None, "--paper-signs": None,
                                         "--families": None, "--square": INTS,
-                                        "--genus": INTS, "--nbound": INTS}),
+                                        "--nbound": INTS}),
     ("squares",): ([], [{"--total": st.integers(-3, 500).map(str)}],
                    {"--any-sum": None, "--json": None}),
     ("cremona", "reduce"): ([], [ON_SURFACE, {"--class": CLASSES}], {"--json": None}),

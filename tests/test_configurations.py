@@ -37,6 +37,7 @@ from conelab.lattice import (
     rational_surface,
     trivial_ruled,
 )
+from conelab.swcert import SWCertificate, sw_certificate
 
 S2 = rational_surface(2)
 S3 = rational_surface(3)
@@ -190,6 +191,12 @@ class TestValidation:
         first = certified_sw_classes(s4)
         assert certified_sw_classes(rational_surface(4)) == first
         assert built == [s4] and isinstance(first, tuple)
+
+    def test_the_certified_ruled_section_is_the_least_certified_one(self):
+        for s in [make(h) for make in (trivial_ruled, nontrivial_ruled) for h in (1, 2, 3)]:
+            least = next(U(s) + a * T(s) for a in range(-3, 4)
+                         if isinstance(sw_certificate(U(s) + a * T(s)), SWCertificate))
+            assert certified_sw_classes(s) == (T(s), least), s
 
 
 class TestBlowDown:

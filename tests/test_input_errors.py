@@ -22,6 +22,7 @@ from conelab.lattice import (
 )
 
 R2 = rational_surface(2)
+R3 = rational_surface(3)
 RULED = trivial_ruled(1)
 NOT_A_RAY = "facet intersection is not a single ray"
 
@@ -56,6 +57,9 @@ CASES = [
     ("vertex-curve-off-the-null-direction",
      lambda: achieve_vertex(H(R2), [parse_class("H-E1", R2), E(R2, 1)]),
      InflationError, NOT_A_RAY),
+    ("vertex-zero-start",
+     lambda: achieve_vertex(0 * H(R3), [parse_class(c, R3) for c in ("E3", "E1-E2", "H-E1-E2")]),
+     InflationError, "projection collapsed to zero; start class is degenerate"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Wall-crossing magnitudes, certificates, and non-extremality witnesses."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conelab import swcert
 from conelab.configurations import certified_sw_classes
@@ -10,6 +11,7 @@ from conelab.lattice import (
     H,
     T,
     U,
+    divisor,
     parse_class,
     rational_surface,
     sw_dimension,
@@ -29,6 +31,18 @@ from conelab.swcert import (
 )
 
 S2 = rational_surface(2)
+RULED2 = trivial_ruled(2)
+SECTION = U(RULED2) + T(RULED2)  # certified: dimension 2, witness T, magnitude |1 + 1|^2
+SECTION_CERT = SWCertificate(SECTION, 2, T(RULED2), 4)
+ZERO_MAGNITUDE = T(RULED2) - U(RULED2)  # e.T = -1, so |1 + e.T|^2 = 0
+# 2U+3T = (2U+2T) + T, as non_extremal_witness splits it
+SPLIT = ((2 * SECTION, SWCertificate(2 * SECTION, 8, T(RULED2), 9)),
+         (T(RULED2), SWCertificate(T(RULED2), 2, T(RULED2), 1)))
+SMALL_SURFACES = st.one_of(
+    st.builds(rational_surface, st.integers(0, 3)),
+    st.builds(trivial_ruled, st.integers(1, 3), st.integers(0, 1)),
+    st.builds(nontrivial_ruled, st.integers(1, 3), st.integers(0, 1)),
+)
 
 
 class TestMagnitude:
@@ -90,6 +104,42 @@ class TestCertificates:
                 assert cert.revalidate(), c
                 certified += 1
         assert certified == 2714
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(SMALL_SURFACES, st.data())
+    def test_every_issued_certificate_revalidates(self, surface, data):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=surface.rank,
+                                    max_size=surface.rank))
+        cert = sw_certificate(divisor(surface, coeffs))
+        assert isinstance(cert, NoCertificate) or cert.revalidate(), cert
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        SWCertificate(SECTION, 4, T(RULED2), 4),
+        SWCertificate(-2 * H(S2), -2, H(S2), 1),
+        SWCertificate(SECTION, 2, T(RULED2) - U(RULED2), 4),
+        SWCertificate(SECTION, 2, U(RULED2), 4),
+        SWCertificate(SECTION, 2, T(RULED2), 9),
+        SWCertificate(ZERO_MAGNITUDE, 2, T(RULED2), 0),
+        Decomposition(2 * SECTION + T(RULED2), 2, SPLIT),
+        Decomposition(2 * SECTION + T(RULED2), 1,
+                      SPLIT[:1] + ((T(RULED2), SWCertificate(T(RULED2), 2, T(RULED2), 2)),)),
+        Decomposition(SECTION, 1, ((SECTION, SECTION_CERT),)),
+    ],
+    ids=["dimension-mismatch", "dimension-negative", "witness-square-negative",
+         "witness-does-not-kill", "magnitude-mismatch", "magnitude-zero",
+         "sum-not-the-scaled-class", "summand-not-revalidated", "one-summand"],
+)
+def test_revalidate_rejects_each_broken_fact(broken):
+    """Each certificate breaks exactly one fact that revalidate() checks."""
+    assert broken.revalidate() is False
+
+
+def test_the_unbroken_certificates_revalidate():
+    assert SECTION_CERT.revalidate()
+    assert Decomposition(2 * SECTION + T(RULED2), 1, SPLIT).revalidate()
 
 
 class TestNonExtremalWitness:
