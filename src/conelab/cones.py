@@ -5,18 +5,12 @@ by its extreme rays, the facets pair(f, .) >= 0 of the cone, and a
 lineality basis.  The double description, extreme_rays_h, runs on
 primitive integer vectors, with bitmask tight sets and the combinatorial
 adjacency test; ranks in this package never exceed 10, so no effort is
-spent on sparse or floating point shortcuts.  It has two callers.
-dual_cone serves every list of classes.  _neighbours runs it on the Gram
-functionals of the -1 classes tight at a corner and pairs the integer
-directions it returns with the Gram functionals of the others.
+spent on sparse or floating point shortcuts.  dual_cone is its one caller.
 
 The K-symplectic cone of k >= 2 blowups, the dual of the -1 classes, is not
-converted whole: its corners are generated as the orbits of H and H - E1
-under cremona.moves and the permutations of E1..Ek, and adjacency
-decomposition up to symmetry (Christof and Reinelt, Int. J. Comput. Geom.
-Appl. 11, 2001; Bremner, Dutour Sikiric and Schuermann, "Polyhedral
-representation conversion up to symmetries", 2009) certifies them complete
-from the two orbit representatives and one neighbour per stabiliser orbit.
+converted whole: k_symplectic_cone generates its corners as the orbits of H
+and H - E1 and certifies them complete by adjacency decomposition up to
+symmetry, from edges of the two tangent cones written down in closed form.
 The cone is held as its ordered classes; its corners are expanded on read.
 """
 
@@ -257,35 +251,27 @@ def _certified_corners(surface: SurfaceModel) -> set[DivisorClass]:
 
 
 def _neighbours(r: DivisorClass, functionals: Iterable[IntVec]) -> list[DivisorClass]:
-    """One extreme ray adjacent to r on the dual of the -1 classes per orbit
-    of r's stabiliser in the permutations of E1..Ek, for r in that cone;
-    raises ConeError unless r is an extreme ray.
-
-    The -1 classes tight at r cut out the cone's tangent cone at r, and r is
-    extreme when they have rank k, that is when that cone's lineality is the
-    line of r alone.  Each extreme ray d of the tangent cone spans a 2-face
-    with r, whose other ray is d + s r for the least s that leaves every
-    pairing non-negative: the largest -(e.d)/(e.r) over the non-tight e.
-    The stabiliser permutes the tight and the loose e, and so the d and the
-    neighbours: one d per orbit is shot.  Each e comes as its Gram functional.
+    """One extreme ray adjacent to r = H or H - E1 on the dual of the -1
+    classes, each e as its Gram functional, per orbit of r's stabiliser in
+    the permutations of E1..Ek; raises ConeError unless r is extreme and
+    tight on the classes of _tangent_cone.  The tight e cut out the tangent
+    cone at r, and r is extreme when they have rank k.  Each edge d of that
+    cone spans a 2-face with r, whose other ray is d + s r for the least s
+    that leaves every pairing non-negative: the largest -(e.d)/(e.r).  The
+    stabiliser permutes the loose e too, so one d per orbit is shot.
     """
     surface = r.surface
-    tight, loose = [], []
-    for q in functionals:
-        er = sum(map(mul, q, r._num))
-        if er:
-            loose.append((q, er))
-        else:
-            tight.append(q)
-    directions, lineality = extreme_rays_h(tight, surface.rank)
-    if len(lineality) != 1:
-        raise ConeError(
-            f"the -1 classes tight at {r} have rank {surface.rank - len(lineality)}, not {surface.k}"
-        )
-    # d's orbit: its H-coordinate and its E-coordinates paired with r's
-    orbits = {(d[0], *sorted(zip(r.coeffs[1:], d[1:]))): d for d in directions}
+    pairings = [(q, sum(map(mul, q, r._num))) for q in functionals]
+    tight = {q for q, er in pairings if not er}
+    loose = [(q, er) for q, er in pairings if er]
+    rank = len(linalg.rref(list(tight))[1])
+    if rank != surface.k:
+        raise ConeError(f"the -1 classes tight at {r} have rank {rank}, not {surface.k}")
+    named, directions = _tangent_cone(r)
+    if tight != named:
+        raise ConeError(f"the -1 classes tight at {r} are not the {len(named)} named")
     out = []
-    for d in orbits.values():
+    for d in directions:
         # s = num / den with den > 0, compared by cross-multiplying; (-1, 0)
         # stands below every ratio
         num, den = -1, 0
@@ -295,6 +281,22 @@ def _neighbours(r: DivisorClass, functionals: Iterable[IntVec]) -> list[DivisorC
                 num, den = p, er
         out.append(divisor(surface, [den * x + num * y for x, y in zip(d, r.coeffs)]).primitive())
     return out
+
+
+def _tangent_cone(r: DivisorClass) -> tuple[set[IntVec], list[IntVec]]:
+    """The Gram functionals of the -1 classes tight at r = H or H - E1, and
+    one edge of their cone per orbit of r's stabiliser, u_i the unit vectors.
+    At H: E1..Ek, or -u_1..-u_k; modulo the line of H the cone is the orthant
+    d1..dk <= 0, whose edges -Ei are one orbit.  At H - E1: Ej and H - E1 - Ej,
+    or -u_j and u_0 + u_1 + u_j, j = 2..k; modulo the line of H - E1 the cone
+    is 0 <= -dj <= d0 + d1, over a (k-1)-cube, whose 2^(k-1) edges H - (the Ej,
+    j in S), S in 2..k, are k orbits by |S| = m: H - E2 - ... - E(m+1)."""
+    k, at_h = r.surface.k, r == H(r.surface)
+    tight = {tuple(-int(i == j) for i in range(k + 1)) for j in range(1 if at_h else 2, k + 1)}
+    if at_h:
+        return tight, [(0, -1) + (0,) * (k - 1)]
+    tight |= {tuple(int(i in (0, 1, j)) for i in range(k + 1)) for j in range(2, k + 1)}
+    return tight, [(1, 0) + (-1,) * m + (0,) * (k - 1 - m) for m in range(k)]
 
 
 # ---------------------------------------------------------------------------

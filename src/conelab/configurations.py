@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Sequence
 
 from . import exactlp
-from .cones import dual_cone, ray_sum
+from .cones import RationalCone, dual_cone, ray_sum
 from .enumeration import exceptional_classes, family_instances, sphere_classes
 from .lattice import (
     DivisorClass,
@@ -83,6 +83,11 @@ class NegativeConfiguration:
 
     def generators(self) -> list[DivisorClass]:
         return list(self.curves) + list(self.extra_square_zero)
+
+    @cached_property
+    def dual(self) -> RationalCone:
+        """The dual of the curve cone, built on the first read only."""
+        return dual_cone(self.generators())
 
     def __repr__(self) -> str:
         body = ", ".join(str(c) for c in self.curves)

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .configurations import NegativeConfiguration
-from .cones import dual_cone
 from .lattice import DivisorClass, pair, sorted_classes
 
 
@@ -191,7 +190,7 @@ def achieve_all_rays(
     when both are null and proportional), reached as a light-cone limit.
     The dict holds the rays in dual_cone's order, sorted by coefficients."""
     gens = cfg.generators()
-    dual = dual_cone(gens)
+    dual = cfg.dual
     evidence = [r for r in dual.rays + dual.lineality if r.square() < 0]
     if evidence or dual.lineality:
         raise RoundBoundaryError(sorted_classes(evidence) or dual.lineality)

@@ -407,7 +407,7 @@ def check_achieve_all_rays() -> tuple[bool, str]:
     achieved = 0
     for entry in entries:
         cfg = entry.configuration
-        dual = cones.dual_cone(cfg.generators())
+        dual = cfg.dual  # read again by achieve_all_rays, built once
         try:
             results = inflation.achieve_all_rays(cfg, cones.ray_sum(dual))
         except inflation.RoundBoundaryError:
@@ -637,6 +637,9 @@ def check_sw_certificates() -> tuple[bool, str]:
         out = swcert.non_extremal_witness(cls)
         if not isinstance(out, swcert.Decomposition) or not out.revalidate():
             return False, f"decomposition failed for {cls} on {cls.surface}"
+        # |1 + e.T|^h recomputed, e.T being e's U-coefficient (U.T = 1, T.T = Ei.T = 0)
+        if any(c.magnitude != abs(1 + e.coeffs[0]) ** cls.surface.h for e, c in out.summands):
+            return False, f"wrong wall-crossing magnitude for {cls} on {cls.surface}"
         decomposed += 1
     ok = audit and decomposed >= 95
     return ok, f"eight-blowup audit: {audit}; {decomposed} ruled decompositions revalidated"

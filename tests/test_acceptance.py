@@ -74,6 +74,31 @@ def test_the_cremona_check_catches_a_broken_reflection(monkeypatch, broken):
     assert result.details.endswith("preserve invariants: False")
 
 
+def test_the_sw_check_recomputes_each_magnitude(monkeypatch):
+    """Check 15 recomputes |1 + e.T|^h itself, so a wrong exponent in
+    wall_crossing_magnitude fails it although every certificate, checked
+    against that same function, revalidates."""
+    magnitude = swcert.wall_crossing_magnitude
+
+    def one_power_too_many(e):
+        return magnitude(e) if e.surface.is_rational else magnitude(e) * abs(1 + e.coeffs[0])
+
+    monkeypatch.setattr(swcert, "wall_crossing_magnitude", one_power_too_many)
+    result = verify.check_sw_certificates()
+    assert not result.passed
+    assert result.details.startswith("wrong wall-crossing magnitude for ")
+
+
+def test_check_9_computes_each_dual_once(monkeypatch):
+    """42 catalog configurations and the round-boundary control: 43 duals,
+    though check 9 and achieve_all_rays each ask for the catalog's."""
+    calls = []
+    rays = cones.extreme_rays_h
+    monkeypatch.setattr(cones, "extreme_rays_h", lambda *a: calls.append(a) or rays(*a))
+    assert verify.check_achieve_all_rays().passed
+    assert len(calls) == 43
+
+
 def test_the_cremona_samples_are_the_draws_of_one_call_per_class():
     """Reference: check 14 draws the coefficients of all classes of one k in
     one call, which reads the random stream as one call per class does."""

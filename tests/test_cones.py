@@ -536,6 +536,56 @@ class TestCornerCertificate:
             assert len(got) == orbits
             assert {order(x) for x in got} == every
 
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_the_written_edges_are_the_double_description_rays(self, k):
+        # reference: the double description of the tight -1 classes, whose
+        # rays lie orthogonal to r; each edge d is projected there, and an
+        # orbit of r's stabiliser is told by d's H-coordinate and the sorted
+        # pairs (r_i, d_i)
+        s = rational_surface(k)
+        for r, count in ((H(s), 1), (H(s) - E(s, 1), k)):
+            tight = [gram_functional(e) for e in exceptional_classes(s) if pair(e, r) == 0]
+            named, directions = cones._tangent_cone(r)
+            assert named == set(tight)
+            rays, lineality = extreme_rays_h(tight, s.rank)
+            assert lineality == [r.coeffs]
+            assert len(rays) == (k if r == H(s) else 2 ** (k - 1))
+
+            def orbit(d):
+                rr = sum(x * x for x in r.coeffs)
+                dr = sum(x * y for x, y in zip(d, r.coeffs))
+                v = linalg.primitive([rr * x - dr * y for x, y in zip(d, r.coeffs)])
+                return (v[0], *sorted(zip(r.coeffs[1:], v[1:])))
+
+            keys = [orbit(d) for d in directions]
+            assert len(keys) == len(set(keys)) == count
+            assert set(keys) == {orbit(d) for d in rays}
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda s, got: got - {H(s) - E(s, 1) - E(s, 2)}, "tight at H-E1 are not the 4 named"),
+            (lambda s, got: got | {E(s, 1) - E(s, 2)}, "tight at H are not the 3 named"),
+        ],
+        ids=["one-removed", "one-added"],
+    )
+    def test_a_tight_set_off_the_closed_form(self, monkeypatch, change, message):
+        # without H - E1 - E2 the classes tight at H - E1 still have rank 3;
+        # E1 - E2 is tight at H and keeps the rank there
+        monkeypatch.setattr(
+            cones, "exceptional_classes", lambda s: change(s, exceptional_classes(s))
+        )
+        with pytest.raises(ConeError, match=message):
+            k_symplectic_cone(S3)
+
+    def test_no_double_description(self, monkeypatch):
+        # counted, not timed: the edges are written down for every k
+        calls, rays = [], cones.extreme_rays_h
+        monkeypatch.setattr(cones, "extreme_rays_h", lambda *a: calls.append(a) or rays(*a))
+        for k in range(9):
+            k_symplectic_cone(rational_surface(k))
+        assert calls == []
+
     def test_one_gram_functional_per_minus_one_class(self, monkeypatch):
         # the 240 -1 classes of eight blowups serve both H and H - E1
         made = []
