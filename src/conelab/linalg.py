@@ -14,22 +14,26 @@ def is_zero(a: Sequence) -> bool:
     return all(x == 0 for x in a)
 
 
-def pivot(mat: list[list[int]], r: int, c: int, d: int) -> int:
+def pivot(mat: list[list[int]], r: int, col: Sequence[int], d: int) -> int:
     """Integer-preserving Gauss-Jordan step in place (Edmonds 1967, Bareiss
-    1968) on the tableau mat / d, with d > 0 and a positive pivot mat[r][c]:
-    clear column c from every row but r, and return the new common
-    denominator, the pivot.  Every entry stays a minor of the integer input,
-    so each division by d is exact."""
-    p = mat[r][c]
+    1968) on mat / d, d > 0, along the column col, one entry per row and
+    cleared if stored in mat, with a positive pivot p = col[r]; returns p, the
+    new common denominator.  Every entry stays a minor of the integer input, so
+    each division by d is exact: (p x - f y) / d, or x - f y / d when p = d."""
+    p = col[r]
     pivot_row = mat[r]
-    for i, row in enumerate(mat):
+    for i, f in enumerate(col):
         if i == r:
             continue
-        f = row[c]
-        if f:
-            mat[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+        if not f:
+            if p != d:
+                mat[i] = [p * x // d for x in mat[i]]
         elif p != d:
-            mat[i] = [p * x // d for x in row]
+            mat[i] = [(p * x - f * y) // d for x, y in zip(mat[i], pivot_row)]
+        elif d == 1:
+            mat[i] = [x - f * y for x, y in zip(mat[i], pivot_row)]
+        else:
+            mat[i] = [x - f * y // d for x, y in zip(mat[i], pivot_row)]
     return p
 
 
@@ -53,7 +57,7 @@ def rref(rows: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[int]]:
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         if mat[r][c] < 0:
             mat[r] = [-x for x in mat[r]]
-        d = pivot(mat, r, c, d)
+        d = pivot(mat, r, [row[c] for row in mat], d)
         pivots.append(c)
         r += 1
         if r == len(mat):

@@ -584,9 +584,15 @@ def check_cremona() -> tuple[bool, str]:
         ):
             preserved = False
             break
-    ok = ok and cycles_ok and preserved
+    # 2H-E1-E2-E3 ~ H; E1-E2, H-E1-E2-E3 (equal square and K) meet the chamber apart
+    to_h = cremona.cremona_equivalent(parse_class("2H-E1-E2-E3", s3), H(s3))
+    apart = cremona.cremona_equivalent(parse_class("E1-E2", s3), parse_class("H-E1-E2-E3", s3))
+    decided = to_h.kind == "equivalent" and apart == cremona.EquivalenceOutcome(
+        "distinct_by_invariant", "chamber")
+    ok = ok and cycles_ok and preserved and decided
     return ok, (
-        f"2H-E1-E2-E3 -> {red.result}; cycles for all -1 classes k<=5: {cycles_ok}; "
+        ("" if decided else "Cremona equivalence undecided; ")
+        + f"2H-E1-E2-E3 -> {red.result}; cycles for all -1 classes k<=5: {cycles_ok}; "
         f"10^4 random reflections preserve invariants: {preserved}"
     )
 

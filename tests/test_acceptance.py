@@ -74,6 +74,20 @@ def test_the_cremona_check_catches_a_broken_reflection(monkeypatch, broken):
     assert result.details.endswith("preserve invariants: False")
 
 
+@pytest.mark.parametrize("answer", [
+    cremona.EquivalenceOutcome("distinct_by_invariant", "chamber"),
+    cremona.EquivalenceOutcome("equivalent"),
+], ids=["distinct", "equivalent"])
+def test_the_cremona_check_decides_equivalence(monkeypatch, answer):
+    """Check 14 asks cremona_equivalent for one pair it must call equivalent
+    (2H-E1-E2-E3 and H) and one it must set apart in the chamber (E1-E2 and
+    H-E1-E2-E3), so one fixed answer fails it."""
+    monkeypatch.setattr(cremona, "cremona_equivalent", lambda x, y: answer)
+    result = verify.check_cremona()
+    assert not result.passed
+    assert result.details.startswith("Cremona equivalence undecided; ")
+
+
 def test_the_sw_check_recomputes_each_magnitude(monkeypatch):
     """Check 15 recomputes |1 + e.T|^h itself, so a wrong exponent in
     wall_crossing_magnitude fails it although every certificate, checked

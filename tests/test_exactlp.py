@@ -175,6 +175,20 @@ def test_eight_blowup_solutions_are_pinned(monkeypatch):
     )
 
 
+def test_eight_blowup_validation_pivot_count_is_pinned(monkeypatch):
+    # with the pinned solutions, a structural guard on "the same pivots": the
+    # 240 simplexes and the row reductions of the validation, counted as calls
+    pivot, calls = linalg.pivot, []
+
+    def counted(*args):
+        calls.append(1)
+        return pivot(*args)
+
+    monkeypatch.setattr(linalg, "pivot", counted)
+    assert validate_configuration(disjoint_minus_one_configuration(8, 8)).passed
+    assert len(calls) == 2086
+
+
 def test_a_basic_solution_that_misses_the_target_raises(monkeypatch):
     # the integer check of the certificate, not an assert: a pivot that
     # leaves each entering value one unit off is caught before returning
