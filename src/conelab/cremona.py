@@ -90,7 +90,9 @@ def cremona_reduce(x: DivisorClass) -> ReductionOutcome:
     is reduced, and a cycle otherwise, since then no class of the orbit is
     reduced and the walk continued from it descends back to it.  The trace
     runs from order(x) to that class, or holds the last five once MAX_STEPS
-    are spent.  Square-1 sphere classes reduce; -1 classes cycle.
+    are spent.  -1 classes cycle.  Square-1 sphere classes reduce for k <= 7;
+    at k = 8 the 240 of the orbit of -K + 2E8 cycle, as their chamber class
+    3H - E1 - ... - E7 + E8 is not reduced.
     """
     _require_cremona_surface(x)
     trace = [order(x)]

@@ -7,6 +7,13 @@ converge geometrically, and a Gram-Schmidt pass over a negative-definite
 span turns the whole limit process into one exact orthogonal projection.
 Vertex achievement returns that projection as an InflationTrace; a vertex
 on the light cone is reached as a flagged limit with no steps.
+
+The steps run on the integer core: classes and Gram-Schmidt residuals are
+integer numerators over one denominator, paired by lattice.pair_numerators,
+and the one Fraction of a step is its eps.  The Gram-Schmidt pass is
+fraction-free (Bareiss 1968; Erlingsson, Kaltofen and Musser 1996).
+InflationTrace.verify replays a trace in Fraction arithmetic, an oracle
+independent of the steps.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .configurations import NegativeConfiguration
-from .lattice import DivisorClass, pair, sorted_classes
+from .lattice import DivisorClass, _check_same_surface, _from_numerators, pair, pair_numerators, sorted_classes
 
 
 class InflationError(ValueError):
@@ -53,18 +60,23 @@ class InflationTrace:
 
 
 def max_inflate(a: DivisorClass, c: DivisorClass) -> tuple[DivisorClass, Fraction]:
-    """The maximal step along a negative class; the result pairs to 0 with c."""
-    c2 = pair(c, c)
-    if c2 >= 0:
+    """The maximal step along a negative class; the result pairs to 0 with c.
+    It is built from eps's numerator and denominator, so that integer pairing
+    checks eps."""
+    kind, x, y = c.surface.kind, a._num, c._num
+    cc = pair_numerators(kind, y, y)
+    if cc >= 0:
         raise InflationError("maximal inflation needs a class of negative square")
-    ac = pair(a, c)
+    _check_same_surface(a, c)
+    ac = pair_numerators(kind, x, y)
     if ac < 0:
-        raise InflationError(f"pairing {ac} negative; cannot inflate along {c}")
-    eps = Fraction(ac, -c2)
-    result = a + eps * c
-    if pair(result, c) != 0:
+        raise InflationError(f"pairing {pair(a, c)} negative; cannot inflate along {c}")
+    eps = Fraction(ac * c._den, -cc * a._den)
+    f, g = eps.denominator * c._den, eps.numerator * a._den
+    num = tuple([f * p + g * q for p, q in zip(x, y)])
+    if pair_numerators(kind, num, y):
         raise InflationError(f"maximal step from {a} along {c} misses its hyperplane")
-    return result, eps
+    return _from_numerators(a.surface, num, a._den * f), eps
 
 
 @dataclass(frozen=True)
@@ -89,17 +101,18 @@ def alternate_inflate(
     """
     if pair(a, c1) != 0:
         raise InflationError("start class must lie on the hyperplane of the first curve")
-    s1, s2 = pair(c1, c1), pair(c2, c2)
-    if s1 >= 0 or s2 >= 0:
+    kind, y1, y2 = a.surface.kind, c1._num, c2._num
+    n11, n12, n22 = (pair_numerators(kind, p, q) for p, q in ((y1, y1), (y1, y2), (y2, y2)))
+    if n11 >= 0 or n22 >= 0:
         raise InflationError("alternating inflation needs two negative classes")
-    c12 = pair(c1, c2)
-    x = Fraction(c12 * c12, s1 * s2)
+    _check_same_surface(c1, c2)
+    x = Fraction(n12 * n12, n11 * n22)
     if x > 1:
         raise InflationError(
-            f"(c1.c2)^2 = {c12 * c12} exceeds c1^2 c2^2 = {s1 * s2}; "
+            f"(c1.c2)^2 = {pair(c1, c2) ** 2} exceeds c1^2 c2^2 = {c1.square() * c2.square()}; "
             "no common positive-square dual class exists for this pair"
         )
-    l1 = Fraction(pair(a, c2), -s2)
+    l1 = Fraction(pair(a, c2), -c2.square())
     steps = []
     odd, even = [], []
     current = a
@@ -110,11 +123,13 @@ def alternate_inflate(
         if eps != 0:
             steps.append((curve, eps))
     trace = InflationTrace(a, tuple(steps), current)
-    direction = c2 - Fraction(c12, s1) * c1
+    # c2 - (c1.c2)/c1^2 * c1 is (y1.y2) y1 - (y1.y1) y2 over -(y1.y1) d2, d2 c2's denominator
+    num = tuple([n12 * p - n11 * q for p, q in zip(y1, y2)])
+    direction = _from_numerators(a.surface, num, -n11 * c2._den)
     if x == 1:
         return AlternateInflation(trace, direction.primitive(), x, tuple(odd), tuple(even))
     limit = a + (l1 / (1 - x)) * direction
-    if pair(limit, c1) != 0 or pair(limit, c2) != 0:
+    if pair_numerators(kind, limit._num, y1) or pair_numerators(kind, limit._num, y2):
         raise InflationError(f"limit {limit} is not orthogonal to {c1} and {c2}")
     return AlternateInflation(trace, limit, x, tuple(odd), tuple(even))
 
@@ -133,18 +148,25 @@ def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> Inflation
     flagged as a limit.  The ray is the trace's result.primitive()."""
     if not curves:
         raise InflationError("no curves supplied")
-    ortho: list[DivisorClass] = []
+    kind = a.surface.kind
+    ortho: list[tuple[DivisorClass, int]] = []  # each with its numerators' square
     null_direction: DivisorClass | None = None
     for c in curves:
-        if pair(c, c) > 0:
+        _check_same_surface(a, c)
+        v, lam = c._num, c._den
+        if pair_numerators(kind, v, v) > 0:
             raise InflationError(f"{c} has positive square")
-        # Gram-Schmidt: c minus its pairing-projections onto the kept classes
-        v = c
-        for u in ortho:
-            v = v - Fraction(pair(u, c), pair(u, u)) * u
-        if v.is_zero():
+        # v -> (-w.w) v + (w.v) w on the numerators w of each kept class keeps
+        # v at lam d times the curve minus its projections, d its denominator
+        for u, ww in ortho:
+            f = pair_numerators(kind, u._num, v)
+            if f:
+                v = [f * q - ww * p for p, q in zip(v, u._num)]
+                lam *= -ww
+        if not any(v):
             continue  # facet already implied by the previous ones
-        sq = pair(v, v)
+        v = _from_numerators(a.surface, tuple(v), lam)
+        sq = pair_numerators(kind, v._num, v._num)
         if sq > 0:
             raise InflationError(f"orthogonalized class {v} has positive square")
         if sq == 0:
@@ -152,7 +174,7 @@ def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> Inflation
                 raise InflationError("facet intersection is not a single ray")
             null_direction = v
             continue
-        ortho.append(v)
+        ortho.append((v, sq))
     if null_direction is not None:
         for c in curves:
             if pair(c, null_direction) != 0:
@@ -166,7 +188,7 @@ def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> Inflation
         raise InflationError("facet intersection is not a single ray")
     steps = []
     current = a
-    for u in ortho:
+    for u, _ in ortho:
         current, eps = max_inflate(current, u)
         if eps:
             steps.append((u, eps))

@@ -301,15 +301,18 @@ def pair(x: DivisorClass, y: DivisorClass) -> int | Fraction:
     classes, and a Fraction when either class has a fractional entry."""
     if x.surface is not y.surface:
         _check_same_surface(x, y)
-    a, b = x._num, y._num
-    kind = x.surface.kind
-    if kind == RATIONAL:
-        p = 2 * a[0] * b[0] - sum(map(mul, a, b))
-    else:
-        uu = a[0] * b[0] if kind == NONTRIVIAL_RULED else 0
-        p = uu + a[0] * b[1] + a[1] * b[0] - sum(map(mul, a[2:], b[2:]))
+    p = pair_numerators(x.surface.kind, x._num, y._num)
     d = x._den * y._den
     return p if d == 1 else Fraction(p, d)
+
+
+def pair_numerators(kind: str, a, b) -> int:
+    """The intersection form of a surface of the kind on integer vectors in
+    basis order; pair(x, y) is its value on the numerators over the denominators."""
+    if kind == RATIONAL:
+        return 2 * a[0] * b[0] - sum(map(mul, a, b))
+    uu = a[0] * b[0] if kind == NONTRIVIAL_RULED else 0
+    return uu + a[0] * b[1] + a[1] * b[0] - sum(map(mul, a[2:], b[2:]))
 
 
 def gram_functional(x: DivisorClass) -> tuple[int | Fraction, ...]:

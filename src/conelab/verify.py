@@ -308,18 +308,11 @@ def check_vertex_example() -> tuple[bool, str]:
     s3 = rational_surface(3)
     h = H(s3)
     curves = [E(s3, 3), E(s3, 1) - E(s3, 2), h - E(s3, 1) - E(s3, 2)]
-    target_ray = (2 * h - E(s3, 1) - E(s3, 2)).primitive()
+    conic = 2 * h - E(s3, 1) - E(s3, 2)
     r1 = inflation.achieve_vertex(h, curves)
     r2 = inflation.achieve_vertex(h - E(s3, 1), curves)
-    half = Fraction(1, 2) * (2 * h - E(s3, 1) - E(s3, 2))
-    ok = (
-        r1.result.primitive() == target_ray
-        and r1.result == 2 * h - E(s3, 1) - E(s3, 2)
-        and r2.result.primitive() == target_ray
-        and r2.result == half
-        and r1.verify()
-        and r2.verify()
-    )
+    # the conic is primitive, so the results lie on its ray
+    ok = r1.result == conic and r2.result == Fraction(1, 2) * conic and r1.verify() and r2.verify()
     return ok, f"from H: {r1.result}; from H-E1: {r2.result}"
 
 

@@ -506,7 +506,7 @@ class TestCornerCertificate:
         monkeypatch.setattr(
             cones, "exceptional_classes", lambda s: exceptional_classes(s) - {E(s, 3)}
         )
-        with pytest.raises(ConeError, match="tight at H have rank 2, not 3"):
+        with pytest.raises(ConeError, match="tight at H are not the 3 named"):
             k_symplectic_cone(S3)
 
     def test_a_missing_neighbour(self, monkeypatch):

@@ -18,7 +18,7 @@ from conelab.cremona import (
     order,
     reflect,
 )
-from conelab.enumeration import exceptional_classes
+from conelab.enumeration import exceptional_classes, family_instances, sphere_classes
 from conelab.lattice import (
     E,
     H,
@@ -175,6 +175,21 @@ class TestReduce:
                 x = reflect(x, tuple(rng.sample(range(1, k + 1), 3)))
             out = cremona_reduce(x)
             assert out.kind == "reduced" and out.result == H(s)
+
+    def test_square_one_sphere_classes_reduce_below_eight_blowups(self):
+        # all 576 at k = 7 reduce to H; at k = 8 the 240 of the orbit of
+        # -K + 2E8 cycle, each walk ending at its unreduced chamber class
+        s7, s8 = rational_surface(7), rational_surface(8)
+        outcomes = [cremona_reduce(x) for x in family_instances(sphere_classes(s7, square=1))]
+        assert len(outcomes) == 576
+        assert {(out.kind, out.result) for out in outcomes} == {("reduced", H(s7))}
+        spheres = family_instances(sphere_classes(s8, square=1))
+        cycling = {x for x in spheres if cremona_reduce(x).kind == "cycle"}
+        assert (len(spheres), len(cycling)) == (17_520, 240)
+        chamber = parse_class("3H-E1-E2-E3-E4-E5-E6-E7+E8", s8)
+        assert not is_reduced(chamber)
+        assert -canonical_class(s8) + 2 * E(s8, 8) in cycling
+        assert {cremona_reduce(x).trace[-1] for x in cycling} == {chamber}
 
     def test_section_orbits_reduce_to_their_normal_forms(self):
         rng = random.Random(9)

@@ -1,13 +1,15 @@
 """Formal inflation steps, alternating limits, and vertex achievement."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from conelab import inflation
-from conelab.configurations import NegativeConfiguration
-from conelab.cones import dual_cone
+from conelab.configurations import NegativeConfiguration, catalog_cp2_1, catalog_cp2_2, catalog_cp2_3
+from conelab.cones import dual_cone, k_symplectic_cone, ray_sum
+from conelab.enumeration import exceptional_classes
 from conelab.inflation import (
     InflationError,
     InflationTrace,
@@ -23,11 +25,13 @@ from conelab.lattice import (
     LatticeError,
     T,
     U,
+    canonical_class,
     divisor,
     nontrivial_ruled,
     pair,
     parse_class,
     rational_surface,
+    sorted_classes,
     trivial_ruled,
 )
 
@@ -123,6 +127,17 @@ class TestAlternateInflate:
         assert got.ratio == 1
         assert got.limit == parse_class("H-E2", S2)
         assert len(set(got.odd_coefficients)) == 1  # no decay at ratio one
+
+    def test_scaled_curves_keep_the_ratio_and_the_limit(self):
+        # a curve scaled by s divides its step sizes by s
+        a = parse_class("3H-2E1-2E2-E3", S3)
+        c1, c2 = parse_class("E1-E2", S3), parse_class("E2-E3", S3)
+        base = alternate_inflate(a, c1, c2, 6)
+        got = alternate_inflate(a, Fraction(1, 2) * c1, Fraction(2, 3) * c2, 6)
+        assert base.ratio == got.ratio == Fraction(1, 4)
+        assert got.limit == base.limit and got.trace.result == base.trace.result
+        assert got.odd_coefficients == tuple(Fraction(3, 2) * x for x in base.odd_coefficients)
+        assert got.even_coefficients == tuple(2 * x for x in base.even_coefficients)
 
     def test_start_off_the_facet_rejected(self):
         with pytest.raises(InflationError):
@@ -261,6 +276,86 @@ class TestAchieveVertex:
     def test_non_ray_intersection_rejected(self):
         with pytest.raises(InflationError):
             achieve_vertex(H(S3), [E(S3, 3)])
+
+
+def fraction_vertex(a, curves):
+    """achieve_vertex as a Gram-Schmidt on classes with Fraction
+    coefficients, the reference for the fraction-free one: (steps, result,
+    light-cone flag)."""
+    ortho, null = [], None
+    for c in curves:
+        v = c
+        for u in ortho:
+            v = v - Fraction(pair(u, c), pair(u, u)) * u
+        if v.is_zero():
+            continue
+        if v.square() == 0:
+            null = v
+        else:
+            ortho.append(v)
+    if null is not None:
+        ray = null.primitive()
+        return [], ray if pair(a, ray) >= 0 else -ray, True
+    steps, current = [], a
+    for u in ortho:
+        eps = Fraction(pair(current, u), -pair(u, u))
+        current = current + eps * u
+        if eps:
+            steps.append((u, eps))
+    return steps, current, False
+
+
+class TestFractionFree:
+    # the same orthogonalized classes, steps, result and flag as the reference
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_seeded_tight_sets(self, k):
+        # the -1 classes tight at each corner, in a seeded order, from -K and
+        # from a seeded rational start inside the cone
+        rng = random.Random(k)
+        s = rational_surface(k)
+        minus_one = sorted_classes(exceptional_classes(s))
+        corners = [c.ray for c in k_symplectic_cone(s).corners]
+        for ray in corners:
+            tight = [e for e in minus_one if pair(e, ray) == 0]
+            rng.shuffle(tight)
+            scaled = [Fraction(rng.randint(1, 3), rng.randint(1, 3)) * e for e in tight]
+            inside = sum(rng.sample(corners, min(3, len(corners))), -canonical_class(s))
+            for start in (-canonical_class(s), Fraction(rng.randint(1, 5), rng.randint(1, 5)) * inside):
+                for curves in (tight, scaled):
+                    got = achieve_vertex(start, curves)
+                    want = fraction_vertex(start, curves)
+                    assert (list(got.steps), got.result, got.limit_formula_used) == want
+
+    def test_catalog_configurations(self):
+        # every ray of every polytopic catalog dual, from the sum of its rays
+        rays = 0
+        for entry in catalog_cp2_1() + catalog_cp2_2() + catalog_cp2_3():
+            cfg = entry.configuration
+            dual = cfg.dual
+            if dual.lineality or any(r.square() < 0 for r in dual.rays):
+                continue
+            for ray in dual.rays:
+                tight = [c for c in cfg.curves if pair(c, ray) == 0]
+                curves = tight or [g for g in cfg.extra_square_zero if pair(g, ray) == 0]
+                got = achieve_vertex(ray_sum(dual), curves)
+                want = fraction_vertex(ray_sum(dual), curves)
+                assert (list(got.steps), got.result, got.limit_formula_used) == want
+                rays += 1
+        assert rays == 175
+
+    def test_the_vertices_from_minus_k_on_seven_blowups_are_pinned(self):
+        # every step, result and flag at the 702 corners; the digest is that
+        # of the Fraction Gram-Schmidt, which the fraction-free one reproduces
+        s = rational_surface(7)
+        minus_one = sorted_classes(exceptional_classes(s))
+        digest = hashlib.sha256()
+        for corner in k_symplectic_cone(s).corners:
+            tight = [e for e in minus_one if pair(e, corner.ray) == 0]
+            trace = achieve_vertex(-canonical_class(s), tight)
+            steps = " ".join(f"{eps}*({u})" for u, eps in trace.steps)
+            line = f"{corner.ray}: {steps} -> {trace.result} {trace.limit_formula_used}\n"
+            digest.update(line.encode())
+        assert digest.hexdigest() == "fd71bcf1e6da1499dd34ccf5253f582e26ab4351ab2b1205b4758d669247a07d"
 
 
 class TestBrokenDivisions:
