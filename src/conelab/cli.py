@@ -415,14 +415,18 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify.run_checks(args.suite)
+    checks = verify.run_checks(args.suite)
+    passed = sum(c.passed for c in checks)
+    failed = len(checks) - passed
     if args.json:
-        print(json.dumps(report.to_json(), indent=2))
+        rows = [{"name": c.name, "reference": c.reference,
+                 "status": "pass" if c.passed else "fail", "details": c.details} for c in checks]
+        print(json.dumps({"checks": rows, "summary": {"passed": passed, "failed": failed}}, indent=2))
     else:
-        for c in report.checks:
+        for c in checks:
             print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.details}")
-        print(f"{report.passed} passed, {report.failed} failed")
-    return 0 if report.failed == 0 else 1
+        print(f"{passed} passed, {failed} failed")
+    return 0 if failed == 0 else 1
 
 
 # -- parser ------------------------------------------------------------------

@@ -202,7 +202,7 @@ def validate_configuration(cfg: NegativeConfiguration) -> ValidationReport:
     # P2: an explicit rational class of positive square pairing positively
     # with the curves and with every certified class; the certified classes
     # join the curves when there are none or they leave a lineality
-    dual = dual_cone(gens) if gens else None
+    dual = cfg.dual if gens else None
     if dual is None or dual.lineality:
         dual = dual_cone(known)
     witness = ray_sum(dual)

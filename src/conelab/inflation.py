@@ -95,9 +95,11 @@ def alternate_inflate(
     the hyperplane of c1.
 
     Odd-step coefficients follow the geometric law l_(2k+1) = l_1 * x^k with
-    x = (c1.c2)^2/(c1^2 c2^2); for x < 1 the exact limit is
-    a + l_1/(1-x) * (c2 - (c1.c2)/c1^2 * c1), orthogonal to both classes.
-    For x = 1 the coefficient sum diverges and only the limit ray exists.
+    x = (c1.c2)^2/(c1^2 c2^2).  For x < 1 the exact limit is one maximal
+    step from a along d = c2 - (c1.c2)/c1^2 * c1: d^2 = c2^2 (1 - x) < 0,
+    and max_inflate lands the limit on d's hyperplane, while a.c1 = d.c1 = 0
+    keeps it on c1's, so it is orthogonal to both classes.  For x = 1 the
+    coefficient sum diverges and only the limit ray d exists.
     """
     if pair(a, c1) != 0:
         raise InflationError("start class must lie on the hyperplane of the first curve")
@@ -112,7 +114,6 @@ def alternate_inflate(
             f"(c1.c2)^2 = {pair(c1, c2) ** 2} exceeds c1^2 c2^2 = {c1.square() * c2.square()}; "
             "no common positive-square dual class exists for this pair"
         )
-    l1 = Fraction(pair(a, c2), -c2.square())
     steps = []
     odd, even = [], []
     current = a
@@ -126,11 +127,7 @@ def alternate_inflate(
     # c2 - (c1.c2)/c1^2 * c1 is (y1.y2) y1 - (y1.y1) y2 over -(y1.y1) d2, d2 c2's denominator
     num = tuple([n12 * p - n11 * q for p, q in zip(y1, y2)])
     direction = _from_numerators(a.surface, num, -n11 * c2._den)
-    if x == 1:
-        return AlternateInflation(trace, direction.primitive(), x, tuple(odd), tuple(even))
-    limit = a + (l1 / (1 - x)) * direction
-    if pair_numerators(kind, limit._num, y1) or pair_numerators(kind, limit._num, y2):
-        raise InflationError(f"limit {limit} is not orthogonal to {c1} and {c2}")
+    limit = direction.primitive() if x == 1 else max_inflate(a, direction)[0]
     return AlternateInflation(trace, limit, x, tuple(odd), tuple(even))
 
 

@@ -568,9 +568,14 @@ class TestSw:
 
 class TestVerify:
     def test_single_suite(self, capsys):
-        code, out, _ = run(capsys, "verify-paper", "--suite", "cremona")
+        code, out, _ = run(capsys, "verify-paper", "--suite", "ruled")
         assert code == 0
-        assert "[PASS]" in out
+        assert out == (
+            "[PASS] ruled-negative-classes: trivial_ruled(h=1, k=0): ok; trivial_ruled(h=2, k=0): ok; "
+            "trivial_ruled(h=3, k=0): ok; nontrivial_ruled(h=1, k=0): ok; nontrivial_ruled(h=2, k=0): ok; "
+            "nontrivial_ruled(h=3, k=0): ok\n"
+            "1 passed, 0 failed\n"
+        )
 
     @pytest.mark.parametrize("error", [ZeroDivisionError("division by zero"),
                                        ConeError("threshold denominator 5 exceeds 3")])
@@ -585,6 +590,11 @@ class TestVerify:
         assert code == 1
         assert (failed["status"], failed["details"]) == ("fail", f"raised {type(error).__name__}: {error}")
         assert checks and all(c["status"] == "pass" for c in checks.values())
+        code, out, _ = run(capsys, "verify-paper", "--suite", "cones")
+        lines = out.splitlines()
+        assert code == 1
+        assert f"[FAIL] nef-threshold: raised {type(error).__name__}: {error}" in lines
+        assert lines[-1] == f"{len(checks)} passed, 1 failed"
 
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, "verify-paper", "--suite", "ruled", "--json")

@@ -6,8 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from conelab import inflation
-from conelab.configurations import NegativeConfiguration, catalog_cp2_1, catalog_cp2_2, catalog_cp2_3
+from conelab import configurations, inflation
+from conelab.configurations import (
+    NegativeConfiguration,
+    catalog_cp2_1,
+    catalog_cp2_2,
+    catalog_cp2_3,
+    validate_configuration,
+)
 from conelab.cones import dual_cone, k_symplectic_cone, ray_sum
 from conelab.enumeration import exceptional_classes
 from conelab.inflation import (
@@ -156,7 +162,7 @@ class TestAlternateInflate:
             parse_class(t, S3)
             for t in ("E3", "E2-E3", "E1-E2", "H-E1-E2-E3", "E1-E3", "-H+2E1-E2")
         ]
-        checked = 0
+        checked = limits = 0
         for c1 in curves:
             for c2 in curves:
                 if c1 == c2 or pair(c1, c2) < 0:
@@ -175,7 +181,14 @@ class TestAlternateInflate:
                 l1 = Fraction(pair(a, c2), -c2.square())
                 assert got.odd_coefficients == tuple(l1 * x**j for j in range(6))
                 checked += 1
-        assert checked >= 8
+                if x < 1:
+                    # the closed form: a + l1/(1-x) * (c2 - (c1.c2)/c1^2 * c1)
+                    s, t = l1 / (1 - x), Fraction(pair(c1, c2), c1.square())
+                    want = [p + s * (q - t * r) for p, q, r in zip(a.coeffs, c2.coeffs, c1.coeffs)]
+                    assert got.limit == divisor(S3, want)
+                    assert pair(got.limit, c1) == pair(got.limit, c2) == 0
+                    limits += 1
+        assert checked >= 8 and limits >= 8
 
 
 class TestGramSchmidt:
@@ -360,13 +373,13 @@ class TestFractionFree:
 
 class TestBrokenDivisions:
     def test_a_broken_division_raises(self, monkeypatch):
-        # the orthogonality checks after each division raise, so they also
-        # hold under python -O; achieve_vertex steps through max_inflate,
-        # whose check meets the broken step first
+        # the orthogonality check after each division raises, so it also
+        # holds under python -O; alternate_inflate's limit and achieve_vertex
+        # step through max_inflate, whose check meets the broken step first
         monkeypatch.setattr(inflation, "Fraction", lambda p, q=1: Fraction(p, q) * Fraction(101, 100))
         with pytest.raises(InflationError, match="misses its hyperplane"):
             max_inflate(H(S2) - E(S2, 1), E(S2, 1) - E(S2, 2))
-        with pytest.raises(InflationError, match="not orthogonal"):
+        with pytest.raises(InflationError, match="misses its hyperplane"):
             alternate_inflate(H(S2) - E(S2, 2), E(S2, 1), E(S2, 2), 0)
         with pytest.raises(InflationError, match="misses its hyperplane"):
             achieve_vertex(parse_class("2H-E1-E2", S2), [E(S2, 1), E(S2, 2)])
@@ -429,6 +442,17 @@ class TestAchieveAllRays:
             achieve_all_rays(
                 NegativeConfiguration(s, [parse_class("U-T", s)], [T(s)]), parse_class("U+3T", s)
             )
+
+    def test_validation_and_inflation_build_one_dual(self, monkeypatch):
+        # validate_configuration and achieve_all_rays both read cfg.dual
+        built = []
+        real = configurations.dual_cone
+        monkeypatch.setattr(configurations, "dual_cone", lambda gens: built.append(gens) or real(gens))
+        cfg = NegativeConfiguration(S2, [parse_class(t, S2) for t in ("-H+2E1", "E2", "H-E1-E2")])
+        report = validate_configuration(cfg)
+        assert report.passed
+        assert set(achieve_all_rays(cfg, report.witness)) == set(cfg.dual.rays)
+        assert len(built) == 1
 
     def test_trace_identities(self):
         cfg = NegativeConfiguration(S2, [parse_class(t, S2) for t in ("-H+2E1", "E2", "H-E1-E2")])

@@ -122,12 +122,10 @@ SHARED_METHOD_NAMES = {
     },
     "passed": {
         "configurations.ValidationReport",  # cli.cmd_validate, verify.check_minus_one_counts
-        "verify.VerifyReport",  # cli.cmd_verify, verify.VerifyReport.to_json
     },
     "to_json": {
         "configurations.NegativeConfiguration",  # cli.cmd_blowdown, cli.cmd_catalog
         "lattice.SurfaceModel",  # cli.cmd_dual, configurations.NegativeConfiguration.to_json
-        "verify.VerifyReport",  # cli.cmd_verify
     },
     "from_json": {
         "configurations.NegativeConfiguration",  # cli._load_config
