@@ -112,14 +112,6 @@ def _parse_cone(data: dict):
     return surface, rays
 
 
-def _print_classes(classes, args):
-    if args.json:
-        print(json.dumps({"classes": [str(c) for c in classes]}))
-    else:
-        for c in classes:
-            print(format_class(c, paper_signs=args.paper_signs))
-
-
 # -- subcommand handlers ----------------------------------------------------
 
 
@@ -129,14 +121,16 @@ def cmd_enumerate(args) -> int:
         raise UsageError("--nbound must be >= 0")
     reps = enumeration.sphere_classes(surface, n_bound=args.nbound, square=args.square)
     if args.families:
-        labels = [enumeration.family_label(x) for x in reps]
-        if args.json:
-            print(json.dumps({"families": labels}))
-        else:
-            for label in labels:
-                print(label)
+        key, lines = "families", [enumeration.family_label(x) for x in reps]
     else:
-        _print_classes(sorted_classes(enumeration.family_instances(reps)), args)
+        paper_signs = args.paper_signs and not args.json  # JSON keeps str(c)
+        key, lines = "classes", [format_class(c, paper_signs=paper_signs)
+                                 for c in sorted_classes(enumeration.family_instances(reps))]
+    if args.json:
+        print(json.dumps({key: lines}))
+    else:
+        for line in lines:
+            print(line)
     return 0
 
 
@@ -312,19 +306,12 @@ def cmd_inflate(args) -> int:
 
 def cmd_validate(args) -> int:
     rep = validate_configuration(_load_config(args.file))
+    props = (("p1", rep.p1), ("p2", rep.p2), ("p3", rep.p3))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "p1": {"passed": rep.p1.passed, "details": rep.p1.details},
-                    "p2": {"passed": rep.p2.passed, "details": rep.p2.details},
-                    "p3": {"passed": rep.p3.passed, "details": rep.p3.details},
-                    "passed": rep.passed,
-                }
-            )
-        )
+        doc = {name: {"passed": res.passed, "details": res.details} for name, res in props}
+        print(json.dumps({**doc, "passed": rep.passed}))
     else:
-        for name, res in (("p1", rep.p1), ("p2", rep.p2), ("p3", rep.p3)):
+        for name, res in props:
             print(f"{name}: {'pass' if res.passed else 'FAIL'} -- {res.details}")
     return 0 if rep.passed else 1
 
@@ -415,7 +402,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = verify.run_checks(args.suite)
+    checks = [fn() for fn in (verify.SUITES[args.suite] if args.suite else verify.ALL_CHECKS)]
     passed = sum(c.passed for c in checks)
     failed = len(checks) - passed
     if args.json:

@@ -319,17 +319,12 @@ def check_vertex_example() -> tuple[bool, str]:
 # --------------------------------------------------------------------- 8
 
 
-def _negative_class_pool(surface) -> list[DivisorClass]:
-    fams = enumeration.sphere_classes(surface)
-    return sorted_classes(enumeration.family_instances(fams))
-
-
 @check("alternating-inflation-law",
        "alternating maximal inflations: geometric coefficients and exact limit", "inflation")
 def check_alternating_inflation() -> tuple[bool, str]:
     rng = random.Random(73)
     s3 = rational_surface(3)
-    pool = _negative_class_pool(s3)
+    pool = sorted_classes(enumeration.family_instances(enumeration.sphere_classes(s3)))
     tested = 0
     divergent_seen = 0
     tries = 0
@@ -366,11 +361,6 @@ def check_alternating_inflation() -> tuple[bool, str]:
             tail = (alt.ratio**10 * l1 / (1 - alt.ratio)) * direction
             if alt.trace.result + tail != alt.limit:
                 return False, f"tail identity fails for {c1}, {c2}"
-            # the summed limit coefficient is the single maximal step along
-            # the orthogonalized class
-            if direction.square() < 0:
-                if l1 / (1 - alt.ratio) != Fraction(pair(a, direction), -direction.square()):
-                    return False, f"orthogonalized coefficient fails for {c1}, {c2}"
         tested += 1
     # an explicit light-cone pair: the facets of E1 and H-E1-E2 meet in the
     # null ray H-E2, and the alternating coefficients do not decay
@@ -401,12 +391,9 @@ def check_achieve_all_rays() -> tuple[bool, str]:
     for entry in entries:
         cfg = entry.configuration
         # achieve_all_rays reads the same cfg.dual and keys its result by
-        # exactly its rays, or raises an InflationError, which fails the check
-        try:
-            results = inflation.achieve_all_rays(cfg, cones.ray_sum(cfg.dual))
-        except inflation.RoundBoundaryError:
-            return False, f"{entry.label()}: dual not polytopic"
-        achieved += len(results)
+        # exactly its rays, or raises an InflationError (a RoundBoundaryError
+        # on a dual that is not polytopic), which fails the check
+        achieved += len(inflation.achieve_all_rays(cfg, cones.ray_sum(cfg.dual)))
     s2 = rational_surface(2)
     try:
         inflation.achieve_all_rays(NegativeConfiguration(s2, [E(s2, 1)]), H(s2))
@@ -593,6 +580,12 @@ def check_cremona() -> tuple[bool, str]:
 
 
 def _ruled_samples() -> list[DivisorClass]:
+    """120 seeded classes, 20 per family, each K-negative by its draw bounds.
+    For C = aU + bT, K.C is 2(a(h - 1) - b) on the trivial h = 2, 3 bundles
+    (b > a(h - 1)), -2b on the trivial h = 1 one (b >= 1), a(2h - 3) - 2b =
+    a - 2b on the nontrivial h = 2 one (b >= a) and -a - 2b on the nontrivial
+    h = 1 one (a >= 1); for U + bT - 2E1 on the blown-up torus bundle it is
+    2 - 2b (b >= 2)."""
     rng = random.Random(2024)
     samples = []
     st2, st3 = trivial_ruled(2), trivial_ruled(3)
@@ -614,7 +607,7 @@ def _ruled_samples() -> list[DivisorClass]:
     sn2, sn1 = nontrivial_ruled(2), nontrivial_ruled(1)
     for _ in range(20):
         a = rng.randint(1, 5)
-        b = rng.randint(a, a + 8)  # K.C = a(2h-3) - 2b < 0
+        b = rng.randint(a, a + 8)
         samples.append(a * U(sn2) + b * T(sn2))
     for _ in range(20):
         a = rng.randint(1, 4)
@@ -628,19 +621,15 @@ def _ruled_samples() -> list[DivisorClass]:
        "ruled K-negative classes decompose with certificates", "swcert")
 def check_sw_certificates() -> tuple[bool, str]:
     audit = swcert.anti_canonical_eight_point_audit()
-    decomposed = 0
-    for cls in _ruled_samples():
-        if pair(canonical_class(cls.surface), cls) >= 0:
-            continue
+    samples = _ruled_samples()  # each K-negative by its draw
+    for cls in samples:
         out = swcert.non_extremal_witness(cls)
         if not isinstance(out, swcert.Decomposition) or not out.revalidate():
             return False, f"decomposition failed for {cls} on {cls.surface}"
         # |1 + e.T|^h recomputed, e.T being e's U-coefficient (U.T = 1, T.T = Ei.T = 0)
         if any(c.magnitude != abs(1 + e.coeffs[0]) ** cls.surface.h for e, c in out.summands):
             return False, f"wrong wall-crossing magnitude for {cls} on {cls.surface}"
-        decomposed += 1
-    ok = audit and decomposed >= 95
-    return ok, f"eight-blowup audit: {audit}; {decomposed} ruled decompositions revalidated"
+    return audit, f"eight-blowup audit: {audit}; {len(samples)} ruled decompositions revalidated"
 
 
 # --------------------------------------------------------------------- 16
@@ -684,8 +673,4 @@ def check_sweeps() -> tuple[bool, str]:
         else:
             want = {divisor(sweep.surface, [3 * m] + [-m] * 9) for m in range(1, 3)}
             ok &= want <= set(sweep.zero_square_positive_genus)
-    return ok, "k=0..9 at bound 8"
-
-
-def run_checks(suite: str | None) -> list[CheckResult]:
-    return [fn() for fn in (SUITES[suite] if suite else ALL_CHECKS)]
+    return ok, f"k=0..9 at bound {enumeration.SWEEP_BOUND}"

@@ -13,7 +13,7 @@ from itertools import permutations
 import pytest
 
 from conelab import cones, cremona, inflation, swcert, verify
-from conelab.lattice import H, divisor
+from conelab.lattice import TRIVIAL_RULED, E, H, canonical_class, divisor, pair, rational_surface
 
 
 CRITERIA = [(f"{i:02d}", fn) for i, fn in enumerate(verify.ALL_CHECKS, start=1)]
@@ -124,3 +124,39 @@ def test_the_cremona_samples_are_the_draws_of_one_call_per_class():
             want.append((k, tuple(rng.choices(range(-9, 10), k=k + 1)), triple))
     got = [(x.surface.k, x.coeffs, triple) for x, triple in verify._reflection_samples()]
     assert got == want
+
+
+def test_check_9_reports_a_round_boundary_through_the_wrapper(monkeypatch):
+    """A catalog dual that is not polytopic fails check 9 with the
+    RoundBoundaryError that achieve_all_rays raises, as the check wrapper
+    reports every ValueError."""
+    s2 = rational_surface(2)
+
+    def round_boundary(cfg, start):
+        raise inflation.RoundBoundaryError([E(s2, 1) - E(s2, 2)])
+
+    monkeypatch.setattr(inflation, "achieve_all_rays", round_boundary)
+    result = verify.check_achieve_all_rays()
+    assert result.passed is False
+    assert result.details == (
+        "raised RoundBoundaryError: positive dual has round boundary; "
+        "negative-square directions E1-E2"
+    )
+
+
+def test_the_ruled_samples_are_k_negative_by_their_draw():
+    """Check 15 decomposes every sample without testing K.C: all 120 are
+    K-negative, and K.C is the formula the _ruled_samples docstring states
+    for each family (U + bT - 2E1 on the blowup; 2(a(h - 1) - b) on a
+    trivial bundle, -2b at h = 1; a(2h - 3) - 2b on a nontrivial one)."""
+    samples = verify._ruled_samples()
+    assert len(samples) == 120
+    for c in samples:
+        s, (a, b) = c.surface, c.coeffs[:2]
+        if s.k:
+            stated = 2 - 2 * b
+        elif s.kind == TRIVIAL_RULED:
+            stated = 2 * (a * (s.h - 1) - b)
+        else:
+            stated = a * (2 * s.h - 3) - 2 * b
+        assert pair(canonical_class(s), c) == stated < 0, c

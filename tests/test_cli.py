@@ -814,3 +814,28 @@ class TestFuzz:
         by_k = run(capsys, "enumerate", "--families", "--k", str(k))
         by_surface = run(capsys, "enumerate", "--families", "--surface", f"rational:k={k}")
         assert by_k == by_surface
+
+
+@pytest.mark.parametrize("flags,out", [
+    ([], "p1: FAIL -- unclassified: -E1\n"
+         "p2: FAIL -- dual cone has no extremal rays\n"
+         "p3: pass -- all -1 classes decompose\n"),
+    (["--json"], '{"p1": {"passed": false, "details": "unclassified: -E1"}, '
+                 '"p2": {"passed": false, "details": "dual cone has no extremal rays"}, '
+                 '"p3": {"passed": true, "details": "all -1 classes decompose"}, '
+                 '"passed": false}\n'),
+], ids=["text", "json"])
+def test_validate_a_dual_without_rays_is_pinned(capsys, tmp_path, flags, out):
+    """-E1 and -H+2E1 on one blowup leave a dual cone with no extremal ray,
+    which property 2 reports as such."""
+    path = tmp_path / "no-rays.json"
+    path.write_text(json.dumps({"surface": {"kind": "rational", "k": 1},
+                                "curves": ["-E1", "-H+2E1"], "extra_square_zero": ["H-E1"]}))
+    assert run(capsys, "config", "validate", str(path), *flags) == (1, out, "")
+
+
+def test_decompose_without_a_certified_multiple_exits_1(capsys):
+    """No multiple l C - T in the scan window of U-T+3E1 over a torus base
+    has positive dimension, so `sw decompose` reports the error and exits 1."""
+    argv = ("sw", "decompose", "--surface", "ruled:h=1,k=1", "--class", "U-T+3E1")
+    assert run(capsys, *argv) == (1, "", "error: no certified multiple found in the scan window\n")

@@ -473,6 +473,10 @@ class TestSweeps:
             m = Fraction(c.coeffs[0], 3)
             assert c == m * anti
 
+    def test_the_genus_bounds_stop_below_nine_blowups(self):
+        with pytest.raises(LatticeError, match="^the genus bounds need k < 9$"):
+            sweeps_up_to()[9].genus_bound_ok
+
     def test_genus_bound_audit_six(self):
         s = rational_surface(6)
         sweep = sweeps_up_to()[6]

@@ -191,6 +191,13 @@ class TestNonExtremalWitness:
         with pytest.raises(CertificateError):
             non_extremal_witness(E(S2, 1))
 
+    def test_no_certified_multiple_in_the_scan_window(self):
+        # torus base, fiber degree 1, E1-coefficient +3: C.C = -11, so every
+        # l C - T with l = 3..12 has negative dimension (-104 at l = 3)
+        c = parse_class("U-T+3E1", trivial_ruled(1, k=1))
+        with pytest.raises(CertificateError, match="^no certified multiple found in the scan window$"):
+            non_extremal_witness(c)
+
 
 class TestAntiCanonicalAudit:
     def test_audit_passes(self):
