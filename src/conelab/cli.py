@@ -318,17 +318,17 @@ def cmd_validate(args) -> int:
 
 def cmd_blowdown(args) -> int:
     cfg = _load_config(args.file)
-    result = blow_down(cfg, parse_class(args.at, cfg.surface))
+    small, dropped = blow_down(cfg, parse_class(args.at, cfg.surface))
     if args.json:
-        out = result.configuration.to_json()
-        out["dropped"] = [str(d) for d in result.dropped]
+        out = small.to_json()
+        out["dropped"] = [str(d) for d in dropped]
         print(json.dumps(out))
     else:
-        print("curves: " + ", ".join(str(c) for c in result.configuration.curves))
-        if result.configuration.extra_square_zero:
-            print("square-zero: " + ", ".join(str(c) for c in result.configuration.extra_square_zero))
-        if result.dropped:
-            print("dropped (non-negative square): " + ", ".join(str(d) for d in result.dropped))
+        print("curves: " + ", ".join(str(c) for c in small.curves))
+        if small.extra_square_zero:
+            print("square-zero: " + ", ".join(str(c) for c in small.extra_square_zero))
+        if dropped:
+            print("dropped (non-negative square): " + ", ".join(str(d) for d in dropped))
     return 0
 
 
@@ -363,8 +363,8 @@ def cmd_catalog(args) -> int:
 def cmd_cert(args) -> int:
     cls = parse_class(args.cls, _surface(args))
     out = swcert.sw_certificate(cls)
-    if isinstance(out, swcert.NoCertificate):
-        print(json.dumps({"certified": False, "reason": out.reason}))
+    if isinstance(out, str):
+        print(json.dumps({"certified": False, "reason": out}))
         return 1
     print(
         json.dumps(
@@ -383,8 +383,8 @@ def cmd_cert(args) -> int:
 def cmd_decompose(args) -> int:
     cls = parse_class(args.cls, _surface(args))
     out = swcert.non_extremal_witness(cls)
-    if isinstance(out, swcert.ExtremalReport):
-        print(json.dumps({"extremal": True, "reason": out.reason}))
+    if isinstance(out, str):
+        print(json.dumps({"extremal": True, "reason": out}))
         return 0
     print(
         json.dumps(

@@ -144,8 +144,8 @@ def dual_cone(generators: Iterable[DivisorClass]) -> RationalCone:
         raise ConeError("generators on mixed surfaces")
     if all(g.is_zero() for g in gens):
         raise ConeError("all generators are zero")
-    # primitive, since the double description takes int rows
-    rays, lineality = extreme_rays_h([gram_functional(g.primitive()) for g in gens], surface.rank)
+    # positive multiples of the primitive generators' functionals, the same rows once primitive
+    rays, lineality = extreme_rays_h([gram_functional(g) for g in gens], surface.rank)
     return RationalCone(
         tuple(sorted_classes(divisor(surface, r) for r in rays)),
         tuple(sorted_classes(divisor(surface, v) for v in lineality)),
@@ -304,14 +304,8 @@ def _tangent_cone(r: DivisorClass) -> tuple[set[IntVec], list[IntVec]]:
 
 
 @dataclass(frozen=True)
-class AuditEntry:
-    ray: DivisorClass
-    taxonomy: str  # "minus_one" | "fiber" | "line" | "violation"
-
-
-@dataclass(frozen=True)
 class AuditReport:
-    entries: tuple[AuditEntry, ...]
+    entries: tuple[tuple[DivisorClass, str], ...]  # (ray, _extremal_taxonomy(ray))
     passed: bool
     failure: str = ""
 
@@ -346,8 +340,8 @@ def cone_theorem_audit(generators: Iterable[DivisorClass]) -> AuditReport:
         lines = ", ".join(str(v) for v in hull.lineality)
         return AuditReport((), False, failure=f"cone is not pointed; lineality spanned by {lines}")
     kc = canonical_class(surface)
-    entries = tuple(AuditEntry(r, _extremal_taxonomy(r)) for r in hull.rays if pair(kc, r) < 0)
-    return AuditReport(entries, all(e.taxonomy != "violation" for e in entries))
+    entries = tuple((r, _extremal_taxonomy(r)) for r in hull.rays if pair(kc, r) < 0)
+    return AuditReport(entries, all(t != "violation" for _, t in entries))
 
 
 def nef_threshold(omega: DivisorClass, extremal_curves: Sequence[DivisorClass]) -> Fraction:

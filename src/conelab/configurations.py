@@ -46,7 +46,7 @@ class ConfigurationError(ValueError):
 class NegativeConfiguration:
     """A surface with a finite set of negative classes and optional
     square-zero curve-cone generators (the ruled fiber, for instance); both
-    are integral classes, kept as sorted tuples."""
+    are distinct integral classes, kept as sorted tuples."""
 
     surface: SurfaceModel
     curves: Sequence[DivisorClass]
@@ -74,6 +74,9 @@ class NegativeConfiguration:
                 raise ConfigurationError(f"{c} is not a square-zero class here")
             if not c.is_integral():
                 raise ConfigurationError(f"square-zero class {c} is not integral")
+            if c in seen:
+                raise ConfigurationError(f"duplicate square-zero class {c}")
+            seen.add(c)
         for i, a in enumerate(self.curves):
             for b in self.curves[i + 1 :]:
                 if pair(a, b) < 0:
@@ -248,22 +251,18 @@ def validate_configuration(cfg: NegativeConfiguration) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlowDownResult:
-    configuration: NegativeConfiguration
-    dropped: tuple[DivisorClass, ...]
-
-
-def blow_down(cfg: NegativeConfiguration, at: DivisorClass) -> BlowDownResult:
+def blow_down(
+    cfg: NegativeConfiguration, at: DivisorClass
+) -> tuple[NegativeConfiguration, tuple[DivisorClass, ...]]:
     """Remove a -1 basis class E from the configuration, replacing every
     other curve and square-zero generator C by C + (C.E) E and deleting the
-    E coordinate.
+    E coordinate; returns the new configuration and the dropped classes.
 
     The replaced classes are orthogonal to E, so the deletion is exact; a
     curve whose replacement has non-negative square leaves the configuration
-    and is returned in `dropped` as it was.  A square-zero generator stays
-    one when orthogonal to E; otherwise its replacement has square (C.E)^2
-    > 0, and it is dropped too.  New-lattice genus never drops:
+    and is dropped, returned as it was.  A square-zero generator stays one
+    when orthogonal to E; otherwise its replacement has square (C.E)^2 > 0,
+    and it is dropped too.  New-lattice genus never drops:
     it is preserved exactly when C.E is 0 or 1 and grows otherwise.  These
     laws are checked here, for every class; a broken one raises
     ConfigurationError.
@@ -307,7 +306,7 @@ def blow_down(cfg: NegativeConfiguration, at: DivisorClass) -> BlowDownResult:
             kept_square_zero.append(reduced)
         else:
             dropped.append(c)
-    return BlowDownResult(NegativeConfiguration(small, kept, kept_square_zero), tuple(dropped))
+    return NegativeConfiguration(small, kept, kept_square_zero), tuple(dropped)
 
 
 # ---------------------------------------------------------------------------

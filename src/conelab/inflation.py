@@ -81,7 +81,7 @@ def max_inflate(a: DivisorClass, c: DivisorClass) -> tuple[DivisorClass, Fractio
 
 @dataclass(frozen=True)
 class AlternateInflation:
-    trace: InflationTrace
+    result: DivisorClass  # a + (sum of odd coefficients) c2 + (sum of even coefficients) c1
     limit: DivisorClass
     ratio: Fraction  # (C1.C2)^2 / (C1^2 C2^2); at 1 the limit ray sits on the light cone
     odd_coefficients: tuple[Fraction, ...]
@@ -114,21 +114,16 @@ def alternate_inflate(
             f"(c1.c2)^2 = {pair(c1, c2) ** 2} exceeds c1^2 c2^2 = {c1.square() * c2.square()}; "
             "no common positive-square dual class exists for this pair"
         )
-    steps = []
     odd, even = [], []
     current = a
     for k in range(iterations):
-        curve = c2 if k % 2 == 0 else c1
-        current, eps = max_inflate(current, curve)
+        current, eps = max_inflate(current, c2 if k % 2 == 0 else c1)
         (odd if k % 2 == 0 else even).append(eps)
-        if eps != 0:
-            steps.append((curve, eps))
-    trace = InflationTrace(a, tuple(steps), current)
     # c2 - (c1.c2)/c1^2 * c1 is (y1.y2) y1 - (y1.y1) y2 over -(y1.y1) d2, d2 c2's denominator
     num = tuple([n12 * p - n11 * q for p, q in zip(y1, y2)])
     direction = _from_numerators(a.surface, num, -n11 * c2._den)
     limit = direction.primitive() if x == 1 else max_inflate(a, direction)[0]
-    return AlternateInflation(trace, limit, x, tuple(odd), tuple(even))
+    return AlternateInflation(current, limit, x, tuple(odd), tuple(even))
 
 
 def achieve_vertex(a: DivisorClass, curves: Sequence[DivisorClass]) -> InflationTrace:

@@ -315,9 +315,11 @@ def pair_numerators(kind: str, a, b) -> int:
     return uu + a[0] * b[1] + a[1] * b[0] - sum(map(mul, a[2:], b[2:]))
 
 
-def gram_functional(x: DivisorClass) -> tuple[int | Fraction, ...]:
-    """Euclidean vector q with q . v = pair(v, x) for all v (Gram matrix applied)."""
-    c = x.coeffs
+def gram_functional(x: DivisorClass) -> tuple[int, ...]:
+    """The Gram matrix applied to x's numerators, q with q . v = d pair(v, x)
+    for all v, d x's denominator; the three Gram matrices are unimodular, so
+    primitive(q) is the functional of x.primitive()."""
+    c = x._num
     if x.surface.is_rational:
         head = (c[0],)
         tail = c[1:]

@@ -59,15 +59,9 @@ class SWCertificate:
         )
 
 
-@dataclass(frozen=True)
-class NoCertificate:
-    cls: DivisorClass
-    reason: str
-
-
-def sw_certificate(e: DivisorClass) -> SWCertificate | NoCertificate:
+def sw_certificate(e: DivisorClass) -> SWCertificate | str:
     """Certify nonvanishing of the invariant of the integral class e when
-    possible.
+    possible, or say why not.
 
     Needs dimension >= 0, (K - e).W < 0 for the witness W (H on rational
     surfaces, T on ruled ones; both have square >= 0) and magnitude > 0."""
@@ -76,12 +70,12 @@ def sw_certificate(e: DivisorClass) -> SWCertificate | NoCertificate:
     surface = e.surface
     dim = sw_dimension(e)
     if dim < 0:
-        return NoCertificate(e, f"dimension {dim} negative")
+        return f"dimension {dim} negative"
     w = H(surface) if surface.is_rational else T(surface)
     if pair(canonical_class(surface) - e, w) >= 0:
-        return NoCertificate(e, "no vanishing witness in the pool")
+        return "no vanishing witness in the pool"
     cert = SWCertificate(e, dim, w, wall_crossing_magnitude(e))
-    return cert if cert.magnitude > 0 else NoCertificate(e, "wall-crossing magnitude 0")
+    return cert if cert.magnitude > 0 else "wall-crossing magnitude 0"
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +102,6 @@ class Decomposition:
         )
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
-    cls: DivisorClass
-    reason: str
-
-
 def _is_allowed_extremal(c: DivisorClass) -> str | None:
     surface = c.surface
     if c == T(surface) and not surface.k:
@@ -126,9 +114,10 @@ def _is_allowed_extremal(c: DivisorClass) -> str | None:
     return None
 
 
-def non_extremal_witness(c: DivisorClass) -> Decomposition | ExtremalReport:
+def non_extremal_witness(c: DivisorClass) -> Decomposition | str:
     """Split a K-negative class on an irrational ruled surface into two
-    non-proportional certified classes, eliminating it as an extremal ray.
+    non-proportional certified classes, eliminating it as an extremal ray;
+    a class that is extremal gets the reason instead.
 
     Fiber degree a > 0 splits off one fiber directly when the base genus
     exceeds one or some blowup multiplicity exceeds a; over a torus base a
@@ -144,7 +133,7 @@ def non_extremal_witness(c: DivisorClass) -> Decomposition | ExtremalReport:
         raise CertificateError(f"K.C = {pair(kc, c)} is not negative")
     reason = _is_allowed_extremal(c)
     if reason is not None:
-        return ExtremalReport(c, f"extremal, no witness expected: {reason}")
+        return f"extremal, no witness expected: {reason}"
     fiber = T(surface)
     a = pair(c, fiber)
     if a <= 0:
@@ -169,8 +158,8 @@ def non_extremal_witness(c: DivisorClass) -> Decomposition | ExtremalReport:
     certs = []
     for p in parts:
         cert = sw_certificate(p)
-        if isinstance(cert, NoCertificate):
-            raise CertificateError(f"summand {p} not certified: {cert.reason}")
+        if isinstance(cert, str):
+            raise CertificateError(f"summand {p} not certified: {cert}")
         certs.append((p, cert))
     dec = Decomposition(c, scale, tuple(certs))
     if not dec.revalidate():

@@ -193,8 +193,12 @@ class TestConfigCommands:
             ({"surface": {"kind": "trivial_ruled", "h": 1}, "curves": ["U-T"],
               "extra_square_zero": ["1/2T"]},
              "error: square-zero class 1/2T is not integral\n"),
+            ({"surface": {"kind": "rational", "k": 2}, "curves": ["E1"],
+              "extra_square_zero": ["H-E1", "H-E1"]},
+             "error: duplicate square-zero class H-E1\n"),
         ],
-        ids=["fractional-curve", "duplicate-curve", "fractional-square-zero"],
+        ids=["fractional-curve", "duplicate-curve", "fractional-square-zero",
+             "duplicate-square-zero"],
     )
     def test_validate_rejects_a_bad_configuration(self, capsys, tmp_path, document, err):
         path = tmp_path / "bad.json"

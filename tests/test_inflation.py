@@ -141,7 +141,7 @@ class TestAlternateInflate:
         base = alternate_inflate(a, c1, c2, 6)
         got = alternate_inflate(a, Fraction(1, 2) * c1, Fraction(2, 3) * c2, 6)
         assert base.ratio == got.ratio == Fraction(1, 4)
-        assert got.limit == base.limit and got.trace.result == base.trace.result
+        assert got.limit == base.limit and got.result == base.result
         assert got.odd_coefficients == tuple(Fraction(3, 2) * x for x in base.odd_coefficients)
         assert got.even_coefficients == tuple(2 * x for x in base.even_coefficients)
 
@@ -189,6 +189,37 @@ class TestAlternateInflate:
                     assert pair(got.limit, c1) == pair(got.limit, c2) == 0
                     limits += 1
         assert checked >= 8 and limits >= 8
+
+    def test_end_class_replays_the_coefficients(self):
+        # odd steps run along c2 and even steps along c1, so the end class is
+        # a + (sum of odd) c2 + (sum of even) c1, replayed here in Fraction
+        # arithmetic on the pairs of the coefficient law, the light-cone pair
+        # and a scaled pair
+        curves = [
+            parse_class(t, S3)
+            for t in ("E3", "E2-E3", "E1-E2", "H-E1-E2-E3", "E1-E3", "-H+2E1-E2")
+        ]
+        runs = []
+        for c1 in curves:
+            for c2 in curves:
+                if c1 == c2 or pair(c1, c2) < 0 or pair(c1, c2) ** 2 > c1.square() * c2.square():
+                    continue
+                dual = dual_cone([c1, c2])
+                omega = None
+                for r in list(dual.rays) + [v for v in dual.lineality if v.square() > 0]:
+                    omega = r if omega is None else omega + r
+                if omega is None or pair(omega, c1) < 0 or pair(omega, c2) < 0:
+                    continue
+                runs.append((max_inflate(omega, c1)[0], c1, c2))
+        runs.append((2 * H(S2) - E(S2, 2), E(S2, 1), parse_class("H-E1-E2", S2)))
+        a, c1, c2 = parse_class("3H-2E1-2E2-E3", S3), parse_class("E1-E2", S3), parse_class("E2-E3", S3)
+        runs += [(a, c1, c2), (a, Fraction(1, 2) * c1, Fraction(2, 3) * c2)]
+        for a, c1, c2 in runs:
+            got = alternate_inflate(a, c1, c2, 12)
+            odd, even = sum(got.odd_coefficients), sum(got.even_coefficients)
+            want = [Fraction(p) + odd * q + even * r for p, q, r in zip(a.coeffs, c2.coeffs, c1.coeffs)]
+            assert list(got.result.coeffs) == want, (a, c1, c2)
+        assert len(runs) == 25
 
 
 class TestGramSchmidt:

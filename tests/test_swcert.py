@@ -21,8 +21,6 @@ from conelab.lattice import (
 from conelab.swcert import (
     CertificateError,
     Decomposition,
-    ExtremalReport,
-    NoCertificate,
     SWCertificate,
     anti_canonical_eight_point_audit,
     non_extremal_witness,
@@ -81,8 +79,8 @@ class TestCertificates:
         cert = sw_certificate(big)
         assert isinstance(cert, SWCertificate)
         none = sw_certificate(-1 * H(s1))
-        assert isinstance(none, NoCertificate)
-        assert "dimension" in none.reason
+        assert isinstance(none, str)
+        assert "dimension" in none
 
     def test_every_exceptional_class_is_certified_by_the_hyperplane(self):
         for k in range(1, 9):
@@ -111,7 +109,7 @@ class TestCertificates:
         coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=surface.rank,
                                     max_size=surface.rank))
         cert = sw_certificate(divisor(surface, coeffs))
-        assert isinstance(cert, NoCertificate) or cert.revalidate(), cert
+        assert isinstance(cert, str) or cert.revalidate(), cert
 
 
 @pytest.mark.parametrize(
@@ -165,7 +163,7 @@ class TestNonExtremalWitness:
     def test_fiber_is_reported_extremal(self):
         s = trivial_ruled(2)
         out = non_extremal_witness(T(s))
-        assert isinstance(out, ExtremalReport)
+        assert isinstance(out, str)
 
     def test_blowup_multiplicity_above_the_fiber_degree(self):
         s = trivial_ruled(1, k=1)
@@ -212,7 +210,7 @@ class TestAntiCanonicalAudit:
         assert anti_canonical_eight_point_audit() is False
 
     def test_an_uncertified_summand_fails(self, monkeypatch):
-        monkeypatch.setattr(swcert, "sw_certificate", lambda e: NoCertificate(e, "none"))
+        monkeypatch.setattr(swcert, "sw_certificate", lambda e: "none")
         assert anti_canonical_eight_point_audit() is False
 
 
