@@ -40,9 +40,7 @@ from .lattice import (
     sorted_classes,
 )
 
-
-class UsageError(ValueError):
-    pass
+CATALOGS = {"cp2+1": catalog_cp2_1, "cp2+2": catalog_cp2_2, "cp2+3": catalog_cp2_3}
 
 
 def parse_surface(text: str) -> SurfaceModel:
@@ -56,21 +54,21 @@ def parse_surface(text: str) -> SurfaceModel:
     for item in params.split(",") if params else ():
         key, _, value = (part.strip() for part in item.partition("="))
         if key not in values or key in given:
-            raise UsageError(f"unknown or repeated surface parameter {item!r}")
+            raise ParseError(f"unknown or repeated surface parameter {item!r}")
         given.add(key)
         try:
             values[key] = int(value)
         except ValueError:
-            raise UsageError(f"bad surface parameter {item!r}") from None
+            raise ParseError(f"bad surface parameter {item!r}") from None
     try:
         return intern_surface(SurfaceModel(kind, **values))
     except LatticeError as err:
-        raise UsageError(str(err)) from None
+        raise ParseError(str(err)) from None
 
 
 def _surface(args) -> SurfaceModel:
     if args.surface is None:
-        raise UsageError("specify --surface or --k")
+        raise ParseError("specify --surface or --k")
     return parse_surface(args.surface)
 
 
@@ -78,13 +76,13 @@ def _no_surface_beside(args, flag: str) -> None:
     """A file flag brings its own surface, so --surface or --k next to it
     would be ignored; refuse it instead."""
     if args.surface is not None:
-        raise UsageError(f"{flag} names its own surface; drop --surface/--k")
+        raise ParseError(f"{flag} names its own surface; drop --surface/--k")
 
 
 def _classes_from_arg(text: str, surface: SurfaceModel) -> list[DivisorClass]:
     classes = [parse_class(part, surface) for part in text.split(",") if part.strip()]
     if not classes:
-        raise UsageError(f"no class literal in {text!r}")
+        raise ParseError(f"no class literal in {text!r}")
     return classes
 
 
@@ -95,20 +93,20 @@ def _load_json(path: str, parse):
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        raise UsageError(f"cannot read {path}: {err}") from None
+        raise ParseError(f"cannot read {path}: {err}") from None
     if not isinstance(document, dict):
-        raise UsageError(f"{path} does not hold a JSON object")
+        raise ParseError(f"{path} does not hold a JSON object")
     try:
         return parse(document)
     except KeyError as err:
-        raise UsageError(f"{path} has no {err} entry") from None
+        raise ParseError(f"{path} has no {err} entry") from None
 
 
 def _parse_cone(data: dict):
     surface = SurfaceModel.from_json(data["surface"])
     rays = parse_class_list(data["rays"], surface)
     if not rays:
-        raise UsageError("no class literal in the rays entry")
+        raise ParseError("no class literal in the rays entry")
     return surface, rays
 
 
@@ -118,7 +116,7 @@ def _parse_cone(data: dict):
 def cmd_enumerate(args) -> int:
     surface = _surface(args)
     if args.nbound < 0:
-        raise UsageError("--nbound must be >= 0")
+        raise ParseError("--nbound must be >= 0")
     reps = enumeration.sphere_classes(surface, n_bound=args.nbound, square=args.square)
     if args.families:
         key, lines = "families", [enumeration.family_label(x) for x in reps]
@@ -136,7 +134,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_squares(args) -> int:
     if args.total < 0:
-        raise UsageError("--total must be >= 0")
+        raise ParseError("--total must be >= 0")
     reps = enumeration.nine_squares_representations(
         args.total, residue_sum_zero=not args.any_sum
     )
@@ -234,7 +232,7 @@ def cmd_dual(args) -> int:
 def cmd_nef_threshold(args) -> int:
     if args.curves_file:
         _no_surface_beside(args, "--curves-file")
-        cfg = _load_config(args.curves_file)
+        cfg = _load_json(args.curves_file, NegativeConfiguration.from_json)
         surface = cfg.surface
         curves = list(cfg.curves)
     else:
@@ -249,26 +247,22 @@ def cmd_nef_threshold(args) -> int:
     return 0
 
 
-def _load_config(path: str) -> NegativeConfiguration:
-    return _load_json(path, NegativeConfiguration.from_json)
-
-
 def cmd_inflate(args) -> int:
     if args.trace is not None and args.trace < 1:
-        raise UsageError("--trace must be >= 1")
+        raise ParseError("--trace must be >= 1")
     if args.trace and not args.ray:
-        raise UsageError("--trace needs --ray")
-    cfg = _load_config(args.config)
+        raise ParseError("--trace needs --ray")
+    cfg = _load_json(args.config, NegativeConfiguration.from_json)
     start = parse_class(args.start, cfg.surface)
     wanted = parse_class(args.ray, cfg.surface).primitive() if args.ray else None
     tight = [c for c in cfg.curves if pair(c, wanted) == 0] if wanted is not None else []
     if args.trace and len(tight) != 2:
-        raise UsageError(
+        raise ParseError(
             f"--trace needs a ray tight on exactly two curves; {wanted} is tight on {len(tight)}"
         )
     achieved = inflation.achieve_all_rays(cfg, start)
     if wanted is not None and wanted not in achieved:
-        raise UsageError(f"{wanted} is not an extremal ray of the positive dual")
+        raise ParseError(f"{wanted} is not an extremal ray of the positive dual")
     records = []
     for ray, trace in achieved.items():
         if wanted is not None and ray != wanted:
@@ -305,7 +299,7 @@ def cmd_inflate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    rep = validate_configuration(_load_config(args.file))
+    rep = validate_configuration(_load_json(args.file, NegativeConfiguration.from_json))
     props = (("p1", rep.p1), ("p2", rep.p2), ("p3", rep.p3))
     if args.json:
         doc = {name: {"passed": res.passed, "details": res.details} for name, res in props}
@@ -317,7 +311,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_blowdown(args) -> int:
-    cfg = _load_config(args.file)
+    cfg = _load_json(args.file, NegativeConfiguration.from_json)
     small, dropped = blow_down(cfg, parse_class(args.at, cfg.surface))
     if args.json:
         out = small.to_json()
@@ -333,12 +327,9 @@ def cmd_blowdown(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    makers = {"cp2+1": catalog_cp2_1, "cp2+2": catalog_cp2_2, "cp2+3": catalog_cp2_3}
-    if args.name not in makers:
-        raise UsageError(f"unknown catalog {args.name!r}; choose from {sorted(makers)}")
     if args.n is not None and args.n < 0:
-        raise UsageError("--n must be >= 0")
-    maker = makers[args.name]
+        raise ParseError("--n must be >= 0")
+    maker = CATALOGS[args.name]
     entries = maker() if args.n is None else maker((args.n,))
     if args.json:
         print(
@@ -488,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--at", required=True, help="the -1 basis class, e.g. E3")
     p = leaf(psub, "catalog", cmd_catalog, (as_json,))
-    p.add_argument("name", help="cp2+1, cp2+2 or cp2+3")
+    p.add_argument("name", choices=CATALOGS, metavar="name", help="cp2+1, cp2+2 or cp2+3")
     p.add_argument("--n", type=int, help="single parameter value (default 0,1,2)")
 
     psub = sub.add_parser("sw", help="wall-crossing certificates").add_subparsers(
@@ -512,7 +503,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, and stdout then goes to devnull
         return code
-    except (UsageError, ParseError) as err:
+    except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ValueError as err:

@@ -170,10 +170,6 @@ class CornerInfo:
     square: int
     genus: int
 
-    @property
-    def ok(self) -> bool:
-        return self.square in (0, 1) and self.genus == 0
-
 
 @dataclass(frozen=True)
 class KSymplecticCone:
@@ -188,7 +184,7 @@ class KSymplecticCone:
 
     @property
     def corners_ok(self) -> bool:
-        return all(c.ok for c in self.orbits)
+        return all(c.square in (0, 1) and c.genus == 0 for c in self.orbits)
 
 
 def k_symplectic_cone(surface: SurfaceModel) -> KSymplecticCone:
@@ -262,8 +258,8 @@ def _neighbours(r: DivisorClass, functionals: Iterable[IntVec]) -> list[DivisorC
     -(e.d)/(e.r).  The stabiliser permutes the loose e too, so one d per
     orbit is shot.
     """
-    surface = r.surface
-    pairings = [(q, sum(map(mul, q, r._num))) for q in functionals]
+    surface, coeffs = r.surface, r.coeffs
+    pairings = [(q, sum(map(mul, q, coeffs))) for q in functionals]
     tight = {q for q, er in pairings if not er}
     loose = [(q, er) for q, er in pairings if er]
     named, directions = _tangent_cone(r)
@@ -278,7 +274,7 @@ def _neighbours(r: DivisorClass, functionals: Iterable[IntVec]) -> list[DivisorC
             p = -sum(map(mul, q, d))
             if p * den > num * er:
                 num, den = p, er
-        out.append(divisor(surface, [den * x + num * y for x, y in zip(d, r.coeffs)]).primitive())
+        out.append(divisor(surface, [den * x + num * y for x, y in zip(d, coeffs)]).primitive())
     return out
 
 
@@ -315,7 +311,7 @@ def _extremal_taxonomy(ray: DivisorClass) -> str:
     kc = canonical_class(surface)
     if pair(ray, ray) == -1 and pair(kc, ray) == -1:
         return "minus_one"
-    if surface.is_ruled and surface.k == 0 and ray == T(surface):
+    if not surface.is_rational and surface.k == 0 and ray == T(surface):
         return "fiber"
     if surface.is_rational and surface.k == 1 and ray == H(surface) - E(surface, 1):
         return "fiber"

@@ -134,7 +134,7 @@ def is_classified_negative_class(c: DivisorClass) -> bool:
     surface = c.surface
     if not c.is_integral() or c.square() >= 0:
         return False
-    if surface.is_ruled:
+    if not surface.is_rational:
         if surface.k != 0:
             return False
         u, t = c.coeffs[0], c.coeffs[1]
@@ -425,7 +425,7 @@ def ruled_negative_classes(surface: SurfaceModel) -> list[DivisorClass]:
     with 0 <= a <= RULED_BOUND and |b| <= RULED_BOUND: negative square,
     non-negative fiber degree, and genus at least that of a degree-a cover
     of the base.  The survivors are exactly U - nT for n >= 1."""
-    if not surface.is_ruled or surface.k != 0:
+    if surface.is_rational or surface.k != 0:
         raise ConfigurationError("minimal ruled surfaces only")
     h = surface.h
     u, t = U(surface), T(surface)

@@ -101,10 +101,6 @@ def distinct_arrangements(x: DivisorClass) -> Iterable[DivisorClass]:
         a[j + 1:] = a[:j:-1]
 
 
-def _class_from_b(surface: SurfaceModel, a: int, b: Sequence[int]) -> DivisorClass:
-    return divisor(surface, [a] + [-x for x in b])
-
-
 def family_key(x: DivisorClass) -> tuple:
     """The family of x as its degree and its E-coefficients in descending order."""
     c = x.coeffs
@@ -195,7 +191,7 @@ def sphere_classes(
             if s <= 0:
                 lo, hi = -isqrt(a * a + s) - margin, isqrt(a * a + s) + margin
             for b in _sum_square_solutions(k, 3 * a - 2 + s, a * a + s, lo, hi):
-                admit(_class_from_b(surface, a, b), s)
+                admit(divisor(surface, [a] + [-x for x in b]), s)
     for n in range(0, n_bound + 1):
         for m in range(0, k):
             s = 2 * n + 1 + m
@@ -341,6 +337,6 @@ def sweeps_up_to() -> tuple[SweepReport, ...]:
     reports = []
     for m, (fields, count) in enumerate(zip(found, tuples)):
         surface = rational_surface(m)
-        classes = (sorted_classes(_class_from_b(surface, a, bs) for a, bs in f) for f in fields)
+        classes = (sorted_classes(divisor(surface, [a] + [-x for x in bs]) for a, bs in f) for f in fields)
         reports.append(SweepReport(surface, *map(tuple, classes), count))
     return tuple(reports)

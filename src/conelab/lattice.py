@@ -40,8 +40,8 @@ class LatticeError(ValueError):
 
 
 class ParseError(LatticeError):
-    """Raised for malformed text from outside the program: a class literal
-    or a numeric setting."""
+    """Raised for malformed or contradictory input from outside the program:
+    a class literal, a file or a command line."""
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,6 @@ class SurfaceModel:
     def is_rational(self) -> bool:
         return self.kind == RATIONAL
 
-    @property
-    def is_ruled(self) -> bool:
-        return self.kind != RATIONAL
-
     def basis_labels(self) -> list[str]:
         head = ["H"] if self.is_rational else ["U", "T"]
         return head + [f"E{i}" for i in range(1, self.k + 1)]
@@ -88,7 +84,7 @@ class SurfaceModel:
 
     def to_json(self) -> dict:
         d = {"kind": self.kind, "k": self.k}
-        if self.is_ruled:
+        if not self.is_rational:
             d["h"] = self.h
         return d
 

@@ -124,7 +124,7 @@ def non_extremal_witness(c: DivisorClass) -> Decomposition | str:
     multiple l C - T is certified instead, with the smallest l > 2a whose
     dimension is positive."""
     surface = c.surface
-    if not surface.is_ruled:
+    if surface.is_rational:
         raise CertificateError("non-extremality witnesses cover ruled surfaces")
     if not c.is_integral():
         raise CertificateError("integral classes only")

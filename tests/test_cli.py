@@ -17,7 +17,7 @@ import conelab
 from conelab import cones
 from conelab.cli import main, parse_surface
 from conelab.cones import ConeError
-from conelab.lattice import parse_class, rational_surface, trivial_ruled
+from conelab.lattice import ParseError, parse_class, rational_surface, trivial_ruled
 
 # the benchmark's reference output of `verify-paper --json`, read here and never written
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "verify-paper.json"
@@ -36,9 +36,7 @@ class TestSurfaceLiterals:
         assert parse_surface("nontrivial-ruled:h=1").kind == "nontrivial_ruled"
 
     def test_bad_kind(self):
-        from conelab.cli import UsageError
-
-        with pytest.raises(UsageError):
+        with pytest.raises(ParseError):
             parse_surface("weird:k=1")
 
 

@@ -87,6 +87,8 @@ class TestClassification:
         s = trivial_ruled(2)
         assert is_classified_negative_class(U(s) - 3 * T(s))
         assert not is_classified_negative_class(2 * U(s) - T(s))
+        blown_up = U(trivial_ruled(1, 1)) - T(trivial_ruled(1, 1))
+        assert blown_up.square() == -2 and not is_classified_negative_class(blown_up)
 
     @pytest.mark.parametrize("k,count", [(1, 3), (2, 13), (3, 40), (4, 107)])
     def test_agrees_with_the_sphere_class_search(self, k, count):

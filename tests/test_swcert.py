@@ -221,3 +221,8 @@ class TestBrokenInvariants:
         monkeypatch.setattr(Decomposition, "revalidate", lambda self: False)
         with pytest.raises(CertificateError, match="does not revalidate"):
             non_extremal_witness(parse_class("2U+3T", s))
+
+    def test_an_uncertified_summand_raises(self, monkeypatch):
+        monkeypatch.setattr(swcert, "sw_certificate", lambda c: "none")
+        with pytest.raises(CertificateError, match=r"summand 2U\+2T not certified: none"):
+            non_extremal_witness(parse_class("2U+3T", trivial_ruled(2)))
