@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import exactlp
 from .cones import RationalCone, dual_cone, ray_sum
-from .enumeration import exceptional_classes, family_instances, sphere_classes
+from .enumeration import family_instances, sphere_classes
 from .lattice import (
     DivisorClass,
     SurfaceModel,
@@ -145,18 +145,21 @@ def is_classified_negative_class(c: DivisorClass) -> bool:
     return a >= 1 or a - 1 in c.b_vector()
 
 
+def certified_sw_families(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
+    """The certified classes of a blowup of the plane by family, each as its
+    representative: H, the -1 classes and the square-zero sphere classes."""
+    if surface.k > 8:
+        raise ConfigurationError("certified sets are finite only for k <= 8")
+    return (H(surface), *sphere_classes(surface, n_bound=0, square=-1), *sphere_classes(surface, square=0))
+
+
 @cache
 def certified_sw_classes(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
     """Classes carrying a wall-crossing nonvanishing certificate, used as
     known curve-cone members by the validity checks; computed once per
     surface."""
     if surface.is_rational:
-        if surface.k > 8:
-            raise ConfigurationError("certified sets are finite only for k <= 8")
-        out = {H(surface)}
-        out |= exceptional_classes(surface)
-        out |= family_instances(sphere_classes(surface, square=0))
-        return tuple(sorted_classes(out))
+        return tuple(sorted_classes(family_instances(certified_sw_families(surface))))
     if surface.k != 0:
         raise ConfigurationError("certified ruled sets cover minimal surfaces")
     h = surface.h

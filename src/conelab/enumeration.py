@@ -10,17 +10,19 @@ Cauchy-Schwarz pruning.  One search, sphere_classes, serves every square: the
 -1 classes and the square-zero classes are its square -1 and square 0 slices.
 It returns each family, a permutation orbit of the Ei, as its representative
 class: family_instances expands it, family_key sorts it and family_label
-names it.  The sweeps for every k <= 9 make one recursive pass over the
-positive-genus tuples: each node's prefix of length m is a tuple of the
-m-blowup sweep, and sum bi and sum bi^2 are carried down, so square, K.C and
-genus come out in int at each node; a DivisorClass is built only for a
-reported class.
+names it.  The sweeps for every k <= 9 share one branch-and-bound search
+over the positive-genus tuples: a node of depth m is a tuple of the m-blowup
+sweep, sum bi and sum bi^2 come down with it, so square, K.C and genus are
+ints; a subtree that can report nothing is counted from memoized subtree
+sizes, not visited, and a DivisorClass is built only for a reported class.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
+from itertools import zip_longest
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -244,8 +246,8 @@ class SweepReport:
                                        k < 9; multiples of -K for k = 9);
     genus_one_violations            -- genus 1 and square < 9 - k;
     genus_one_equality              -- genus 1 and square = 9 - k;
-    tuples                          -- the (a, b) tuples of genus >= 1 the
-                                       sweep examined, as a work count.
+    tuples                          -- the (a, b) tuples of genus >= 1 in
+                                       range; pruned ones counted, not examined.
 
     The genus-one fields and nonneg_square_nonneg_k_pairing feed the genus
     bounds for k < 9 (genus_bound_ok).  No field lists classes of degree
@@ -299,13 +301,28 @@ def sweeps_up_to() -> tuple[SweepReport, ...]:
     tuples = [0] * (k + 1)
     b = [0] * k
 
+    def entries(m: int, prev: int, left: int) -> range:
+        # b[m], m < k: at most prev and SWEEP_BOUND in size, and v(v - 1) <= left iff 1 - top <= v <= top
+        top = (1 + isqrt(4 * left + 1)) // 2
+        return range(min(prev, SWEEP_BOUND, top), max(-SWEEP_BOUND, 1 - top) - 1, -1) if m < k else range(0)
+
+    @cache  # per call, as SWEEP_BOUND may change between calls
+    def size(m: int, prev: int, left: int) -> tuple[int, ...]:
+        """The tuple counts at depths m, m + 1, ... of the subtree at a node of depth m."""
+        below = (size(m + 1, v, left - v * (v - 1)) for v in entries(m, prev, left))
+        return (1, *map(sum, zip_longest(*below, fillvalue=0)))
+
     def rec(m: int, prev: int, left: int, s1: int, s2: int) -> None:
         """Classify the tuple b[:m] of the m-blowup sweep, then fill b[m:]
         non-increasingly with sum bi(bi-1) <= a(a-3), i.e. genus >= 1; s1
         and s2 are sum bi and sum bi^2 over b[:m], and left is what b[:m]
         leaves of the budget a(a-3).  The range of b[m] does not depend on
         k, so the tuples of depth m are exactly those of the m-blowup sweep."""
-        tuples[m] += 1
+        # a reported tuple has kc >= m - 9 (sq + kc = left >= 0, and kc = -sq at
+        # genus 1), that is s1 - m >= 3a - 9; an entry v <= prev adds v - 1 to
+        # s1 - m, so no tuple here or below is reported if k - m of them fall short
+        if s1 + (k - m) * max(0, prev - 1) < 3 * a + m - 9:
+            return
         sq = a * a - s2
         kc = s1 - 3 * a
         # sq + kc = 2g - 2 >= 0; a tuple of positive square, negative K.C and
@@ -321,11 +338,7 @@ def sweeps_up_to() -> tuple[SweepReport, ...]:
                 dim0.append(t)
             if sq + kc == 0 and sq <= 9 - m:
                 (g1_bad if sq < 9 - m else g1_eq).append(t)
-        if m == k:
-            return
-        # v(v - 1) <= left exactly for 1 - top <= v <= top
-        top = (1 + isqrt(4 * left + 1)) // 2
-        for v in range(min(prev, SWEEP_BOUND, top), max(-SWEEP_BOUND, 1 - top) - 1, -1):
+        for v in entries(m, prev, left):
             b[m] = v
             rec(m + 1, v, left - v * (v - 1), s1 + v, s2 + v * v)
 
@@ -333,6 +346,8 @@ def sweeps_up_to() -> tuple[SweepReport, ...]:
         # every class with square >= 0 and K.C >= 0 has 2g - 2 = C.C + K.C >= 0,
         # so this one search also covers nonneg_square_nonneg_k_pairing; degrees
         # 1 and 2 have a negative budget a(a - 3) and no tuple
+        for m, n in enumerate(size(0, SWEEP_BOUND, a * (a - 3))):
+            tuples[m] += n
         rec(0, SWEEP_BOUND, a * (a - 3), 0, 0)
     reports = []
     for m, (fields, count) in enumerate(zip(found, tuples)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .configurations import certified_sw_classes
+from .configurations import certified_sw_families
 from .lattice import (
     DivisorClass,
     E,
@@ -177,8 +177,9 @@ def anti_canonical_eight_point_audit() -> bool:
     (6H - 3E1 - 2E2 - ... - 2E8)/2 + E1/2 into two certified sphere
     classes, while no integral splitting into two certified classes can
     exist: every certified class pairs at least 1 with -K, so m1 C1 + m2 C2
-    with integers m1, m2 >= 1 would force (-K)^2 >= 2 > 1.  True when each
-    of these facts holds."""
+    with integers m1, m2 >= 1 would force (-K)^2 >= 2 > 1.  Permuting
+    E1..E8 fixes -K, so one representative per family stands for all 2,401
+    certified classes.  True when each of these facts holds."""
     surface = rational_surface(8)
     anti = -1 * canonical_class(surface)
     six = divisor(surface, [6, -3, -2, -2, -2, -2, -2, -2, -2])
@@ -190,5 +191,5 @@ def anti_canonical_eight_point_audit() -> bool:
             adjunction_genus(part) == 0 and isinstance(sw_certificate(part), SWCertificate)
             for part in (six, e1)
         )
-        and all(pair(anti, p) >= 1 for p in certified_sw_classes(surface))
+        and all(pair(anti, p) >= 1 for p in certified_sw_families(surface))
     )

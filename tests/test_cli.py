@@ -507,6 +507,8 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          "E1-E2 (1 on one E, 1 subtracted on 1 E's)\nH-E1-E2-E3 (1 on 3 E's)\n", ""),
         (None, ["enumerate", "--k", "3", "--square", "-3", "--nbound", "2", "--families"], 0,
          "-H+2E1 (2 on one E)\nE1-E2-E3 (1 on one E, 1 subtracted on 2 E's)\n", ""),
+        (None, ["enumerate", "--surface", "ruled:h=1,k=1"], 1, "",
+         "error: enumeration applies to blowups of the plane\n"),
         (None, ["cone", "ksymp", "--surface", "ruled:h=1"], 1, "",
          "error: the K-symplectic cone helper covers rational surfaces\n"),
         ({"surface": {"kind": "rational", "k": 2}, "curves": ["E2", "H-E1-E2", "-H+2E1"]},
@@ -540,7 +542,7 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          "validate-witness-square-zero", "cone-dual-ruled-paper-signs",
          "nef-threshold-denominator-four", "enumerate-families-json",
          "enumerate-families-anchored-one-subtracted", "enumerate-families-anchored-n-one",
-         "ksymp-ruled", "inflate-start-pairs-negatively",
+         "enumerate-ruled", "ksymp-ruled", "inflate-start-pairs-negatively",
          "validate-nine-blowups", "blowdown-ruled", "blowdown-not-minus-one",
          "decompose-fractional", "enumerate-ruled-genus-zero", "squares-negative-total",
          "enumerate-negative-nbound", "inflate-trace-zero", "inflate-trace-negative"],

@@ -184,9 +184,9 @@ class TestValidation:
 
     def test_certified_classes_are_computed_once_per_surface(self, monkeypatch):
         built = []
-        exceptional = configurations.exceptional_classes
+        families = configurations.certified_sw_families
         monkeypatch.setattr(
-            configurations, "exceptional_classes", lambda s: built.append(s) or exceptional(s)
+            configurations, "certified_sw_families", lambda s: built.append(s) or families(s)
         )
         certified_sw_classes.cache_clear()
         s4 = rational_surface(4)

@@ -473,6 +473,15 @@ class TestSweeps:
             m = Fraction(c.coeffs[0], 3)
             assert c == m * anti
 
+    def test_nine_blowups_at_bound_eight_find_minus_k_and_its_double(self):
+        # -3K has degree 9, past the bound; -2K has every entry 2, the subtree
+        # a prune that is one too eager drops
+        s = rational_surface(9)
+        anti = -1 * canonical_class(s)
+        sweep = sweeps_up_to()[9]
+        assert sweep.zero_square_positive_genus == (anti, 2 * anti)
+        assert sweep.nonneg_square_nonneg_k_pairing == (anti, 2 * anti)
+
     def test_the_genus_bounds_stop_below_nine_blowups(self):
         with pytest.raises(LatticeError, match="^the genus bounds need k < 9$"):
             sweeps_up_to()[9].genus_bound_ok
@@ -509,10 +518,10 @@ class TestSweeps:
 
     @pytest.mark.parametrize("bound", range(1, 7))
     def test_tuple_counts_match_brute_force(self, bound, monkeypatch):
-        # a sweep that skips a tuple leaves every field as it is below nine
-        # blowups, but not the count of tuples it examined
+        # the count takes in the subtrees the sweep skips, from memoized
+        # sizes; most are skipped at k = 6..9, brute-forced up to bound 4
         monkeypatch.setattr(enumeration, "SWEEP_BOUND", bound)
-        for k, sweep in enumerate(sweeps_up_to()[:6]):
+        for k, sweep in enumerate(sweeps_up_to()[:10 if bound <= 4 else 6]):
             want = sum(
                 1
                 for a in range(1, bound + 1)
@@ -521,6 +530,16 @@ class TestSweeps:
             )
             assert sweep.surface == rational_surface(k)
             assert sweep.tuples == want, k
+
+    @pytest.mark.parametrize("k,bound", [(4, 8), (7, 4), (9, 4)])
+    def test_every_reported_tuple_pairs_at_least_k_minus_nine(self, k, bound):
+        # the lemma the sweep prunes by: sq + K.C = 2g - 2 >= 0, and K.C = -sq
+        # >= k - 9 on the genus-one fields
+        want = brute_sweep(k, bound)
+        reported = [t for name in SWEEP_FIELDS for t in want[name]]
+        assert reported
+        for a, b in reported:
+            assert sum(b) - 3 * a >= k - 9, (a, b)
 
     def test_one_pass_serves_every_k(self):
         # one report per k = 0..9; the k = 0 tuple of degree 3 is 3H

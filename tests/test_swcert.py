@@ -3,15 +3,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conelab import swcert
-from conelab.configurations import certified_sw_classes
-from conelab.enumeration import exceptional_classes
+from conelab import swcert, verify
+from conelab.configurations import certified_sw_classes, certified_sw_families
+from conelab.enumeration import distinct_arrangements, exceptional_classes
 from conelab.lattice import (
     E,
     H,
     T,
     U,
+    canonical_class,
     divisor,
+    pair,
     parse_class,
     rational_surface,
     sw_dimension,
@@ -212,6 +214,27 @@ class TestAntiCanonicalAudit:
     def test_an_uncertified_summand_fails(self, monkeypatch):
         monkeypatch.setattr(swcert, "sw_certificate", lambda e: "none")
         assert anti_canonical_eight_point_audit() is False
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_the_families_carry_every_pairing_with_minus_k(self, k):
+        # the audit pairs -K with one representative per family: -K is fixed
+        # by permuting E1..Ek, so each family pairs with it in one value
+        s = rational_surface(k)
+        anti = -1 * canonical_class(s)
+        families = certified_sw_families(s)
+        for rep in families:
+            assert {pair(anti, c) for c in distinct_arrangements(rep)} == {pair(anti, rep)}, rep
+        assert {pair(anti, c) for c in certified_sw_classes(s)} == {pair(anti, c) for c in families}
+
+    def test_a_family_orthogonal_to_minus_k_fails_the_audit(self, monkeypatch):
+        # H - E1 - E2 - E3 pairs 0 with -K
+        families = certified_sw_families
+        monkeypatch.setattr(swcert, "certified_sw_families",
+                            lambda s: (*families(s), parse_class("H-E1-E2-E3", s)))
+        assert anti_canonical_eight_point_audit() is False
+        result = verify.check_sw_certificates()
+        assert not result.passed
+        assert result.details.startswith("eight-blowup audit: False;")
 
 
 class TestBrokenInvariants:
