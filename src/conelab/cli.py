@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--at", required=True, help="the -1 basis class, e.g. E3")
     p = leaf(psub, "catalog", cmd_catalog, (as_json,))
-    p.add_argument("name", choices=CATALOGS, metavar="name", help="cp2+1, cp2+2 or cp2+3")
+    p.add_argument("name", choices=CATALOGS)
     p.add_argument("--n", type=int, help="single parameter value (default 0,1,2)")
 
     psub = sub.add_parser("sw", help="wall-crossing certificates").add_subparsers(

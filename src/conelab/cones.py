@@ -112,7 +112,7 @@ def extreme_rays_h(ineqs: Sequence[Sequence[int]], dim: int) -> tuple[list[IntVe
     lineality: the lineality enters the double description as equation rows
     v >= 0 and -v >= 0, and with them the rows span R^dim.
     """
-    ineqs = [linalg.primitive(a) for a in ineqs if not linalg.is_zero(a)]
+    ineqs = [linalg.primitive(a) for a in ineqs if any(a)]
     lineality = [linalg.sign_normalized(linalg.primitive(v)) for v in linalg.nullspace(ineqs, dim)]
     rows = ineqs + lineality + [tuple(-x for x in v) for v in lineality]
     return _dd_pointed(rows, dim), lineality

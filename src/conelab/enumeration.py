@@ -13,16 +13,14 @@ class: family_instances expands it, family_key sorts it and family_label
 names it.  The sweeps for every k <= 9 share one branch-and-bound search
 over the positive-genus tuples: a node of depth m is a tuple of the m-blowup
 sweep, sum bi and sum bi^2 come down with it, so square, K.C and genus are
-ints; a subtree that can report nothing is counted from memoized subtree
-sizes, not visited, and a DivisorClass is built only for a reported class.
+ints; a subtree that can report nothing is skipped, and a DivisorClass is
+built only for a reported class.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
-from itertools import zip_longest
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -245,9 +243,7 @@ class SweepReport:
     nonneg_square_nonneg_k_pairing  -- square >= 0 and K.C >= 0 (empty for
                                        k < 9; multiples of -K for k = 9);
     genus_one_violations            -- genus 1 and square < 9 - k;
-    genus_one_equality              -- genus 1 and square = 9 - k;
-    tuples                          -- the (a, b) tuples of genus >= 1 in
-                                       range; pruned ones counted, not examined.
+    genus_one_equality              -- genus 1 and square = 9 - k.
 
     The genus-one fields and nonneg_square_nonneg_k_pairing feed the genus
     bounds for k < 9 (genus_bound_ok).  No field lists classes of degree
@@ -261,7 +257,6 @@ class SweepReport:
     nonneg_square_nonneg_k_pairing: tuple[DivisorClass, ...]
     genus_one_violations: tuple[DivisorClass, ...]
     genus_one_equality: tuple[DivisorClass, ...]
-    tuples: int
 
     @property
     def ok(self) -> bool:
@@ -298,19 +293,7 @@ def sweeps_up_to() -> tuple[SweepReport, ...]:
     """
     k = 9
     found = [([], [], [], [], []) for _ in range(k + 1)]
-    tuples = [0] * (k + 1)
     b = [0] * k
-
-    def entries(m: int, prev: int, left: int) -> range:
-        # b[m], m < k: at most prev and SWEEP_BOUND in size, and v(v - 1) <= left iff 1 - top <= v <= top
-        top = (1 + isqrt(4 * left + 1)) // 2
-        return range(min(prev, SWEEP_BOUND, top), max(-SWEEP_BOUND, 1 - top) - 1, -1) if m < k else range(0)
-
-    @cache  # per call, as SWEEP_BOUND may change between calls
-    def size(m: int, prev: int, left: int) -> tuple[int, ...]:
-        """The tuple counts at depths m, m + 1, ... of the subtree at a node of depth m."""
-        below = (size(m + 1, v, left - v * (v - 1)) for v in entries(m, prev, left))
-        return (1, *map(sum, zip_longest(*below, fillvalue=0)))
 
     def rec(m: int, prev: int, left: int, s1: int, s2: int) -> None:
         """Classify the tuple b[:m] of the m-blowup sweep, then fill b[m:]
@@ -338,7 +321,11 @@ def sweeps_up_to() -> tuple[SweepReport, ...]:
                 dim0.append(t)
             if sq + kc == 0 and sq <= 9 - m:
                 (g1_bad if sq < 9 - m else g1_eq).append(t)
-        for v in entries(m, prev, left):
+        if m == k:
+            return
+        # b[m]: at most prev and SWEEP_BOUND in size, and v(v - 1) <= left iff 1 - top <= v <= top
+        top = (1 + isqrt(4 * left + 1)) // 2
+        for v in range(min(prev, SWEEP_BOUND, top), max(-SWEEP_BOUND, 1 - top) - 1, -1):
             b[m] = v
             rec(m + 1, v, left - v * (v - 1), s1 + v, s2 + v * v)
 
@@ -346,12 +333,10 @@ def sweeps_up_to() -> tuple[SweepReport, ...]:
         # every class with square >= 0 and K.C >= 0 has 2g - 2 = C.C + K.C >= 0,
         # so this one search also covers nonneg_square_nonneg_k_pairing; degrees
         # 1 and 2 have a negative budget a(a - 3) and no tuple
-        for m, n in enumerate(size(0, SWEEP_BOUND, a * (a - 3))):
-            tuples[m] += n
         rec(0, SWEEP_BOUND, a * (a - 3), 0, 0)
     reports = []
-    for m, (fields, count) in enumerate(zip(found, tuples)):
+    for m, fields in enumerate(found):
         surface = rational_surface(m)
         classes = (sorted_classes(divisor(surface, [a] + [-x for x in bs]) for a, bs in f) for f in fields)
-        reports.append(SweepReport(surface, *map(tuple, classes), count))
+        reports.append(SweepReport(surface, *map(tuple, classes)))
     return tuple(reports)

@@ -373,7 +373,7 @@ def parse_class(text: str, surface: SurfaceModel) -> DivisorClass:
     """
     if not isinstance(text, str):
         raise ParseError(f"a class literal is a string, not {text!r}")
-    compact = text.replace(" ", "")
+    compact = "".join(text.split())
     if compact in ("0", ""):
         return divisor(surface, [0] * surface.rank)
     coeffs = [0] * surface.rank

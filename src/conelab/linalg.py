@@ -10,10 +10,6 @@ from typing import Sequence
 IntVec = tuple[int, ...]
 
 
-def is_zero(a: Sequence) -> bool:
-    return all(x == 0 for x in a)
-
-
 def pivot(mat: list[list[int]], r: int, col: Sequence[int], d: int) -> int:
     """Integer-preserving Gauss-Jordan step in place (Edmonds 1967, Bareiss
     1968) on mat / d, d > 0, along the column col, one entry per row and

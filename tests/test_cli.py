@@ -524,6 +524,12 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          "error: E2-E3 is not a -1 sphere class\n"),
         (None, ["sw", "decompose", "--surface", "ruled:h=1", "--class", "1/2U+T"], 1, "",
          "error: integral classes only\n"),
+        ({"surface": {"kind": "trivial_ruled", "h": 1, "k": 1}, "curves": ["E1"]},
+         ["config", "validate", FILE], 1, "", "error: certified ruled sets cover minimal surfaces\n"),
+        (None, ["cone", "ksymp", "--k", "9"], 1, "", "error: infinitely many -1 classes for k >= 9\n"),
+        (None, ["enumerate", "--k", "9"], 1, "", "error: k = 9 rejected: the class set is infinite\n"),
+        (None, ["cremona", "reduce", "--class", "H", "--k", "2"], 1, "",
+         "error: Cremona reflections need a rational surface with k >= 3\n"),
         (None, ["enumerate", "--surface", "ruled:h=0"], 2, "",
          "error: ruled surfaces need base genus h >= 1\n"),
         (None, ["squares", "--total", "-1"], 2, "", "error: --total must be >= 0\n"),
@@ -544,8 +550,9 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          "enumerate-families-anchored-one-subtracted", "enumerate-families-anchored-n-one",
          "enumerate-ruled", "ksymp-ruled", "inflate-start-pairs-negatively",
          "validate-nine-blowups", "blowdown-ruled", "blowdown-not-minus-one",
-         "decompose-fractional", "enumerate-ruled-genus-zero", "squares-negative-total",
-         "enumerate-negative-nbound", "inflate-trace-zero", "inflate-trace-negative"],
+         "decompose-fractional", "validate-blown-up-ruled", "ksymp-nine-blowups",
+         "enumerate-nine-blowups", "cremona-reduce-two-blowups", "enumerate-ruled-genus-zero",
+         "squares-negative-total", "enumerate-negative-nbound", "inflate-trace-zero", "inflate-trace-negative"],
 )
 def test_branch_output_is_pinned(capsys, tmp_path, document, argv, code, out, err):
     """The full stdout, stderr and exit code of the CLI branches that no

@@ -1,5 +1,6 @@
 """Enumeration of sphere classes against naive brute-force oracles."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -503,10 +504,14 @@ class TestSweeps:
         sweep = sweeps_up_to()[3]
         assert sweep.nonneg_square_nonneg_k_pairing == ()
 
-    @pytest.mark.parametrize("k,bound", [(4, 8), (7, 4), (9, 4)])
+    @pytest.mark.parametrize("k,bound", [(4, 8)] + [
+        (k, bound) for bound in range(1, 7) for k in range(10 if bound <= 4 else 6)
+    ])
     def test_every_field_matches_brute_force(self, k, bound, monkeypatch):
+        # most subtrees are skipped at k = 6..9, brute-forced up to bound 4
         monkeypatch.setattr(enumeration, "SWEEP_BOUND", bound)
         sweep = sweeps_up_to()[k]
+        assert sweep.surface == rational_surface(k)
         want = brute_sweep(k, bound)
         for name in SWEEP_FIELDS:
             got = [(c.coeffs[0], c.b_vector()) for c in getattr(sweep, name)]
@@ -514,22 +519,7 @@ class TestSweeps:
         # degree <= 2 forces genus <= 0, which is why no field lists them
         assert want["low_degree"] == []
         if k == 9:
-            assert want["nonneg_square_nonneg_k_pairing"] == [(3, (1,) * 9)]
-
-    @pytest.mark.parametrize("bound", range(1, 7))
-    def test_tuple_counts_match_brute_force(self, bound, monkeypatch):
-        # the count takes in the subtrees the sweep skips, from memoized
-        # sizes; most are skipped at k = 6..9, brute-forced up to bound 4
-        monkeypatch.setattr(enumeration, "SWEEP_BOUND", bound)
-        for k, sweep in enumerate(sweeps_up_to()[:10 if bound <= 4 else 6]):
-            want = sum(
-                1
-                for a in range(1, bound + 1)
-                for b in itertools.combinations_with_replacement(range(-bound, bound + 1), k)
-                if sum(x * (x - 1) for x in b) <= a * (a - 3)
-            )
-            assert sweep.surface == rational_surface(k)
-            assert sweep.tuples == want, k
+            assert want["nonneg_square_nonneg_k_pairing"] == ([(3, (1,) * 9)] if bound >= 3 else [])
 
     @pytest.mark.parametrize("k,bound", [(4, 8), (7, 4), (9, 4)])
     def test_every_reported_tuple_pairs_at_least_k_minus_nine(self, k, bound):
@@ -541,12 +531,29 @@ class TestSweeps:
         for a, b in reported:
             assert sum(b) - 3 * a >= k - 9, (a, b)
 
+    @pytest.mark.parametrize("k,field,literal", [
+        (3, "negative_square_positive_genus", "3H-E1-E2-E3"),
+        (8, "zero_square_positive_genus", "3H-E1-E2-E3-E4-E5-E6-E7-E8"),
+        (9, "nonneg_square_nonneg_k_pairing", "H-E1"),
+    ])
+    def test_a_class_outside_the_verdict_fails_it(self, k, field, literal):
+        # the classes need not belong in the field: ok reads only which field holds them
+        sweep = sweeps_up_to()[k]
+        assert sweep.ok
+        extra = parse_class(literal, sweep.surface)
+        bad = dataclasses.replace(sweep, **{field: getattr(sweep, field) + (extra,)})
+        assert bad.ok is False
+
+    def test_a_genus_one_violation_fails_the_genus_bound(self):
+        sweep = sweeps_up_to()[6]
+        assert sweep.genus_bound_ok
+        bad = dataclasses.replace(sweep, genus_one_violations=sweep.genus_one_equality)
+        assert bad.genus_bound_ok is False
+
     def test_one_pass_serves_every_k(self):
         # one report per k = 0..9; the k = 0 tuple of degree 3 is 3H
         reports = sweeps_up_to()
-        assert [r.tuples for r in reports] == [
-            6, 42, 179, 518, 1177, 2246, 3769, 5770, 8227, 11118
-        ]
+        assert [r.surface for r in reports] == [rational_surface(k) for k in range(10)]
         assert reports[0].genus_one_equality == (3 * H(rational_surface(0)),)
         assert all(r.genus_bound_ok for r in reports[:9])
 

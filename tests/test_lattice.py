@@ -448,6 +448,8 @@ class TestLiteralsAndJson:
         assert parse_class("2H-E1-E2-E3", s).coeffs == (2, -1, -1, -1)
         assert parse_class("-H+2E1", s).coeffs == (-1, 2, 0, 0)
         assert parse_class("1/2H - 3/2 E2", s).coeffs == (Fraction(1, 2), 0, Fraction(-3, 2), 0)
+        assert parse_class("2H\t-E1", s).coeffs == (2, -1, 0, 0)
+        assert parse_class("H -\nE3\n", s).coeffs == (1, 0, 0, -1)
         t = trivial_ruled(2, k=1)
         assert parse_class("U-3T+E1", t).coeffs == (1, -3, 1)
 

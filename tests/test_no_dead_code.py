@@ -139,7 +139,6 @@ SHARED_METHOD_NAMES = {
         "swcert.SWCertificate",  # swcert.Decomposition.revalidate
         "swcert.Decomposition",  # swcert.non_extremal_witness
     },
-    "is_zero": {"lattice.DivisorClass"},  # cones.dual_cone; shadowed by linalg.is_zero
     "primitive": {"lattice.DivisorClass"},  # cones.dual_cone; shadowed by linalg.primitive
     "square": {"lattice.DivisorClass"},  # configurations.validate_configuration; CornerInfo.square
     "verify": {"inflation.InflationTrace"},  # verify.check_vertex_example; module verify
