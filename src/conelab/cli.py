@@ -4,8 +4,9 @@ Surfaces are written ``rational:k=2``, ``ruled:h=2`` (a trivial bundle,
 optionally ``,k=1``) or ``nontrivial-ruled:h=1``, and ``--k K`` is the literal
 ``rational:k=K``; classes use the literal
 syntax ``2H-E1-E2`` / ``U-3T`` with integer or fractional coefficients.
-Exit status: 0 on success, 1 when a requested check fails, 2 on usage
-errors.
+Exit status: 0 on success; 1 when a requested check fails, when the library
+refuses an input (a surface outside a command's scope among them) or when
+the reader closes the pipe; 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -111,101 +112,67 @@ def _parse_cone(data: dict):
 
 
 # -- subcommand handlers ----------------------------------------------------
+# Each returns (exit code, JSON document, text lines); lines is None for a
+# command that always prints JSON.  main prints one or the other.
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple:
     surface = _surface(args)
     if args.nbound < 0:
         raise ParseError("--nbound must be >= 0")
     reps = enumeration.sphere_classes(surface, n_bound=args.nbound, square=args.square)
     if args.families:
-        key, lines = "families", [enumeration.family_label(x) for x in reps]
-    else:
-        paper_signs = args.paper_signs and not args.json  # JSON keeps str(c)
-        key, lines = "classes", [format_class(c, paper_signs=paper_signs)
-                                 for c in sorted_classes(enumeration.family_instances(reps))]
-    if args.json:
-        print(json.dumps({key: lines}))
-    else:
-        for line in lines:
-            print(line)
-    return 0
+        labels = [enumeration.family_label(x) for x in reps]
+        return 0, {"families": labels}, labels
+    classes = sorted_classes(enumeration.family_instances(reps))
+    names = [str(c) for c in classes]
+    shown = [format_class(c, paper_signs=True) for c in classes] if args.paper_signs else names
+    return 0, {"classes": names}, shown  # JSON keeps str(c)
 
 
-def cmd_squares(args) -> int:
+def cmd_squares(args) -> tuple:
     if args.total < 0:
         raise ParseError("--total must be >= 0")
     reps = enumeration.nine_squares_representations(
         args.total, residue_sum_zero=not args.any_sum
     )
-    if args.json:
-        print(json.dumps({"total": args.total, "representations": [list(r) for r in reps]}))
-    else:
-        for r in reps:
-            print(" ".join(str(x) for x in r))
-        print(f"count: {len(reps)}")
-    return 0
+    lines = [" ".join(str(x) for x in r) for r in reps] + [f"count: {len(reps)}"]
+    return 0, {"total": args.total, "representations": [list(r) for r in reps]}, lines
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple:
     out = cremona.cremona_reduce(parse_class(args.cls, _surface(args)))
-    if args.json:
-        print(json.dumps({
-            "outcome": out.kind,
-            "result": str(out.result) if out.result else None,
-            "trace": [str(t) for t in out.trace],
-            "steps": out.steps,
-        }))
-    else:
-        print(f"{out.kind} after {out.steps} steps")
-        if out.kind == "reduced":
-            print(f"reduced form: {out.result}")
-        else:
-            print("trace: " + " -> ".join(str(t) for t in out.trace))
-    return 0
+    result = str(out.result) if out.result else None
+    trace = [str(t) for t in out.trace]
+    doc = {"outcome": out.kind, "result": result, "trace": trace, "steps": out.steps}
+    detail = f"reduced form: {result}" if out.kind == "reduced" else "trace: " + " -> ".join(trace)
+    return 0, doc, [f"{out.kind} after {out.steps} steps", detail]
 
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args) -> tuple:
     surface = _surface(args)
     x = parse_class(args.cls, surface)
     y = parse_class(args.other, surface)
     out = cremona.cremona_equivalent(x, y)
-    if args.json:
-        path = [str(p) for p in out.path]
-        print(json.dumps({"outcome": out.kind, "which": out.which, "path": path}))
-    else:
-        print(out.kind + (f" ({out.which})" if out.which else ""))
-        if out.path:
-            print("path: " + " -> ".join(str(p) for p in out.path))
-    return 0
+    path = [str(p) for p in out.path]
+    lines = [out.kind + (f" ({out.which})" if out.which else "")]
+    if path:
+        lines.append("path: " + " -> ".join(path))
+    return 0, {"outcome": out.kind, "which": out.which, "path": path}, lines
 
 
-def cmd_ksymp(args) -> int:
+def cmd_ksymp(args) -> tuple:
     ks = cones.k_symplectic_cone(_surface(args))
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "corners": [
-                        {
-                            "ray": str(c.ray),
-                            "square": str(c.square),
-                            "genus": str(c.genus),
-                        }
-                        for c in ks.corners
-                    ],
-                    "corners_ok": ks.corners_ok,
-                }
-            )
-        )
-    else:
-        for c in ks.corners:
-            print(f"{c.ray}  square {c.square}  genus {c.genus}")
-        print(f"all corners square 0/1 and genus 0: {ks.corners_ok}")
-    return 0 if ks.corners_ok else 1
+    corners = [
+        {"ray": str(c.ray), "square": str(c.square), "genus": str(c.genus)}
+        for c in ks.corners
+    ]
+    lines = [f"{c['ray']}  square {c['square']}  genus {c['genus']}" for c in corners]
+    lines.append(f"all corners square 0/1 and genus 0: {ks.corners_ok}")
+    return (0 if ks.corners_ok else 1), {"corners": corners, "corners_ok": ks.corners_ok}, lines
 
 
-def cmd_dual(args) -> int:
+def cmd_dual(args) -> tuple:
     if args.rays_file:
         _no_surface_beside(args, "--rays-file")
         surface, rays = _load_json(args.rays_file, _parse_cone)
@@ -213,23 +180,20 @@ def cmd_dual(args) -> int:
         surface = _surface(args)
         rays = _classes_from_arg(args.rays, surface)
     dual = cones.dual_cone(rays)
-    if args.json:
-        facets = sorted_classes({r.primitive() for r in rays if not r.is_zero()})
-        print(json.dumps({
-            "surface": surface.to_json(),
-            "rays": [str(r) for r in dual.rays],
-            "facets": [str(f) for f in facets],
-            "lineality": [str(v) for v in dual.lineality],
-        }))
-    else:
-        for r in dual.rays:
-            print(format_class(r, paper_signs=args.paper_signs))
-        for v in dual.lineality:
-            print(f"{v} (lineality)")
-    return 0
+    facets = sorted_classes({r.primitive() for r in rays if not r.is_zero()})
+    doc = {
+        "surface": surface.to_json(),
+        "rays": [str(r) for r in dual.rays],
+        "facets": [str(f) for f in facets],
+        "lineality": [str(v) for v in dual.lineality],
+    }
+    shown = doc["rays"]
+    if args.paper_signs:
+        shown = [format_class(r, paper_signs=True) for r in dual.rays]
+    return 0, doc, shown + [f"{v} (lineality)" for v in doc["lineality"]]
 
 
-def cmd_nef_threshold(args) -> int:
+def cmd_nef_threshold(args) -> tuple:
     if args.curves_file:
         _no_surface_beside(args, "--curves-file")
         cfg = _load_json(args.curves_file, NegativeConfiguration.from_json)
@@ -239,15 +203,11 @@ def cmd_nef_threshold(args) -> int:
         surface = _surface(args)
         curves = _classes_from_arg(args.curves, surface)
     omega = parse_class(args.omega, surface)
-    t0 = cones.nef_threshold(omega, curves)
-    if args.json:
-        print(json.dumps({"threshold": str(t0)}))
-    else:
-        print(t0)
-    return 0
+    t0 = str(cones.nef_threshold(omega, curves))
+    return 0, {"threshold": t0}, [t0]
 
 
-def cmd_inflate(args) -> int:
+def cmd_inflate(args) -> tuple:
     if args.trace is not None and args.trace < 1:
         raise ParseError("--trace must be >= 1")
     if args.trace and not args.ray:
@@ -275,136 +235,99 @@ def cmd_inflate(args) -> int:
                 "light_cone_limit": trace.limit_formula_used,
             }
         )
+    lines = []
+    for rec in records:
+        steps = ", ".join(f"{e} along {c}" for c, e in rec["steps"]) or "none"
+        tag = " (light-cone limit)" if rec["light_cone_limit"] else ""
+        lines.append(f"{rec['ray']}: reached {rec['result']} via {steps}{tag}")
     doc = {"start": str(start), "achieved": records}
     if args.trace:
         alt = inflation.alternate_inflate(
             inflation.max_inflate(start, tight[0])[0], tight[0], tight[1], args.trace
         )
-        doc["alternating"] = {
-            "odd": [str(x) for x in alt.odd_coefficients],
-            "even": [str(x) for x in alt.even_coefficients],
-        }
-    if args.json:
-        print(json.dumps(doc))
-        return 0
-    for rec in records:
-        steps = ", ".join(f"{e} along {c}" for c, e in rec["steps"]) or "none"
-        tag = " (light-cone limit)" if rec["light_cone_limit"] else ""
-        print(f"{rec['ray']}: reached {rec['result']} via {steps}{tag}")
-    if args.trace:
-        print("alternating coefficients:")
-        print("  odd:  " + ", ".join(doc["alternating"]["odd"]))
-        print("  even: " + ", ".join(doc["alternating"]["even"]))
-    return 0
+        odd = [str(x) for x in alt.odd_coefficients]
+        even = [str(x) for x in alt.even_coefficients]
+        doc["alternating"] = {"odd": odd, "even": even}
+        lines += ["alternating coefficients:", "  odd:  " + ", ".join(odd),
+                  "  even: " + ", ".join(even)]
+    return 0, doc, lines
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple:
     rep = validate_configuration(_load_json(args.file, NegativeConfiguration.from_json))
     props = (("p1", rep.p1), ("p2", rep.p2), ("p3", rep.p3))
-    if args.json:
-        doc = {name: {"passed": res.passed, "details": res.details} for name, res in props}
-        print(json.dumps({**doc, "passed": rep.passed}))
-    else:
-        for name, res in props:
-            print(f"{name}: {'pass' if res.passed else 'FAIL'} -- {res.details}")
-    return 0 if rep.passed else 1
+    doc = {name: {"passed": res.passed, "details": res.details} for name, res in props}
+    lines = [f"{name}: {'pass' if res.passed else 'FAIL'} -- {res.details}" for name, res in props]
+    return (0 if rep.passed else 1), {**doc, "passed": rep.passed}, lines
 
 
-def cmd_blowdown(args) -> int:
+def cmd_blowdown(args) -> tuple:
     cfg = _load_json(args.file, NegativeConfiguration.from_json)
     small, dropped = blow_down(cfg, parse_class(args.at, cfg.surface))
-    if args.json:
-        out = small.to_json()
-        out["dropped"] = [str(d) for d in dropped]
-        print(json.dumps(out))
-    else:
-        print("curves: " + ", ".join(str(c) for c in small.curves))
-        if small.extra_square_zero:
-            print("square-zero: " + ", ".join(str(c) for c in small.extra_square_zero))
-        if dropped:
-            print("dropped (non-negative square): " + ", ".join(str(d) for d in dropped))
-    return 0
+    doc = small.to_json()
+    doc["dropped"] = [str(d) for d in dropped]
+    lines = ["curves: " + ", ".join(doc["curves"])]
+    if small.extra_square_zero:
+        lines.append("square-zero: " + ", ".join(doc["extra_square_zero"]))
+    if dropped:
+        lines.append("dropped (non-negative square): " + ", ".join(doc["dropped"]))
+    return 0, doc, lines
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> tuple:
     if args.n is not None and args.n < 0:
         raise ParseError("--n must be >= 0")
     maker = CATALOGS[args.name]
     entries = maker() if args.n is None else maker((args.n,))
-    if args.json:
-        print(
-            json.dumps(
-                [
-                    {"label": e.label(), **e.configuration.to_json()}
-                    for e in entries
-                ]
-            )
-        )
-    else:
-        for e in entries:
-            minus_one = len(count_minus_one(e.configuration))
-            print(
-                f"{e.label()}: "
-                + ", ".join(str(c) for c in e.configuration.curves)
-                + f"   [-1 curves: {minus_one}]"
-            )
-    return 0
+    doc = [{"label": e.label(), **e.configuration.to_json()} for e in entries]
+    # a generator, so that only text output counts the -1 curves
+    lines = (
+        f"{d['label']}: " + ", ".join(d["curves"])
+        + f"   [-1 curves: {len(count_minus_one(e.configuration))}]"
+        for d, e in zip(doc, entries)
+    )
+    return 0, doc, lines
 
 
-def cmd_cert(args) -> int:
+def cmd_cert(args) -> tuple:
     cls = parse_class(args.cls, _surface(args))
     out = swcert.sw_certificate(cls)
     if isinstance(out, str):
-        print(json.dumps({"certified": False, "reason": out}))
-        return 1
-    print(
-        json.dumps(
-            {
-                "certified": True,
-                "class": str(out.cls),
-                "dimension": str(out.dimension),
-                "witness": str(out.witness),
-                "magnitude": out.magnitude,
-            }
-        )
-    )
-    return 0
+        return 1, {"certified": False, "reason": out}, None
+    return 0, {
+        "certified": True,
+        "class": str(out.cls),
+        "dimension": str(out.dimension),
+        "witness": str(out.witness),
+        "magnitude": out.magnitude,
+    }, None
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple:
     cls = parse_class(args.cls, _surface(args))
     out = swcert.non_extremal_witness(cls)
     if isinstance(out, str):
-        print(json.dumps({"extremal": True, "reason": out}))
-        return 0
-    print(
-        json.dumps(
-            {
-                "extremal": False,
-                "scale": out.scale,
-                "summands": [
-                    {"class": str(p), "magnitude": c.magnitude, "dimension": str(c.dimension)}
-                    for p, c in out.summands
-                ],
-            }
-        )
-    )
-    return 0
+        return 0, {"extremal": True, "reason": out}, None
+    return 0, {
+        "extremal": False,
+        "scale": out.scale,
+        "summands": [
+            {"class": str(p), "magnitude": c.magnitude, "dimension": str(c.dimension)}
+            for p, c in out.summands
+        ],
+    }, None
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     checks = [fn() for fn in (verify.SUITES[args.suite] if args.suite else verify.ALL_CHECKS)]
     passed = sum(c.passed for c in checks)
     failed = len(checks) - passed
-    if args.json:
-        rows = [{"name": c.name, "reference": c.reference,
-                 "status": "pass" if c.passed else "fail", "details": c.details} for c in checks]
-        print(json.dumps({"checks": rows, "summary": {"passed": passed, "failed": failed}}, indent=2))
-    else:
-        for c in checks:
-            print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.details}")
-        print(f"{passed} passed, {failed} failed")
-    return 0 if failed == 0 else 1
+    rows = [{"name": c.name, "reference": c.reference,
+             "status": "pass" if c.passed else "fail", "details": c.details} for c in checks]
+    lines = [f"[{r['status'].upper()}] {r['name']}: {r['details']}" for r in rows]
+    lines.append(f"{passed} passed, {failed} failed")
+    doc = {"checks": rows, "summary": {"passed": passed, "failed": failed}}
+    return (0 if failed == 0 else 1), doc, lines
 
 
 # -- parser ------------------------------------------------------------------
@@ -489,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = leaf(sub, "verify-paper", cmd_verify, (as_json,), help="run the reproduction checks")
     p.add_argument("--suite", choices=sorted(verify.SUITES), help="run one suite only")
+    p.set_defaults(indent=2)
 
     return parser
 
@@ -500,7 +424,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        code = args.func(args)
+        code, doc, lines = args.func(args)
+        if lines is None or args.json:
+            print(json.dumps(doc, indent=getattr(args, "indent", None)))  # verify-paper sets 2
+        else:
+            for line in lines:
+                print(line)
         sys.stdout.flush()  # a closed pipe raises here, and stdout then goes to devnull
         return code
     except ParseError as err:

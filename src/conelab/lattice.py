@@ -362,14 +362,17 @@ def sw_dimension(x: DivisorClass) -> int | Fraction:
 
 # -- class literals ---------------------------------------------------------
 
-_TERM = re.compile(r"([+-]?)(\d+(?:/\d+)?)?\*?(H|U|T|E(\d+))", re.IGNORECASE)
+_TERM = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*?)?(H|U|T|E(\d+))", re.IGNORECASE)
 
 
 def parse_class(text: str, surface: SurfaceModel) -> DivisorClass:
     """Parse literals like ``2H-E1-E2``, ``-H+2E1`` or ``U-3T`` exactly.
 
-    Coefficients may be integers or fractions (``1/2H``); whitespace is
-    ignored.  Every named generator must exist on the surface.
+    A literal is ``0`` or a sum of terms, each an optional sign, an optional
+    integer or fraction coefficient (``1/2H``, or ``1/2*H``) and a
+    generator; every term after the first begins with ``+`` or ``-``, so
+    ``HE1`` and ``2H-E1 E2`` are refused.  Whitespace is ignored.  Every
+    named generator must exist on the surface.
     """
     if not isinstance(text, str):
         raise ParseError(f"a class literal is a string, not {text!r}")
@@ -381,7 +384,7 @@ def parse_class(text: str, surface: SurfaceModel) -> DivisorClass:
     pos = 0
     while pos < len(compact):
         m = _TERM.match(compact, pos)
-        if not m:
+        if not m or (pos and not m.group(1)):
             raise ParseError(f"cannot parse class literal {text!r} at {compact[pos:]!r}")
         sign, num, symbol, _ = m.groups()
         try:

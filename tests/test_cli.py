@@ -538,6 +538,13 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          2, "", "error: --trace must be >= 1\n"),
         (INFLATE_CONFIGS["two"], ["inflate", "--config", FILE, "--start", "8H-5E1-E2",
                                   "--ray", "H-E1", "--trace", "-3"], 2, "", "error: --trace must be >= 1\n"),
+        (None, ["cone", "dual", "--rays", "H,-H", "--k", "0"], 0, "", ""),
+        (None, ["cone", "dual", "--rays", "H,-H", "--k", "0", "--json"], 0,
+         '{"surface": {"kind": "rational", "k": 0}, "rays": [], "facets": ["-H", "H"], '
+         '"lineality": []}\n', ""),
+        (None, ["enumerate", "--k", "0"], 0, "", ""),
+        (None, ["cremona", "reduce", "--class", "2H-E1 E2", "--k", "3"], 2, "",
+         "error: cannot parse class literal '2H-E1 E2' at 'E2'\n"),
     ],
     ids=["cremona-equiv-json", "cremona-reduce-cycle-text", "cremona-equiv-two-blowups-json", "cone-dual-lineality-text",
          "cone-dual-normalised-facets-json", "cone-dual-zero-generators",
@@ -552,7 +559,9 @@ def test_sw_output_is_pinned(capsys, argv, code, out, err):
          "validate-nine-blowups", "blowdown-ruled", "blowdown-not-minus-one",
          "decompose-fractional", "validate-blown-up-ruled", "ksymp-nine-blowups",
          "enumerate-nine-blowups", "cremona-reduce-two-blowups", "enumerate-ruled-genus-zero",
-         "squares-negative-total", "enumerate-negative-nbound", "inflate-trace-zero", "inflate-trace-negative"],
+         "squares-negative-total", "enumerate-negative-nbound", "inflate-trace-zero", "inflate-trace-negative",
+         "cone-dual-origin-text", "cone-dual-origin-json", "enumerate-plane",
+         "cremona-reduce-juxtaposed-terms"],
 )
 def test_branch_output_is_pinned(capsys, tmp_path, document, argv, code, out, err):
     """The full stdout, stderr and exit code of the CLI branches that no
@@ -819,6 +828,8 @@ class TestFuzz:
             code = main(argv)
         assert code in (0, 1, 2), argv
         assert code != 2 or err.getvalue(), argv
+        if code != 2 and out.getvalue() and ("--json" in argv or argv[0] == "sw"):
+            json.loads(out.getvalue())  # exactly one JSON document
 
     @pytest.mark.parametrize("k", range(-3, 10))
     def test_k_is_rational_k(self, capsys, k):

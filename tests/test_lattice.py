@@ -23,6 +23,7 @@ from conelab.lattice import (
     E,
     H,
     LatticeError,
+    ParseError,
     SurfaceModel,
     T,
     U,
@@ -450,6 +451,7 @@ class TestLiteralsAndJson:
         assert parse_class("1/2H - 3/2 E2", s).coeffs == (Fraction(1, 2), 0, Fraction(-3, 2), 0)
         assert parse_class("2H\t-E1", s).coeffs == (2, -1, 0, 0)
         assert parse_class("H -\nE3\n", s).coeffs == (1, 0, 0, -1)
+        assert parse_class("2*H-1/2*E1", s).coeffs == (2, Fraction(-1, 2), 0, 0)
         t = trivial_ruled(2, k=1)
         assert parse_class("U-3T+E1", t).coeffs == (1, -3, 1)
 
@@ -461,6 +463,12 @@ class TestLiteralsAndJson:
             parse_class("H-2Q1", s)
         with pytest.raises(LatticeError):
             parse_class("U+T", s)
+        # juxtaposed terms are no sum, and a `*` needs a coefficient before it
+        for text in ["HE1", "H E1", "H*E1", "2H3E1", "*H", "H+*E1"]:
+            with pytest.raises(ParseError):
+                parse_class(text, s)
+        with pytest.raises(ParseError):
+            parse_class("2H-E1 E2", rational_surface(2))
 
     @settings(deadline=None, max_examples=150)
     @given(classes())

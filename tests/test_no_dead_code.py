@@ -39,6 +39,10 @@ The private (``_``-prefixed, not dunder) names that a package module
 imports from another module, or reads as an attribute it does not define
 itself, are pinned by module.
 
+In ``cli``, only ``main`` calls ``print`` or ``json.dumps``: a command
+handler returns its exit code, its JSON document and its text lines, and
+``main`` prints one or the other, so output takes one path.
+
 The package holds no ``assert`` statement: ``python -O`` strips them, so an
 invariant is checked by raising.
 
@@ -445,6 +449,17 @@ def test_no_assert_in_the_package():
         if isinstance(node, ast.Assert)
     )
     assert not found, "assert statements in the package: " + ", ".join(found)
+
+
+def test_only_main_prints():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    printing = sorted(
+        fn.name for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name != "main"
+        and any(isinstance(n, ast.Call) and ast.unparse(n.func) in ("print", "json.dumps")
+                for n in ast.walk(fn))
+    )
+    assert not printing, "cli functions other than main that print: " + ", ".join(printing)
 
 
 # Math notation in README code spans that reads like a call, such as the
