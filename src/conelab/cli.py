@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 from . import cones, cremona, enumeration, inflation, swcert, verify
 from .configurations import (
@@ -167,8 +168,11 @@ def cmd_ksymp(args) -> tuple:
         {"ray": str(c.ray), "square": str(c.square), "genus": str(c.genus)}
         for c in ks.corners
     ]
-    lines = [f"{c['ray']}  square {c['square']}  genus {c['genus']}" for c in corners]
-    lines.append(f"all corners square 0/1 and genus 0: {ks.corners_ok}")
+    # a generator, so that JSON output formats no line
+    lines = chain(
+        (f"{c['ray']}  square {c['square']}  genus {c['genus']}" for c in corners),
+        [f"all corners square 0/1 and genus 0: {ks.corners_ok}"],
+    )
     return (0 if ks.corners_ok else 1), {"corners": corners, "corners_ok": ks.corners_ok}, lines
 
 

@@ -185,7 +185,7 @@ class ValidationReport:
     p2: PropertyResult
     p3: PropertyResult
     witness: DivisorClass | None
-    decompositions: tuple[tuple[DivisorClass, tuple[Fraction, ...]], ...]
+    decompositions: tuple[tuple[DivisorClass, tuple[int | Fraction, ...]], ...]
 
     @property
     def passed(self) -> bool:

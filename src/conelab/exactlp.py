@@ -9,8 +9,8 @@ outside the tableau, built in one pass per nonzero entry of a.  The pivots
 are those of Bland's rule on the dense phase-1 tableau (columns, then one
 artificial per row); it stops once the artificials are zero, after which
 that tableau's pivots are all degenerate, so the solutions are the same.
-The columns and the target are integer vectors, used as given; only the
-returned values are Fractions.
+The columns and the target are integer vectors, used as given; a returned
+value is an int, and a Fraction only where it has a denominator.
 
 The rows with a negative target entry are negated, to S A x = |t| for the
 sign matrix S, and B^-1 S starts from S: a pivot is a row operation, which
@@ -33,8 +33,9 @@ from . import linalg
 
 def nonnegative_combination(
     columns: Sequence[Sequence[int]], target: Sequence[int]
-) -> list[Fraction] | None:
-    """Coefficients x >= 0 with sum x_j columns[j] = target, or None.
+) -> list[int | Fraction] | None:
+    """Coefficients x >= 0 with sum x_j columns[j] = target, or None: ints,
+    and a Fraction only for a value with a denominator.
 
     Bland's rule guarantees termination; the returned basic solution is an
     exact certificate, checked in int before it is returned (ArithmeticError
@@ -78,7 +79,7 @@ def nonnegative_combination(
     terms = [-denom, *used.values()]
     if any([sum(map(mul, terms, coord)) for coord in zip(target, *[columns[var] for var in used])]):
         raise ArithmeticError("the basic solution does not reproduce the target")
-    solution = [Fraction(0)] * n
+    solution = [0] * n
     for var, x in used.items():
-        solution[var] = Fraction(x, denom)
+        solution[var] = x // denom if x % denom == 0 else Fraction(x, denom)
     return solution

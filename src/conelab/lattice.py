@@ -73,9 +73,11 @@ class SurfaceModel:
     def is_rational(self) -> bool:
         return self.kind == RATIONAL
 
-    def basis_labels(self) -> list[str]:
-        head = ["H"] if self.is_rational else ["U", "T"]
-        return head + [f"E{i}" for i in range(1, self.k + 1)]
+    @functools.cached_property
+    def basis_labels(self) -> tuple[str, ...]:
+        """H, or U and T, then E1..Ek: built once per surface, which is interned."""
+        head = ("H",) if self.is_rational else ("U", "T")
+        return head + tuple(f"E{i}" for i in range(1, self.k + 1))
 
     def __str__(self) -> str:
         if self.is_rational:
@@ -380,7 +382,7 @@ def parse_class(text: str, surface: SurfaceModel) -> DivisorClass:
     if compact in ("0", ""):
         return divisor(surface, [0] * surface.rank)
     coeffs = [0] * surface.rank
-    labels = {lab: idx for idx, lab in enumerate(surface.basis_labels())}
+    labels = surface.basis_labels
     pos = 0
     while pos < len(compact):
         m = _TERM.match(compact, pos)
@@ -396,7 +398,7 @@ def parse_class(text: str, surface: SurfaceModel) -> DivisorClass:
         key = symbol.upper()
         if key not in labels:
             raise ParseError(f"generator {symbol!r} does not exist on {surface}")
-        coeffs[labels[key]] += value
+        coeffs[labels.index(key)] += value
         pos = m.end()
     return DivisorClass(surface, tuple(coeffs))
 
@@ -420,7 +422,7 @@ def format_class(x: DivisorClass, paper_signs: bool = False) -> str:
     if x.is_zero():
         return "0"
     parts = []
-    for label, c in zip(x.surface.basis_labels(), x.coeffs):
+    for label, c in zip(x.surface.basis_labels, x.coeffs):
         if c == 0:
             continue
         mag = abs(c)

@@ -68,6 +68,12 @@ def dense_tableau(columns, target):
     return solution
 
 
+def exact_value(v):
+    """The solution's contract: an int when the value is integral, and
+    otherwise a Fraction with a denominator greater than 1."""
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
 def random_system(rng):
     m = rng.randint(2, 5)
     columns = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(rng.randint(1, 7))]
@@ -103,7 +109,7 @@ def test_matches_brute_force_and_the_dense_tableau():
         seen["zero target"] += all(t == 0 for t in target)
         if x is None:
             continue
-        assert len(x) == len(columns) and all(type(v) is Fraction and v >= 0 for v in x)
+        assert len(x) == len(columns) and all(exact_value(v) and v >= 0 for v in x)
         assert [sum(v * c[i] for v, c in zip(x, columns)) for i in range(m)] == target
         assert sum(1 for v in x if v) <= m
     assert min(seen.values()) >= 20, seen
@@ -128,7 +134,9 @@ def test_matches_brute_force_and_the_dense_tableau():
     ],
 )
 def test_small_systems(columns, target, expected):
-    assert exactlp.nonnegative_combination(columns, target) == expected
+    x = exactlp.nonnegative_combination(columns, target)
+    # the types too: an int beside a Fraction where a denominator occurs
+    assert x == expected and [type(v) for v in x or ()] == [type(v) for v in expected or ()]
 
 
 def validation_lps(monkeypatch, cfg):
@@ -158,7 +166,7 @@ def test_eight_blowup_decompositions_sum_to_their_targets(monkeypatch):
     assert report.passed and len(report.decompositions) == len(calls) == 240
     for (target, used), (columns, lp_target, x) in zip(report.decompositions, calls):
         assert lp_target == target.coeffs and tuple(x[: len(used)]) == used
-        assert all(type(v) is Fraction and v >= 0 for v in x)
+        assert all(exact_value(v) and v >= 0 for v in x)
         terms = [(v, c) for v, c in zip(x, columns) if v]
         total = tuple(sum(v * c[i] for v, c in terms) for i in range(len(target.coeffs)))
         assert total == target.coeffs, target

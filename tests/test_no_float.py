@@ -3,16 +3,27 @@
 ``pair`` returns an int on integral classes, so a division of two pairings
 written ``p / q`` would give a float; each is written ``Fraction(p, q)``.
 Random integral and fractional inputs go through every function with such a
-division, and every number in the result is checked."""
+division, and every number in the result is checked.  The exact simplex keeps
+a stricter rule: a value is an int, and a Fraction only with a denominator."""
 
 import dataclasses
+import random
 from fractions import Fraction
 from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
+from conelab.configurations import (
+    NegativeConfiguration,
+    catalog_cp2_1,
+    catalog_cp2_2,
+    catalog_cp2_3,
+    disjoint_minus_one_configuration,
+    validate_configuration,
+)
 from conelab.cones import dual_cone, nef_threshold, ray_sum
 from conelab.enumeration import exceptional_classes, family_instances, sphere_classes
+from conelab.exactlp import nonnegative_combination
 from conelab.inflation import achieve_vertex, alternate_inflate, max_inflate
 from conelab.lattice import (
     DivisorClass,
@@ -38,6 +49,10 @@ CURVE_DUAL_RAYS = dual_cone(CURVES).rays
 # the K-symplectic cone of three blowups, the dual of the -1 classes
 K_SYMPLECTIC = dual_cone(exceptional_classes(S3))
 EXTREMAL = sorted_classes(exceptional_classes(S3)) + [parse_class("H-E1", S3)]
+# every configuration of the k <= 3 catalogs, and the disjoint -1 curves at k = 3
+CONFIGURATIONS = [
+    e.configuration for catalog in (catalog_cp2_1, catalog_cp2_2, catalog_cp2_3) for e in catalog()
+] + [disjoint_minus_one_configuration(3, l) for l in (1, 2, 3)]
 
 
 def numbers_in(lo, hi, n):
@@ -75,6 +90,11 @@ def assert_exact(*results):
         assert type(x) in (int, Fraction), f"{x!r} is a {type(x).__name__}"
 
 
+def assert_int_unless_denominator(values):
+    for x in values:
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
+
+
 @settings(deadline=None, max_examples=100)
 @given(classes, classes)
 def test_pair_and_adjunction_genus(x, y):
@@ -109,3 +129,31 @@ def test_achieve_vertex(weights, ray):
 def test_nef_threshold(weights):
     omega = ray_sum(K_SYMPLECTIC) + combination(weights, K_SYMPLECTIC.rays)
     assert_exact(nef_threshold(omega, [(1 + weights[-1]) * c for c in EXTREMAL]))
+
+
+systems = st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m), min_size=1, max_size=6)
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(systems, st.data())
+def test_nonnegative_combination(columns, data):
+    # a random target, or a non-negative combination of the columns
+    m, n = len(columns[0]), len(columns)
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    feasible = [sum(w * c[i] for w, c in zip(weights, columns)) for i in range(m)]
+    target = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m) | st.just(feasible))
+    assert_int_unless_denominator(nonnegative_combination(columns, target) or ())
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(CONFIGURATIONS), st.integers(0, 2**32))
+def test_validate_configuration_decompositions(cfg, seed):
+    # the configuration with E1..Ek relabelled by a seeded permutation
+    k = cfg.surface.k
+    perm = random.Random(seed).sample(range(1, k + 1), k)
+    curves = [divisor(cfg.surface, [c.coeffs[0]] + [c.coeffs[j] for j in perm]) for c in cfg.curves]
+    report = validate_configuration(NegativeConfiguration(cfg.surface, curves))
+    assert report.passed
+    assert_int_unless_denominator(v for _, coeffs in report.decompositions for v in coeffs)
